@@ -157,6 +157,33 @@ mod tests {
     }
 
     #[test]
+    fn eight_workers_run_items_on_more_than_one_thread() {
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+        // Each item waits until a second item has arrived. Items run on
+        // one thread only would meet no one: the first wait times out
+        // and reports the failure instead of hanging.
+        let arrived = Mutex::new(0usize);
+        let met = Condvar::new();
+        let items: Vec<usize> = (0..8).collect();
+        let out = par_map_with(&items, 8, 1, |_| {
+            let mut n = arrived.lock().expect("rendezvous lock");
+            *n += 1;
+            met.notify_all();
+            let (n, _) = met
+                .wait_timeout_while(n, Duration::from_secs(10), |n| *n < 2)
+                .expect("rendezvous lock");
+            (*n >= 2, std::thread::current().id())
+        });
+        assert!(
+            out.iter().all(|&(rendezvous, _)| rendezvous),
+            "an item waited alone: the items ran on one thread"
+        );
+        let threads: std::collections::HashSet<_> = out.iter().map(|&(_, id)| id).collect();
+        assert!(threads.len() > 1);
+    }
+
+    #[test]
     fn for_each_side_effects_visible() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let sum = AtomicU64::new(0);

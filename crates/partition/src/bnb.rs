@@ -170,7 +170,8 @@ pub struct BnbConfig {
     /// Cap on branch nodes across *all* workers (expansion included);
     /// exhausting it yields [`ExactOutcome::Unknown`].
     pub node_budget: u64,
-    /// Worker threads exploring frontier subtrees (min 1).
+    /// Worker threads exploring frontier subtrees (min 1; the solver
+    /// runs at most one per frontier subtree).
     pub workers: usize,
     /// Per-worker visited-filter entry cap; at saturation the filter
     /// stops inserting (sound — it is an optimization only).
@@ -663,7 +664,7 @@ impl<'a, A: BnbAdmission> ExactSolver<'a, A> {
             (0..ctx.m()).map(|_| self.admission.empty_state()).collect();
         if !level_feasible_sorted_f64(&ctx.utils_desc, &ctx.residuals_desc(&root_states)) {
             tally.prune_bound += 1;
-            self.flush(sink, &tally, None, 0);
+            self.flush(sink, &tally, None, 0, 0);
             return ExactOutcome::Infeasible;
         }
 
@@ -677,15 +678,16 @@ impl<'a, A: BnbAdmission> ExactSolver<'a, A> {
         let frontier = match expansion {
             Expansion::Decided(out) => {
                 gas.absorb(&shared);
-                self.flush(sink, &tally, None, 0);
+                self.flush(sink, &tally, None, 0, 0);
                 return out;
             }
             Expansion::Frontier(nodes) => nodes,
         };
 
         // Phase 3: parallel subtree exploration with the min-index
-        // incumbent rule.
-        let workers = self.config.workers.max(1);
+        // incumbent rule. A worker past the frontier's length would claim
+        // nothing, so the requested count is capped there.
+        let workers = self.config.workers.min(frontier.len()).max(1);
         let queue = TakeQueue::new(&frontier);
         let best = AtomicUsize::new(usize::MAX);
         let solutions: Vec<Mutex<Option<Vec<usize>>>> =
@@ -713,7 +715,7 @@ impl<'a, A: BnbAdmission> ExactSolver<'a, A> {
         tally.prune_bound += bank.prune_bound.load(Ordering::Relaxed);
         tally.prune_dominance += bank.prune_dominance.load(Ordering::Relaxed);
         tally.prune_visited += bank.prune_visited.load(Ordering::Relaxed);
-        self.flush(sink, &tally, Some(&bank), frontier.len());
+        self.flush(sink, &tally, Some(&bank), frontier.len(), workers);
 
         let best_id = best.load(Ordering::Relaxed);
         if best_id != usize::MAX {
@@ -876,6 +878,7 @@ impl<'a, A: BnbAdmission> ExactSolver<'a, A> {
         tally: &Tally,
         bank: Option<&SharedTally>,
         frontier: usize,
+        workers: usize,
     ) {
         if !S::ENABLED {
             return;
@@ -885,7 +888,7 @@ impl<'a, A: BnbAdmission> ExactSolver<'a, A> {
         sink.counter_add(m::BNB_PRUNE_DOMINANCE, tally.prune_dominance);
         sink.counter_add(m::BNB_PRUNE_VISITED, tally.prune_visited);
         sink.counter_add(m::BNB_FRONTIER, frontier as u64);
-        sink.counter_add(m::BNB_WORKERS, self.config.workers.max(1) as u64);
+        sink.counter_add(m::BNB_WORKERS, workers as u64);
         if let Some(bank) = bank {
             sink.counter_add(m::BNB_BLOOM_HITS, bank.bloom_hits.load(Ordering::Relaxed));
             sink.counter_add(m::BNB_BLOOM_FP, bank.bloom_fp.load(Ordering::Relaxed));
@@ -904,7 +907,6 @@ impl<'a, A: BnbAdmission> ExactSolver<'a, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::{exact_partition_dfs, exact_partition_dfs_within};
     use hetfeas_obs::MemorySink;
     use hetfeas_robust::{Budget, FaultKind, FaultPlan};
 
@@ -936,7 +938,8 @@ mod tests {
 
     /// Periods near `u64::MAX` make the `f64` utilizations of the exact
     /// order non-monotone; the level bound must still get a non-increasing
-    /// input (debug builds assert it) and decide every case soundly.
+    /// input (debug builds assert it) and decide every case soundly
+    /// (`tests/prop_bnb.rs` checks the verdicts against the plain DFS).
     #[test]
     fn huge_period_corpus_keeps_the_bound_input_sorted() {
         for seed in 1..=8 {
@@ -948,88 +951,33 @@ mod tests {
                     "{}: bound input not non-increasing",
                     case.name
                 );
-                let out = solver.node_budget(1 << 16).solve();
-                let dfs = exact_partition_dfs(
-                    &case.tasks,
-                    &case.platform,
-                    Augmentation::NONE,
-                    &EdfAdmission,
-                    1 << 16,
-                );
-                if out.is_decided() && dfs.is_decided() {
-                    assert_eq!(out.is_feasible(), dfs.is_feasible(), "{}", case.name);
-                }
+                solver.node_budget(1 << 16).solve();
             }
         }
-    }
-
-    #[test]
-    fn agrees_with_old_dfs_on_exhaustive_small_grid() {
-        let p1 = Platform::from_int_speeds([1, 2]).unwrap();
-        let p2 = Platform::identical(2).unwrap();
-        let menu: [(u64, u64); 3] = [(95, 100), (100, 100), (120, 100)];
-        for p in [&p1, &p2] {
-            for a in menu {
-                for b in menu {
-                    for c in menu {
-                        let tasks = ts(&[a, b, c]);
-                        let dfs = exact_partition_dfs(
-                            &tasks,
-                            p,
-                            Augmentation::NONE,
-                            &EdfAdmission,
-                            1 << 20,
-                        );
-                        let bnb = ExactSolver::new(&tasks, p, &EdfAdmission).solve();
-                        assert_eq!(
-                            dfs.is_feasible(),
-                            bnb.is_feasible(),
-                            "verdict mismatch on {a:?} {b:?} {c:?}"
-                        );
-                        if let ExactOutcome::Feasible(w) = &bnb {
-                            assert!(w.validate(&tasks, p, 1.0, &EdfAdmission));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gate_decides_n50_m8_where_old_dfs_exhausts() {
-        let (tasks, p) = gate_infeasible_n50_m8();
-        // The old DFS burns its whole 2M-node budget without an answer...
-        let dfs = exact_partition_dfs(&tasks, &p, Augmentation::NONE, &EdfAdmission, 2_000_000);
-        assert_eq!(dfs, ExactOutcome::Unknown);
-        // ...the B&B refutes it well inside the same budget.
-        let sink = MemorySink::new();
-        let bnb = ExactSolver::new(&tasks, &p, &EdfAdmission)
-            .node_budget(2_000_000)
-            .solve_with(&mut Gas::unlimited(), &sink);
-        assert_eq!(bnb, ExactOutcome::Infeasible);
-        assert!(
-            sink.counter(m::BNB_NODES) < 200_000,
-            "expected collapse via dominance/visited pruning, used {} nodes",
-            sink.counter(m::BNB_NODES)
-        );
     }
 
     #[test]
     fn verdict_and_witness_identical_across_worker_counts() {
         let (inf_tasks, inf_p) = gate_infeasible_n50_m8();
         let (fea_tasks, fea_p) = perfect_triples_n24_m8();
-        for (tasks, p) in [(&inf_tasks, &inf_p), (&fea_tasks, &fea_p)] {
-            let outs: Vec<ExactOutcome> = [1usize, 2, 8]
+        let (util_tasks, util_p) = (ts(&vec![(334, 1000); 13]), Platform::identical(6).unwrap());
+        for (tasks, p) in [
+            (&inf_tasks, &inf_p),
+            (&fea_tasks, &fea_p),
+            (&util_tasks, &util_p),
+        ] {
+            let outs: Vec<ExactOutcome> = [1usize, 2, 4, 8]
                 .into_iter()
                 .map(|w| {
                     ExactSolver::new(tasks, p, &EdfAdmission)
                         .workers(w)
-                        .node_budget(4_000_000)
+                        .node_budget(2_000_000)
                         .solve()
                 })
                 .collect();
             assert_eq!(outs[0], outs[1], "workers 1 vs 2");
-            assert_eq!(outs[0], outs[2], "workers 1 vs 8");
+            assert_eq!(outs[0], outs[2], "workers 1 vs 4");
+            assert_eq!(outs[0], outs[3], "workers 1 vs 8");
             assert!(outs[0].is_decided());
             if let ExactOutcome::Feasible(w) = &outs[0] {
                 assert!(w.validate(tasks, p, 1.0, &EdfAdmission));
@@ -1104,33 +1052,6 @@ mod tests {
     }
 
     #[test]
-    fn rms_ll_solver_agrees_with_dfs() {
-        let p = Platform::identical(2).unwrap();
-        let menu: [(u64, u64); 3] = [(41, 100), (50, 100), (30, 100)];
-        for a in menu {
-            for b in menu {
-                for c in menu {
-                    for d in menu {
-                        let tasks = ts(&[a, b, c, d]);
-                        let dfs = exact_partition_dfs(
-                            &tasks,
-                            &p,
-                            Augmentation::NONE,
-                            &RmsLlAdmission,
-                            1 << 20,
-                        );
-                        let bnb = ExactSolver::new(&tasks, &p, &RmsLlAdmission).solve();
-                        assert_eq!(dfs.is_feasible(), bnb.is_feasible());
-                        if let ExactOutcome::Feasible(w) = &bnb {
-                            assert!(w.validate(&tasks, &p, 1.0, &RmsLlAdmission));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn heterogeneous_speeds_group_only_equal_machines() {
         // speeds [1, 1, 2]: the two unit machines form one dominance
         // group, the fast one its own. Feasibility must respect that.
@@ -1144,21 +1065,33 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_dfs_and_bnb_agree_when_both_decide() {
-        let mut gas = Gas::unlimited();
+    fn workers_are_capped_at_the_frontier() {
+        // A frontier of about 16 subtrees leaves most of 64 requested
+        // workers nothing to claim; the solver must not spawn them.
         let (tasks, p) = perfect_triples_n24_m8();
-        let bnb = ExactSolver::new(&tasks, &p, &EdfAdmission).solve_within(&mut gas);
-        let dfs = exact_partition_dfs_within(
-            &tasks,
-            &p,
-            Augmentation::NONE,
-            &EdfAdmission,
-            1 << 26,
-            &mut Gas::unlimited(),
+        let config = BnbConfig {
+            workers: 64,
+            frontier_target: 16,
+            ..BnbConfig::default()
+        };
+        let sink = MemorySink::new();
+        let capped = ExactSolver::new(&tasks, &p, &EdfAdmission)
+            .config(config)
+            .solve_with(&mut Gas::unlimited(), &sink);
+        let frontier = sink.counter(m::BNB_FRONTIER);
+        assert!(frontier > 0 && frontier < 64, "frontier {frontier}");
+        let workers = sink.counter(m::BNB_WORKERS);
+        assert!(
+            workers <= frontier,
+            "{workers} workers for {frontier} subtrees"
         );
-        if dfs.is_decided() {
-            assert_eq!(dfs.is_feasible(), bnb.is_feasible());
-        }
+        let single = ExactSolver::new(&tasks, &p, &EdfAdmission)
+            .config(BnbConfig {
+                workers: 1,
+                ..config
+            })
+            .solve();
+        assert_eq!(capped, single);
     }
 
     #[test]

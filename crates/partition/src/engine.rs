@@ -217,8 +217,15 @@ impl MaxTree {
     }
 
     /// Index of the leftmost value at position `≥ from` that is
-    /// `≥ threshold`.
-    pub(crate) fn first_at_least(&self, from: usize, threshold: f64) -> Option<usize> {
+    /// `≥ threshold`. Adds the heap nodes (block maxima) the climb and
+    /// descent read to `nodes`, at most `2·log2` of the block count per
+    /// query; under a sink with `ENABLED = false` the count compiles away.
+    pub(crate) fn first_at_least<S: MetricsSink>(
+        &self,
+        from: usize,
+        threshold: f64,
+        nodes: &mut u64,
+    ) -> Option<usize> {
         if from >= self.values.len() {
             return None;
         }
@@ -237,6 +244,9 @@ impl MaxTree {
                 return None;
             }
             if i & 1 == 0 {
+                if S::ENABLED {
+                    *nodes += 1;
+                }
                 if self.node[i + 1] >= threshold {
                     i += 1;
                     break;
@@ -248,6 +258,9 @@ impl MaxTree {
         // Descend to the leftmost qualifying block, then scan it.
         while i < self.block_leaves {
             i *= 2;
+            if S::ENABLED {
+                *nodes += 1;
+            }
             if self.node[i] < threshold {
                 i += 1;
             }
@@ -391,14 +404,21 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
         let mut scan_checks = 0u64;
         let mut placed_count = 0u64;
         let mut descents = 0u64;
+        let mut tree_nodes = 0u64;
         let mut exact_checks = 0u64;
         let mut misses = 0u64;
-        let flush = |scan_checks: u64, placed: u64, descents: u64, exact: u64, misses: u64| {
+        let flush = |scan_checks: u64,
+                     placed: u64,
+                     descents: u64,
+                     tree_nodes: u64,
+                     exact: u64,
+                     misses: u64| {
             if S::ENABLED {
                 sink.counter_add(metrics::FF_ADMISSION_CHECKS, scan_checks);
                 sink.counter_add(metrics::FF_MACHINES_VISITED, scan_checks);
                 sink.counter_add(metrics::FF_PLACED, placed);
                 sink.counter_add(metrics::ENGINE_TREE_DESCENTS, descents);
+                sink.counter_add(metrics::ENGINE_TREE_NODES, tree_nodes);
                 sink.counter_add(metrics::ENGINE_EXACT_CHECKS, exact);
                 sink.counter_add(metrics::ENGINE_REVERIFY_MISSES, misses);
             }
@@ -414,7 +434,7 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
                 if S::ENABLED {
                     descents += 1;
                 }
-                let Some(slot) = self.tree.first_at_least(from, u) else {
+                let Some(slot) = self.tree.first_at_least::<S>(from, u, &mut tree_nodes) else {
                     break None;
                 };
                 // Exact re-check: the hint over-approximates, the reference
@@ -452,7 +472,14 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
                         scan_checks += platform.len() as u64;
                         sink.observe(metrics::FF_CHECKS_PER_TASK, platform.len() as u64);
                     }
-                    flush(scan_checks, placed_count, descents, exact_checks, misses);
+                    flush(
+                        scan_checks,
+                        placed_count,
+                        descents,
+                        tree_nodes,
+                        exact_checks,
+                        misses,
+                    );
                     return Outcome::Infeasible(FailureWitness {
                         failing_task: ti,
                         failing_utilization: u,
@@ -461,7 +488,14 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
                 }
             }
         }
-        flush(scan_checks, placed_count, descents, exact_checks, misses);
+        flush(
+            scan_checks,
+            placed_count,
+            descents,
+            tree_nodes,
+            exact_checks,
+            misses,
+        );
         Outcome::Feasible(assignment)
     }
 
@@ -509,7 +543,7 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
         &self.task_order
     }
 
-    /// Warm-started α-search: smallest augmentation (within `tol`) in
+    /// Sort-once α-search: smallest augmentation (within `tol`) in
     /// `[1, hi]` at which the test accepts `tasks`, or `None` if even `hi`
     /// does not suffice — the engine counterpart of
     /// [`crate::min_feasible_alpha`].
@@ -596,35 +630,35 @@ mod tests {
     fn maxtree_basic_queries() {
         let mut t = MaxTree::default();
         t.rebuild(&[0.5, 0.2, 0.9, 0.4, 0.9]);
-        assert_eq!(t.first_at_least(0, 0.1), Some(0));
-        assert_eq!(t.first_at_least(0, 0.6), Some(2));
-        assert_eq!(t.first_at_least(3, 0.6), Some(4));
-        assert_eq!(t.first_at_least(0, 0.95), None);
-        assert_eq!(t.first_at_least(5, 0.0), None);
+        assert_eq!(t.first_at_least::<()>(0, 0.1, &mut 0), Some(0));
+        assert_eq!(t.first_at_least::<()>(0, 0.6, &mut 0), Some(2));
+        assert_eq!(t.first_at_least::<()>(3, 0.6, &mut 0), Some(4));
+        assert_eq!(t.first_at_least::<()>(0, 0.95, &mut 0), None);
+        assert_eq!(t.first_at_least::<()>(5, 0.0, &mut 0), None);
         t.update(2, 0.0);
-        assert_eq!(t.first_at_least(0, 0.6), Some(4));
+        assert_eq!(t.first_at_least::<()>(0, 0.6, &mut 0), Some(4));
         t.update(0, 1.5);
-        assert_eq!(t.first_at_least(0, 1.0), Some(0));
-        assert_eq!(t.first_at_least(1, 1.0), None);
+        assert_eq!(t.first_at_least::<()>(0, 1.0, &mut 0), Some(0));
+        assert_eq!(t.first_at_least::<()>(1, 1.0, &mut 0), None);
     }
 
     #[test]
     fn maxtree_single_leaf() {
         let mut t = MaxTree::default();
         t.rebuild(&[0.3]);
-        assert_eq!(t.first_at_least(0, 0.3), Some(0));
-        assert_eq!(t.first_at_least(0, 0.31), None);
-        assert_eq!(t.first_at_least(1, 0.0), None);
+        assert_eq!(t.first_at_least::<()>(0, 0.3, &mut 0), Some(0));
+        assert_eq!(t.first_at_least::<()>(0, 0.31, &mut 0), None);
+        assert_eq!(t.first_at_least::<()>(1, 0.0, &mut 0), None);
     }
 
     #[test]
     fn maxtree_rebuild_shrinks_and_grows() {
         let mut t = MaxTree::default();
         t.rebuild(&[1.0; 9]);
-        assert_eq!(t.first_at_least(8, 1.0), Some(8));
+        assert_eq!(t.first_at_least::<()>(8, 1.0, &mut 0), Some(8));
         t.rebuild(&[0.5, 0.7]);
-        assert_eq!(t.first_at_least(0, 0.6), Some(1));
-        assert_eq!(t.first_at_least(2, 0.0), None);
+        assert_eq!(t.first_at_least::<()>(0, 0.6, &mut 0), Some(1));
+        assert_eq!(t.first_at_least::<()>(2, 0.0, &mut 0), None);
     }
 
     #[test]

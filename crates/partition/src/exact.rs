@@ -1,4 +1,4 @@
-//! Exact partitioned feasibility: public entry points and the legacy DFS.
+//! Exact partitioned feasibility: the public entry points.
 //!
 //! The paper's factor-2 / factor-2.41 results (Theorems I.1/I.2) compare
 //! against an *optimal partitioned* adversary. Deciding partitioned
@@ -6,34 +6,17 @@
 //! entry points here ([`exact_partition`] & friends) route through the
 //! branch-and-bound [`crate::bnb::ExactSolver`] — LP bounding, dominance
 //! and visited-state pruning, a first-fit incumbent, optional parallel
-//! workers — which decides instances at n ≥ 50, m ≥ 8 that the original
-//! search could not (DESIGN.md §12).
-//!
-//! The original depth-first search is preserved verbatim as
-//! [`exact_partition_dfs`]: it is the differential-testing baseline for
-//! the new solver and the fallback for admissions without a
-//! [`BnbAdmission`] implementation. Its shape, for reference:
-//!
-//! * tasks are branched in non-increasing utilization order (heaviest
-//!   first — the strongest decisions at the top of the tree);
-//! * machines are scanned slow→fast;
-//! * symmetry breaking: among *empty* machines of equal speed only the
-//!   first is tried;
-//! * pruning: if the remaining total utilization exceeds the optimistic
-//!   residual capacity `Σ_j max(0, s_j − load_j)` the node is cut
-//!   (valid for every admission test whose per-machine capacity is at most
-//!   the machine speed, which holds for EDF, RMS-LL, hyperbolic and RTA);
-//! * a node budget caps the search, returning [`ExactOutcome::Unknown`]
-//!   when exhausted.
+//! workers — which decides instances at n ≥ 50, m ≥ 8 that a plain
+//! depth-first search cannot (DESIGN.md §12). That plain search is kept
+//! as the differential reference in `tests/prop_bnb.rs`.
 //!
 //! The admission test is pluggable, so the same search answers "optimal
 //! partitioned EDF" (utilization admission — exact per-machine feasibility
 //! by Theorem II.2) and "optimal partitioned RMS" (exact RTA admission).
 
-use crate::admission::AdmissionTest;
 use crate::assignment::Assignment;
 use crate::bnb::{BnbAdmission, ExactSolver};
-use hetfeas_model::{Augmentation, Platform, TaskSet, EPS};
+use hetfeas_model::{Augmentation, Platform, TaskSet};
 use hetfeas_robust::Gas;
 
 /// Result of the exact search.
@@ -59,109 +42,11 @@ impl ExactOutcome {
     }
 }
 
-struct Search<'a, A: AdmissionTest> {
-    tasks: &'a TaskSet,
-    order: Vec<usize>,
-    speeds: Vec<f64>,     // augmented speeds, in machine scan order
-    machines: Vec<usize>, // original machine index per scan slot
-    admission: &'a A,
-    suffix_util: Vec<f64>, // suffix_util[d] = Σ util of order[d..]
-    nodes_left: u64,
-    gas: &'a mut Gas,
-}
-
-impl<A: AdmissionTest> Search<'_, A> {
-    fn run(&mut self) -> ExactOutcome {
-        let mut states: Vec<A::State> = (0..self.speeds.len())
-            .map(|_| self.admission.empty_state())
-            .collect();
-        let mut assignment = Assignment::new(self.tasks.len(), self.speeds.len());
-        match self.dfs(0, &mut states, &mut assignment) {
-            Some(true) => ExactOutcome::Feasible(assignment),
-            Some(false) => ExactOutcome::Infeasible,
-            None => ExactOutcome::Unknown,
-        }
-    }
-
-    /// Returns `Some(true)` feasible / `Some(false)` infeasible /
-    /// `None` budget exhausted.
-    fn dfs(
-        &mut self,
-        depth: usize,
-        states: &mut Vec<A::State>,
-        assignment: &mut Assignment,
-    ) -> Option<bool> {
-        if depth == self.order.len() {
-            return Some(true);
-        }
-        if self.nodes_left == 0 || self.gas.tick().is_err() {
-            return None;
-        }
-        self.nodes_left -= 1;
-
-        // Optimistic residual-capacity bound.
-        let residual: f64 = states
-            .iter()
-            .zip(&self.speeds)
-            .map(|(st, &s)| (s - self.admission.load(st)).max(0.0))
-            .sum();
-        if self.suffix_util[depth] > residual + EPS * residual.max(1.0) {
-            return Some(false);
-        }
-
-        let ti = self.order[depth];
-        let task = &self.tasks[ti];
-        let mut exhausted = false;
-        let mut tried_empty_speed: Vec<f64> = Vec::new();
-
-        for slot in 0..self.speeds.len() {
-            let is_empty = self.admission.load(&states[slot]) == 0.0;
-            if is_empty {
-                // Symmetry: identical empty machines are interchangeable.
-                if tried_empty_speed
-                    .iter()
-                    .any(|&s| (s - self.speeds[slot]).abs() < 1e-12)
-                {
-                    continue;
-                }
-                tried_empty_speed.push(self.speeds[slot]);
-            }
-            let Some(next) = self.admission.admit(&states[slot], task, self.speeds[slot]) else {
-                continue;
-            };
-            let saved = core::mem::replace(&mut states[slot], next);
-            assignment.assign(ti, self.machines[slot]);
-            match self.dfs(depth + 1, states, assignment) {
-                Some(true) => return Some(true),
-                Some(false) => {}
-                // The budget is gone — trying sibling subtrees would just
-                // burn more of it. Abandon the whole search immediately.
-                None => {
-                    assignment.unassign(ti);
-                    states[slot] = saved;
-                    exhausted = true;
-                    break;
-                }
-            }
-            assignment.unassign(ti);
-            states[slot] = saved;
-        }
-        if exhausted {
-            None
-        } else {
-            Some(false)
-        }
-    }
-}
-
 /// Exact partitioned feasibility under the given admission test at
-/// augmented speeds `alpha · s_j`, within `node_budget` branch nodes.
-///
-/// Since PR 7 this routes through the branch-and-bound
-/// [`ExactSolver`](crate::bnb::ExactSolver) (LP bounding, dominance and
-/// visited-state pruning, first-fit incumbent) with a single worker —
-/// same contract, decidable at much larger `n`/`m`. The original plain
-/// DFS survives as [`exact_partition_dfs`] for differential testing.
+/// augmented speeds `alpha · s_j`, within `node_budget` branch nodes,
+/// decided by the branch-and-bound [`ExactSolver`](crate::bnb::ExactSolver)
+/// (LP bounding, dominance and visited-state pruning, first-fit
+/// incumbent) with a single worker.
 pub fn exact_partition<A: BnbAdmission>(
     tasks: &TaskSet,
     platform: &Platform,
@@ -195,59 +80,6 @@ pub fn exact_partition_within<A: BnbAdmission>(
         .alpha(alpha)
         .node_budget(node_budget)
         .solve_within(gas)
-}
-
-/// The original depth-first search, kept verbatim as the differential
-/// baseline for the B&B solver (`tests/prop_bnb.rs` asserts agreement on
-/// exhaustive small grids). Only needs [`AdmissionTest`], so it also
-/// serves admissions without a [`BnbAdmission`] impl.
-pub fn exact_partition_dfs<A: AdmissionTest>(
-    tasks: &TaskSet,
-    platform: &Platform,
-    alpha: Augmentation,
-    admission: &A,
-    node_budget: u64,
-) -> ExactOutcome {
-    exact_partition_dfs_within(
-        tasks,
-        platform,
-        alpha,
-        admission,
-        node_budget,
-        &mut Gas::unlimited(),
-    )
-}
-
-/// [`exact_partition_dfs`] under an execution budget.
-pub fn exact_partition_dfs_within<A: AdmissionTest>(
-    tasks: &TaskSet,
-    platform: &Platform,
-    alpha: Augmentation,
-    admission: &A,
-    node_budget: u64,
-    gas: &mut Gas,
-) -> ExactOutcome {
-    let machine_order = platform.order_by_increasing_speed();
-    let order = tasks.order_by_decreasing_utilization();
-    let mut suffix_util = vec![0.0; order.len() + 1];
-    for d in (0..order.len()).rev() {
-        suffix_util[d] = suffix_util[d + 1] + tasks[order[d]].utilization();
-    }
-    let speeds: Vec<f64> = machine_order
-        .iter()
-        .map(|&m| alpha.factor() * platform.speed_f64(m))
-        .collect();
-    Search {
-        tasks,
-        order,
-        speeds,
-        machines: machine_order,
-        admission,
-        suffix_util,
-        nodes_left: node_budget,
-        gas,
-    }
-    .run()
 }
 
 /// Exact partitioned-EDF feasibility at speed 1 (the Theorem I.1
@@ -493,9 +325,6 @@ mod tests {
         let tasks = TaskSet::from_pairs(vec![(334, 1000); 13]).unwrap();
         let p = Platform::identical(6).unwrap();
         let out = exact_partition_edf(&tasks, &p, 50_000);
-        assert_eq!(out, ExactOutcome::Infeasible);
-        // And the preserved DFS baseline still refutes it the slow way.
-        let out = exact_partition_dfs(&tasks, &p, Augmentation::NONE, &EdfAdmission, 1 << 22);
         assert_eq!(out, ExactOutcome::Infeasible);
     }
 }

@@ -294,9 +294,12 @@ pub fn first_fit_ordered_ws<A: AdmissionTest, S: MetricsSink>(
 /// accepts `tasks`, searched over `[1, hi]` by bisection; `None` if even
 /// `hi` does not suffice.
 ///
-/// Acceptance is monotone in α for the EDF and RMS-LL admission tests
-/// (both capacity bounds scale linearly with speed), which the property
-/// tests verify — so bisection is exact up to `tol`.
+/// Bisection is exact up to `tol` where acceptance is monotone in α. Both
+/// capacity bounds of the EDF and RMS-LL admissions scale linearly with
+/// speed, and acceptance is monotone on the property-test inputs, but
+/// that is not a theorem for first-fit (DESIGN.md §5): where acceptance
+/// flips back as α grows, the answer is an accepting α within `tol` of a
+/// rejecting one, not necessarily the smallest accepting α.
 ///
 /// The task/machine sorts are computed once and shared by every bisection
 /// probe via [`first_fit_ordered`]. Invalid searches (`hi` below 1 or

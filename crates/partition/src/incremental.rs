@@ -447,7 +447,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
         let mut from = 0usize;
         let placed = loop {
             descents += 1;
-            let Some(slot) = self.core.tree.first_at_least(from, u) else {
+            let Some(slot) = self.core.tree.first_at_least::<()>(from, u, &mut 0) else {
                 break None;
             };
             exact += 1;

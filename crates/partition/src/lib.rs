@@ -13,8 +13,7 @@
 //! * [`constrained`] — constrained-deadline admissions (density bound and
 //!   exact QPA) — the extension the paper's related work points to.
 //! * [`exact`] — optimal partitioned feasibility (the Theorem I.1/I.2
-//!   adversary); routes through [`bnb`], with the legacy DFS preserved as
-//!   the differential baseline.
+//!   adversary); routes through [`bnb`].
 //! * [`bnb`] — [`ExactSolver`], the parallel branch-and-bound exact
 //!   search: level-algorithm LP bounding, dominance pruning over
 //!   machine-symmetric states, a bloom-fronted visited filter ([`bloom`]),
@@ -29,7 +28,8 @@
 //!   augmentation factor α*, the oracle the engine's search is tested
 //!   against.
 //! * [`engine`] — [`FirstFitEngine`], the indexed `O((n+m)·log m)` version
-//!   of the §III scan with reusable workspaces and a warm-started α-search:
+//!   of the §III scan with reusable workspaces and an α-search that sorts
+//!   once, then probes the reference bisection's α sequence:
 //!   the one first-fit and α-search behind `hetfeas check`/`alpha` and
 //!   experiments E1–E4 for the indexable admissions (EDF, RMS-LL,
 //!   hyperbolic). Outcomes stay byte-identical to [`first_fit()`].
@@ -91,8 +91,7 @@ pub use durable::{
 };
 pub use engine::{FirstFitEngine, IndexableAdmission};
 pub use exact::{
-    exact_partition, exact_partition_dfs, exact_partition_dfs_within, exact_partition_edf,
-    exact_partition_rms, exact_partition_within, ExactOutcome,
+    exact_partition, exact_partition_edf, exact_partition_rms, exact_partition_within, ExactOutcome,
 };
 pub use exact_rational::{exact_partition_edf_rational, exact_partition_edf_rational_within};
 pub use first_fit::{

@@ -10,7 +10,8 @@
 //!   comparable across the two paths and the differential tests in
 //!   `tests/prop_engine.rs` can assert exact equality.
 //! * `engine.*` — the indexed engine's *actual* work: segment-tree
-//!   descents, exact admission re-checks, and re-verification misses
+//!   descents, the heap nodes they read, exact admission re-checks, and
+//!   re-verification misses
 //!   (candidates the relaxed hint admitted but the exact predicate
 //!   rejected).
 //! * `bnb.*` — the branch-and-bound exact solver: nodes expanded, prunes
@@ -18,7 +19,7 @@
 //!   (hits and false positives), incumbent short-circuits, frontier size
 //!   and worker count.
 //! * `alpha.*` — α-search probe counts for the reference bisection
-//!   ([`crate::min_feasible_alpha`]) and the engine's warm-started search,
+//!   ([`crate::min_feasible_alpha`]) and the engine's sort-once search,
 //!   which probes the same sequence and so reports the same counts.
 //!
 //! All counters are cheap to emit: the hot loops accumulate into locals
@@ -44,6 +45,10 @@ pub const FF_WORKSPACE_ALLOCS: &str = "ff.workspace_allocs";
 
 /// Segment-tree descend-left queries issued by the engine (counter).
 pub const ENGINE_TREE_DESCENTS: &str = "engine.tree_descents";
+/// Max-tree heap nodes (block maxima) the engine's descents read — the
+/// tree work behind [`ENGINE_TREE_DESCENTS`], at most `2·log2` of the
+/// block count per descent (counter).
+pub const ENGINE_TREE_NODES: &str = "engine.tree_nodes";
 /// Exact admission re-checks of tree candidates (counter).
 pub const ENGINE_EXACT_CHECKS: &str = "engine.exact_checks";
 /// Candidates the relaxed hint offered but the exact predicate rejected
@@ -111,5 +116,7 @@ pub const BNB_FF_INCUMBENT: &str = "bnb.ff_incumbent";
 pub const BNB_EXHAUSTED: &str = "bnb.exhausted";
 /// Frontier subtrees handed to the parallel phase (counter).
 pub const BNB_FRONTIER: &str = "bnb.frontier";
-/// Worker threads configured for the run (counter).
+/// Worker threads that explored the frontier: the configured count
+/// capped at [`BNB_FRONTIER`], 0 when the search settled before the
+/// parallel phase (counter).
 pub const BNB_WORKERS: &str = "bnb.workers";

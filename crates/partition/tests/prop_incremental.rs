@@ -6,7 +6,8 @@
 //!    [`first_fit_ordered`] run on the same survivor set (EDF and RMS-LL).
 //! 2. **Rollback idempotence** — rolling back to a snapshot restores the
 //!    engine's full observable state (assignment, per-machine loads,
-//!    canonicality, live ids), and rolling back twice changes nothing.
+//!    canonicality, live ids), and rolling back twice changes nothing;
+//!    the restored engine then drains to empty (EDF and RMS-LL).
 //! 3. **Canonical appends need no repack** — a stream of decreasing-
 //!    utilization adds stays canonical with zero divergence, and its
 //!    assignment already matches from-scratch without any repack; an
@@ -155,6 +156,17 @@ fn check_rollback_restores<A: IndexableAdmission>(admission: A, seed: u64) {
     // The restored engine still behaves like a fresh engine in that
     // canonical state: adds after rollback work.
     let _ = eng.add(random_task(&mut rng));
+
+    // And removing every live task drains it to empty, every machine
+    // back to zero load.
+    for id in eng.live_ids() {
+        assert!(eng.remove(id).is_some(), "live id removes (seed {seed})");
+    }
+    assert!(eng.is_empty(), "drained engine is empty (seed {seed})");
+    assert!(
+        (0..eng.platform().len()).all(|m| eng.load_on(m) == 0.0),
+        "drained engine holds load (seed {seed})"
+    );
 }
 
 #[test]

@@ -961,7 +961,12 @@ mod tests {
         write_frame(&mut a, b"add t 1 10").expect("a send");
         write_frame(&mut b, b"add t 1 12").expect("b send");
         // Both connections get answers while both are open — the accept
-        // loop did not serialize them.
+        // loop did not serialize them. A serializing loop would leave `b`
+        // unanswered; the timeout turns that into a failure, not a hang.
+        for conn in [&a, &b] {
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+        }
         let mut ra = BufReader::new(a.try_clone().expect("clone"));
         let mut rb = BufReader::new(b.try_clone().expect("clone"));
         let la = read_frame(&mut ra).expect("a reply").expect("a line");

@@ -513,4 +513,29 @@ mod tests {
         assert!(quoted >= 1, "adds shed with state available carry quotes");
         svc.shutdown();
     }
+
+    #[test]
+    fn queued_adds_drain_in_one_batch() {
+        let store = MemStorage::new();
+        let mut svc = Service::new(ServiceConfig::default());
+        svc.open_tenant(spec("t", &store)).expect("open");
+        let (tx, rx) = mpsc::channel();
+        let before = svc.sink().counter(metrics::SERVICE_BATCHES);
+        // The stall holds the shard while 32 adds queue behind it; the
+        // shard must then take them as one batch, not one per request.
+        svc.submit(1, "t", Request::Stall(300), &tx);
+        let adds = 32u64;
+        for seq in 2..2 + adds {
+            let task = Task::implicit(1, 100).expect("task");
+            svc.submit(seq, "t", Request::Op(Op::Add(task)), &tx);
+        }
+        assert_eq!(await_seq(&rx, 1), Response::Done);
+        for seq in 2..2 + adds {
+            let resp = await_seq(&rx, seq);
+            assert!(matches!(resp, Response::Admitted { .. }), "{resp:?}");
+        }
+        let batches = svc.sink().counter(metrics::SERVICE_BATCHES) - before;
+        assert!(batches <= 2, "{adds} queued adds took {batches} batches");
+        svc.shutdown();
+    }
 }

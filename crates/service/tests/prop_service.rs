@@ -283,6 +283,49 @@ fn panic_restart_recovers_bit_identical_state() {
     }
 }
 
+/// Property 2b: panics injected into eight shards at once — every policy
+/// represented, no reply awaited in between — all recover bit-exactly.
+#[test]
+fn simultaneous_panics_recover_every_shard_bit_exactly() {
+    let tenants = 8;
+    let mut h = Harness::new(tenants, 0xbe0c, vec![]);
+    let mut rng = Rng(0xbe0c);
+    for t in 0..tenants {
+        h.storm(t, &mut rng, 24);
+    }
+    let before: Vec<(u32, ShardState, usize)> = (0..tenants).map(|t| h.digest(t)).collect();
+
+    let first = h.seq + 1;
+    for name in &h.names {
+        h.seq += 1;
+        h.svc.submit(h.seq, name, Request::InjectPanic, &h.tx);
+    }
+    for _ in 0..tenants {
+        let (s, resp) =
+            h.rx.recv_timeout(Duration::from_secs(30))
+                .expect("every panicked shard answers");
+        assert!((first..=h.seq).contains(&s), "unexpected reply {s}");
+        assert!(
+            matches!(
+                resp,
+                Response::Error {
+                    kind: hetfeas_service::ErrorKind::Panic,
+                    ..
+                }
+            ),
+            "{resp:?}"
+        );
+    }
+    for (t, &(digest, _, live)) in before.iter().enumerate() {
+        assert_eq!(
+            h.digest(t),
+            (digest, ShardState::Running, live),
+            "tenant {t} recovers to its pre-panic state"
+        );
+    }
+    h.svc.shutdown();
+}
+
 /// Property 3: recovery-gas exhaustion trips the restart cap and
 /// quarantines — without touching the neighbor shard.
 #[test]

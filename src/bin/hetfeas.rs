@@ -82,8 +82,9 @@
 //! `query`/`snapshot`/`rollback`/`repack`/`end` lines, see
 //! `hetfeas::model::io`) through the online admission engine, sharding
 //! independent instances across `--workers` threads with live `done/total`
-//! progress on stderr. `--mode from-scratch` runs the batch first-fit
-//! baseline instead — the pair is what `scripts/bench_smoke.sh` compares.
+//! progress on stderr. `--mode from-scratch` instead re-runs batch
+//! first-fit after every mutation, the baseline the incremental engine
+//! saves work against.
 //! Exit 3 if any instance exhausted its budget; a semantically malformed
 //! trace (e.g. an `add` reusing a live id) exits 2.
 //!
