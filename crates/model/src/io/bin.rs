@@ -38,6 +38,9 @@
 //! a silently shortened trace: a trace file is an input, not a journal, so
 //! damage is an error rather than a truncation point.
 
+/// CRC32 of `data` (IEEE, as used for frame checksums) — the workspace's
+/// one implementation, re-exported here for existing callers.
+pub use crate::crc::crc32;
 use crate::error::ModelError;
 use crate::machine::{Machine, Platform};
 use crate::ratio::Ratio;
@@ -114,40 +117,6 @@ fn corrupt(offset: u64, message: impl Into<String>) -> BinTraceError {
         offset,
         message: message.into(),
     }
-}
-
-// CRC32 (IEEE reflected, poly 0xEDB88320) — the same framing checksum the
-// robust journal uses; duplicated here because model sits below robust in
-// the crate DAG and must stay dependency-free.
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-const CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC32 of `data` (IEEE, as used for frame checksums).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
 }
 
 fn put_varint(buf: &mut Vec<u8>, mut v: u128) {

@@ -26,6 +26,7 @@
 
 #![warn(missing_docs)]
 
+pub mod crc;
 mod error;
 pub mod io;
 mod machine;

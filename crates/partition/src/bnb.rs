@@ -958,28 +958,46 @@ mod tests {
 
     #[test]
     fn verdict_and_witness_identical_across_worker_counts() {
+        // A frontier target of 4 leaves every instance with subtrees to
+        // hand out (the default target settles all three during the
+        // breadth-first expansion), so the 2/4/8-worker runs really
+        // search in parallel.
         let (inf_tasks, inf_p) = gate_infeasible_n50_m8();
         let (fea_tasks, fea_p) = perfect_triples_n24_m8();
         let (util_tasks, util_p) = (ts(&vec![(334, 1000); 13]), Platform::identical(6).unwrap());
-        for (tasks, p) in [
-            (&inf_tasks, &inf_p),
-            (&fea_tasks, &fea_p),
-            (&util_tasks, &util_p),
+        for (name, tasks, p) in [
+            ("infeasible-n50-m8", &inf_tasks, &inf_p),
+            ("feasible-triples-24x8", &fea_tasks, &fea_p),
+            ("identical-util-13x6", &util_tasks, &util_p),
         ] {
-            let outs: Vec<ExactOutcome> = [1usize, 2, 4, 8]
+            let runs: Vec<(ExactOutcome, u64, u64)> = [1usize, 2, 4, 8]
                 .into_iter()
                 .map(|w| {
-                    ExactSolver::new(tasks, p, &EdfAdmission)
-                        .workers(w)
-                        .node_budget(2_000_000)
-                        .solve()
+                    let sink = MemorySink::new();
+                    let out = ExactSolver::new(tasks, p, &EdfAdmission)
+                        .config(BnbConfig {
+                            workers: w,
+                            node_budget: 2_000_000,
+                            frontier_target: 4,
+                            ..BnbConfig::default()
+                        })
+                        .solve_with(&mut Gas::unlimited(), &sink);
+                    (
+                        out,
+                        sink.counter(m::BNB_FRONTIER),
+                        sink.counter(m::BNB_WORKERS),
+                    )
                 })
                 .collect();
-            assert_eq!(outs[0], outs[1], "workers 1 vs 2");
-            assert_eq!(outs[0], outs[2], "workers 1 vs 4");
-            assert_eq!(outs[0], outs[3], "workers 1 vs 8");
-            assert!(outs[0].is_decided());
-            if let ExactOutcome::Feasible(w) = &outs[0] {
+            for (w, (out, frontier, workers)) in [1usize, 2, 4, 8].into_iter().zip(&runs) {
+                assert_eq!(out, &runs[0].0, "{name}: workers 1 vs {w}");
+                if w >= 2 {
+                    assert!(*frontier > 0, "{name}: settled before the parallel phase");
+                    assert!(*workers >= 2, "{name}: {workers} workers at {w} requested");
+                }
+            }
+            assert!(runs[0].0.is_decided(), "{name}");
+            if let ExactOutcome::Feasible(w) = &runs[0].0 {
                 assert!(w.validate(tasks, p, 1.0, &EdfAdmission));
             }
         }

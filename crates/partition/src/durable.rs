@@ -35,6 +35,18 @@
 //! same left-to-right arithmetic as the admits that built the state)
 //! reproduces the identical `f64` machine states.
 //!
+//! ## Digests and change records
+//!
+//! [`DurableEngine::state_digest`] is the CRC-32 of the engine's `state`
+//! record (plus its `snapstate` record while a snapshot is held): the
+//! journal and the digest share one encoder, which reads the engine in
+//! place and, for a digest, streams its bytes into the checksum instead
+//! of building them. A digest is still O(live); callers that need to
+//! know what changed without paying for one use
+//! [`DurableEngine::take_changed`], which names the machines whose
+//! resident lists each op touched (every machine after a committed
+//! repack, a rollback, or a create/recover).
+//!
 //! ## Failure handling
 //!
 //! * Transient IO errors retry with capped exponential backoff charged to
@@ -49,12 +61,15 @@
 use crate::assignment::Assignment;
 use crate::engine::IndexableAdmission;
 use crate::incremental::{
-    AddOutcome, EngineState, IncrSnapshot, IncrementalEngine, RepackOutcome, RepairPolicy, TaskId,
+    AddOutcome, EngineState, IncrSnapshot, IncrementalEngine, RepackOutcome, RepairPolicy,
+    StateView, TaskId,
 };
+use hetfeas_model::crc::Crc32;
 use hetfeas_model::{Augmentation, Machine, Platform, Ratio, Task};
 use hetfeas_obs::MetricsSink;
-use hetfeas_robust::journal::{crc32, encode_record, scan_records, Journal, JournalError, Storage};
+use hetfeas_robust::journal::{encode_record, scan_records, Journal, JournalError, Storage};
 use hetfeas_robust::{metrics as rmetrics, Exhaustion, Gas};
+use std::io::Write;
 
 /// First line of every journal's config record; bumping the format bumps
 /// this string, making old binaries fail closed with `Corrupt`.
@@ -282,33 +297,74 @@ fn parse_config(payload: &[u8]) -> Result<JournalConfig, String> {
     })
 }
 
-fn encode_state(tag: &str, st: &EngineState) -> Vec<u8> {
-    let mut s = String::new();
-    s.push_str(tag);
-    s.push('\n');
-    s.push_str(&format!("next-id {}\n", st.next_id));
-    s.push_str(&format!("divergence {}\n", st.divergence));
-    s.push_str(&format!("canonical {}\n", u8::from(st.canonical)));
-    match st.frontier {
-        Some(f) => s.push_str(&format!("frontier {}/{}\n", f.numer(), f.denom())),
-        None => s.push_str("frontier -\n"),
-    }
-    for &(id, t) in &st.entries {
-        s.push_str(&format!(
-            "task {id} {} {} {}\n",
-            t.wcet(),
-            t.period(),
-            t.deadline()
-        ));
-    }
-    for (mi, residents) in st.on_machine.iter().enumerate() {
-        s.push_str(&format!("on {mi}"));
-        for id in residents {
-            s.push_str(&format!(" {id}"));
+/// Append the decimal digits of `v` — the bytes `format!("{v}")` writes.
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
-        s.push('\n');
     }
-    s.into_bytes()
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// Write the state record `tag` (`state` or `snapstate`) for `view` into
+/// `out`, calling `spill(out)` at line ends so a caller that only wants a
+/// checksum can drain the buffer as it grows. The journal and the state
+/// digest share this one encoder, so a digest is by construction the
+/// CRC-32 of the bytes a compaction would journal.
+fn write_state(
+    tag: &str,
+    view: &StateView<'_>,
+    out: &mut Vec<u8>,
+    spill: &mut impl FnMut(&mut Vec<u8>),
+) {
+    out.extend_from_slice(tag.as_bytes());
+    out.extend_from_slice(b"\nnext-id ");
+    push_u64(out, view.next_id);
+    out.extend_from_slice(b"\ndivergence ");
+    push_u64(out, view.divergence);
+    out.extend_from_slice(if view.canonical {
+        b"\ncanonical 1\n"
+    } else {
+        b"\ncanonical 0\n"
+    });
+    match view.frontier {
+        Some(f) => writeln!(out, "frontier {}/{}", f.numer(), f.denom())
+            .expect("writing to a Vec cannot fail"),
+        None => out.extend_from_slice(b"frontier -\n"),
+    }
+    for (id, t) in view.entries() {
+        out.extend_from_slice(b"task ");
+        push_u64(out, id);
+        for v in [t.wcet(), t.period(), t.deadline()] {
+            out.push(b' ');
+            push_u64(out, v);
+        }
+        out.push(b'\n');
+        spill(out);
+    }
+    for mi in 0..view.machines() {
+        out.extend_from_slice(b"on ");
+        push_u64(out, mi as u64);
+        for &id in view.residents(mi) {
+            out.push(b' ');
+            push_u64(out, id);
+        }
+        out.push(b'\n');
+        spill(out);
+    }
+}
+
+/// The state record `tag` for `view`, as the journal stores it.
+fn encode_state(tag: &str, view: &StateView<'_>) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_state(tag, view, &mut out, &mut |_| {});
+    out
 }
 
 fn parse_task(wcet: &str, period: &str, deadline: &str) -> Result<Task, String> {
@@ -422,6 +478,60 @@ pub enum CompactionStep {
     },
 }
 
+/// Which machines' resident lists changed since the last
+/// [`DurableEngine::take_changed`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ChangedMachines {
+    /// Exactly these machines (original platform indices, each listed
+    /// once, in first-change order) — an admitted add or a found remove
+    /// changes one.
+    Some(Vec<usize>),
+    /// Every machine may have changed: a committed repack, a rollback, or
+    /// a fresh engine (create or recover).
+    All,
+}
+
+/// The change record behind [`ChangedMachines`]: O(1) per op and bounded
+/// by the machine count, however long nobody drains it.
+struct ChangeLog {
+    all: bool,
+    marked: Vec<bool>,
+    list: Vec<usize>,
+}
+
+impl ChangeLog {
+    fn all(machines: usize) -> ChangeLog {
+        ChangeLog {
+            all: true,
+            marked: vec![false; machines],
+            list: Vec::new(),
+        }
+    }
+
+    fn mark(&mut self, machine: usize) {
+        if !self.all && !self.marked[machine] {
+            self.marked[machine] = true;
+            self.list.push(machine);
+        }
+    }
+
+    fn mark_all(&mut self) {
+        self.all = true;
+    }
+
+    fn take(&mut self) -> ChangedMachines {
+        for &mi in &self.list {
+            self.marked[mi] = false;
+        }
+        let list = std::mem::take(&mut self.list);
+        if std::mem::take(&mut self.all) {
+            ChangedMachines::All
+        } else {
+            ChangedMachines::Some(list)
+        }
+    }
+}
+
 /// An in-flight incremental compaction: the framed `[config, state,
 /// snapstate?]` image captured at begin, how much of it has been staged,
 /// and the ops journaled since — those must follow the image into the
@@ -448,6 +558,7 @@ pub struct DurableEngine<A: IndexableAdmission> {
     ops_since_compact: u64,
     slice_bytes: u64,
     compaction: Option<CompactionState>,
+    changed: ChangeLog,
 }
 
 impl<A: IndexableAdmission> DurableEngine<A> {
@@ -488,6 +599,7 @@ impl<A: IndexableAdmission> DurableEngine<A> {
             ops_since_compact: 0,
             slice_bytes: opts.slice_bytes,
             compaction: None,
+            changed: ChangeLog::all(platform.len()),
         })
     }
 
@@ -514,6 +626,14 @@ impl<A: IndexableAdmission> DurableEngine<A> {
     /// it across processes.
     pub fn state_digest(&self) -> u32 {
         live_state_digest(&self.inner, self.snap.as_ref())
+    }
+
+    /// Drain the record of which machines' resident lists changed since
+    /// the previous call (or since the engine was created or recovered,
+    /// which counts as every machine). Service shards use it to republish
+    /// only what a batch touched.
+    pub fn take_changed(&mut self) -> ChangedMachines {
+        self.changed.take()
     }
 
     /// True while an incremental compaction has a staged rewrite open.
@@ -562,6 +682,9 @@ impl<A: IndexableAdmission> DurableEngine<A> {
             .inner
             .add_within_with(task, &mut Gas::unlimited(), sink)
             .expect("unlimited gas cannot exhaust");
+        if let AddOutcome::Admitted { machine, .. } = out {
+            self.changed.mark(machine);
+        }
         self.after_op(gas, sink)?;
         Ok(out)
     }
@@ -585,6 +708,7 @@ impl<A: IndexableAdmission> DurableEngine<A> {
             .inner
             .remove_within_with(id, &mut Gas::unlimited(), sink)
             .expect("unlimited gas cannot exhaust");
+        self.changed.mark(machine);
         self.after_op(gas, sink)?;
         Ok(out)
     }
@@ -617,6 +741,7 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         self.log_append(b"b", gas, sink)?;
         let snap = self.snap.as_ref().expect("checked above");
         self.inner.rollback_with(snap, sink);
+        self.changed.mark_all();
         self.after_op(gas, sink)?;
         Ok(true)
     }
@@ -660,14 +785,11 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         gas.tick_n(self.inner.len() as u64 + 1)
             .map_err(DurableError::Exhausted)?;
         let mut image = encode_record(&encode_config(&self.config));
-        image.extend_from_slice(&encode_record(&encode_state(
-            "state",
-            &self.inner.export_state(),
-        )));
+        image.extend_from_slice(&encode_record(&encode_state("state", &self.inner.view())));
         if let Some(snap) = &self.snap {
             image.extend_from_slice(&encode_record(&encode_state(
                 "snapstate",
-                &self.inner.export_snapshot_state(snap),
+                &self.inner.snapshot_view(snap),
             )));
         }
         self.journal.begin_rewrite(gas, sink)?;
@@ -770,10 +892,14 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         gas.tick_n((self.inner.len() + self.inner.platform().len()) as u64 + 1)
             .map_err(DurableError::Exhausted)?;
         self.log_append(b"p", gas, sink)?;
-        Ok(self
+        let out = self
             .inner
             .repack_within_with(&mut Gas::unlimited(), sink)
-            .expect("unlimited gas cannot exhaust"))
+            .expect("unlimited gas cannot exhaust");
+        if out == RepackOutcome::Repacked {
+            self.changed.mark_all();
+        }
+        Ok(out)
     }
 
     /// Post-op housekeeping: divergence-triggered journaled repack, then
@@ -883,23 +1009,40 @@ impl<A: IndexableAdmission> DurableEngine<A> {
     }
 }
 
-/// CRC32 digest of an in-memory engine plus an optional held snapshot —
-/// the exact bytes [`DurableEngine::state_digest`] hashes. Journal-free
-/// replay paths (e.g. streaming trace replay) use this to prove they
-/// reached the same state as a durable run, byte for byte.
+/// Bytes a streamed digest buffers before folding them into the CRC.
+const DIGEST_SPILL: usize = 8 << 10;
+
+/// CRC32 digest of an in-memory engine plus an optional held snapshot:
+/// the CRC-32 of its `state` record, then (with a snapshot) a zero byte
+/// and the `snapstate` record — the exact bytes compaction journals,
+/// streamed into the checksum a few KiB at a time instead of built
+/// whole. [`DurableEngine::state_digest`] is this; journal-free replay
+/// paths (e.g. streaming trace replay) use it to prove they reached the
+/// same state as a durable run, byte for byte.
 pub fn live_state_digest<A: IndexableAdmission>(
     engine: &IncrementalEngine<A>,
     snap: Option<&IncrSnapshot<A>>,
 ) -> u32 {
-    let mut buf = encode_state("state", &engine.export_state());
+    let mut crc = Crc32::new();
+    let mut buf = Vec::with_capacity(2 * DIGEST_SPILL);
+    let mut spill = |b: &mut Vec<u8>| {
+        if b.len() >= DIGEST_SPILL {
+            crc.update(b);
+            b.clear();
+        }
+    };
+    write_state("state", &engine.view(), &mut buf, &mut spill);
     if let Some(snap) = snap {
         buf.push(0);
-        buf.extend_from_slice(&encode_state(
+        write_state(
             "snapstate",
-            &engine.export_snapshot_state(snap),
-        ));
+            &engine.snapshot_view(snap),
+            &mut buf,
+            &mut spill,
+        );
     }
-    crc32(&buf)
+    crc.update(&buf);
+    crc.finish()
 }
 
 /// Read the config record of a journal without replaying it — the CLI uses
@@ -956,6 +1099,7 @@ where
         ops_since_compact: 0,
         slice_bytes: DurableOptions::default().slice_bytes,
         compaction: None,
+        changed: ChangeLog::all(platform.len()),
     };
     let mut replayed = 0u64;
     for (index, payload) in payloads.iter().enumerate().skip(1) {
@@ -1035,7 +1179,7 @@ mod tests {
         eng.remove(id, &mut gas, &()).expect("remove");
 
         let exported = eng.engine().export_state();
-        let text = String::from_utf8(encode_state("state", &exported)).expect("UTF-8");
+        let text = String::from_utf8(encode_state("state", &eng.engine().view())).expect("UTF-8");
         let parsed = parse_state(&text, 2).expect("parses");
         assert_eq!(parsed, exported);
 
@@ -1198,6 +1342,102 @@ mod tests {
             eng.state_digest(),
             "digest must cover the held snapshot"
         );
+    }
+
+    /// Digests and state records keep the values the `format!`-built
+    /// encoder produced: each digest is the CRC-32 of the journal's own
+    /// state-record bytes (plus a zero byte and the `snapstate` record
+    /// while a snapshot is held), and the pinned values below predate the
+    /// streamed encoder.
+    #[test]
+    fn digest_is_the_crc_of_the_state_record_bytes() {
+        use crate::admission::RmsHyperbolicAdmission;
+        use hetfeas_model::crc::crc32;
+        let store = MemStorage::new();
+        let mut eng = fresh(&store);
+        let mut gas = Gas::unlimited();
+        for t in [
+            Task::implicit(3, 10).expect("valid"),
+            Task::implicit(9, 10).expect("valid"),
+            Task::constrained(2, 10, 8).expect("valid"),
+            Task::implicit(1, 4).expect("valid"),
+            Task::implicit(7, 20).expect("valid"),
+        ] {
+            eng.add(t, &mut gas, &()).expect("add");
+        }
+        let id = eng.engine().live_ids()[1];
+        eng.remove(id, &mut gas, &()).expect("remove");
+        let record = encode_state("state", &eng.engine().view());
+        assert_eq!(
+            String::from_utf8(record.clone()).expect("UTF-8"),
+            "state\nnext-id 5\ndivergence 5\ncanonical 0\nfrontier 3/10\n\
+             task 0 3 10 10\ntask 2 2 10 8\ntask 3 1 4 4\ntask 4 7 20 20\n\
+             on 0 0 2 3\non 1 4\n"
+        );
+        assert_eq!(eng.state_digest(), crc32(&record));
+        assert_eq!(eng.state_digest(), 0x8acd_75b7);
+
+        eng.snapshot(&mut gas, &()).expect("snapshot");
+        eng.add(Task::implicit(1, 7).expect("valid"), &mut gas, &())
+            .expect("add");
+        let snap = eng.snap.as_ref().expect("held");
+        let mut bytes = encode_state("state", &eng.engine().view());
+        bytes.push(0);
+        bytes.extend_from_slice(&encode_state(
+            "snapstate",
+            &eng.engine().snapshot_view(snap),
+        ));
+        assert_eq!(eng.state_digest(), crc32(&bytes));
+        assert_eq!(eng.state_digest(), 0x08a6_c17f);
+
+        // Past the streaming spill threshold, on a permuted platform.
+        let mut h = DurableEngine::create(
+            RmsHyperbolicAdmission,
+            &Platform::from_int_speeds([3, 1, 2]).expect("valid platform"),
+            Augmentation::new(1.5).expect("valid"),
+            "rms-hyp",
+            DurableOptions {
+                repack_after: 0,
+                compact_every: 0,
+                ..DurableOptions::default()
+            },
+            Box::new(MemStorage::new()),
+            &mut gas,
+            &(),
+        )
+        .expect("create");
+        for i in 0..40u64 {
+            h.add(
+                Task::implicit(1 + i % 7, 20 + (i * 37) % 101).expect("valid"),
+                &mut gas,
+                &(),
+            )
+            .expect("add");
+        }
+        h.repack(&mut gas, &()).expect("repack");
+        assert_eq!(h.state_digest(), 0x8aae_2550);
+        let mut big = MemStorage::new();
+        let mut g = DurableEngine::create(
+            EdfAdmission,
+            &platform(),
+            Augmentation::NONE,
+            "edf",
+            DurableOptions::default(),
+            Box::new(big.clone()),
+            &mut gas,
+            &(),
+        )
+        .expect("create");
+        for i in 0..2_000u64 {
+            g.add(Task::implicit(1, 1_000 + i).expect("valid"), &mut gas, &())
+                .expect("add");
+        }
+        let record = encode_state("state", &g.engine().view());
+        assert!(record.len() > 2 * DIGEST_SPILL, "{} bytes", record.len());
+        assert_eq!(g.state_digest(), crc32(&record));
+        g.compact(&mut gas, &()).expect("compact");
+        let journaled = scan_records(&big.read_all().expect("read")).payloads;
+        assert_eq!(journaled[1], record, "the journal stores the same bytes");
     }
 
     #[test]

@@ -231,6 +231,58 @@ pub struct EngineState {
     pub frontier: Option<Ratio>,
 }
 
+/// A borrowed view of an engine's (or a held snapshot's) observable state:
+/// the fields of [`EngineState`], read in place instead of copied.
+/// Produced by [`IncrementalEngine::view`] and
+/// [`IncrementalEngine::snapshot_view`]; the durability layer encodes
+/// state records and digests straight from it.
+pub struct StateView<'a> {
+    live: &'a [Option<(TaskId, Task)>],
+    on_slot: &'a [Vec<u64>],
+    slot_of_machine: &'a [usize],
+    /// Next id the allocator would hand out.
+    pub next_id: u64,
+    /// Canonical-breaking ops since the last repack (attempt).
+    pub divergence: u64,
+    /// Whether the assignment provably equals from-scratch FFD.
+    pub canonical: bool,
+    /// The canonical order's append threshold (exact rational), if any.
+    pub frontier: Option<Ratio>,
+}
+
+impl<'a> StateView<'a> {
+    /// Live `(raw id, task)` pairs in insertion order, as in
+    /// [`EngineState::entries`].
+    pub fn entries(&self) -> impl Iterator<Item = (u64, &'a Task)> + 'a {
+        self.live.iter().flatten().map(|(id, t)| (id.0, t))
+    }
+
+    /// Number of machines on the platform.
+    pub fn machines(&self) -> usize {
+        self.slot_of_machine.len()
+    }
+
+    /// Resident raw ids of **original** machine index `machine`, in
+    /// admission order, as in [`EngineState::on_machine`].
+    pub fn residents(&self, machine: usize) -> &'a [u64] {
+        &self.on_slot[self.slot_of_machine[machine]]
+    }
+
+    /// Copy the view into a portable [`EngineState`].
+    pub fn to_state(&self) -> EngineState {
+        EngineState {
+            entries: self.entries().map(|(id, &t)| (id, t)).collect(),
+            on_machine: (0..self.machines())
+                .map(|mi| self.residents(mi).to_vec())
+                .collect(),
+            next_id: self.next_id,
+            divergence: self.divergence,
+            canonical: self.canonical,
+            frontier: self.frontier,
+        }
+    }
+}
+
 /// Online first-fit admission over a fixed platform and augmentation.
 ///
 /// ```
@@ -419,6 +471,20 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
     /// is `O(k)`) size the charge with this.
     pub fn residents_on(&self, machine: usize) -> usize {
         self.core.on_slot[self.slot_of_machine[machine]].len()
+    }
+
+    /// The tasks resident on original machine index `machine`, in
+    /// admission order — the sequence [`IndexableAdmission::fold_state`]
+    /// folds into that machine's admission state.
+    pub fn resident_tasks(&self, machine: usize) -> impl Iterator<Item = &Task> + '_ {
+        self.core.on_slot[self.slot_of_machine[machine]]
+            .iter()
+            .map(|id| {
+                &self.core.live[self.core.index[id].live_idx]
+                    .as_ref()
+                    .expect("resident ids are live")
+                    .1
+            })
     }
 
     /// Admit `task` onto the first (slowest) machine that accepts it —
@@ -701,12 +767,17 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
 
     /// Export the observable state as a portable [`EngineState`].
     pub fn export_state(&self) -> EngineState {
-        self.state_of_core(&self.core)
+        self.view().to_state()
     }
 
-    /// [`Self::export_state`] for a snapshot taken from this engine.
-    pub fn export_snapshot_state(&self, snap: &IncrSnapshot<A>) -> EngineState {
-        self.state_of_core(&snap.core)
+    /// The observable state, borrowed in place (see [`StateView`]).
+    pub fn view(&self) -> StateView<'_> {
+        self.view_of_core(&self.core)
+    }
+
+    /// [`Self::view`] for a snapshot taken from this engine.
+    pub fn snapshot_view<'a>(&'a self, snap: &'a IncrSnapshot<A>) -> StateView<'a> {
+        self.view_of_core(&snap.core)
     }
 
     /// Replace the engine's state with an imported [`EngineState`] —
@@ -724,20 +795,11 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
             .map(|core| IncrSnapshot { core })
     }
 
-    fn state_of_core(&self, core: &Core<A>) -> EngineState {
-        EngineState {
-            entries: core
-                .live
-                .iter()
-                .filter_map(|e| e.as_ref().map(|&(id, t)| (id.0, t)))
-                .collect(),
-            on_machine: self.machine_order.iter().enumerate().fold(
-                vec![Vec::new(); self.platform.len()],
-                |mut acc, (slot, &mi)| {
-                    acc[mi] = core.on_slot[slot].clone();
-                    acc
-                },
-            ),
+    fn view_of_core<'a>(&'a self, core: &'a Core<A>) -> StateView<'a> {
+        StateView {
+            live: &core.live,
+            on_slot: &core.on_slot,
+            slot_of_machine: &self.slot_of_machine,
             next_id: core.next_id,
             divergence: core.divergence,
             canonical: core.canonical,

@@ -86,8 +86,8 @@ pub use degrade::{
     LadderReport, LadderVerdict,
 };
 pub use durable::{
-    live_state_digest, peek_config, recover, CompactionStep, DurableEngine, DurableError,
-    DurableOptions, JournalConfig, RecoverError, RecoveryReport,
+    live_state_digest, peek_config, recover, ChangedMachines, CompactionStep, DurableEngine,
+    DurableError, DurableOptions, JournalConfig, RecoverError, RecoveryReport,
 };
 pub use engine::{FirstFitEngine, IndexableAdmission};
 pub use exact::{
@@ -100,7 +100,8 @@ pub use first_fit::{
     min_feasible_alpha_within, min_feasible_alpha_within_with,
 };
 pub use incremental::{
-    AddOutcome, EngineState, IncrSnapshot, IncrementalEngine, RepackOutcome, RepairPolicy, TaskId,
+    AddOutcome, EngineState, IncrSnapshot, IncrementalEngine, RepackOutcome, RepairPolicy,
+    StateView, TaskId,
 };
 pub use instrumented::{first_fit_instrumented, ScanStats};
 pub use lp_rounding::lp_rounding_partition;

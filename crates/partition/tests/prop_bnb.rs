@@ -578,18 +578,59 @@ fn rms_ll_solver_agrees_with_dfs() {
 
 #[test]
 fn budgeted_dfs_and_bnb_agree_when_both_decide() {
-    let mut gas = Gas::unlimited();
+    // Instances the plain DFS decides well inside a 2^20-node budget:
+    // the comparison must actually run on each.
+    let (small_triples, p3) = {
+        let mut pairs = Vec::new();
+        for _ in 0..3 {
+            pairs.extend([(42u64, 100u64), (30, 100), (28, 100)]);
+        }
+        (ts(&pairs), Platform::identical(3).unwrap())
+    };
+    let (heavy_9, p4) = (ts(&[(334, 1000); 9]), Platform::identical(4).unwrap());
+    let (mixed, p12) = build(&[(9, 10), (7, 10), (5, 10), (5, 10), (3, 10)], &[1, 2]);
+    for (name, tasks, p, feasible) in [
+        ("feasible-triples-9x3", &small_triples, &p3, true),
+        ("identical-util-9x4", &heavy_9, &p4, false),
+        ("mixed-5x2", &mixed, &p12, true),
+    ] {
+        let bnb = ExactSolver::new(tasks, p, &EdfAdmission).solve_within(&mut Gas::unlimited());
+        let dfs = exact_partition_dfs_within(
+            tasks,
+            p,
+            Augmentation::NONE,
+            &EdfAdmission,
+            1 << 20,
+            &mut Gas::unlimited(),
+        );
+        assert!(dfs.is_decided(), "{name}: DFS undecided within 2^20 nodes");
+        assert!(bnb.is_decided(), "{name}: B&B undecided");
+        assert_eq!(dfs.is_feasible(), feasible, "{name}: DFS verdict");
+        assert_eq!(bnb.is_feasible(), feasible, "{name}: B&B verdict");
+        if let ExactOutcome::Feasible(w) = &bnb {
+            assert!(w.validate(tasks, p, 1.0, &EdfAdmission), "{name}: witness");
+        }
+    }
+
+    // The 24x8 triples instance strands a short-budget DFS, which may give
+    // up but must never refute the perfect packing; the B&B finds it.
     let (tasks, p) = perfect_triples_n24_m8();
-    let bnb = ExactSolver::new(&tasks, &p, &EdfAdmission).solve_within(&mut gas);
     let dfs = exact_partition_dfs_within(
         &tasks,
         &p,
         Augmentation::NONE,
         &EdfAdmission,
-        1 << 26,
+        1 << 12,
         &mut Gas::unlimited(),
     );
-    if dfs.is_decided() {
-        assert_eq!(dfs.is_feasible(), bnb.is_feasible());
-    }
+    assert!(
+        !dfs.is_decided() || dfs.is_feasible(),
+        "DFS refuted a feasible instance: {dfs:?}"
+    );
+    let ExactOutcome::Feasible(w) =
+        ExactSolver::new(&tasks, &p, &EdfAdmission).solve_within(&mut Gas::unlimited())
+    else {
+        panic!("B&B must decide the triples instance feasible");
+    };
+    assert!(w.validate(&tasks, &p, 1.0, &EdfAdmission));
 }

@@ -63,34 +63,9 @@ pub const MAX_RETRIES: u32 = 8;
 /// Cap on the per-retry backoff in milliseconds.
 pub const MAX_BACKOFF_MS: u64 = 64;
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
+/// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) — the workspace's
+/// one implementation, re-exported here for existing callers.
+pub use hetfeas_model::crc::crc32;
 
 /// Frame one payload as a journal record (length + CRC + payload).
 pub fn encode_record(payload: &[u8]) -> Vec<u8> {

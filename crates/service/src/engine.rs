@@ -6,16 +6,24 @@
 //! objects) keeps the [`MetricsSink`] genericity of the underlying engine
 //! intact and costs one match per op, which is noise next to the journal
 //! fsync the op already paid for.
+//!
+//! Besides the journaled ops, a shard reads three things from its
+//! engine after a batch or on request:
+//!
+//! * which machines the batch changed ([`TenantEngine::take_changed`]);
+//! * those machines' residents ([`TenantEngine::copy_residents`]), which
+//!   it republishes into the tenant's [`crate::quote::QuoteBoard`] for
+//!   shed-time α quotes;
+//! * the O(live) [`TenantEngine::state_digest`], which it computes only
+//!   when asked: a `digest` request, boot, or shutdown.
 
 use hetfeas_model::{Augmentation, Platform, Task};
 use hetfeas_obs::MetricsSink;
 use hetfeas_partition::durable::{
-    recover, CompactionStep, DurableEngine, DurableError, DurableOptions, RecoverError,
-    RecoveryReport,
+    recover, ChangedMachines, CompactionStep, DurableEngine, DurableError, DurableOptions,
+    RecoverError, RecoveryReport,
 };
-use hetfeas_partition::incremental::{
-    AddOutcome, EngineState, IncrementalEngine, RepackOutcome, RepairPolicy, TaskId,
-};
+use hetfeas_partition::incremental::{AddOutcome, EngineState, RepackOutcome, TaskId};
 use hetfeas_partition::{EdfAdmission, RmsHyperbolicAdmission, RmsLlAdmission};
 use hetfeas_robust::journal::Storage;
 use hetfeas_robust::Gas;
@@ -232,68 +240,34 @@ impl TenantEngine {
         dispatch!(self, e => e.engine().machine_of(TaskId::from_raw(raw)))
     }
 
-    /// Portable export of the live state (drives shed-time α quotes).
+    /// Portable export of the live state.
     pub fn export_state(&self) -> EngineState {
         dispatch!(self, e => e.engine().export_state())
     }
-}
 
-/// Speculative α quote for a task rejected by load shedding: for each
-/// rung of `rungs` at or above `current_alpha`, rebuild a **scratch**
-/// engine from the shard's last published state, snapshot it, probe the
-/// add, and roll back — the live engine and its journal are never
-/// touched. Returns the first (smallest) rung that admits the task.
-///
-/// The published state can lag the live shard by one in-flight batch, so
-/// the quote is advisory: "at α = x this task would have fit a moment
-/// ago", which is exactly the right strength for a shed-time hint.
-pub fn quote_alpha(
-    policy: PolicyKind,
-    platform: &Platform,
-    current_alpha: f64,
-    state: &EngineState,
-    task: Task,
-    rungs: &[f64],
-) -> Option<f64> {
-    fn probe<A: hetfeas_partition::IndexableAdmission>(
-        admission: A,
-        platform: &Platform,
-        rung: f64,
-        state: &EngineState,
-        task: Task,
-    ) -> bool {
-        let Ok(alpha) = Augmentation::new(rung) else {
-            return false;
-        };
-        let mut eng =
-            IncrementalEngine::with_policy(admission, platform, alpha, RepairPolicy::never());
-        if eng.import_state(state).is_err() {
-            return false;
-        }
-        let snap = eng.snapshot_with(&());
-        let admitted = matches!(
-            eng.add_within_with(task, &mut Gas::unlimited(), &())
-                .expect("unlimited gas cannot exhaust"),
-            AddOutcome::Admitted { .. }
-        );
-        eng.rollback_with(&snap, &());
-        admitted
+    /// Number of machines on the tenant's platform.
+    pub fn machines(&self) -> usize {
+        dispatch!(self, e => e.engine().platform().len())
     }
 
-    rungs
-        .iter()
-        .copied()
-        .filter(|&r| r >= current_alpha - 1e-9)
-        .find(|&r| match policy {
-            PolicyKind::Edf => probe(EdfAdmission, platform, r, state, task),
-            PolicyKind::RmsLl => probe(RmsLlAdmission, platform, r, state, task),
-            PolicyKind::RmsHyp => probe(RmsHyperbolicAdmission, platform, r, state, task),
-        })
+    /// Overwrite `out` with the tasks resident on original machine index
+    /// `machine`, in admission order.
+    pub fn copy_residents(&self, machine: usize, out: &mut Vec<Task>) {
+        out.clear();
+        dispatch!(self, e => out.extend(e.engine().resident_tasks(machine).copied()));
+    }
+
+    /// Drain which machines changed since the last call (see
+    /// [`DurableEngine::take_changed`]).
+    pub fn take_changed(&mut self) -> ChangedMachines {
+        dispatch!(self, e => e.take_changed())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quote::QuoteBoard;
     use hetfeas_robust::journal::MemStorage;
 
     fn platform() -> Platform {
@@ -337,42 +311,55 @@ mod tests {
         // A full machine pair at α = 1: one more 6/10 task only fits if
         // the machines were ~1.3x faster.
         let plat = platform();
-        let mut eng = IncrementalEngine::with_policy(
-            EdfAdmission,
+        let mut eng = TenantEngine::create(
+            PolicyKind::Edf,
             &plat,
             Augmentation::NONE,
-            RepairPolicy::never(),
-        );
+            DurableOptions::default(),
+            Box::new(MemStorage::new()),
+            &mut Gas::unlimited(),
+            &(),
+        )
+        .expect("create");
         for _ in 0..2 {
-            eng.add_within_with(
+            eng.add(
                 Task::implicit(8, 10).expect("task"),
                 &mut Gas::unlimited(),
                 &(),
             )
             .expect("gas");
         }
-        let state = eng.export_state();
+        let board = QuoteBoard::from_engine(&eng);
         let probe = Task::implicit(6, 10).expect("task");
         let rungs = [1.0, 1.5, 2.0];
-        let quote = quote_alpha(PolicyKind::Edf, &plat, 1.0, &state, probe, &rungs);
+        let quote = board.quote(PolicyKind::Edf, &plat, 1.0, probe, &rungs);
         assert_eq!(quote, Some(1.5));
-        // The scratch probing must not have mutated the exported state.
-        assert_eq!(state.entries.len(), 2);
+        // Quoting must not have touched the live engine.
+        assert_eq!(eng.len(), 2);
     }
 
     #[test]
     fn quote_is_none_when_no_rung_admits() {
         let plat = platform();
-        let state = IncrementalEngine::with_policy(
-            EdfAdmission,
+        let eng = TenantEngine::create(
+            PolicyKind::Edf,
             &plat,
             Augmentation::NONE,
-            RepairPolicy::never(),
+            DurableOptions::default(),
+            Box::new(MemStorage::new()),
+            &mut Gas::unlimited(),
+            &(),
         )
-        .export_state();
+        .expect("create");
         let impossible = Task::implicit(40, 10).expect("task");
         assert_eq!(
-            quote_alpha(PolicyKind::Edf, &plat, 1.0, &state, impossible, &[1.0, 2.0]),
+            QuoteBoard::from_engine(&eng).quote(
+                PolicyKind::Edf,
+                &plat,
+                1.0,
+                impossible,
+                &[1.0, 2.0]
+            ),
             None
         );
     }

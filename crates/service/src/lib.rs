@@ -16,8 +16,9 @@
 //!   speculative α quotes, clean shutdown.
 //! * [`shard`] — the per-tenant worker: supervision state machine,
 //!   batching and coalescing, request/response types.
-//! * [`engine`] — policy-dispatched wrapper over the durable engine,
-//!   plus the shed-time α quoting probe.
+//! * [`engine`] — policy-dispatched wrapper over the durable engine.
+//! * [`quote`] — the per-machine quote board shards publish after each
+//!   batch, and the shed-time α quote computed from it.
 //! * [`frame`] — the length-prefixed wire protocol, its text commands,
 //!   and the `rid=`/`dl=` envelope tokens of the retry protocol.
 //! * [`server`] — stdin / Unix-socket / TCP front ends for the `serve`
@@ -38,14 +39,16 @@ pub mod engine;
 pub mod frame;
 pub mod metrics;
 pub mod netchaos;
+pub mod quote;
 pub mod server;
 pub mod shard;
 pub mod supervisor;
 
 pub use chaos::{run_storm, ChaosConfig, ChaosReport};
 pub use client::{Client, ClientConfig, ClientError, Endpoint, Reply};
-pub use engine::{quote_alpha, PolicyKind, TenantEngine};
+pub use engine::{PolicyKind, TenantEngine};
 pub use netchaos::{run_net_storm, NetChaosConfig, NetChaosProxy, NetStormConfig, NetStormReport};
+pub use quote::QuoteBoard;
 pub use server::{serve_once, serve_tcp, serve_unix, ServeReport, ServerConfig};
 pub use shard::{
     ErrorKind, Op, Request, Response, ShardState, ShardStatus, StorageFactory, TenantSpec,

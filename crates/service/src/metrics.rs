@@ -35,6 +35,13 @@ pub const SERVICE_CONN_SHED: &str = "service.conn_shed";
 /// Requests that timed out waiting for a shard reply past their
 /// per-request deadline budget (counter).
 pub const SERVICE_DEADLINE_MISSES: &str = "service.deadline_misses";
+/// State digests computed by shard workers — at boot, for `digest`
+/// requests and at shutdown, never per batch (counter).
+pub const SERVICE_DIGESTS: &str = "service.digests";
+/// Quote-board machine entries rewritten after batches: one per machine
+/// a batch changed, every machine after a repack, rollback or boot
+/// (counter).
+pub const SERVICE_QUOTE_REFRESHES: &str = "service.quote_refreshes";
 
 /// Calls issued by [`crate::client::Client`] (counter).
 pub const CLIENT_CALLS: &str = "client.calls";

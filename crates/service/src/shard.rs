@@ -28,6 +28,17 @@
 //! down: it keeps draining its queue, answering `err quarantined` to ops
 //! and serving its last known digest to health checks.
 //!
+//! The worker publishes into its [`ShardCell`] without ever paying O(live)
+//! per batch. After each batch it sets the live count and rewrites, in
+//! the cell's [`QuoteBoard`], only the machines the batch changed (one
+//! per admitted add or found remove; all of them after a committed
+//! repack, a rollback or a boot), counted by `service.quote_refreshes`.
+//! The state digest is O(live), so the worker computes it only on demand
+//! — at boot, for a `digest` request, and at shutdown — through one
+//! helper that counts `service.digests`; the cell keeps the last value
+//! computed. That is the digest a quarantined shard answers with: the
+//! one from its last boot, `digest` request or shutdown before the fence.
+//!
 //! The queue between the front end and the worker is a **bounded**
 //! `sync_channel`; the worker drains it in batches (up to
 //! `batch_max`), coalescing adjacent idempotent ops (`repack`,
@@ -37,10 +48,11 @@
 
 use crate::engine::{PolicyKind, TenantEngine};
 use crate::metrics;
+use crate::quote::QuoteBoard;
 use hetfeas_model::{Augmentation, Platform, Task};
 use hetfeas_obs::{MemorySink, MetricsSink};
 use hetfeas_partition::durable::{DurableError, DurableOptions, RecoverError};
-use hetfeas_partition::incremental::{AddOutcome, EngineState, RepackOutcome};
+use hetfeas_partition::incremental::{AddOutcome, RepackOutcome};
 use hetfeas_robust::journal::{with_retries, JournalError, Storage};
 use hetfeas_robust::{firewall, Backoff, Budget, Gas};
 use std::collections::{HashMap, VecDeque};
@@ -121,15 +133,18 @@ impl ShardState {
     }
 }
 
-/// Published view of a shard, updated by its worker after every batch
-/// and state transition. Reads never touch the worker.
+/// Published view of a shard, updated by its worker on every state
+/// transition and, for the live count, after every batch. Reads never
+/// touch the worker, and none copies O(live) data.
 #[derive(Debug, Clone)]
 pub struct ShardStatus {
     /// Lifecycle state.
     pub state: ShardState,
     /// Why the shard is quarantined (when it is).
     pub reason: Option<String>,
-    /// Last known state digest.
+    /// The last state digest the worker computed — at boot, for a
+    /// `digest` request, or at shutdown. Digests are O(live), so the
+    /// worker never computes one just to publish it.
     pub digest: Option<u32>,
     /// Last known live-task count.
     pub live: usize,
@@ -137,8 +152,6 @@ pub struct ShardStatus {
     pub restarts: u32,
     /// Current incarnation index.
     pub incarnation: u32,
-    /// Last exported engine state — drives shed-time α quotes.
-    pub engine_state: Option<EngineState>,
 }
 
 impl ShardStatus {
@@ -150,20 +163,22 @@ impl ShardStatus {
             live: 0,
             restarts: 0,
             incarnation: 0,
-            engine_state: None,
         }
     }
 }
 
-/// Shared cell carrying a shard's published status.
+/// Shared cell carrying a shard's published status and, beside it, the
+/// tenant's quote board.
 pub struct ShardCell {
     status: Mutex<ShardStatus>,
+    board: Mutex<QuoteBoard>,
 }
 
 impl ShardCell {
     pub(crate) fn new() -> Arc<ShardCell> {
         Arc::new(ShardCell {
             status: Mutex::new(ShardStatus::new()),
+            board: Mutex::new(QuoteBoard::default()),
         })
     }
 
@@ -172,9 +187,51 @@ impl ShardCell {
         self.status.lock().expect("shard cell poisoned").clone()
     }
 
+    /// Shed-time α quote from the published board (see
+    /// [`QuoteBoard::quote`]).
+    pub fn quote(
+        &self,
+        policy: PolicyKind,
+        platform: &Platform,
+        current_alpha: f64,
+        task: Task,
+        rungs: &[f64],
+    ) -> Option<f64> {
+        self.board.lock().expect("quote board poisoned").quote(
+            policy,
+            platform,
+            current_alpha,
+            task,
+            rungs,
+        )
+    }
+
     fn update(&self, f: impl FnOnce(&mut ShardStatus)) {
         f(&mut self.status.lock().expect("shard cell poisoned"));
     }
+
+    /// Publish what `engine` changed since the last publish: its live
+    /// count, and the board entries of the machines it touched (all of
+    /// them right after a boot).
+    fn publish(&self, engine: &mut TenantEngine, sink: &MemorySink) {
+        let changed = engine.take_changed();
+        let rewritten = self
+            .board
+            .lock()
+            .expect("quote board poisoned")
+            .refresh(engine, &changed);
+        if rewritten > 0 {
+            sink.counter_add(metrics::SERVICE_QUOTE_REFRESHES, rewritten as u64);
+        }
+        self.update(|s| s.live = engine.len());
+    }
+}
+
+/// The shard's one path to a state digest, so `service.digests` counts
+/// every O(live) digest the worker pays for.
+fn digest(engine: &TenantEngine, sink: &MemorySink) -> u32 {
+    sink.counter_add(metrics::SERVICE_DIGESTS, 1);
+    engine.state_digest()
 }
 
 /// Counting semaphore bounding how many shards apply batches
@@ -589,8 +646,8 @@ pub(crate) fn run(ctx: WorkerCtx) {
             s.reason = Some(reason.to_string());
             s.restarts = restarts;
             s.incarnation = incarnation;
-            s.engine_state = None;
         });
+        ctx.cell.board.lock().expect("quote board poisoned").clear();
     };
 
     loop {
@@ -605,15 +662,15 @@ pub(crate) fn run(ctx: WorkerCtx) {
                 std::thread::sleep(Duration::from_millis(backoff.delay_ms(restarts - 1)));
             }
             match boot(&ctx, incarnation) {
-                Ok(e) => {
+                Ok(mut e) => {
+                    let d = digest(&e, &sink);
+                    ctx.cell.publish(&mut e, &sink);
                     ctx.cell.update(|s| {
                         s.state = ShardState::Running;
                         s.reason = None;
-                        s.digest = Some(e.state_digest());
-                        s.live = e.len();
+                        s.digest = Some(d);
                         s.restarts = restarts;
                         s.incarnation = incarnation;
-                        s.engine_state = Some(e.export_state());
                     });
                     engine = Some(e);
                 }
@@ -663,12 +720,13 @@ pub(crate) fn run(ctx: WorkerCtx) {
         let mut crashed: Option<String> = None;
         while let Some(env) = pending.pop_front() {
             if matches!(env.req, Request::Shutdown) {
-                ctx.cell.update(|s| {
-                    if let Some(e) = engine.as_ref() {
-                        s.digest = Some(e.state_digest());
+                if let Some(e) = engine.as_ref() {
+                    let d = digest(e, &sink);
+                    ctx.cell.update(|s| {
+                        s.digest = Some(d);
                         s.live = e.len();
-                    }
-                });
+                    });
+                }
                 env.respond(Response::Shutdown);
                 return;
             }
@@ -704,11 +762,15 @@ pub(crate) fn run(ctx: WorkerCtx) {
             let eng = engine.as_mut().expect("running shard has an engine");
             match env.req {
                 Request::Query(raw) => env.respond(Response::Machine(eng.machine_of(raw))),
-                Request::Digest => env.respond(Response::Digest {
-                    digest: eng.state_digest(),
-                    state: ShardState::Running,
-                    live: eng.len(),
-                }),
+                Request::Digest => {
+                    let d = digest(eng, &sink);
+                    ctx.cell.update(|s| s.digest = Some(d));
+                    env.respond(Response::Digest {
+                        digest: d,
+                        state: ShardState::Running,
+                        live: eng.len(),
+                    });
+                }
                 Request::Stall(ms) => {
                     // Testing aid: hold this worker (not the CPU gate)
                     // busy so its bounded queue fills upstream.
@@ -802,11 +864,7 @@ pub(crate) fn run(ctx: WorkerCtx) {
                     None => Gas::unlimited(),
                 };
                 let _ = e.compaction_tick(&mut tick_gas, &*sink);
-                ctx.cell.update(|s| {
-                    s.digest = Some(e.state_digest());
-                    s.live = e.len();
-                    s.engine_state = Some(e.export_state());
-                });
+                ctx.cell.publish(e, &sink);
             }
         }
     }

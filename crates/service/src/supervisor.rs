@@ -4,14 +4,15 @@
 //! [`Service`] owns one supervised shard per tenant (see
 //! [`crate::shard`]). Submission never blocks: a request either enqueues
 //! onto the tenant's bounded queue, or — queue full — is **shed** with a
-//! [`Response::Shed`] carrying a speculative α quote computed from the
-//! shard's last published state via `Snapshot`/`Rollback` probing on a
-//! scratch engine (the live engine and journal are never touched by a
-//! shed). Responses travel back over the caller-supplied channel tagged
-//! with the caller's sequence number, so a front end can reorder replies
-//! from many shards into submission order.
+//! [`Response::Shed`] carrying a speculative α quote read from the
+//! tenant's quote board ([`crate::quote`]): the per-machine residents the
+//! shard published after its last batch, re-checked with the tenant's
+//! own admission test at each ladder rung. A shed never touches the live
+//! engine or its journal. Responses travel back over the caller-supplied
+//! channel tagged with the caller's sequence number, so a front end can
+//! reorder replies from many shards into submission order.
 
-use crate::engine::{quote_alpha, PolicyKind};
+use crate::engine::PolicyKind;
 use crate::metrics;
 use crate::shard::{
     self, Envelope, ErrorKind, Gate, Op, Request, Response, ShardCell, ShardConfig, ShardStatus,
@@ -245,17 +246,13 @@ impl Service {
             Err(TrySendError::Full(env)) => {
                 self.sink.counter_add(metrics::SERVICE_SHED, 1);
                 let alpha = if let Request::Op(Op::Add(task)) = env.req {
-                    let status = handle.cell.status();
-                    status.engine_state.as_ref().and_then(|state| {
-                        quote_alpha(
-                            handle.policy,
-                            &handle.platform,
-                            handle.alpha,
-                            state,
-                            task,
-                            &self.cfg.alpha_rungs,
-                        )
-                    })
+                    handle.cell.quote(
+                        handle.policy,
+                        &handle.platform,
+                        handle.alpha,
+                        task,
+                        &self.cfg.alpha_rungs,
+                    )
                 } else {
                     None
                 };

@@ -18,7 +18,8 @@
 #   3. cross-process convergence: a served session is kill -9'd
 #      mid-stream with aggressive compaction, then every tenant journal
 #      must `hetfeas recover` cleanly and a restarted server must serve
-#      the recovered state;
+#      the recovered state: its on-demand digest equals the one
+#      `hetfeas recover` printed;
 #   4. seeded network-chaos storms (`serve --chaos --net`) across seeds:
 #      a frame-aware proxy injects delays, duplicate frames, torn
 #      mid-frame writes, resets and swallowed replies between retrying
@@ -26,7 +27,8 @@
 #      exactly once in the replayed journal;
 #   5. kill -9 of a TCP server mid-stream with a retrying `call` client:
 #      the orphaned client fails with the transport exit code (4), and a
-#      restarted server on the same data dir serves the recovered state.
+#      restarted server on the same data dir serves the recovered state,
+#      digest included.
 set -euo pipefail
 
 hetfeas="${HETFEAS_BIN:?set HETFEAS_BIN to the hetfeas binary}"
@@ -196,10 +198,20 @@ done
     cat "$work/kill_restart.out" >&2
     exit 1
 }
-for seq in 3 4; do
-    grep -q "^$seq ok digest=" "$work/kill_restart.out" || {
+# Each restarted tenant's served digest (computed on demand) must equal
+# the digest `hetfeas recover` printed for the same journal.
+for pair in 3:t0 4:t1; do
+    seq="${pair%%:*}" t="${pair#*:}"
+    served="$(sed -n "s/^$seq ok digest=\([0-9a-f]*\) .*/\1/p" "$work/kill_restart.out")"
+    recovered="$(sed -n 's/.*state digest \([0-9a-f]*\).*/\1/p' "$work/kill_$t.out")"
+    [[ -n "$served" ]] || {
         echo "chaos_smoke: FAIL — restarted server served no digest (seq $seq)" >&2
         cat "$work/kill_restart.out" >&2
+        exit 1
+    }
+    [[ "$served" == "$recovered" ]] || {
+        echo "chaos_smoke: FAIL — $t served digest $served, recover printed '$recovered'" >&2
+        cat "$work/kill_restart.out" "$work/kill_$t.out" >&2
         exit 1
     }
 done
@@ -287,8 +299,9 @@ set -e
     exit 1
 }
 # The journal survived the SIGKILL and a restarted server serves it.
-timeout "$cap" "$hetfeas" recover "$tcpdata/k.journal" >/dev/null 2>&1 || {
+timeout "$cap" "$hetfeas" recover "$tcpdata/k.journal" >"$work/tcp_recover.out" 2>&1 || {
     echo "chaos_smoke: FAIL — TCP tenant journal unrecoverable after kill -9" >&2
+    cat "$work/tcp_recover.out" >&2
     exit 1
 }
 timeout "$cap" "$hetfeas" serve --tcp "127.0.0.1:$tcpport" \
@@ -313,6 +326,13 @@ done
 grep -q 'live=6' "$work/tcp_digest.out" || {
     echo "chaos_smoke: FAIL — recovered state lost admissions" >&2
     cat "$work/tcp_digest.out" >&2
+    exit 1
+}
+served="$(sed -n 's/.*digest=\([0-9a-f]*\) .*/\1/p' "$work/tcp_digest.out")"
+recovered="$(sed -n 's/.*state digest \([0-9a-f]*\).*/\1/p' "$work/tcp_recover.out")"
+[[ -n "$served" && "$served" == "$recovered" ]] || {
+    echo "chaos_smoke: FAIL — k served digest '$served', recover printed '$recovered'" >&2
+    cat "$work/tcp_digest.out" "$work/tcp_recover.out" >&2
     exit 1
 }
 "$hetfeas" call 'quit' --tcp "127.0.0.1:$tcpport" >/dev/null 2>&1 || true
