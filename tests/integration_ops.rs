@@ -324,3 +324,649 @@ fn ops_rejects_rms_rta_and_bad_mode() {
     let out = hetfeas(&["ops"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
+
+/// One pinned `ops` run: the input (`trace`, `solo` or `synth`) in text
+/// or HBT1 form, its flags, the exact stdout, and the report fields
+/// (`key=value`, nested keys joined by `.`, timers left out).
+/// `{path}` stands for the trace file and `{journal}` for the journal.
+struct Pin {
+    input: &'static str,
+    hbt: bool,
+    args: &'static [&'static str],
+    stdout: &'static str,
+    report: &'static str,
+}
+
+/// The three inputs in both formats: `TRACE` and `SOLO_TRACE` (between
+/// them every op kind) and a three-instance synthesized trace.
+fn pin_inputs() -> Vec<(&'static str, TempFile, TempFile)> {
+    let convert = |from: &TempFile, to: &TempFile| {
+        let out = hetfeas(&["trace", "convert", from.to_str(), "--out", to.to_str()]);
+        assert!(out.status.success(), "{out:?}");
+    };
+    let mut inputs = Vec::new();
+    for (name, text) in [("trace", TRACE), ("solo", SOLO_TRACE)] {
+        let (txt, bin) = (write_trace(text), temp_path("hbt"));
+        convert(&txt, &bin);
+        inputs.push((name, txt, bin));
+    }
+    let (txt, bin) = (temp_path("ops"), temp_path("hbt"));
+    let out = hetfeas(&[
+        "trace",
+        "synth",
+        "--seed",
+        "7",
+        "--ops",
+        "400",
+        "--instances",
+        "3",
+        "--machines",
+        "4",
+        "--max-live",
+        "48",
+        "--out",
+        bin.to_str(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    convert(&bin, &txt);
+    inputs.push(("synth", txt, bin));
+    inputs
+}
+
+fn flatten_report(prefix: &str, v: &hetfeas::obs::Json, out: &mut Vec<String>) {
+    match v.as_object() {
+        Some(members) => {
+            for (k, m) in members {
+                flatten_report(&format!("{prefix}{k}."), m, out);
+            }
+        }
+        None => out.push(format!(
+            "{}={}",
+            prefix.trim_end_matches('.'),
+            v.render_compact()
+        )),
+    }
+}
+
+/// The text after `N instances streamed, ` on an HBT1 summary line, so
+/// it compares with the text format's summary line.
+fn replayed_counts(stdout: &str) -> &str {
+    let line = stdout
+        .lines()
+        .find(|l| l.contains(" ops replayed: "))
+        .unwrap_or_else(|| panic!("no summary line in {stdout}"));
+    line.split_once("streamed, ").map_or(line, |(_, rest)| rest)
+}
+
+#[test]
+fn ops_stdout_and_reports_are_pinned() {
+    let inputs = pin_inputs();
+    let mut seen: Vec<(&str, bool, &[&str], String)> = Vec::new();
+    for pin in PINS {
+        let (_, txt, bin) = inputs
+            .iter()
+            .find(|(name, _, _)| *name == pin.input)
+            .expect("known input");
+        let path = if pin.hbt { bin.to_str() } else { txt.to_str() };
+        let journal = temp_path("journal");
+        let report = temp_path("json");
+        let mut args = vec!["ops", "--trace", path];
+        for &a in pin.args {
+            args.push(a);
+            if a == "--journal" {
+                args.push(journal.to_str());
+            }
+        }
+        if !pin.report.is_empty() {
+            args.extend(["--report", report.to_str()]);
+        }
+        let out = hetfeas(&args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert_eq!(stdout, pin.stdout.replace("{path}", path), "{args:?}");
+        if !pin.report.is_empty() {
+            let text = std::fs::read_to_string(&report.0).expect("report written");
+            let json = hetfeas::obs::json::parse(&text).expect("report parses");
+            let mut got = Vec::new();
+            flatten_report("", &json, &mut got);
+            for want in pin.report.lines() {
+                let want = want
+                    .replace("{path}", path)
+                    .replace("{journal}", journal.to_str());
+                assert!(got.contains(&want), "{args:?}: report lacks {want}\n{text}");
+            }
+        }
+        seen.push((pin.input, pin.hbt, pin.args, stdout));
+    }
+    // Both formats replay the same ops to the same counts.
+    for (input, hbt, args, stdout) in &seen {
+        if *hbt || args.contains(&"--journal") {
+            continue;
+        }
+        if let Some((.., bin_out)) = seen
+            .iter()
+            .find(|(i, h, a, _)| i == input && *h && a == args)
+        {
+            assert_eq!(
+                replayed_counts(stdout),
+                replayed_counts(bin_out),
+                "{input} {args:?}"
+            );
+        }
+    }
+    // The solo instance's streamed digest is what both journals record.
+    let solo_hbt = &seen
+        .iter()
+        .find(|(i, h, a, _)| *i == "solo" && *h && a.contains(&"-v"))
+        .expect("solo -v HBT1 run")
+        .3;
+    let streamed = solo_hbt
+        .lines()
+        .find_map(|l| l.strip_prefix("  solo: "))
+        .and_then(|l| l.rsplit(' ').next())
+        .expect("solo digest");
+    for (.., stdout) in seen.iter().filter(|(_, _, a, _)| a.contains(&"--journal")) {
+        assert_eq!(digest_line(stdout.as_bytes(), "journal digest "), streamed);
+    }
+}
+
+const PINS: &[Pin] = &[
+    Pin {
+        input: "trace",
+        hbt: false,
+        args: &["--policy", "edf", "--workers", "2"],
+        stdout: r#"2 instances (12 ops), policy EDF, mode incremental, 2 workers
+12 ops replayed: 4 admitted, 0 rejected, 1 removed (1 misses), 3 queries (2 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+"#,
+        report: "",
+    },
+    Pin {
+        input: "trace",
+        hbt: false,
+        args: &["--policy", "rms", "--workers", "2"],
+        stdout: r#"2 instances (12 ops), policy RMS (Liu–Layland), mode incremental, 2 workers
+12 ops replayed: 4 admitted, 0 rejected, 1 removed (1 misses), 3 queries (2 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+"#,
+        report: "",
+    },
+    Pin {
+        input: "trace",
+        hbt: false,
+        args: &["--policy", "rms-hyp", "--workers", "2"],
+        stdout: r#"2 instances (12 ops), policy RMS (hyperbolic), mode incremental, 2 workers
+12 ops replayed: 4 admitted, 0 rejected, 1 removed (1 misses), 3 queries (2 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+"#,
+        report: "",
+    },
+    Pin {
+        input: "trace",
+        hbt: false,
+        args: &["-v", "--workers", "2"],
+        stdout: r#"2 instances (12 ops), policy EDF, mode incremental, 2 workers
+  warm: 9 ops, 3 admitted, 0 rejected, 1 removed, live 1
+  tiny: 3 ops, 1 admitted, 0 rejected, 0 removed, live 1
+12 ops replayed: 4 admitted, 0 rejected, 1 removed (1 misses), 3 queries (2 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+"#,
+        report: r#"tool="hetfeas"
+version="0.1.0"
+command="ops"
+input="{path}"
+policy="edf"
+mode="incremental"
+workers=2
+instances=2
+exhausted=0
+ops=12
+admitted=4
+rejected=0
+removed=1
+remove_misses=1
+query_hits=2
+query_misses=1
+snapshots=1
+rollbacks=1
+repacks=1
+repacks_infeasible=0
+final_live=2
+verdict="replayed"
+counters.engine.exact_checks=1
+counters.engine.reverify_misses=0
+counters.engine.tree_descents=1
+counters.engine.tree_nodes=0
+counters.ff.admission_checks=1
+counters.ff.machines_visited=1
+counters.ff.placed=1
+counters.ff.workspace_allocs=3
+counters.incr.adds=4
+counters.incr.exact_checks=4
+counters.incr.local_repairs=1
+counters.incr.removes=1
+counters.incr.repacks=1
+counters.incr.repair_refolds=1
+counters.incr.reverify_misses=0
+counters.incr.rollbacks=1
+counters.incr.snapshots=1
+counters.incr.tree_descents=4
+histograms.ff.checks_per_task.count=1
+histograms.ff.checks_per_task.buckets=[[1,1]]
+"#,
+    },
+    Pin {
+        input: "trace",
+        hbt: true,
+        args: &["--policy", "edf", "--workers", "2"],
+        stdout: r#"streaming binary trace {path} (68 bytes), policy EDF, mode incremental
+2 instances streamed, 12 ops replayed: 4 admitted, 0 rejected, 1 removed (1 misses), 3 queries (2 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+combined digest ce8b40c7
+"#,
+        report: "",
+    },
+    Pin {
+        input: "trace",
+        hbt: true,
+        args: &["--policy", "rms", "--workers", "2"],
+        stdout: r#"streaming binary trace {path} (68 bytes), policy RMS (Liu–Layland), mode incremental
+2 instances streamed, 12 ops replayed: 4 admitted, 0 rejected, 1 removed (1 misses), 3 queries (2 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+combined digest ce8b40c7
+"#,
+        report: "",
+    },
+    Pin {
+        input: "trace",
+        hbt: true,
+        args: &["--policy", "rms-hyp", "--workers", "2"],
+        stdout: r#"streaming binary trace {path} (68 bytes), policy RMS (hyperbolic), mode incremental
+2 instances streamed, 12 ops replayed: 4 admitted, 0 rejected, 1 removed (1 misses), 3 queries (2 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+combined digest ce8b40c7
+"#,
+        report: "",
+    },
+    Pin {
+        input: "trace",
+        hbt: true,
+        args: &["-v", "--workers", "2"],
+        stdout: r#"streaming binary trace {path} (68 bytes), policy EDF, mode incremental
+  warm: 9 ops, 3 admitted, 0 rejected, 1 removed, live 1, digest 7a0aa21a
+  tiny: 3 ops, 1 admitted, 0 rejected, 0 removed, live 1, digest f99d9534
+2 instances streamed, 12 ops replayed: 4 admitted, 0 rejected, 1 removed (1 misses), 3 queries (2 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+combined digest ce8b40c7
+"#,
+        report: r#"tool="hetfeas"
+version="0.1.0"
+command="ops"
+input="{path}"
+policy="edf"
+mode="incremental"
+streaming=true
+trace_bytes=68
+instances=2
+ops=12
+admitted=4
+rejected=0
+removed=1
+remove_misses=1
+query_hits=2
+query_misses=1
+snapshots=1
+rollbacks=1
+repacks=1
+repacks_infeasible=0
+final_live=2
+combined_digest="ce8b40c7"
+verdict="replayed"
+counters.engine.exact_checks=1
+counters.engine.reverify_misses=0
+counters.engine.tree_descents=1
+counters.engine.tree_nodes=0
+counters.ff.admission_checks=1
+counters.ff.machines_visited=1
+counters.ff.placed=1
+counters.ff.workspace_allocs=3
+counters.incr.adds=4
+counters.incr.exact_checks=4
+counters.incr.local_repairs=1
+counters.incr.removes=1
+counters.incr.repacks=1
+counters.incr.repair_refolds=1
+counters.incr.reverify_misses=0
+counters.incr.rollbacks=1
+counters.incr.snapshots=1
+counters.incr.tree_descents=4
+histograms.ff.checks_per_task.count=1
+histograms.ff.checks_per_task.buckets=[[1,1]]
+"#,
+    },
+    Pin {
+        input: "solo",
+        hbt: false,
+        args: &["--policy", "edf", "--workers", "2"],
+        stdout: r#"1 instances (7 ops), policy EDF, mode incremental, 2 workers
+7 ops replayed: 3 admitted, 0 rejected, 1 removed (0 misses), 0 queries (0 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+"#,
+        report: "",
+    },
+    Pin {
+        input: "solo",
+        hbt: false,
+        args: &["--policy", "rms", "--workers", "2"],
+        stdout: r#"1 instances (7 ops), policy RMS (Liu–Layland), mode incremental, 2 workers
+7 ops replayed: 3 admitted, 0 rejected, 1 removed (0 misses), 0 queries (0 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+"#,
+        report: "",
+    },
+    Pin {
+        input: "solo",
+        hbt: false,
+        args: &["--policy", "rms-hyp", "--workers", "2"],
+        stdout: r#"1 instances (7 ops), policy RMS (hyperbolic), mode incremental, 2 workers
+7 ops replayed: 3 admitted, 0 rejected, 1 removed (0 misses), 0 queries (0 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+"#,
+        report: "",
+    },
+    Pin {
+        input: "solo",
+        hbt: false,
+        args: &["-v", "--workers", "2"],
+        stdout: r#"1 instances (7 ops), policy EDF, mode incremental, 2 workers
+  solo: 7 ops, 3 admitted, 0 rejected, 1 removed, live 1
+7 ops replayed: 3 admitted, 0 rejected, 1 removed (0 misses), 0 queries (0 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+"#,
+        report: "",
+    },
+    Pin {
+        input: "solo",
+        hbt: true,
+        args: &["--policy", "edf", "--workers", "2"],
+        stdout: r#"streaming binary trace {path} (45 bytes), policy EDF, mode incremental
+1 instances streamed, 7 ops replayed: 3 admitted, 0 rejected, 1 removed (0 misses), 0 queries (0 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+combined digest 8e239141
+"#,
+        report: "",
+    },
+    Pin {
+        input: "solo",
+        hbt: true,
+        args: &["--policy", "rms", "--workers", "2"],
+        stdout: r#"streaming binary trace {path} (45 bytes), policy RMS (Liu–Layland), mode incremental
+1 instances streamed, 7 ops replayed: 3 admitted, 0 rejected, 1 removed (0 misses), 0 queries (0 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+combined digest 8e239141
+"#,
+        report: "",
+    },
+    Pin {
+        input: "solo",
+        hbt: true,
+        args: &["--policy", "rms-hyp", "--workers", "2"],
+        stdout: r#"streaming binary trace {path} (45 bytes), policy RMS (hyperbolic), mode incremental
+1 instances streamed, 7 ops replayed: 3 admitted, 0 rejected, 1 removed (0 misses), 0 queries (0 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+combined digest 8e239141
+"#,
+        report: "",
+    },
+    Pin {
+        input: "solo",
+        hbt: true,
+        args: &["-v", "--workers", "2"],
+        stdout: r#"streaming binary trace {path} (45 bytes), policy EDF, mode incremental
+  solo: 7 ops, 3 admitted, 0 rejected, 1 removed, live 1, digest 7a0aa21a
+1 instances streamed, 7 ops replayed: 3 admitted, 0 rejected, 1 removed (0 misses), 0 queries (0 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+combined digest 8e239141
+"#,
+        report: "",
+    },
+    Pin {
+        input: "synth",
+        hbt: false,
+        args: &["--policy", "edf", "--workers", "2"],
+        stdout: r#"3 instances (1200 ops), policy EDF, mode incremental, 2 workers
+1200 ops replayed: 358 admitted, 294 rejected, 290 removed (221 misses), 37 queries (21 hits), 0 repacks (0 infeasible), 0 snapshots, 0 rollbacks
+"#,
+        report: "",
+    },
+    Pin {
+        input: "synth",
+        hbt: false,
+        args: &["--policy", "rms", "--workers", "2"],
+        stdout: r#"3 instances (1200 ops), policy RMS (Liu–Layland), mode incremental, 2 workers
+1200 ops replayed: 295 admitted, 357 rejected, 236 removed (275 misses), 37 queries (18 hits), 0 repacks (0 infeasible), 0 snapshots, 0 rollbacks
+"#,
+        report: "",
+    },
+    Pin {
+        input: "synth",
+        hbt: false,
+        args: &["--policy", "rms-hyp", "--workers", "2"],
+        stdout: r#"3 instances (1200 ops), policy RMS (hyperbolic), mode incremental, 2 workers
+1200 ops replayed: 297 admitted, 355 rejected, 239 removed (272 misses), 37 queries (19 hits), 0 repacks (0 infeasible), 0 snapshots, 0 rollbacks
+"#,
+        report: "",
+    },
+    Pin {
+        input: "synth",
+        hbt: false,
+        args: &["-v", "--workers", "2"],
+        stdout: r#"3 instances (1200 ops), policy EDF, mode incremental, 2 workers
+  synth-0: 400 ops, 128 admitted, 91 rejected, 104 removed, live 24
+  synth-1: 400 ops, 115 admitted, 99 rejected, 92 removed, live 23
+  synth-2: 400 ops, 115 admitted, 104 rejected, 94 removed, live 21
+1200 ops replayed: 358 admitted, 294 rejected, 290 removed (221 misses), 37 queries (21 hits), 0 repacks (0 infeasible), 0 snapshots, 0 rollbacks
+"#,
+        report: "",
+    },
+    Pin {
+        input: "synth",
+        hbt: true,
+        args: &["--policy", "edf", "--workers", "2"],
+        stdout: r#"streaming binary trace {path} (5683 bytes), policy EDF, mode incremental
+3 instances streamed, 1200 ops replayed: 358 admitted, 294 rejected, 290 removed (221 misses), 37 queries (21 hits), 0 repacks (0 infeasible), 0 snapshots, 0 rollbacks
+combined digest 68dd5aef
+"#,
+        report: "",
+    },
+    Pin {
+        input: "synth",
+        hbt: true,
+        args: &["--policy", "rms", "--workers", "2"],
+        stdout: r#"streaming binary trace {path} (5683 bytes), policy RMS (Liu–Layland), mode incremental
+3 instances streamed, 1200 ops replayed: 295 admitted, 357 rejected, 236 removed (275 misses), 37 queries (18 hits), 0 repacks (0 infeasible), 0 snapshots, 0 rollbacks
+combined digest 18bb7418
+"#,
+        report: "",
+    },
+    Pin {
+        input: "synth",
+        hbt: true,
+        args: &["--policy", "rms-hyp", "--workers", "2"],
+        stdout: r#"streaming binary trace {path} (5683 bytes), policy RMS (hyperbolic), mode incremental
+3 instances streamed, 1200 ops replayed: 297 admitted, 355 rejected, 239 removed (272 misses), 37 queries (19 hits), 0 repacks (0 infeasible), 0 snapshots, 0 rollbacks
+combined digest 5f331e31
+"#,
+        report: "",
+    },
+    Pin {
+        input: "synth",
+        hbt: true,
+        args: &["-v", "--workers", "2"],
+        stdout: r#"streaming binary trace {path} (5683 bytes), policy EDF, mode incremental
+  synth-0: 400 ops, 128 admitted, 91 rejected, 104 removed, live 24, digest 640fe316
+  synth-1: 400 ops, 115 admitted, 99 rejected, 92 removed, live 23, digest 370a8178
+  synth-2: 400 ops, 115 admitted, 104 rejected, 94 removed, live 21, digest d74a1a48
+3 instances streamed, 1200 ops replayed: 358 admitted, 294 rejected, 290 removed (221 misses), 37 queries (21 hits), 0 repacks (0 infeasible), 0 snapshots, 0 rollbacks
+combined digest 68dd5aef
+"#,
+        report: "",
+    },
+    Pin {
+        input: "solo",
+        hbt: false,
+        args: &["--journal"],
+        stdout: r#"7 ops journaled+replayed: 3 admitted, 0 rejected, 1 removed, 1 repacks, 1 snapshots, 1 rollbacks, live 1
+journal: 7 appends, 206 bytes, 7 syncs, 0 retries, 0 compactions (0 slices, 0 bytes reclaimed)
+journal digest 7a0aa21a
+"#,
+        report: r#"tool="hetfeas"
+version="0.1.0"
+command="ops"
+input="{path}"
+policy="edf"
+mode="incremental"
+journal="{journal}"
+workers=1
+ops=7
+admitted=3
+rejected=0
+removed=1
+snapshots=1
+rollbacks=1
+repacks=1
+final_live=1
+digest="7a0aa21a"
+journal_compact_slices=0
+journal_bytes_reclaimed=0
+verdict="replayed"
+counters.engine.exact_checks=1
+counters.engine.reverify_misses=0
+counters.engine.tree_descents=1
+counters.engine.tree_nodes=0
+counters.ff.admission_checks=1
+counters.ff.machines_visited=1
+counters.ff.placed=1
+counters.ff.workspace_allocs=3
+counters.incr.adds=3
+counters.incr.exact_checks=3
+counters.incr.local_repairs=1
+counters.incr.removes=1
+counters.incr.repacks=1
+counters.incr.repair_refolds=1
+counters.incr.reverify_misses=0
+counters.incr.rollbacks=1
+counters.incr.snapshots=1
+counters.incr.tree_descents=3
+counters.journal.appends=7
+counters.journal.bytes_written=206
+counters.journal.syncs=7
+histograms.ff.checks_per_task.count=1
+histograms.ff.checks_per_task.buckets=[[1,1]]
+"#,
+    },
+    Pin {
+        input: "solo",
+        hbt: true,
+        args: &["--journal"],
+        stdout: r#"streaming binary trace {path} (45 bytes), policy EDF, mode incremental
+solo: 7 ops journaled+streamed: 3 admitted, 0 rejected, 1 removed, 1 repacks, 1 snapshots, 1 rollbacks, live 1
+journal: 7 appends, 206 bytes, 7 syncs, 0 retries, 0 compactions (0 slices, 0 bytes reclaimed)
+journal digest 7a0aa21a
+"#,
+        report: r#"tool="hetfeas"
+version="0.1.0"
+command="ops"
+input="{path}"
+policy="edf"
+mode="incremental"
+streaming=true
+trace_bytes=45
+journal="{journal}"
+ops=7
+admitted=3
+rejected=0
+removed=1
+snapshots=1
+rollbacks=1
+repacks=1
+final_live=1
+digest="7a0aa21a"
+journal_compact_slices=0
+journal_bytes_reclaimed=0
+verdict="replayed"
+counters.engine.exact_checks=1
+counters.engine.reverify_misses=0
+counters.engine.tree_descents=1
+counters.engine.tree_nodes=0
+counters.ff.admission_checks=1
+counters.ff.machines_visited=1
+counters.ff.placed=1
+counters.ff.workspace_allocs=3
+counters.incr.adds=3
+counters.incr.exact_checks=3
+counters.incr.local_repairs=1
+counters.incr.removes=1
+counters.incr.repacks=1
+counters.incr.repair_refolds=1
+counters.incr.reverify_misses=0
+counters.incr.rollbacks=1
+counters.incr.snapshots=1
+counters.incr.tree_descents=3
+counters.journal.appends=7
+counters.journal.bytes_written=206
+counters.journal.syncs=7
+histograms.ff.checks_per_task.count=1
+histograms.ff.checks_per_task.buckets=[[1,1]]
+"#,
+    },
+    Pin {
+        input: "trace",
+        hbt: false,
+        args: &["--mode", "from-scratch", "-v", "--workers", "2"],
+        stdout: r#"2 instances (12 ops), policy EDF, mode from-scratch, 2 workers
+  warm: 9 ops, 3 admitted, 0 rejected, 1 removed, live 1
+  tiny: 3 ops, 1 admitted, 0 rejected, 0 removed, live 1
+12 ops replayed: 4 admitted, 0 rejected, 1 removed (1 misses), 3 queries (2 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+"#,
+        report: r#"tool="hetfeas"
+version="0.1.0"
+command="ops"
+input="{path}"
+policy="edf"
+mode="from-scratch"
+workers=2
+instances=2
+exhausted=0
+ops=12
+admitted=4
+rejected=0
+removed=1
+remove_misses=1
+query_hits=2
+query_misses=1
+snapshots=1
+rollbacks=1
+repacks=1
+repacks_infeasible=0
+final_live=2
+verdict="replayed"
+counters.engine.exact_checks=9
+counters.engine.reverify_misses=0
+counters.engine.tree_descents=9
+counters.engine.tree_nodes=0
+counters.ff.admission_checks=11
+counters.ff.machines_visited=11
+counters.ff.placed=9
+counters.ff.workspace_allocs=6
+histograms.ff.checks_per_task.count=9
+histograms.ff.checks_per_task.buckets=[[1,7],[3,2]]
+"#,
+    },
+    Pin {
+        input: "solo",
+        hbt: false,
+        args: &["--mode", "from-scratch", "-v", "--workers", "2"],
+        stdout: r#"1 instances (7 ops), policy EDF, mode from-scratch, 2 workers
+  solo: 7 ops, 3 admitted, 0 rejected, 1 removed, live 1
+7 ops replayed: 3 admitted, 0 rejected, 1 removed (0 misses), 0 queries (0 hits), 1 repacks (0 infeasible), 1 snapshots, 1 rollbacks
+"#,
+        report: "",
+    },
+    Pin {
+        input: "synth",
+        hbt: false,
+        args: &["--mode", "from-scratch", "-v", "--workers", "2"],
+        stdout: r#"3 instances (1200 ops), policy EDF, mode from-scratch, 2 workers
+  synth-0: 400 ops, 125 admitted, 94 rejected, 99 removed, live 26
+  synth-1: 400 ops, 111 admitted, 103 rejected, 88 removed, live 23
+  synth-2: 400 ops, 112 admitted, 107 rejected, 93 removed, live 19
+1200 ops replayed: 348 admitted, 304 rejected, 280 removed (231 misses), 37 queries (21 hits), 0 repacks (0 infeasible), 0 snapshots, 0 rollbacks
+"#,
+        report: "",
+    },
+];
