@@ -54,9 +54,9 @@ pub mod theorems;
 
 pub use config::ExpConfig;
 pub use replay::{
-    combine_digests, replay_durable, replay_durable_stream, replay_instance,
-    replay_instance_digest, replay_sharded, replay_stream, InstanceReplayer, ReplayError,
-    ReplayMode, ReplayStats, Sharding, StreamError, StreamSummary,
+    combine_digests, replay_instance, replay_ops, replay_sharded, replay_stream,
+    replay_stream_with, FromScratch, Incremental, InstanceReplayer, OpEngine, ReplayError,
+    ReplayMode, ReplayStats, Sharding, StreamOps, StreamSummary,
 };
 pub use sweep::{run_checkpointed, CellOutcome, Checkpoint};
 pub use table::Table;

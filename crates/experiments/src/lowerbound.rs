@@ -16,7 +16,7 @@ use hetfeas_lp::lp_feasible;
 use hetfeas_model::rng::Rng;
 use hetfeas_model::{Platform, Task, TaskSet};
 use hetfeas_partition::{
-    exact_partition_edf, exact_partition_rms, EdfAdmission, ExactOutcome, RmsLlAdmission,
+    exact_partition_edf, exact_partition_rms, with_admission, ExactOutcome, PolicyKind,
 };
 
 /// Fixed period for search instances: utilization = c / 100 in percent
@@ -87,14 +87,11 @@ impl Setting {
     fn alpha(&self, tasks: &TaskSet, platform: &Platform) -> Option<f64> {
         // The search evaluates α* per mutation — the indexed warm-started
         // engine keeps the inner loop cheap.
-        match self {
-            Setting::EdfVsPartitioned | Setting::EdfVsLp => {
-                empirical_alpha_indexed(tasks, platform, EdfAdmission, self.bound())
-            }
-            Setting::RmsVsPartitioned | Setting::RmsVsLp => {
-                empirical_alpha_indexed(tasks, platform, RmsLlAdmission, self.bound())
-            }
-        }
+        let policy = match self {
+            Setting::EdfVsPartitioned | Setting::EdfVsLp => PolicyKind::Edf,
+            Setting::RmsVsPartitioned | Setting::RmsVsLp => PolicyKind::RmsLl,
+        };
+        with_admission!(policy, adm => empirical_alpha_indexed(tasks, platform, adm, self.bound()))
     }
 }
 

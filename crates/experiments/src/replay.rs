@@ -1,44 +1,48 @@
 //! Op-trace replay: the batched front end of the online admission engine.
 //!
-//! An op trace ([`hetfeas_model::parse_op_trace`]) holds *independent*
-//! instances; this module replays each instance's operation stream against
-//! either
+//! An op trace ([`hetfeas_model::parse_op_trace`], or an HBT1 stream read
+//! through [`OpStream`]) holds *independent* instances. Each instance's
+//! operations run through one protocol, [`InstanceReplayer::apply`], over
+//! any [`OpEngine`]:
 //!
-//! * [`ReplayMode::Incremental`] — the
-//!   [`hetfeas_partition::IncrementalEngine`] (`O(log m)` adds, local
-//!   repairs, snapshot/rollback), or
-//! * [`ReplayMode::FromScratch`] — the honest baseline: a full batch
-//!   first-fit re-run ([`hetfeas_partition::FirstFitEngine`]) after every
-//!   mutating operation,
+//! * [`Incremental`] — the [`IncrementalEngine`] (`O(log m)` adds, local
+//!   repairs) with the trace's single snapshot slot;
+//! * [`DurableEngine`] — the same engine behind a write-ahead journal;
+//! * [`FromScratch`] — the honest baseline: a full batch first-fit re-run
+//!   ([`FirstFitEngine`]) after every mutating operation.
 //!
-//! and [`replay_sharded`] fans independent instances out across worker
-//! threads with [`hetfeas_par::par_map_with`], ticking a shared
-//! [`hetfeas_par::Progress`] counter so long replays report `done/total`
-//! live instead of staying silent.
+//! [`replay_ops`] is the one per-instance driver. The trace's format
+//! decides only how instances reach it: [`replay_sharded`] fans a parsed
+//! trace's instances out across worker threads with
+//! [`hetfeas_par::par_map_with`], ticking a shared [`Progress`] counter so
+//! long replays report `done/total` live, and [`replay_stream_with`] pulls
+//! an HBT1 stream's instances one at a time in bounded memory. A journaled
+//! replay is one instance of either format run on a [`DurableEngine`].
 //!
-//! The two modes agree on the *protocol* (a rejected add leaves the live
-//! set unchanged, removes of unknown ids are counted misses, snapshot/
-//! rollback restore observable state) but may diverge on individual
-//! accept/reject decisions once an incremental assignment drifts from
-//! canonical FFD order — that gap is exactly what the divergence-triggered
-//! repack bounds, and `tests/prop_incremental.rs` pins the equivalence
-//! after a repack.
+//! The engines agree on the *protocol* (a rejected add leaves the live
+//! set unchanged, removes of unknown ids are counted misses, a rollback
+//! with no snapshot held is a trace error, snapshot/rollback restore
+//! observable state) but may diverge on individual accept/reject decisions
+//! once an incremental assignment drifts from canonical FFD order — that
+//! gap is exactly what the divergence-triggered repack bounds, and
+//! `tests/prop_incremental.rs` pins the equivalence after a repack.
 
+use hetfeas_model::crc::Crc32;
 use hetfeas_model::{
-    Augmentation, OpStream, OpTrace, Platform, Task, TraceEvent, TraceInstance, TraceOp,
+    Augmentation, BinTraceError, OpStream, OpTrace, Platform, Task, TaskSet, TraceEvent, TraceOp,
 };
 use hetfeas_obs::MetricsSink;
 use hetfeas_par::{par_map_with, Progress};
 use hetfeas_partition::{
-    live_state_digest, AddOutcome, DurableEngine, DurableError, DurableOptions, FirstFitEngine,
-    IncrSnapshot, IncrementalEngine, IndexableAdmission, Outcome, RepackOutcome, TaskId,
+    live_state_digest, AddOutcome, DurableEngine, DurableError, FirstFitEngine, IncrSnapshot,
+    IncrementalEngine, IndexableAdmission, Outcome, RepackOutcome, TaskId,
 };
-use hetfeas_robust::journal::{crc32, Storage};
+use hetfeas_robust::journal::crc32;
 use hetfeas_robust::{Budget, Exhaustion, Gas};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// Which engine serves the operation stream.
+/// Which journal-free engine serves the operation stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayMode {
     /// The online [`IncrementalEngine`].
@@ -124,13 +128,26 @@ pub enum ReplayError {
         message: String,
     },
     /// A journaled replay hit an IO error that survived the retry budget
-    /// (only [`replay_durable`] produces this).
+    /// (only a [`DurableEngine`] produces this).
     Io {
         /// 0-based index of the operation that could not be journaled.
         op_index: usize,
         /// The underlying IO error.
         message: String,
     },
+    /// A binary stream is torn, corrupt, or hit an IO error — with the
+    /// byte offset baked into the message by the decoder.
+    Decode(String),
+}
+
+impl ReplayError {
+    /// An engine error at operation `op_index`.
+    pub fn at(op_index: usize, e: DurableError) -> ReplayError {
+        match e {
+            DurableError::Io(message) => ReplayError::Io { op_index, message },
+            DurableError::Exhausted(cause) => ReplayError::Exhausted { op_index, cause },
+        }
+    }
 }
 
 impl std::fmt::Display for ReplayError {
@@ -145,31 +162,319 @@ impl std::fmt::Display for ReplayError {
             ReplayError::Io { op_index, message } => {
                 write!(f, "journal IO error at op {op_index}: {message}")
             }
+            ReplayError::Decode(m) => write!(f, "binary trace: {m}"),
         }
     }
 }
 
-/// The shared per-instance replay core: an [`IncrementalEngine`], the
-/// trace-id → engine-id map, the single snapshot slot, and the protocol
-/// stats. Both the materialized replays and the streaming binary replay
-/// ([`replay_stream`]) drive every op through [`Self::apply`], which is
-/// what makes their final digests structurally comparable — there is one
-/// protocol implementation, not two.
-pub struct InstanceReplayer<A: IndexableAdmission> {
+/// What an [`OpEngine`] step returns. Errors are [`DurableError`]s, so the
+/// journaled engine's IO failures and every engine's exhaustion travel
+/// the same way.
+pub type OpResult<T> = Result<T, DurableError>;
+
+/// An engine the trace protocol drives: engine-id adds and removes, the
+/// single snapshot slot, and repacks, each charged to `gas`.
+pub trait OpEngine {
+    /// Try to admit `task`.
+    fn add<S: MetricsSink>(&mut self, task: Task, gas: &mut Gas, sink: &S) -> OpResult<AddOutcome>;
+    /// Remove a live task; `None` when `id` is not live.
+    fn remove<S: MetricsSink>(
+        &mut self,
+        id: TaskId,
+        gas: &mut Gas,
+        sink: &S,
+    ) -> OpResult<Option<Task>>;
+    /// The machine hosting `id`, if live.
+    fn machine_of(&self, id: TaskId) -> Option<usize>;
+    /// Live task count.
+    fn len(&self) -> usize;
+    /// True when no task is live.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// Overwrite the snapshot slot with the current state.
+    fn snapshot<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<()>;
+    /// Restore the snapshot slot (keeping it); `false` when none is held.
+    fn rollback<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<bool>;
+    /// Re-run first-fit over the live set.
+    fn repack<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<RepackOutcome>;
+    /// CRC32 digest of the current state and the held snapshot.
+    fn digest(&self) -> u32;
+}
+
+/// The [`IncrementalEngine`] with the trace protocol's snapshot slot.
+pub struct Incremental<A: IndexableAdmission> {
     eng: IncrementalEngine<A>,
+    snap: Option<IncrSnapshot<A>>,
+}
+
+impl<A: IndexableAdmission> Incremental<A> {
+    /// A fresh engine over `platform`.
+    pub fn new(admission: A, platform: &Platform, alpha: Augmentation) -> Self {
+        Incremental {
+            eng: IncrementalEngine::new(admission, platform, alpha),
+            snap: None,
+        }
+    }
+}
+
+impl<A: IndexableAdmission> OpEngine for Incremental<A> {
+    fn add<S: MetricsSink>(&mut self, task: Task, gas: &mut Gas, sink: &S) -> OpResult<AddOutcome> {
+        self.eng
+            .add_within_with(task, gas, sink)
+            .map_err(DurableError::Exhausted)
+    }
+
+    fn remove<S: MetricsSink>(
+        &mut self,
+        id: TaskId,
+        gas: &mut Gas,
+        sink: &S,
+    ) -> OpResult<Option<Task>> {
+        self.eng
+            .remove_within_with(id, gas, sink)
+            .map_err(DurableError::Exhausted)
+    }
+
+    fn machine_of(&self, id: TaskId) -> Option<usize> {
+        self.eng.machine_of(id)
+    }
+
+    fn len(&self) -> usize {
+        self.eng.len()
+    }
+
+    fn snapshot<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<()> {
+        gas.tick_n(self.eng.len() as u64 + 1)
+            .map_err(DurableError::Exhausted)?;
+        self.snap = Some(self.eng.snapshot_with(sink));
+        Ok(())
+    }
+
+    fn rollback<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<bool> {
+        let Some(snap) = &self.snap else {
+            return Ok(false);
+        };
+        gas.tick_n(self.eng.len() as u64 + 1)
+            .map_err(DurableError::Exhausted)?;
+        self.eng.rollback_with(snap, sink);
+        Ok(true)
+    }
+
+    fn repack<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<RepackOutcome> {
+        self.eng
+            .repack_within_with(gas, sink)
+            .map_err(DurableError::Exhausted)
+    }
+
+    /// The bytes [`DurableEngine::state_digest`] hashes, so a journal-free
+    /// replay compares against a durable run.
+    fn digest(&self) -> u32 {
+        live_state_digest(&self.eng, self.snap.as_ref())
+    }
+}
+
+impl<A: IndexableAdmission> OpEngine for DurableEngine<A> {
+    fn add<S: MetricsSink>(&mut self, task: Task, gas: &mut Gas, sink: &S) -> OpResult<AddOutcome> {
+        DurableEngine::add(self, task, gas, sink)
+    }
+
+    fn remove<S: MetricsSink>(
+        &mut self,
+        id: TaskId,
+        gas: &mut Gas,
+        sink: &S,
+    ) -> OpResult<Option<Task>> {
+        DurableEngine::remove(self, id, gas, sink)
+    }
+
+    fn machine_of(&self, id: TaskId) -> Option<usize> {
+        self.engine().machine_of(id)
+    }
+
+    fn len(&self) -> usize {
+        self.engine().len()
+    }
+
+    fn snapshot<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<()> {
+        DurableEngine::snapshot(self, gas, sink)
+    }
+
+    fn rollback<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<bool> {
+        DurableEngine::rollback(self, gas, sink)
+    }
+
+    fn repack<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<RepackOutcome> {
+        DurableEngine::repack(self, gas, sink)
+    }
+
+    fn digest(&self) -> u32 {
+        self.state_digest()
+    }
+}
+
+/// The from-scratch baseline: the live set, re-partitioned by batch
+/// first-fit after every mutation. Placements are keyed by engine id (not
+/// positional index) so that a remove whose re-run comes back infeasible
+/// can keep the previous — still valid — placements of the survivors.
+pub struct FromScratch<A: IndexableAdmission> {
+    ff: FirstFitEngine<A>,
+    platform: Platform,
+    alpha: Augmentation,
+    live: Scratch,
+    snap: Option<Scratch>,
+    next_id: u64,
+}
+
+#[derive(Clone, Default)]
+struct Scratch {
+    ids: Vec<TaskId>,
+    tasks: Vec<Task>,
+    placed: HashMap<TaskId, usize>,
+}
+
+impl<A: IndexableAdmission> FromScratch<A> {
+    /// An empty live set over `platform`.
+    pub fn new(admission: A, platform: &Platform, alpha: Augmentation) -> Self {
+        FromScratch {
+            ff: FirstFitEngine::new(admission),
+            platform: platform.clone(),
+            alpha,
+            live: Scratch::default(),
+            snap: None,
+            next_id: 0,
+        }
+    }
+
+    /// Re-run first-fit over the live set; on success adopt its
+    /// placements. `false` leaves the previous placements in force.
+    fn rerun<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<bool> {
+        let live = &mut self.live;
+        gas.tick_n((live.tasks.len() + self.platform.len()) as u64 + 1)
+            .map_err(DurableError::Exhausted)?;
+        let ts: TaskSet = live.tasks.iter().copied().collect();
+        let Outcome::Feasible(a) = self.ff.run_with(&ts, &self.platform, self.alpha, sink) else {
+            return Ok(false);
+        };
+        live.placed = live
+            .ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| (id, a.machine_of(i).expect("complete assignment")))
+            .collect();
+        Ok(true)
+    }
+}
+
+impl<A: IndexableAdmission> OpEngine for FromScratch<A> {
+    fn add<S: MetricsSink>(&mut self, task: Task, gas: &mut Gas, sink: &S) -> OpResult<AddOutcome> {
+        let id = TaskId::from_raw(self.next_id);
+        self.live.ids.push(id);
+        self.live.tasks.push(task);
+        if self.rerun(gas, sink)? {
+            self.next_id += 1;
+            let machine = self.live.placed[&id];
+            return Ok(AddOutcome::Admitted { id, machine });
+        }
+        self.live.ids.pop();
+        self.live.tasks.pop();
+        Ok(AddOutcome::Rejected)
+    }
+
+    fn remove<S: MetricsSink>(
+        &mut self,
+        id: TaskId,
+        gas: &mut Gas,
+        sink: &S,
+    ) -> OpResult<Option<Task>> {
+        let Some(pos) = self.live.ids.iter().position(|&x| x == id) else {
+            return Ok(None);
+        };
+        self.live.ids.remove(pos);
+        let task = self.live.tasks.remove(pos);
+        self.live.placed.remove(&id);
+        // FFD is order-sensitive: a subset of a feasible set can fail the
+        // re-run. Removal only sheds load, so on infeasible the survivors
+        // keep their placements — the incremental engine's infeasible
+        // repack policy.
+        self.rerun(gas, sink)?;
+        Ok(Some(task))
+    }
+
+    fn machine_of(&self, id: TaskId) -> Option<usize> {
+        self.live.placed.get(&id).copied()
+    }
+
+    fn len(&self) -> usize {
+        self.live.tasks.len()
+    }
+
+    fn snapshot<S: MetricsSink>(&mut self, gas: &mut Gas, _sink: &S) -> OpResult<()> {
+        gas.tick_n(self.live.tasks.len() as u64 + 1)
+            .map_err(DurableError::Exhausted)?;
+        self.snap = Some(self.live.clone());
+        Ok(())
+    }
+
+    fn rollback<S: MetricsSink>(&mut self, gas: &mut Gas, _sink: &S) -> OpResult<bool> {
+        let Some(snap) = &self.snap else {
+            return Ok(false);
+        };
+        gas.tick_n(self.live.tasks.len() as u64 + 1)
+            .map_err(DurableError::Exhausted)?;
+        self.live = snap.clone();
+        Ok(true)
+    }
+
+    /// The baseline is always canonical; the re-run is for cost parity.
+    fn repack<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<RepackOutcome> {
+        Ok(if self.rerun(gas, sink)? {
+            RepackOutcome::Repacked
+        } else {
+            RepackOutcome::Infeasible
+        })
+    }
+
+    /// CRC-32 of each live task's id, parameters and machine, in
+    /// admission order (the held snapshot is not covered).
+    fn digest(&self) -> u32 {
+        let mut crc = Crc32::new();
+        for (id, t) in self.live.ids.iter().zip(&self.live.tasks) {
+            let machine = self.live.placed[id] as u64;
+            for v in [id.raw(), t.wcet(), t.period(), t.deadline(), machine] {
+                crc.update(&v.to_le_bytes());
+            }
+        }
+        crc.finish()
+    }
+}
+
+/// The trace protocol over one [`OpEngine`]: the trace-id → engine-id
+/// map, its copy for the held snapshot, and the protocol stats.
+/// [`Self::apply`] is the only code that applies a [`TraceOp`], for every
+/// engine and both trace formats.
+pub struct InstanceReplayer<E> {
+    eng: E,
     ids: HashMap<u64, TaskId>,
-    snap: Option<(IncrSnapshot<A>, HashMap<u64, TaskId>)>,
+    ids_snap: Option<HashMap<u64, TaskId>>,
     stats: ReplayStats,
     op_index: usize,
 }
 
-impl<A: IndexableAdmission> InstanceReplayer<A> {
-    /// Fresh replayer over `platform`.
+impl<A: IndexableAdmission> InstanceReplayer<Incremental<A>> {
+    /// Fresh replayer over an [`Incremental`] engine on `platform`.
     pub fn new(admission: A, platform: &Platform, alpha: Augmentation) -> Self {
+        InstanceReplayer::over(Incremental::new(admission, platform, alpha))
+    }
+}
+
+impl<E: OpEngine> InstanceReplayer<E> {
+    /// Fresh replayer over `eng`, which must hold no tasks yet.
+    pub fn over(eng: E) -> Self {
         InstanceReplayer {
-            eng: IncrementalEngine::new(admission, platform, alpha),
+            eng,
             ids: HashMap::new(),
-            snap: None,
+            ids_snap: None,
             stats: ReplayStats::default(),
             op_index: 0,
         }
@@ -185,152 +490,109 @@ impl<A: IndexableAdmission> InstanceReplayer<A> {
         let op_index = self.op_index;
         self.op_index += 1;
         self.stats.ops += 1;
+        let engine_err = |e| ReplayError::at(op_index, e);
         let exhausted = |cause| ReplayError::Exhausted { op_index, cause };
+        let trace_err = |message: String| ReplayError::Trace { op_index, message };
+        let eng = &mut self.eng;
+        let stats = &mut self.stats;
         match *op {
             TraceOp::Add { id, task } => {
-                if let Some(tid) = self.ids.get(&id) {
-                    if self.eng.contains(*tid) {
-                        return Err(ReplayError::Trace {
-                            op_index,
-                            message: format!("add reuses live id {id}"),
-                        });
+                if let Some(&tid) = self.ids.get(&id) {
+                    if eng.machine_of(tid).is_some() {
+                        return Err(trace_err(format!("add reuses live id {id}")));
                     }
                 }
-                match self
-                    .eng
-                    .add_within_with(task, gas, sink)
-                    .map_err(exhausted)?
-                {
+                match eng.add(task, gas, sink).map_err(engine_err)? {
                     AddOutcome::Admitted { id: tid, .. } => {
                         self.ids.insert(id, tid);
-                        self.stats.admitted += 1;
+                        stats.admitted += 1;
                     }
-                    AddOutcome::Rejected => self.stats.rejected += 1,
+                    AddOutcome::Rejected => stats.rejected += 1,
                 }
             }
-            TraceOp::Remove { id } => {
-                let live = self.ids.get(&id).copied();
-                match live {
-                    Some(tid) => match self
-                        .eng
-                        .remove_within_with(tid, gas, sink)
-                        .map_err(exhausted)?
-                    {
-                        Some(_) => {
-                            self.ids.remove(&id);
-                            self.stats.removed += 1;
-                        }
-                        None => self.stats.remove_misses += 1,
-                    },
-                    None => {
-                        gas.tick().map_err(exhausted)?;
-                        self.stats.remove_misses += 1;
+            TraceOp::Remove { id } => match self.ids.get(&id).copied() {
+                Some(tid) => match eng.remove(tid, gas, sink).map_err(engine_err)? {
+                    Some(_) => {
+                        self.ids.remove(&id);
+                        stats.removed += 1;
                     }
+                    None => stats.remove_misses += 1,
+                },
+                None => {
+                    gas.tick().map_err(exhausted)?;
+                    stats.remove_misses += 1;
                 }
-            }
+            },
             TraceOp::Query { id } => {
                 gas.tick().map_err(exhausted)?;
-                let hit = self.ids.get(&id).and_then(|tid| self.eng.machine_of(*tid));
-                if hit.is_some() {
-                    self.stats.query_hits += 1;
+                if self.ids.get(&id).and_then(|&t| eng.machine_of(t)).is_some() {
+                    stats.query_hits += 1;
                 } else {
-                    self.stats.query_misses += 1;
+                    stats.query_misses += 1;
                 }
             }
             TraceOp::Snapshot => {
-                gas.tick_n(self.eng.len() as u64 + 1).map_err(exhausted)?;
-                self.snap = Some((self.eng.snapshot_with(sink), self.ids.clone()));
-                self.stats.snapshots += 1;
+                eng.snapshot(gas, sink).map_err(engine_err)?;
+                self.ids_snap = Some(self.ids.clone());
+                stats.snapshots += 1;
             }
             TraceOp::Rollback => {
-                gas.tick_n(self.eng.len() as u64 + 1).map_err(exhausted)?;
-                let Some((s, m)) = self.snap.as_ref() else {
-                    // The text parser and OpStream both reject this
-                    // structurally; keep the direct API honest anyway.
-                    return Err(ReplayError::Trace {
-                        op_index,
-                        message: "rollback before any snapshot".to_string(),
-                    });
+                // The text parser and OpStream both reject this
+                // structurally; keep the direct API honest anyway.
+                let (true, Some(ids)) =
+                    (eng.rollback(gas, sink).map_err(engine_err)?, &self.ids_snap)
+                else {
+                    return Err(trace_err("rollback before any snapshot".to_string()));
                 };
-                self.eng.rollback_with(s, sink);
-                self.ids = m.clone();
-                self.stats.rollbacks += 1;
+                self.ids.clone_from(ids);
+                stats.rollbacks += 1;
             }
-            TraceOp::Repack => match self.eng.repack_within_with(gas, sink).map_err(exhausted)? {
-                RepackOutcome::Repacked => self.stats.repacks += 1,
-                RepackOutcome::Infeasible => self.stats.repacks_infeasible += 1,
+            TraceOp::Repack => match eng.repack(gas, sink).map_err(engine_err)? {
+                RepackOutcome::Repacked => stats.repacks += 1,
+                RepackOutcome::Infeasible => stats.repacks_infeasible += 1,
             },
         }
         Ok(())
     }
 
-    /// CRC32 digest of the current engine state plus the held snapshot —
-    /// the same bytes [`DurableEngine::state_digest`] hashes, so a
-    /// journal-free replay can be compared against a durable run.
+    /// The engine's [`OpEngine::digest`].
     pub fn digest(&self) -> u32 {
-        live_state_digest(&self.eng, self.snap.as_ref().map(|(s, _)| s))
+        self.eng.digest()
     }
 
     /// Close the instance: fill `final_live` and return stats + digest.
     pub fn finish(mut self) -> (ReplayStats, u32) {
         self.stats.final_live = self.eng.len() as u64;
-        let digest = self.digest();
-        (self.stats, digest)
+        (self.stats, self.eng.digest())
     }
 }
 
-/// Replay one instance on the [`IncrementalEngine`].
-fn replay_incremental<A, S>(
-    admission: A,
-    inst: &TraceInstance,
-    alpha: Augmentation,
-    gas: &mut Gas,
-    sink: &S,
-) -> Result<ReplayStats, ReplayError>
-where
-    A: IndexableAdmission,
-    S: MetricsSink,
-{
-    replay_instance_digest(admission, inst, alpha, gas, sink).map(|(stats, _)| stats)
-}
-
-/// [`replay_instance`] in incremental mode, additionally returning the
-/// [`live_state_digest`] of the final state — what the streaming replay
-/// and the durable replay report, so all three paths are comparable.
-pub fn replay_instance_digest<A, S>(
-    admission: A,
-    inst: &TraceInstance,
-    alpha: Augmentation,
+/// The one per-instance driver: replay `ops` on `eng` and return the
+/// stats and final [`OpEngine::digest`].
+pub fn replay_ops<E, S>(
+    eng: E,
+    ops: impl IntoIterator<Item = TraceOp>,
     gas: &mut Gas,
     sink: &S,
 ) -> Result<(ReplayStats, u32), ReplayError>
 where
-    A: IndexableAdmission,
+    E: OpEngine,
     S: MetricsSink,
 {
-    let mut rep = InstanceReplayer::new(admission, &inst.platform, alpha);
-    for op in &inst.ops {
-        rep.apply(op, gas, sink)?;
+    let mut rep = InstanceReplayer::over(eng);
+    for op in ops {
+        rep.apply(&op, gas, sink)?;
     }
     Ok(rep.finish())
 }
 
-/// Replay one instance on a journaled [`DurableEngine`] over `store`:
-/// every mutating op is appended to the write-ahead journal before it is
-/// applied, so a kill at any point leaves a journal that
-/// [`hetfeas_partition::recover`] replays back to the bit-identical
-/// engine. Returns the protocol stats plus the engine's
-/// [`DurableEngine::state_digest`] — `hetfeas recover` prints the same
-/// digest, which is how `scripts/crash_smoke.sh` compares a recovered
-/// state against an uncrashed reference across processes.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_durable<A, S>(
+/// Replay one instance's `ops` on a fresh `mode` engine over `platform`.
+pub fn replay_instance<A, S>(
     admission: A,
-    inst: &TraceInstance,
+    platform: &Platform,
+    ops: impl IntoIterator<Item = TraceOp>,
     alpha: Augmentation,
-    policy_key: &str,
-    opts: DurableOptions,
-    store: Box<dyn Storage>,
+    mode: ReplayMode,
     gas: &mut Gas,
     sink: &S,
 ) -> Result<(ReplayStats, u32), ReplayError>
@@ -338,144 +600,15 @@ where
     A: IndexableAdmission,
     S: MetricsSink,
 {
-    let durable_err = |op_index: usize| {
-        move |e: DurableError| match e {
-            DurableError::Io(message) => ReplayError::Io { op_index, message },
-            DurableError::Exhausted(cause) => ReplayError::Exhausted { op_index, cause },
+    match mode {
+        ReplayMode::Incremental => {
+            replay_ops(Incremental::new(admission, platform, alpha), ops, gas, sink)
         }
-    };
-    let mut eng = DurableEngine::create(
-        admission,
-        &inst.platform,
-        alpha,
-        policy_key,
-        opts,
-        store,
-        gas,
-        sink,
-    )
-    .map_err(durable_err(0))?;
-    let mut ids: HashMap<u64, TaskId> = HashMap::new();
-    let mut ids_snap: Option<HashMap<u64, TaskId>> = None;
-    let mut stats = ReplayStats::default();
-    for (op_index, op) in inst.ops.iter().enumerate() {
-        apply_durable_op(
-            &mut eng,
-            &mut ids,
-            &mut ids_snap,
-            &mut stats,
-            op_index,
-            op,
-            gas,
-            sink,
-        )?;
-    }
-    stats.final_live = eng.engine().len() as u64;
-    Ok((stats, eng.state_digest()))
-}
-
-/// One step of journaled replay — shared by the materialized
-/// [`replay_durable`] and the streaming [`replay_durable_stream`].
-#[allow(clippy::too_many_arguments)]
-fn apply_durable_op<A, S>(
-    eng: &mut DurableEngine<A>,
-    ids: &mut HashMap<u64, TaskId>,
-    ids_snap: &mut Option<HashMap<u64, TaskId>>,
-    stats: &mut ReplayStats,
-    op_index: usize,
-    op: &TraceOp,
-    gas: &mut Gas,
-    sink: &S,
-) -> Result<(), ReplayError>
-where
-    A: IndexableAdmission,
-    S: MetricsSink,
-{
-    let durable_err = move |e: DurableError| match e {
-        DurableError::Io(message) => ReplayError::Io { op_index, message },
-        DurableError::Exhausted(cause) => ReplayError::Exhausted { op_index, cause },
-    };
-    stats.ops += 1;
-    let exhausted = |cause| ReplayError::Exhausted { op_index, cause };
-    match *op {
-        TraceOp::Add { id, task } => {
-            if let Some(tid) = ids.get(&id) {
-                if eng.engine().contains(*tid) {
-                    return Err(ReplayError::Trace {
-                        op_index,
-                        message: format!("add reuses live id {id}"),
-                    });
-                }
-            }
-            match eng.add(task, gas, sink).map_err(durable_err)? {
-                AddOutcome::Admitted { id: tid, .. } => {
-                    ids.insert(id, tid);
-                    stats.admitted += 1;
-                }
-                AddOutcome::Rejected => stats.rejected += 1,
-            }
-        }
-        TraceOp::Remove { id } => match ids.get(&id).copied() {
-            Some(tid) => match eng.remove(tid, gas, sink).map_err(durable_err)? {
-                Some(_) => {
-                    ids.remove(&id);
-                    stats.removed += 1;
-                }
-                None => stats.remove_misses += 1,
-            },
-            None => {
-                gas.tick().map_err(exhausted)?;
-                stats.remove_misses += 1;
-            }
-        },
-        TraceOp::Query { id } => {
-            gas.tick().map_err(exhausted)?;
-            let hit = ids.get(&id).and_then(|tid| eng.engine().machine_of(*tid));
-            if hit.is_some() {
-                stats.query_hits += 1;
-            } else {
-                stats.query_misses += 1;
-            }
-        }
-        TraceOp::Snapshot => {
-            eng.snapshot(gas, sink).map_err(durable_err)?;
-            *ids_snap = Some(ids.clone());
-            stats.snapshots += 1;
-        }
-        TraceOp::Rollback => {
-            if eng.rollback(gas, sink).map_err(durable_err)? {
-                *ids = ids_snap.clone().expect("parser rejects early rollback");
-            }
-            stats.rollbacks += 1;
-        }
-        TraceOp::Repack => match eng.repack(gas, sink).map_err(durable_err)? {
-            RepackOutcome::Repacked => stats.repacks += 1,
-            RepackOutcome::Infeasible => stats.repacks_infeasible += 1,
-        },
-    }
-    Ok(())
-}
-
-/// Why a streaming replay stopped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamError {
-    /// The binary stream is torn, corrupt, or hit an IO error — with the
-    /// byte offset baked into the message by the decoder.
-    Decode(String),
-    /// The replay itself failed (gas, trace semantics, journal IO).
-    Replay(ReplayError),
-}
-
-impl std::fmt::Display for StreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamError::Decode(m) => write!(f, "binary trace: {m}"),
-            StreamError::Replay(e) => e.fmt(f),
+        ReplayMode::FromScratch => {
+            replay_ops(FromScratch::new(admission, platform, alpha), ops, gas, sink)
         }
     }
 }
-
-impl std::error::Error for StreamError {}
 
 /// One finished instance of a streaming replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -484,155 +617,85 @@ pub struct StreamSummary {
     pub name: String,
     /// Protocol outcome counts.
     pub stats: ReplayStats,
-    /// [`live_state_digest`] of the final state (with held snapshot).
+    /// [`OpEngine::digest`] of the final state.
     pub digest: u32,
 }
 
-/// Replay a streaming binary op trace instance by instance in bounded
-/// memory: only the live engine state and one decode frame are ever
-/// resident, never the trace. Digests are [`live_state_digest`]s, so a
-/// materialized [`replay_instance_digest`] run over the same trace (text
-/// or binary) lands on identical values — `tests/prop_stream.rs` pins
-/// that on every prefix.
+/// The ops of the instance an [`OpStream`] is inside, up to its end. A
+/// decode error ends the iteration and is kept for the caller.
+pub struct StreamOps<'s, R: std::io::Read> {
+    stream: &'s mut OpStream<R>,
+    err: Option<BinTraceError>,
+}
+
+impl<R: std::io::Read> Iterator for StreamOps<'_, R> {
+    type Item = TraceOp;
+
+    fn next(&mut self) -> Option<TraceOp> {
+        match self.stream.next_event() {
+            Ok(Some(TraceEvent::Op(op))) => Some(op),
+            Ok(_) => None,
+            Err(e) => {
+                self.err = Some(e);
+                None
+            }
+        }
+    }
+}
+
+/// Pull `stream`'s instances one at a time and hand each one's platform
+/// and ops to `replay` (usually [`replay_ops`] on a fresh engine). Only
+/// one instance's engine and one decode frame are ever resident, never
+/// the trace.
+pub fn replay_stream_with<R, F>(
+    stream: &mut OpStream<R>,
+    gas: &mut Gas,
+    mut replay: F,
+) -> Result<Vec<StreamSummary>, ReplayError>
+where
+    R: std::io::Read,
+    F: FnMut(&Platform, &mut StreamOps<'_, R>, &mut Gas) -> Result<(ReplayStats, u32), ReplayError>,
+{
+    let decode = |e: BinTraceError| ReplayError::Decode(e.to_string());
+    let mut out = Vec::new();
+    while let Some(ev) = stream.next_event().map_err(decode)? {
+        let TraceEvent::Begin { name, platform } = ev else {
+            unreachable!("OpStream yields ops and ends only inside an instance");
+        };
+        let mut ops = StreamOps { stream, err: None };
+        let replayed = replay(&platform, &mut ops, gas);
+        if let Some(e) = ops.err {
+            return Err(decode(e));
+        }
+        let (stats, digest) = replayed?;
+        out.push(StreamSummary {
+            name,
+            stats,
+            digest,
+        });
+    }
+    Ok(out)
+}
+
+/// [`replay_stream_with`] on incremental engines. Digests are
+/// [`live_state_digest`]s, so a materialized [`replay_instance`] run over
+/// the same trace (text or binary) lands on identical values —
+/// `tests/prop_stream.rs` pins that on every prefix.
 pub fn replay_stream<A, S, R>(
     stream: &mut OpStream<R>,
     admission: A,
     alpha: Augmentation,
     gas: &mut Gas,
     sink: &S,
-) -> Result<Vec<StreamSummary>, StreamError>
+) -> Result<Vec<StreamSummary>, ReplayError>
 where
     A: IndexableAdmission + Clone,
     S: MetricsSink,
     R: std::io::Read,
 {
-    let mut out = Vec::new();
-    let mut current: Option<(String, InstanceReplayer<A>)> = None;
-    while let Some(ev) = stream
-        .next_event()
-        .map_err(|e| StreamError::Decode(e.to_string()))?
-    {
-        match ev {
-            TraceEvent::Begin { name, platform } => {
-                current = Some((
-                    name,
-                    InstanceReplayer::new(admission.clone(), &platform, alpha),
-                ));
-            }
-            TraceEvent::Op(op) => {
-                let (_, rep) = current
-                    .as_mut()
-                    .expect("OpStream yields ops only inside an instance");
-                rep.apply(&op, gas, sink).map_err(StreamError::Replay)?;
-            }
-            TraceEvent::End => {
-                let (name, rep) = current
-                    .take()
-                    .expect("OpStream yields End only inside an instance");
-                let (stats, digest) = rep.finish();
-                out.push(StreamSummary {
-                    name,
-                    stats,
-                    digest,
-                });
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Journaled streaming replay: [`replay_durable`] fed from a binary
-/// [`OpStream`] instead of a materialized instance. The stream must hold
-/// exactly **one** instance — a journal describes a single engine.
-/// Returns the instance name with the stats and final
-/// [`DurableEngine::state_digest`].
-#[allow(clippy::too_many_arguments)]
-pub fn replay_durable_stream<A, S, R>(
-    stream: &mut OpStream<R>,
-    admission: A,
-    alpha: Augmentation,
-    policy_key: &str,
-    opts: DurableOptions,
-    store: Box<dyn Storage>,
-    gas: &mut Gas,
-    sink: &S,
-) -> Result<(String, ReplayStats, u32), StreamError>
-where
-    A: IndexableAdmission,
-    S: MetricsSink,
-    R: std::io::Read,
-{
-    let decode = |e: hetfeas_model::BinTraceError| StreamError::Decode(e.to_string());
-    let mut store = Some(store);
-    let mut admission = Some(admission);
-    let mut current: Option<(String, DurableEngine<A>)> = None;
-    let mut ids: HashMap<u64, TaskId> = HashMap::new();
-    let mut ids_snap: Option<HashMap<u64, TaskId>> = None;
-    let mut stats = ReplayStats::default();
-    let mut op_index = 0usize;
-    let mut finished: Option<(String, ReplayStats, u32)> = None;
-    while let Some(ev) = stream.next_event().map_err(decode)? {
-        match ev {
-            TraceEvent::Begin { name, platform } => {
-                if current.is_some() || finished.is_some() {
-                    return Err(StreamError::Replay(ReplayError::Trace {
-                        op_index,
-                        message: "journaled replay needs a single-instance trace".to_string(),
-                    }));
-                }
-                let eng = DurableEngine::create(
-                    admission.take().expect("single instance"),
-                    &platform,
-                    alpha,
-                    policy_key,
-                    opts,
-                    store.take().expect("single instance"),
-                    gas,
-                    sink,
-                )
-                .map_err(|e| match e {
-                    DurableError::Io(message) => StreamError::Replay(ReplayError::Io {
-                        op_index: 0,
-                        message,
-                    }),
-                    DurableError::Exhausted(cause) => {
-                        StreamError::Replay(ReplayError::Exhausted { op_index: 0, cause })
-                    }
-                })?;
-                current = Some((name, eng));
-            }
-            TraceEvent::Op(op) => {
-                let (_, eng) = current
-                    .as_mut()
-                    .expect("OpStream yields ops only inside an instance");
-                apply_durable_op(
-                    eng,
-                    &mut ids,
-                    &mut ids_snap,
-                    &mut stats,
-                    op_index,
-                    &op,
-                    gas,
-                    sink,
-                )
-                .map_err(StreamError::Replay)?;
-                op_index += 1;
-            }
-            TraceEvent::End => {
-                let (name, eng) = current
-                    .take()
-                    .expect("OpStream yields End only inside an instance");
-                stats.final_live = eng.engine().len() as u64;
-                finished = Some((name, stats, eng.state_digest()));
-                stats = ReplayStats::default();
-            }
-        }
-    }
-    finished.ok_or_else(|| {
-        StreamError::Replay(ReplayError::Trace {
-            op_index: 0,
-            message: "trace holds no instance".to_string(),
-        })
+    replay_stream_with(stream, gas, |platform, ops, gas| {
+        let eng = Incremental::new(admission.clone(), platform, alpha);
+        replay_ops(eng, ops, gas, sink)
     })
 }
 
@@ -646,150 +709,6 @@ pub fn combine_digests<I: IntoIterator<Item = u32>>(digests: I) -> u32 {
         buf.extend_from_slice(&d.to_le_bytes());
     }
     crc32(&buf)
-}
-
-/// From-scratch baseline state: the live set plus a per-trace-id placement
-/// map. Placements are keyed by trace id (not positional index) so that a
-/// remove whose FFD re-run comes back infeasible can keep the previous —
-/// still valid — placements for the survivors without index aliasing.
-struct Scratch {
-    ids: Vec<u64>,
-    tasks: Vec<Task>,
-    placed: HashMap<u64, usize>,
-}
-
-/// Replay one instance re-running batch first-fit after every mutation.
-fn replay_from_scratch<A, S>(
-    admission: A,
-    inst: &TraceInstance,
-    alpha: Augmentation,
-    gas: &mut Gas,
-    sink: &S,
-) -> Result<ReplayStats, ReplayError>
-where
-    A: IndexableAdmission,
-    S: MetricsSink,
-{
-    let mut ff = FirstFitEngine::new(admission);
-    let m = inst.platform.len();
-    let mut live = Scratch {
-        ids: Vec::new(),
-        tasks: Vec::new(),
-        placed: HashMap::new(),
-    };
-    let mut snap: Option<Scratch> = None;
-    let mut stats = ReplayStats::default();
-    let mut rerun = |live: &mut Scratch, gas: &mut Gas| -> Result<bool, Exhaustion> {
-        gas.tick_n((live.tasks.len() + m) as u64 + 1)?;
-        let ts: hetfeas_model::TaskSet = live.tasks.iter().copied().collect();
-        match ff.run_with(&ts, &inst.platform, alpha, sink) {
-            Outcome::Feasible(a) => {
-                live.placed = live
-                    .ids
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &id)| (id, a.machine_of(i).expect("complete assignment")))
-                    .collect();
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    };
-    for (op_index, op) in inst.ops.iter().enumerate() {
-        stats.ops += 1;
-        let exhausted = |cause| ReplayError::Exhausted { op_index, cause };
-        match *op {
-            TraceOp::Add { id, task } => {
-                if live.ids.contains(&id) {
-                    return Err(ReplayError::Trace {
-                        op_index,
-                        message: format!("add reuses live id {id}"),
-                    });
-                }
-                live.ids.push(id);
-                live.tasks.push(task);
-                if rerun(&mut live, gas).map_err(exhausted)? {
-                    stats.admitted += 1;
-                } else {
-                    live.ids.pop();
-                    live.tasks.pop();
-                    stats.rejected += 1;
-                }
-            }
-            TraceOp::Remove { id } => match live.ids.iter().position(|&x| x == id) {
-                Some(pos) => {
-                    live.ids.remove(pos);
-                    live.tasks.remove(pos);
-                    live.placed.remove(&id);
-                    // FFD is order-sensitive: a subset of a feasible set
-                    // can fail the re-run. The survivors' previous
-                    // placements stay valid (removal only sheds load), so
-                    // on infeasible keep them — same policy as the
-                    // incremental engine's infeasible repack.
-                    let _ = rerun(&mut live, gas).map_err(exhausted)?;
-                    stats.removed += 1;
-                }
-                None => {
-                    gas.tick().map_err(exhausted)?;
-                    stats.remove_misses += 1;
-                }
-            },
-            TraceOp::Query { id } => {
-                gas.tick().map_err(exhausted)?;
-                if live.placed.contains_key(&id) {
-                    stats.query_hits += 1;
-                } else {
-                    stats.query_misses += 1;
-                }
-            }
-            TraceOp::Snapshot => {
-                gas.tick_n(live.tasks.len() as u64 + 1).map_err(exhausted)?;
-                snap = Some(Scratch {
-                    ids: live.ids.clone(),
-                    tasks: live.tasks.clone(),
-                    placed: live.placed.clone(),
-                });
-                stats.snapshots += 1;
-            }
-            TraceOp::Rollback => {
-                gas.tick_n(live.tasks.len() as u64 + 1).map_err(exhausted)?;
-                let s = snap.as_ref().expect("parser rejects early rollback");
-                live.ids = s.ids.clone();
-                live.tasks = s.tasks.clone();
-                live.placed = s.placed.clone();
-                stats.rollbacks += 1;
-            }
-            TraceOp::Repack => {
-                // The baseline is always canonical; re-run for cost parity.
-                if rerun(&mut live, gas).map_err(exhausted)? {
-                    stats.repacks += 1;
-                } else {
-                    stats.repacks_infeasible += 1;
-                }
-            }
-        }
-    }
-    stats.final_live = live.tasks.len() as u64;
-    Ok(stats)
-}
-
-/// Replay one instance in the given mode under `gas`.
-pub fn replay_instance<A, S>(
-    admission: A,
-    inst: &TraceInstance,
-    alpha: Augmentation,
-    mode: ReplayMode,
-    gas: &mut Gas,
-    sink: &S,
-) -> Result<ReplayStats, ReplayError>
-where
-    A: IndexableAdmission,
-    S: MetricsSink,
-{
-    match mode {
-        ReplayMode::Incremental => replay_incremental(admission, inst, alpha, gas, sink),
-        ReplayMode::FromScratch => replay_from_scratch(admission, inst, alpha, gas, sink),
-    }
 }
 
 /// How [`replay_sharded`] spreads a trace's instances over threads.
@@ -808,7 +727,8 @@ pub struct Sharding<'p> {
 }
 
 /// Shard a trace's independent instances across threads as `sharding`
-/// says. Results keep instance order.
+/// says, each replayed by [`replay_instance`]. Results keep instance
+/// order.
 pub fn replay_sharded<A, S>(
     trace: &OpTrace,
     admission: A,
@@ -816,20 +736,15 @@ pub fn replay_sharded<A, S>(
     mode: ReplayMode,
     sharding: Sharding<'_>,
     sink: &S,
-) -> Vec<Result<ReplayStats, ReplayError>>
+) -> Vec<Result<(ReplayStats, u32), ReplayError>>
 where
     A: IndexableAdmission + Clone + Sync,
     S: MetricsSink + Sync,
 {
-    let Sharding {
-        workers,
-        budget_ms,
-        progress,
-    } = sharding;
-    let deadline = budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+    let deadline = (sharding.budget_ms).map(|ms| Instant::now() + Duration::from_millis(ms));
     let total = trace.instances.len() as u64;
     let step = (total / 20).max(1);
-    par_map_with(&trace.instances, workers, 1, |inst| {
+    par_map_with(&trace.instances, sharding.workers, 1, |inst| {
         let mut gas = match deadline {
             Some(d) => {
                 let left = d.saturating_duration_since(Instant::now());
@@ -839,8 +754,17 @@ where
             }
             None => Gas::unlimited(),
         };
-        let out = replay_instance(admission.clone(), inst, alpha, mode, &mut gas, sink);
-        if let Some(p) = progress {
+        let (platform, ops) = (&inst.platform, inst.ops.iter().copied());
+        let out = replay_instance(
+            admission.clone(),
+            platform,
+            ops,
+            alpha,
+            mode,
+            &mut gas,
+            sink,
+        );
+        if let Some(p) = sharding.progress {
             let done = p.tick();
             if done % step == 0 || done == total {
                 eprintln!("replay [{}] {}", mode.as_str(), p.status_line());
@@ -853,8 +777,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetfeas_model::parse_op_trace;
-    use hetfeas_partition::EdfAdmission;
+    use hetfeas_model::{parse_op_trace, TraceInstance};
+    use hetfeas_partition::{DurableOptions, EdfAdmission};
+    use hetfeas_robust::journal::MemStorage;
 
     const TRACE: &str = "\
 begin churn
@@ -879,19 +804,48 @@ end
             .remove(0)
     }
 
+    fn replay(
+        inst: &TraceInstance,
+        mode: ReplayMode,
+        gas: &mut Gas,
+    ) -> Result<ReplayStats, ReplayError> {
+        let ops = inst.ops.iter().copied();
+        replay_instance(
+            EdfAdmission,
+            &inst.platform,
+            ops,
+            Augmentation::NONE,
+            mode,
+            gas,
+            &(),
+        )
+        .map(|(stats, _)| stats)
+    }
+
+    fn durable(
+        inst: &TraceInstance,
+        store: &MemStorage,
+        gas: &mut Gas,
+    ) -> DurableEngine<EdfAdmission> {
+        let opts = DurableOptions::default();
+        let store = Box::new(store.clone());
+        DurableEngine::create(
+            EdfAdmission,
+            &inst.platform,
+            Augmentation::NONE,
+            opts,
+            store,
+            gas,
+            &(),
+        )
+        .expect("create")
+    }
+
     #[test]
     fn incremental_replay_counts_protocol_events() {
         let inst = one_instance();
         let mut gas = Gas::unlimited();
-        let stats = replay_instance(
-            EdfAdmission,
-            &inst,
-            Augmentation::NONE,
-            ReplayMode::Incremental,
-            &mut gas,
-            &(),
-        )
-        .expect("replay completes");
+        let stats = replay(&inst, ReplayMode::Incremental, &mut gas).expect("replay completes");
         assert_eq!(stats.ops, 9);
         assert_eq!(stats.admitted, 3);
         assert_eq!(stats.query_hits, 1);
@@ -907,11 +861,7 @@ end
     #[test]
     fn both_modes_agree_on_the_small_trace() {
         let inst = one_instance();
-        let run = |mode| {
-            let mut gas = Gas::unlimited();
-            replay_instance(EdfAdmission, &inst, Augmentation::NONE, mode, &mut gas, &())
-                .expect("replay completes")
-        };
+        let run = |mode| replay(&inst, mode, &mut Gas::unlimited()).expect("replay completes");
         assert_eq!(run(ReplayMode::Incremental), run(ReplayMode::FromScratch));
     }
 
@@ -920,34 +870,49 @@ end
         let trace =
             parse_op_trace("begin dup\nmachine 1\nadd 1 1 4\nadd 1 1 4\nend\n").expect("parses");
         let mut gas = Gas::unlimited();
-        let err = replay_instance(
-            EdfAdmission,
-            &trace.instances[0],
-            Augmentation::NONE,
-            ReplayMode::Incremental,
-            &mut gas,
-            &(),
-        )
-        .expect_err("duplicate id rejected");
+        let err = replay(&trace.instances[0], ReplayMode::Incremental, &mut gas)
+            .expect_err("duplicate id rejected");
         assert!(
             matches!(err, ReplayError::Trace { op_index: 1, .. }),
             "{err}"
         );
     }
 
+    /// A rollback with no snapshot held is the same trace error on every
+    /// engine (the parsers reject it, so the instance is built directly).
+    #[test]
+    fn early_rollback_is_a_trace_error_on_every_engine() {
+        let inst = TraceInstance {
+            name: "early".to_string(),
+            platform: Platform::from_int_speeds([1]).expect("platform"),
+            ops: vec![
+                TraceOp::Add {
+                    id: 1,
+                    task: Task::implicit(1, 4).expect("task"),
+                },
+                TraceOp::Rollback,
+            ],
+        };
+        let mut gas = Gas::unlimited();
+        let durable = durable(&inst, &MemStorage::new(), &mut gas);
+        for err in [
+            replay(&inst, ReplayMode::Incremental, &mut gas),
+            replay(&inst, ReplayMode::FromScratch, &mut gas),
+            replay_ops(durable, inst.ops.iter().copied(), &mut gas, &()).map(|(s, _)| s),
+        ] {
+            assert!(
+                matches!(err, Err(ReplayError::Trace { op_index: 1, .. })),
+                "{err:?}"
+            );
+        }
+    }
+
     #[test]
     fn exhaustion_reports_the_failing_op() {
         let inst = one_instance();
         let mut gas = Budget::ops(2).gas();
-        let err = replay_instance(
-            EdfAdmission,
-            &inst,
-            Augmentation::NONE,
-            ReplayMode::Incremental,
-            &mut gas,
-            &(),
-        )
-        .expect_err("two ops of gas cannot finish");
+        let err = replay(&inst, ReplayMode::Incremental, &mut gas)
+            .expect_err("two ops of gas cannot finish");
         match err {
             ReplayError::Exhausted { op_index, cause } => {
                 assert!(op_index < inst.ops.len());
@@ -983,43 +948,26 @@ end
         assert_eq!(results.len(), 5);
         assert_eq!(progress.done(), 5);
         for r in &results {
-            let stats = r.as_ref().expect("each instance completes");
+            let (stats, _) = r.as_ref().expect("each instance completes");
             assert_eq!(stats.ops, 1);
         }
     }
 
     #[test]
     fn durable_replay_matches_incremental_and_recovers_bit_exact() {
-        use hetfeas_robust::journal::MemStorage;
-
         let inst = one_instance();
         let mut gas = Gas::unlimited();
-        let plain = replay_instance(
-            EdfAdmission,
-            &inst,
-            Augmentation::NONE,
-            ReplayMode::Incremental,
-            &mut gas,
-            &(),
-        )
-        .expect("plain replay completes");
+        let plain =
+            replay(&inst, ReplayMode::Incremental, &mut gas).expect("plain replay completes");
 
         let store = MemStorage::new();
-        let (stats, digest) = replay_durable(
-            EdfAdmission,
-            &inst,
-            Augmentation::NONE,
-            "edf",
-            DurableOptions::default(),
-            Box::new(store.clone()),
-            &mut gas,
-            &(),
-        )
-        .expect("durable replay completes");
+        let eng = durable(&inst, &store, &mut gas);
+        let (stats, digest) = replay_ops(eng, inst.ops.iter().copied(), &mut gas, &())
+            .expect("durable replay completes");
         assert_eq!(stats, plain, "journaling must not change protocol outcomes");
 
         let (rec, report) =
-            hetfeas_partition::recover(EdfAdmission, Box::new(store), "edf", &mut gas, &())
+            hetfeas_partition::recover(EdfAdmission, Box::new(store), &mut gas, &())
                 .expect("recovers");
         assert_eq!(report.truncated_records, 0);
         assert_eq!(rec.state_digest(), digest, "recovery is bit-exact");
@@ -1030,8 +978,7 @@ end
         use hetfeas_model::write_op_trace_bin;
 
         let trace = parse_op_trace(TRACE).expect("parses");
-        let mut bin = Vec::new();
-        write_op_trace_bin(&trace, &mut bin).expect("encodes");
+        let bin = write_op_trace_bin(&trace, Vec::new()).expect("encodes");
 
         let mut stream = OpStream::new(&bin[..]).expect("valid header");
         let mut gas = Gas::unlimited();
@@ -1040,10 +987,13 @@ end
         assert_eq!(summaries.len(), 1);
         assert_eq!(summaries[0].name, "churn");
 
-        let (stats, digest) = replay_instance_digest(
+        let inst = &trace.instances[0];
+        let (stats, digest) = replay_instance(
             EdfAdmission,
-            &trace.instances[0],
+            &inst.platform,
+            inst.ops.iter().copied(),
             Augmentation::NONE,
+            ReplayMode::Incremental,
             &mut gas,
             &(),
         )
@@ -1058,46 +1008,34 @@ end
 
     #[test]
     fn durable_stream_matches_durable_materialized() {
-        use hetfeas_model::{write_op_trace_bin, OpStream};
-        use hetfeas_robust::journal::MemStorage;
+        use hetfeas_model::write_op_trace_bin;
 
         let trace = parse_op_trace(TRACE).expect("parses");
-        let mut bin = Vec::new();
-        write_op_trace_bin(&trace, &mut bin).expect("encodes");
+        let bin = write_op_trace_bin(&trace, Vec::new()).expect("encodes");
 
         let mut gas = Gas::unlimited();
-        let (mat_stats, mat_digest) = replay_durable(
-            EdfAdmission,
-            &trace.instances[0],
-            Augmentation::NONE,
-            "edf",
-            DurableOptions::default(),
-            Box::new(MemStorage::new()),
-            &mut gas,
-            &(),
-        )
-        .expect("materialized durable replay");
+        let inst = &trace.instances[0];
+        let eng = durable(inst, &MemStorage::new(), &mut gas);
+        let (mat_stats, mat_digest) = replay_ops(eng, inst.ops.iter().copied(), &mut gas, &())
+            .expect("materialized durable replay");
 
         let store = MemStorage::new();
         let mut stream = OpStream::new(&bin[..]).expect("valid header");
-        let (name, stats, digest) = replay_durable_stream(
-            &mut stream,
-            EdfAdmission,
-            Augmentation::NONE,
-            "edf",
-            DurableOptions::default(),
-            Box::new(store.clone()),
-            &mut gas,
-            &(),
-        )
+        let summaries = replay_stream_with(&mut stream, &mut gas, |_, ops, gas| {
+            replay_ops(durable(inst, &store, gas), ops, gas, &())
+        })
         .expect("streamed durable replay");
+        let StreamSummary {
+            name,
+            stats,
+            digest,
+        } = summaries.into_iter().next().expect("one instance");
         assert_eq!(name, "churn");
         assert_eq!(stats, mat_stats);
         assert_eq!(digest, mat_digest);
 
-        let (rec, _) =
-            hetfeas_partition::recover(EdfAdmission, Box::new(store), "edf", &mut gas, &())
-                .expect("recovers");
+        let (rec, _) = hetfeas_partition::recover(EdfAdmission, Box::new(store), &mut gas, &())
+            .expect("recovers");
         assert_eq!(rec.state_digest(), digest);
     }
 
@@ -1106,14 +1044,13 @@ end
         use hetfeas_model::write_op_trace_bin;
 
         let trace = parse_op_trace(TRACE).expect("parses");
-        let mut bin = Vec::new();
-        write_op_trace_bin(&trace, &mut bin).expect("encodes");
+        let bin = write_op_trace_bin(&trace, Vec::new()).expect("encodes");
         let cut = bin.len() - 3;
         let mut stream = OpStream::new(&bin[..cut]).expect("valid header");
         let mut gas = Gas::unlimited();
         let err = replay_stream(&mut stream, EdfAdmission, Augmentation::NONE, &mut gas, &())
             .expect_err("torn tail must error");
-        assert!(matches!(err, StreamError::Decode(_)), "{err:?}");
+        assert!(matches!(err, ReplayError::Decode(_)), "{err:?}");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::config::ExpConfig;
 use crate::table::Table;
 use hetfeas_model::{Augmentation, Ratio};
 use hetfeas_par::par_map_with;
-use hetfeas_partition::{first_fit, Assignment, EdfAdmission, RmsLlAdmission};
+use hetfeas_partition::{first_fit, with_admission, Assignment, PolicyKind};
 use hetfeas_sim::{validate_assignment, SchedPolicy};
 use hetfeas_workload::{PeriodMenu, PlatformSpec, UtilizationSampler, WorkloadSpec};
 
@@ -43,20 +43,13 @@ fn run_cell(cfg: &ExpConfig, policy: SchedPolicy, u_norm: f64, cell: u64) -> Cel
     let results: Vec<Option<(bool, u64, Option<bool>)>> =
         par_map_with(&indices, cfg.effective_workers(), 1, |&i| {
             let inst = spec.generate(seed, i)?;
-            let outcome = match policy {
-                SchedPolicy::Edf => first_fit(
-                    &inst.tasks,
-                    &inst.platform,
-                    Augmentation::NONE,
-                    &EdfAdmission,
-                ),
-                SchedPolicy::RateMonotonic => first_fit(
-                    &inst.tasks,
-                    &inst.platform,
-                    Augmentation::NONE,
-                    &RmsLlAdmission,
-                ),
+            let kind = match policy {
+                SchedPolicy::Edf => PolicyKind::Edf,
+                SchedPolicy::RateMonotonic => PolicyKind::RmsLl,
             };
+            let (tasks, platform) = (&inst.tasks, &inst.platform);
+            let outcome =
+                with_admission!(kind, adm => first_fit(tasks, platform, Augmentation::NONE, &adm));
             match outcome.assignment() {
                 Some(a) => {
                     let report =

@@ -14,8 +14,8 @@ use hetfeas_lp::lp_feasible;
 use hetfeas_model::{Augmentation, Platform, TaskSet};
 use hetfeas_par::par_map_with;
 use hetfeas_partition::{
-    exact_partition_edf, exact_partition_edf_rational, exact_partition_rms, EdfAdmission,
-    ExactOutcome, RmsLlAdmission,
+    exact_partition_edf, exact_partition_edf_rational, exact_partition_rms, first_fit,
+    with_admission, ExactOutcome, PolicyKind,
 };
 use hetfeas_workload::{PeriodMenu, PlatformSpec, UtilizationSampler, WorkloadSpec};
 
@@ -69,15 +69,6 @@ impl Adversary {
     }
 }
 
-/// Which admission test the first-fit under measurement uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FfAdmission {
-    /// EDF utilization admission.
-    Edf,
-    /// RMS Liu–Layland admission.
-    RmsLl,
-}
-
 /// One table cell: a workload family to sample.
 #[derive(Debug, Clone)]
 pub struct Cell {
@@ -128,7 +119,7 @@ pub fn run_theorem(
     cfg: &ExpConfig,
     id: &str,
     title: &str,
-    admission: FfAdmission,
+    admission: PolicyKind,
     adversary: Adversary,
     bound: f64,
     cells: &[Cell],
@@ -156,17 +147,21 @@ pub fn run_theorem(
         type Sample = Option<(Option<bool>, Option<f64>, bool)>;
         let results: Vec<Sample> = par_map_with(&indices, cfg.effective_workers(), 1, |&i| {
             let inst = spec.generate(seed, i)?;
-            let feasible = adversary.decide(&inst.tasks, &inst.platform);
-            let alpha = if feasible == Some(true) {
-                Some(measure_alpha(admission, &inst.tasks, &inst.platform, bound))
-            } else {
-                None
-            };
-            // Contrapositive check: FF rejecting at α = bound must
-            // imply adversary infeasibility (when decided).
-            let ff_at_bound = ff_accepts(admission, &inst.tasks, &inst.platform, bound);
+            let (tasks, platform) = (&inst.tasks, &inst.platform);
+            let feasible = adversary.decide(tasks, platform);
+            let at_bound = Augmentation::new(bound).expect("bounds ≥ 1");
+            // Both admissions are indexable, so the α-search runs on the
+            // engine (sorts hoisted, O(log m) probes). Contrapositive
+            // check: FF rejecting at α = bound must imply adversary
+            // infeasibility (when decided).
+            let (alpha, ff_at_bound) = with_admission!(admission, adm => (
+                (feasible == Some(true))
+                    .then(|| empirical_alpha_indexed(tasks, platform, adm, bound))
+                    .flatten(),
+                first_fit(tasks, platform, at_bound, &adm).is_feasible(),
+            ));
             let contrapositive_ok = ff_at_bound || feasible != Some(true);
-            Some((feasible, alpha.flatten(), contrapositive_ok))
+            Some((feasible, alpha, contrapositive_ok))
         });
 
         let mut cr = CellResult {
@@ -208,10 +203,7 @@ pub fn run_theorem(
     }
     table.note(format!(
         "α* = least augmentation at which first-fit ({}) accepts; bound from the theorem",
-        match admission {
-            FfAdmission::Edf => "EDF",
-            FfAdmission::RmsLl => "RMS-LL",
-        }
+        admission.key().to_ascii_uppercase()
     ));
     table.note(format!(
         "adversary = {:?}; oracle-undecided instances skipped: {total_undecided}",
@@ -221,32 +213,6 @@ pub fn run_theorem(
         "contrapositive failures (FF@bound rejects an adversary-feasible set): {total_contrapositive} (must be 0)"
     ));
     table
-}
-
-fn measure_alpha(
-    admission: FfAdmission,
-    tasks: &TaskSet,
-    platform: &Platform,
-    bound: f64,
-) -> Option<f64> {
-    // Both admissions are indexable, so the α-search runs on the engine
-    // (sorts hoisted, O(log m) probes).
-    match admission {
-        FfAdmission::Edf => empirical_alpha_indexed(tasks, platform, EdfAdmission, bound),
-        FfAdmission::RmsLl => empirical_alpha_indexed(tasks, platform, RmsLlAdmission, bound),
-    }
-}
-
-fn ff_accepts(admission: FfAdmission, tasks: &TaskSet, platform: &Platform, alpha: f64) -> bool {
-    let alpha = Augmentation::new(alpha).expect("bounds ≥ 1");
-    match admission {
-        FfAdmission::Edf => {
-            hetfeas_partition::first_fit(tasks, platform, alpha, &EdfAdmission).is_feasible()
-        }
-        FfAdmission::RmsLl => {
-            hetfeas_partition::first_fit(tasks, platform, alpha, &RmsLlAdmission).is_feasible()
-        }
-    }
 }
 
 /// E1 — Theorem I.1: FF-EDF vs the optimal *partitioned* EDF adversary,
@@ -289,7 +255,7 @@ pub fn e1(cfg: &ExpConfig) -> Vec<Table> {
         cfg,
         "E1",
         "FF-EDF vs optimal partitioned adversary (Theorem I.1, α ≤ 2)",
-        FfAdmission::Edf,
+        PolicyKind::Edf,
         Adversary::PartitionedEdf { budget: 4_000_000 },
         2.0,
         &cells,
@@ -328,7 +294,7 @@ pub fn e2(cfg: &ExpConfig) -> Vec<Table> {
         cfg,
         "E2",
         "FF-RMS vs optimal partitioned adversary (Theorem I.2, α ≤ 2.414)",
-        FfAdmission::RmsLl,
+        PolicyKind::RmsLl,
         Adversary::PartitionedRms { budget: 300_000 },
         Augmentation::RMS_VS_PARTITIONED.factor(),
         &cells,
@@ -364,7 +330,7 @@ pub fn e3(cfg: &ExpConfig) -> Vec<Table> {
         cfg,
         "E3",
         "FF-EDF vs LP / migrative adversary (Theorem I.3, α ≤ 2.98)",
-        FfAdmission::Edf,
+        PolicyKind::Edf,
         Adversary::Lp,
         Augmentation::EDF_VS_ANY.factor(),
         &cells,
@@ -399,7 +365,7 @@ pub fn e4(cfg: &ExpConfig) -> Vec<Table> {
         cfg,
         "E4",
         "FF-RMS vs LP / migrative adversary (Theorem I.4, α ≤ 3.34)",
-        FfAdmission::RmsLl,
+        PolicyKind::RmsLl,
         Adversary::Lp,
         Augmentation::RMS_VS_ANY.factor(),
         &cells,

@@ -52,7 +52,7 @@ pub fn key_hash(key: &[u64]) -> u64 {
 }
 
 /// A plain bloom filter over pre-hashed 64-bit keys: power-of-two bit
-/// count, [`K`] probe positions derived from the two halves of a
+/// count, `K` (two) probe positions derived from the two halves of a
 /// splitmix64 remix.
 #[derive(Debug, Clone)]
 pub struct BloomFilter {

@@ -569,14 +569,13 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         admission: A,
         platform: &Platform,
         alpha: Augmentation,
-        policy_key: &str,
         opts: DurableOptions,
         store: Box<dyn Storage>,
         gas: &mut Gas,
         sink: &S,
     ) -> Result<Self, DurableError> {
         let config = JournalConfig {
-            policy: policy_key.to_string(),
+            policy: A::POLICY.key().to_string(),
             alpha_bits: alpha.factor().to_bits(),
             repack_after: opts.repack_after,
             compact_every: opts.compact_every,
@@ -1065,12 +1064,12 @@ pub fn peek_config(store: &mut dyn Storage) -> Result<JournalConfig, RecoverErro
 /// to the engine that wrote the journal, up to the last fully-synced
 /// record.
 ///
-/// `expected_policy` guards against replaying a journal with the wrong
-/// admission test — the caller dispatches on [`peek_config`] first.
+/// A journal written under a policy other than `A`'s
+/// ([`IndexableAdmission::POLICY`]) is [`RecoverError::Corrupt`]; callers
+/// that do not know the policy read it with [`peek_config`] first.
 pub fn recover<A, S>(
     admission: A,
     store: Box<dyn Storage>,
-    expected_policy: &str,
     gas: &mut Gas,
     sink: &S,
 ) -> Result<(DurableEngine<A>, RecoveryReport), RecoverError>
@@ -1083,10 +1082,11 @@ where
         .first()
         .ok_or_else(|| RecoverError::Corrupt("journal holds no intact records".to_string()))?;
     let config = parse_config(first).map_err(RecoverError::Corrupt)?;
-    if config.policy != expected_policy {
+    if config.policy != A::POLICY.key() {
         return Err(RecoverError::Corrupt(format!(
-            "journal was written for policy '{}', not '{expected_policy}'",
-            config.policy
+            "journal was written for policy '{}', not '{}'",
+            config.policy,
+            A::POLICY.key()
         )));
     }
     let platform = config.platform().map_err(RecoverError::Corrupt)?;
@@ -1135,7 +1135,6 @@ mod tests {
             EdfAdmission,
             &platform(),
             Augmentation::NONE,
-            "edf",
             DurableOptions {
                 repack_after: 0,
                 compact_every: 0,
@@ -1214,7 +1213,7 @@ mod tests {
         eng.repack(&mut gas, &()).expect("repack");
 
         let (rec, report) =
-            recover(EdfAdmission, Box::new(store), "edf", &mut gas, &()).expect("recovers");
+            recover(EdfAdmission, Box::new(store), &mut gas, &()).expect("recovers");
         assert_eq!(report.truncated_records, 0);
         assert_eq!(report.records_replayed, 7);
         assert_eq!(rec.state_digest(), eng.state_digest());
@@ -1237,8 +1236,7 @@ mod tests {
             .expect("add");
         eng.rollback(&mut gas, &()).expect("rollback");
 
-        let (rec, _) =
-            recover(EdfAdmission, Box::new(store), "edf", &mut gas, &()).expect("recovers");
+        let (rec, _) = recover(EdfAdmission, Box::new(store), &mut gas, &()).expect("recovers");
         assert_eq!(rec.state_digest(), eng.state_digest());
         assert_eq!(rec.assignment(), eng.assignment());
     }
@@ -1275,8 +1273,7 @@ mod tests {
         assert!(!eng.compaction_active());
         // The compacted journal replays to the exact live state, including
         // the ops that landed while slices were being copied.
-        let (rec, _) =
-            recover(EdfAdmission, Box::new(store), "edf", &mut gas, &()).expect("recovers");
+        let (rec, _) = recover(EdfAdmission, Box::new(store), &mut gas, &()).expect("recovers");
         assert_eq!(rec.state_digest(), eng.state_digest());
         assert_eq!(rec.assignment(), eng.assignment());
         assert_eq!(rec.has_snapshot(), eng.has_snapshot());
@@ -1289,7 +1286,6 @@ mod tests {
             EdfAdmission,
             &platform(),
             Augmentation::NONE,
-            "edf",
             DurableOptions {
                 repack_after: 0,
                 compact_every: 4,
@@ -1315,7 +1311,7 @@ mod tests {
         // [config, state, <ops since>].
         assert!(!eng.compaction_active());
         let (rec, report) =
-            recover(EdfAdmission, Box::new(store), "edf", &mut gas, &()).expect("recovers");
+            recover(EdfAdmission, Box::new(store), &mut gas, &()).expect("recovers");
         assert!(
             report.records_replayed < 8,
             "compaction replaced op records with a state image ({})",
@@ -1395,7 +1391,6 @@ mod tests {
             RmsHyperbolicAdmission,
             &Platform::from_int_speeds([3, 1, 2]).expect("valid platform"),
             Augmentation::new(1.5).expect("valid"),
-            "rms-hyp",
             DurableOptions {
                 repack_after: 0,
                 compact_every: 0,
@@ -1421,7 +1416,6 @@ mod tests {
             EdfAdmission,
             &platform(),
             Augmentation::NONE,
-            "edf",
             DurableOptions::default(),
             Box::new(big.clone()),
             &mut gas,
@@ -1447,7 +1441,7 @@ mod tests {
         let mut gas = Gas::unlimited();
         eng.add(Task::implicit(1, 2).expect("valid"), &mut gas, &())
             .expect("add");
-        let err = recover(EdfAdmission, Box::new(store), "rms-ll", &mut gas, &())
+        let err = recover(crate::RmsLlAdmission, Box::new(store), &mut gas, &())
             .map(|_| ())
             .expect_err("policy mismatch");
         assert!(matches!(err, RecoverError::Corrupt(_)), "{err:?}");
@@ -1457,7 +1451,7 @@ mod tests {
     fn garbage_is_corrupt_not_a_panic() {
         let store = MemStorage::with_bytes(b"not a journal at all".to_vec());
         let mut gas = Gas::unlimited();
-        let err = recover(EdfAdmission, Box::new(store.clone()), "edf", &mut gas, &())
+        let err = recover(EdfAdmission, Box::new(store.clone()), &mut gas, &())
             .map(|_| ())
             .expect_err("garbage rejected");
         assert!(matches!(err, RecoverError::Corrupt(_)), "{err:?}");

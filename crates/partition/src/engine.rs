@@ -43,6 +43,7 @@ use crate::admission::{
 use crate::assignment::{Assignment, FailureWitness, Outcome};
 use crate::first_fit::bisect_alpha;
 use crate::metrics;
+use crate::policy::PolicyKind;
 use hetfeas_analysis::liu_layland_bound;
 use hetfeas_model::{Augmentation, Platform, Task, TaskSet};
 use hetfeas_obs::MetricsSink;
@@ -71,6 +72,9 @@ pub(crate) fn relaxed_residual(capacity_rhs: f64, load: f64) -> f64 {
 /// is fine: the engine re-checks candidates with the exact `admit`;
 /// under-approximation would silently skip machines and is a bug).
 pub trait IndexableAdmission: AdmissionTest {
+    /// The policy this test implements; journals record its key.
+    const POLICY: PolicyKind;
+
     /// Upper bound on the utilization of any task [`AdmissionTest::admit`]
     /// accepts in `state` at augmented speed `speed`.
     fn residual_hint(&self, state: &Self::State, speed: f64) -> f64;
@@ -88,6 +92,8 @@ pub trait IndexableAdmission: AdmissionTest {
 }
 
 impl IndexableAdmission for EdfAdmission {
+    const POLICY: PolicyKind = PolicyKind::Edf;
+
     fn residual_hint(&self, state: &f64, speed: f64) -> f64 {
         // admit: approx_le(load + u, speed), i.e. load + u ≤ admit_rhs(speed).
         relaxed_residual(admit_rhs(speed), *state)
@@ -104,6 +110,8 @@ impl IndexableAdmission for EdfAdmission {
 }
 
 impl IndexableAdmission for RmsLlAdmission {
+    const POLICY: PolicyKind = PolicyKind::RmsLl;
+
     fn residual_hint(&self, state: &RmsLlState, speed: f64) -> f64 {
         // admit: approx_le(load + u, bound(count + 1) · speed).
         let rhs = admit_rhs(liu_layland_bound(state.count + 1) * speed);
@@ -124,6 +132,8 @@ impl IndexableAdmission for RmsLlAdmission {
 }
 
 impl IndexableAdmission for RmsHyperbolicAdmission {
+    const POLICY: PolicyKind = PolicyKind::RmsHyp;
+
     fn residual_hint(&self, state: &HyperbolicState, speed: f64) -> f64 {
         // admit: approx_le(product · (u/speed + 1), 2), so
         // u ≤ speed · (rhs/product − 1) with rhs the ε-padded 2.
@@ -519,7 +529,7 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
     }
 
     /// [`Self::run_with`] under an execution budget: the run is charged
-    /// [`probe_gas`] up front, and a refused charge returns
+    /// `n + m + 1` ticks up front, and a refused charge returns
     /// [`Outcome::BudgetExhausted`] with nothing placed.
     pub fn run_within_with<S: MetricsSink>(
         &mut self,
@@ -582,7 +592,7 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
     }
 
     /// [`Self::min_feasible_alpha`] under an execution budget, with
-    /// metrics. Each probe is charged [`probe_gas`], so a wall-clock or
+    /// metrics. Each probe is charged `n + m + 1` ticks, so a wall-clock or
     /// ops limit stops the search with `Err(Exhaustion)` (distinct from the
     /// in-band `Ok(None)` "even `hi` fails"). Every probe adds one to
     /// `alpha.probes` (plus its own `ff.*`/`engine.*` counts, see

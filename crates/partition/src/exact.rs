@@ -44,7 +44,7 @@ impl ExactOutcome {
 
 /// Exact partitioned feasibility under the given admission test at
 /// augmented speeds `alpha · s_j`, within `node_budget` branch nodes,
-/// decided by the branch-and-bound [`ExactSolver`](crate::bnb::ExactSolver)
+/// decided by the branch-and-bound [`ExactSolver`]
 /// (LP bounding, dominance and visited-state pruning, first-fit
 /// incumbent) with a single worker.
 pub fn exact_partition<A: BnbAdmission>(

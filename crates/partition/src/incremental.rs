@@ -406,11 +406,6 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
         self.core.canonical
     }
 
-    /// True when `id` is live.
-    pub fn contains(&self, id: TaskId) -> bool {
-        self.core.index.contains_key(&id.0)
-    }
-
     /// Original platform index of the machine currently hosting `id`.
     pub fn machine_of(&self, id: TaskId) -> Option<usize> {
         self.core

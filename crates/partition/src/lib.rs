@@ -41,6 +41,10 @@
 //!   write-ahead journal before it is applied, compaction rewrites the
 //!   journal atomically, and [`durable::recover`] replays a (possibly
 //!   torn) journal back to the bit-identical in-memory engine.
+//! * [`policy`] — [`PolicyKind`], the one enum naming the indexable
+//!   admission tests, the `with_admission!` macro that dispatches on it,
+//!   and [`AnyDurable`], a durable engine whose policy is chosen at run
+//!   time.
 //! * [`metrics`] — metric names for the instrumented paths (`ff.*`,
 //!   `engine.*`, `alpha.*`). Every hot-path entry point has a `_with`
 //!   variant generic over [`hetfeas_obs::MetricsSink`]; passing `&()`
@@ -70,6 +74,7 @@ pub mod incremental;
 pub mod instrumented;
 pub mod lp_rounding;
 pub mod metrics;
+pub mod policy;
 pub mod splitting;
 pub mod variants;
 
@@ -105,5 +110,6 @@ pub use incremental::{
 };
 pub use instrumented::{first_fit_instrumented, ScanStats};
 pub use lp_rounding::lp_rounding_partition;
+pub use policy::{AnyDurable, PolicyKind};
 pub use splitting::{semi_partition, Placement, SplitOutcome};
 pub use variants::{partition_with, FitStrategy, HeuristicConfig, MachineOrder, TaskOrder};

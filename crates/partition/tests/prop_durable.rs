@@ -149,7 +149,6 @@ fn run_reference(sink: &MemorySink) -> Reference {
         EdfAdmission,
         &platform(),
         Augmentation::NONE,
-        "edf",
         opts,
         Box::new(mem.clone()),
         &mut gas,
@@ -186,7 +185,7 @@ fn recovery_is_bit_exact_at_every_crash_point() {
     for cut_len in 0..=r.journal.len() {
         let store = MemStorage::with_bytes(r.journal[..cut_len].to_vec());
         let mut gas = Gas::unlimited();
-        let result = recover(EdfAdmission, Box::new(store.clone()), "edf", &mut gas, &());
+        let result = recover(EdfAdmission, Box::new(store.clone()), &mut gas, &());
         if cut_len < r.cuts[0] {
             // Not even the config record survived: unrecoverable, and the
             // evidence is left untouched on disk.
@@ -234,7 +233,7 @@ fn recovery_survives_bit_flips_without_panicking() {
         bytes[pos] ^= 0x40;
         let store = MemStorage::with_bytes(bytes);
         let mut gas = Gas::unlimited();
-        match recover(EdfAdmission, Box::new(store), "edf", &mut gas, &()) {
+        match recover(EdfAdmission, Box::new(store), &mut gas, &()) {
             Ok((eng, rep)) => {
                 // The flip landed at or after some record boundary k; the
                 // replayed prefix must match the reference at k.
@@ -272,7 +271,7 @@ fn garbage_journals_are_corrupt_not_panics() {
     for (i, bytes) in cases.into_iter().enumerate() {
         let store = MemStorage::with_bytes(bytes);
         let mut gas = Gas::unlimited();
-        let result = recover(EdfAdmission, Box::new(store), "edf", &mut gas, &());
+        let result = recover(EdfAdmission, Box::new(store), &mut gas, &());
         let err = result.map(|_| ()).expect_err("garbage must not recover");
         assert!(matches!(err, RecoverError::Corrupt(_)), "case {i}: {err:?}");
     }
@@ -298,7 +297,6 @@ where
         make(),
         &platform(),
         Augmentation::NONE,
-        policy,
         opts,
         Box::new(mem.clone()),
         &mut gas,
@@ -330,7 +328,6 @@ where
     let (recovered, rep) = recover(
         make(),
         Box::new(MemStorage::with_bytes(mem.bytes())),
-        policy,
         &mut gas,
         &(),
     )
@@ -368,7 +365,6 @@ fn recovery_survives_explicit_compaction() {
         EdfAdmission,
         &platform(),
         Augmentation::NONE,
-        "edf",
         opts,
         Box::new(mem.clone()),
         &mut gas,
@@ -398,7 +394,6 @@ fn recovery_survives_explicit_compaction() {
     let (mut recovered, rep) = recover(
         EdfAdmission,
         Box::new(MemStorage::with_bytes(mem.bytes())),
-        "edf",
         &mut gas,
         &(),
     )
@@ -435,7 +430,6 @@ fn recovery_is_exact_at_every_mid_slice_crash_point() {
         EdfAdmission,
         &platform(),
         Augmentation::NONE,
-        "edf",
         opts,
         Box::new(mem.clone()),
         &mut gas,
@@ -448,7 +442,6 @@ fn recovery_is_exact_at_every_mid_slice_crash_point() {
         let (rec, rep) = recover(
             EdfAdmission,
             Box::new(MemStorage::with_bytes(mem.bytes())),
-            "edf",
             &mut gas,
             &(),
         )
@@ -541,7 +534,6 @@ fn journal_counters_match_observed_io() {
     let (_, rep) = recover(
         EdfAdmission,
         Box::new(MemStorage::with_bytes(torn)),
-        "edf",
         &mut gas,
         &rsink,
     )
@@ -566,7 +558,6 @@ fn recovery_rejects_a_policy_mismatch() {
     let err = recover(
         RmsLlAdmission,
         Box::new(MemStorage::with_bytes(r.journal)),
-        "rms-ll",
         &mut gas,
         &(),
     )

@@ -41,13 +41,14 @@
 //! timing-based), so a storm with the shed probe disabled reproduces
 //! identical per-tenant digests run after run.
 
-use crate::engine::{PolicyKind, TenantEngine};
+use crate::engine::TenantEngine;
 use crate::metrics;
-use crate::shard::{Op, Request, Response, ShardState, StorageFactory, TenantSpec};
+use crate::shard::{apply_op, Op, Request, Response, ShardState, StorageFactory, TenantSpec};
 use crate::supervisor::{Service, ServiceConfig, DEFAULT_ALPHA_RUNGS};
 use hetfeas_model::rng::splitmix64;
 use hetfeas_model::{Augmentation, Platform, Task};
 use hetfeas_partition::durable::DurableOptions;
+use hetfeas_partition::PolicyKind;
 use hetfeas_robust::journal::{FaultFs, FaultScript, MemStorage, Storage};
 use hetfeas_robust::{metrics as robust_metrics, Gas};
 use std::collections::BTreeMap;
@@ -421,16 +422,8 @@ pub(crate) fn op_replay_digest(
         &(),
     )
     .ok()?;
-    for op in ops {
-        let r = match *op {
-            Op::Add(t) => eng.add(t, &mut gas, &()).map(|_| ()),
-            Op::Remove(raw) => eng.remove(raw, &mut gas, &()).map(|_| ()),
-            Op::Snapshot => eng.snapshot(&mut gas, &()),
-            Op::Rollback => eng.rollback(&mut gas, &()).map(|_| ()),
-            Op::Repack => eng.repack(&mut gas, &()).map(|_| ()),
-            Op::Compact => eng.compact(&mut gas, &()),
-        };
-        r.ok()?;
+    for &op in ops {
+        apply_op(&mut eng, op, &mut gas, &()).ok()?;
     }
     Some(eng.state_digest())
 }

@@ -1,11 +1,15 @@
 //! Policy-dispatched wrapper over [`DurableEngine`].
 //!
 //! Tenants pick their admission policy at `open` time, so a shard worker
-//! holds a [`TenantEngine`] — an enum over the three indexable admission
-//! tests — rather than a generic engine. Enum dispatch (not trait
-//! objects) keeps the [`MetricsSink`] genericity of the underlying engine
-//! intact and costs one match per op, which is noise next to the journal
-//! fsync the op already paid for.
+//! holds a [`TenantEngine`] — an [`AnyDurable`], the partition crate's
+//! enum over the three indexable admission tests — rather than a generic
+//! engine. Every method dispatches through the one policy macro,
+//! `with_admission!`: `create` and `recover` on the [`PolicyKind`], the
+//! rest on the engine the tenant holds. Enum dispatch (not trait objects)
+//! keeps the [`MetricsSink`] genericity of the underlying engine intact
+//! and costs one match per op, which is noise next to the journal fsync
+//! the op already paid for. The shard maps its ops onto these methods in
+//! one place, `shard::apply_op`.
 //!
 //! Besides the journaled ops, a shard reads three things from its
 //! engine after a batch or on request:
@@ -24,66 +28,13 @@ use hetfeas_partition::durable::{
     RecoverError, RecoveryReport,
 };
 use hetfeas_partition::incremental::{AddOutcome, EngineState, RepackOutcome, TaskId};
-use hetfeas_partition::{EdfAdmission, RmsHyperbolicAdmission, RmsLlAdmission};
+use hetfeas_partition::{with_admission, AnyDurable, PolicyKind};
 use hetfeas_robust::journal::Storage;
 use hetfeas_robust::Gas;
 
-/// The admission policies a tenant can run. Mirrors the CLI's policy
-/// keys; `rms-rta` is absent because exact RTA has no indexed admission
-/// state and therefore no incremental engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// EDF demand-bound admission.
-    Edf,
-    /// RMS with the Liu–Layland utilization bound.
-    RmsLl,
-    /// RMS with the hyperbolic bound.
-    RmsHyp,
-}
-
-impl PolicyKind {
-    /// Parse a journal/CLI policy key.
-    pub fn parse(s: &str) -> Result<PolicyKind, String> {
-        match s {
-            "edf" => Ok(PolicyKind::Edf),
-            "rms-ll" => Ok(PolicyKind::RmsLl),
-            "rms-hyp" => Ok(PolicyKind::RmsHyp),
-            other => Err(format!(
-                "unknown policy '{other}' (expected edf, rms-ll or rms-hyp)"
-            )),
-        }
-    }
-
-    /// The stable key written into journal config records.
-    pub fn key(self) -> &'static str {
-        match self {
-            PolicyKind::Edf => "edf",
-            PolicyKind::RmsLl => "rms-ll",
-            PolicyKind::RmsHyp => "rms-hyp",
-        }
-    }
-}
-
-/// A [`DurableEngine`] over any of the supported admission policies.
-pub enum TenantEngine {
-    /// EDF demand-bound admission.
-    Edf(DurableEngine<EdfAdmission>),
-    /// RMS Liu–Layland admission.
-    RmsLl(DurableEngine<RmsLlAdmission>),
-    /// RMS hyperbolic admission.
-    RmsHyp(DurableEngine<RmsHyperbolicAdmission>),
-}
-
-/// Forward a method to whichever variant is live.
-macro_rules! dispatch {
-    ($self:expr, $e:ident => $body:expr) => {
-        match $self {
-            TenantEngine::Edf($e) => $body,
-            TenantEngine::RmsLl($e) => $body,
-            TenantEngine::RmsHyp($e) => $body,
-        }
-    };
-}
+/// A tenant's [`DurableEngine`], under whichever admission test its
+/// [`PolicyKind`] names.
+pub struct TenantEngine(AnyDurable);
 
 impl TenantEngine {
     /// Start a fresh journaled engine over `store` (writes the config
@@ -98,37 +49,9 @@ impl TenantEngine {
         gas: &mut Gas,
         sink: &S,
     ) -> Result<TenantEngine, DurableError> {
-        Ok(match policy {
-            PolicyKind::Edf => TenantEngine::Edf(DurableEngine::create(
-                EdfAdmission,
-                platform,
-                alpha,
-                policy.key(),
-                opts,
-                store,
-                gas,
-                sink,
-            )?),
-            PolicyKind::RmsLl => TenantEngine::RmsLl(DurableEngine::create(
-                RmsLlAdmission,
-                platform,
-                alpha,
-                policy.key(),
-                opts,
-                store,
-                gas,
-                sink,
-            )?),
-            PolicyKind::RmsHyp => TenantEngine::RmsHyp(DurableEngine::create(
-                RmsHyperbolicAdmission,
-                platform,
-                alpha,
-                policy.key(),
-                opts,
-                store,
-                gas,
-                sink,
-            )?),
+        with_admission!(policy, adm => {
+            let e = DurableEngine::create(adm, platform, alpha, opts, store, gas, sink)?;
+            Ok(TenantEngine(e.into()))
         })
     }
 
@@ -140,19 +63,9 @@ impl TenantEngine {
         gas: &mut Gas,
         sink: &S,
     ) -> Result<(TenantEngine, RecoveryReport), RecoverError> {
-        Ok(match policy {
-            PolicyKind::Edf => {
-                let (e, r) = recover(EdfAdmission, store, policy.key(), gas, sink)?;
-                (TenantEngine::Edf(e), r)
-            }
-            PolicyKind::RmsLl => {
-                let (e, r) = recover(RmsLlAdmission, store, policy.key(), gas, sink)?;
-                (TenantEngine::RmsLl(e), r)
-            }
-            PolicyKind::RmsHyp => {
-                let (e, r) = recover(RmsHyperbolicAdmission, store, policy.key(), gas, sink)?;
-                (TenantEngine::RmsHyp(e), r)
-            }
+        with_admission!(policy, adm => {
+            let (e, report) = recover(adm, store, gas, sink)?;
+            Ok((TenantEngine(e.into()), report))
         })
     }
 
@@ -163,7 +76,7 @@ impl TenantEngine {
         gas: &mut Gas,
         sink: &S,
     ) -> Result<AddOutcome, DurableError> {
-        dispatch!(self, e => e.add(task, gas, sink))
+        with_admission!(engine in &mut self.0, e => e.add(task, gas, sink))
     }
 
     /// Journal-then-apply remove by raw id; `None` when the id is dead.
@@ -173,7 +86,7 @@ impl TenantEngine {
         gas: &mut Gas,
         sink: &S,
     ) -> Result<Option<Task>, DurableError> {
-        dispatch!(self, e => e.remove(TaskId::from_raw(raw), gas, sink))
+        with_admission!(engine in &mut self.0, e => e.remove(TaskId::from_raw(raw), gas, sink))
     }
 
     /// Journal-then-apply snapshot into the single snapshot slot.
@@ -182,7 +95,7 @@ impl TenantEngine {
         gas: &mut Gas,
         sink: &S,
     ) -> Result<(), DurableError> {
-        dispatch!(self, e => e.snapshot(gas, sink))
+        with_admission!(engine in &mut self.0, e => e.snapshot(gas, sink))
     }
 
     /// Journal-then-apply rollback; `false` when no snapshot is held.
@@ -191,7 +104,7 @@ impl TenantEngine {
         gas: &mut Gas,
         sink: &S,
     ) -> Result<bool, DurableError> {
-        dispatch!(self, e => e.rollback(gas, sink))
+        with_admission!(engine in &mut self.0, e => e.rollback(gas, sink))
     }
 
     /// Journal-then-apply an explicit canonical repack.
@@ -200,12 +113,12 @@ impl TenantEngine {
         gas: &mut Gas,
         sink: &S,
     ) -> Result<RepackOutcome, DurableError> {
-        dispatch!(self, e => e.repack(gas, sink))
+        with_admission!(engine in &mut self.0, e => e.repack(gas, sink))
     }
 
     /// Compact the journal to `[config, state, snapstate?]`.
     pub fn compact<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> Result<(), DurableError> {
-        dispatch!(self, e => e.compact(gas, sink))
+        with_admission!(engine in &mut self.0, e => e.compact(gas, sink))
     }
 
     /// Advance incremental compaction by one bounded slice (see
@@ -216,18 +129,18 @@ impl TenantEngine {
         gas: &mut Gas,
         sink: &S,
     ) -> Result<CompactionStep, DurableError> {
-        dispatch!(self, e => e.compaction_tick(gas, sink))
+        with_admission!(engine in &mut self.0, e => e.compaction_tick(gas, sink))
     }
 
     /// CRC32 digest of the full observable state (see
     /// [`DurableEngine::state_digest`]).
     pub fn state_digest(&self) -> u32 {
-        dispatch!(self, e => e.state_digest())
+        with_admission!(engine in &self.0, e => e.state_digest())
     }
 
     /// Live task count.
     pub fn len(&self) -> usize {
-        dispatch!(self, e => e.engine().len())
+        with_admission!(engine in &self.0, e => e.engine().len())
     }
 
     /// True when no tasks are live.
@@ -237,30 +150,30 @@ impl TenantEngine {
 
     /// Machine currently hosting raw id, if live.
     pub fn machine_of(&self, raw: u64) -> Option<usize> {
-        dispatch!(self, e => e.engine().machine_of(TaskId::from_raw(raw)))
+        with_admission!(engine in &self.0, e => e.engine().machine_of(TaskId::from_raw(raw)))
     }
 
     /// Portable export of the live state.
     pub fn export_state(&self) -> EngineState {
-        dispatch!(self, e => e.engine().export_state())
+        with_admission!(engine in &self.0, e => e.engine().export_state())
     }
 
     /// Number of machines on the tenant's platform.
     pub fn machines(&self) -> usize {
-        dispatch!(self, e => e.engine().platform().len())
+        with_admission!(engine in &self.0, e => e.engine().platform().len())
     }
 
     /// Overwrite `out` with the tasks resident on original machine index
     /// `machine`, in admission order.
     pub fn copy_residents(&self, machine: usize, out: &mut Vec<Task>) {
         out.clear();
-        dispatch!(self, e => out.extend(e.engine().resident_tasks(machine).copied()));
+        with_admission!(engine in &self.0, e => out.extend(e.engine().resident_tasks(machine).copied()));
     }
 
     /// Drain which machines changed since the last call (see
     /// [`DurableEngine::take_changed`]).
     pub fn take_changed(&mut self) -> ChangedMachines {
-        dispatch!(self, e => e.take_changed())
+        with_admission!(engine in &mut self.0, e => e.take_changed())
     }
 }
 

@@ -51,7 +51,7 @@
 //! and left to the per-policy engine, which may reject it as
 //! infeasible for the configured test.
 
-use crate::engine::PolicyKind;
+use hetfeas_partition::PolicyKind;
 use std::io::{self, Read, Write};
 
 /// Upper bound on a frame payload — a command line, not a bulk upload.

@@ -11,7 +11,7 @@
 //! tenant: the shard enters a terminal `Quarantined` state that stays
 //! queryable and is never fatal to the process.
 //!
-//! * [`supervisor`] — the [`Service`](supervisor::Service) front end:
+//! * [`supervisor`] — the [`Service`] front end:
 //!   tenant registry, bounded per-shard queues, load shedding with
 //!   speculative α quotes, clean shutdown.
 //! * [`shard`] — the per-tenant worker: supervision state machine,
@@ -46,7 +46,8 @@ pub mod supervisor;
 
 pub use chaos::{run_storm, ChaosConfig, ChaosReport};
 pub use client::{Client, ClientConfig, ClientError, Endpoint, Reply};
-pub use engine::{PolicyKind, TenantEngine};
+pub use engine::TenantEngine;
+pub use hetfeas_partition::PolicyKind;
 pub use netchaos::{run_net_storm, NetChaosConfig, NetChaosProxy, NetStormConfig, NetStormReport};
 pub use quote::QuoteBoard;
 pub use server::{serve_once, serve_tcp, serve_unix, ServeReport, ServerConfig};

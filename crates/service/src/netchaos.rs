@@ -32,7 +32,6 @@
 
 use crate::chaos::{journal_replay_digest, op_replay_digest};
 use crate::client::{Client, ClientConfig, ClientError, Endpoint, Reply};
-use crate::engine::PolicyKind;
 use crate::frame::{read_frame, write_frame};
 use crate::metrics;
 use crate::server::{serve_tcp, ServerConfig};
@@ -40,6 +39,7 @@ use crate::shard::Op;
 use crate::supervisor::{Service, ServiceConfig};
 use hetfeas_model::rng::splitmix64;
 use hetfeas_model::{Platform, Task};
+use hetfeas_partition::PolicyKind;
 use hetfeas_robust::Backoff;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

@@ -19,10 +19,10 @@
 //! live shard by one in-flight batch, so the quote is advisory: "at
 //! α = x this task would have fit a moment ago".
 
-use crate::engine::{PolicyKind, TenantEngine};
+use crate::engine::TenantEngine;
 use hetfeas_model::{Augmentation, Platform, Task};
 use hetfeas_partition::durable::ChangedMachines;
-use hetfeas_partition::{EdfAdmission, IndexableAdmission, RmsHyperbolicAdmission, RmsLlAdmission};
+use hetfeas_partition::{with_admission, IndexableAdmission, PolicyKind};
 
 /// The per-machine residents a tenant's shed-time quotes read.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -81,15 +81,8 @@ impl QuoteBoard {
         rungs: &[f64],
     ) -> Option<f64> {
         let machines = self.machines.as_deref()?;
-        rungs
-            .iter()
-            .copied()
-            .filter(|&r| r >= current_alpha - 1e-9)
-            .find(|&r| match policy {
-                PolicyKind::Edf => fits(&EdfAdmission, platform, machines, r, &task),
-                PolicyKind::RmsLl => fits(&RmsLlAdmission, platform, machines, r, &task),
-                PolicyKind::RmsHyp => fits(&RmsHyperbolicAdmission, platform, machines, r, &task),
-            })
+        let mut rungs = rungs.iter().copied().filter(|&r| r >= current_alpha - 1e-9);
+        with_admission!(policy, adm => rungs.find(|&r| fits(&adm, platform, machines, r, &task)))
     }
 }
 

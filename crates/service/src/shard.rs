@@ -46,13 +46,14 @@
 //! *not* lost: they stay in the worker's pending deque across the
 //! restart and apply to the recovered engine in order.
 
-use crate::engine::{PolicyKind, TenantEngine};
+use crate::engine::TenantEngine;
 use crate::metrics;
 use crate::quote::QuoteBoard;
 use hetfeas_model::{Augmentation, Platform, Task};
 use hetfeas_obs::{MemorySink, MetricsSink};
 use hetfeas_partition::durable::{DurableError, DurableOptions, RecoverError};
 use hetfeas_partition::incremental::{AddOutcome, RepackOutcome};
+use hetfeas_partition::PolicyKind;
 use hetfeas_robust::journal::{with_retries, JournalError, Storage};
 use hetfeas_robust::{firewall, Backoff, Budget, Gas};
 use std::collections::{HashMap, VecDeque};
@@ -508,11 +509,14 @@ fn boot(ctx: &WorkerCtx, incarnation: u32) -> Result<TenantEngine, BootError> {
     }
 }
 
-fn apply_op(
+/// Apply one [`Op`] to `engine` — the one place the service maps its ops
+/// onto the engine, shared by the shard worker and the chaos harness's
+/// fault-free reference replay.
+pub(crate) fn apply_op<S: MetricsSink>(
     engine: &mut TenantEngine,
     op: Op,
     gas: &mut Gas,
-    sink: &MemorySink,
+    sink: &S,
 ) -> Result<Response, DurableError> {
     Ok(match op {
         Op::Add(task) => match engine.add(task, gas, sink)? {
@@ -796,7 +800,7 @@ pub(crate) fn run(ctx: WorkerCtx) {
                         Some(n) => Budget::ops(n).gas(),
                         None => Gas::unlimited(),
                     };
-                    match firewall::guard_with(&*sink, || apply_op(eng, op, &mut gas, &sink)) {
+                    match firewall::guard_with(&*sink, || apply_op(eng, op, &mut gas, &*sink)) {
                         Ok(Ok(resp)) => {
                             if let Some(rid) = env.rid {
                                 if resp.applied() {

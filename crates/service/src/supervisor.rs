@@ -12,7 +12,6 @@
 //! channel tagged with the caller's sequence number, so a front end can
 //! reorder replies from many shards into submission order.
 
-use crate::engine::PolicyKind;
 use crate::metrics;
 use crate::shard::{
     self, Envelope, ErrorKind, Gate, Op, Request, Response, ShardCell, ShardConfig, ShardStatus,
@@ -21,6 +20,7 @@ use crate::shard::{
 use hetfeas_obs::{MemorySink, MetricsSink};
 use hetfeas_par::default_workers;
 use hetfeas_partition::durable::DurableOptions;
+use hetfeas_partition::PolicyKind;
 use std::collections::BTreeMap;
 use std::sync::mpsc::{self, Sender, SyncSender, TrySendError};
 use std::sync::Arc;

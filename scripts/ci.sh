@@ -4,17 +4,19 @@
 #
 #   1. `cargo fmt --check` — the tree is rustfmt-clean;
 #   2. `cargo clippy -D warnings` — every crate and target is lint-clean;
-#   3. the tier-1 command, `cargo build --release && cargo test -q` —
+#   3. `cargo doc` with rustdoc warnings denied — no doc link is broken or
+#      points at a private item;
+#   4. the tier-1 command, `cargo build --release && cargo test -q` —
 #      every unit, integration, property and doc test, including the
 #      counted-work and peak-memory checks that stand in for timing gates;
-#   4. scripts/fault_smoke.sh — the adversarial corpus and budgeted
+#   5. scripts/fault_smoke.sh — the adversarial corpus and budgeted
 #      degradation through the CLI, and a killed sweep resuming from its
 #      checkpoint;
-#   5. scripts/crash_smoke.sh — journal IO faults and crashes at many
+#   6. scripts/crash_smoke.sh — journal IO faults and crashes at many
 #      byte offsets, each recovered bit-exactly by `hetfeas recover`;
-#   6. scripts/chaos_smoke.sh — service fault storms, network chaos with
+#   7. scripts/chaos_smoke.sh — service fault storms, network chaos with
 #      exactly-once verdicts, and kill -9 restarts of a live server;
-#   7. `perfbench/run.py --self-test` — the end-to-end benchmark still
+#   8. `perfbench/run.py --self-test` — the end-to-end benchmark still
 #      builds against the library and its harness tests pass.
 #
 # Wall-clock performance is measured only by perfbench (BENCHMARK.json).
@@ -26,6 +28,8 @@ echo "== cargo fmt --check" >&2
 cargo fmt --all --check
 echo "== cargo clippy -D warnings" >&2
 cargo clippy --workspace --all-targets -- -D warnings
+echo "== cargo doc (rustdoc warnings denied)" >&2
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== tier-1: cargo build --release && cargo test -q" >&2
 cargo build --release && cargo test -q
 echo "== fault-injection smoke" >&2

@@ -80,25 +80,24 @@
 //!
 //! `hetfeas ops` replays an op trace (`begin`/`machine`/`add`/`remove`/
 //! `query`/`snapshot`/`rollback`/`repack`/`end` lines, see
-//! `hetfeas::model::io`) through the online admission engine, sharding
-//! independent instances across `--workers` threads with live `done/total`
-//! progress on stderr. `--mode from-scratch` instead re-runs batch
-//! first-fit after every mutation, the baseline the incremental engine
-//! saves work against.
-//! Exit 3 if any instance exhausted its budget; a semantically malformed
-//! trace (e.g. an `add` reusing a live id) exits 2.
+//! `hetfeas::model::io`, or the binary `.hbt` form) through the online
+//! admission engine; `--mode from-scratch` instead re-runs batch first-fit
+//! after every mutation, the baseline the incremental engine saves work
+//! against. Every op of every engine runs through one protocol
+//! (`hetfeas::experiments::InstanceReplayer::apply`). A text trace's
+//! independent instances shard across `--workers` threads with live
+//! `done/total` progress on stderr; a binary trace (detected by its magic)
+//! is pulled one instance at a time, so only the live engine state is ever
+//! resident and million-op traces replay in bounded RSS. Exit 3 if the
+//! budget ran out; a semantically malformed trace (e.g. an `add` reusing a
+//! live id) exits 2. `hetfeas trace synth` deterministically synthesizes
+//! op-trace workloads (diurnal arrival waves, churn bursts, heavy-tailed
+//! lifetimes, optional adversarial arrivals drawn from the fault corpus)
+//! as streaming binary traces; `hetfeas trace convert` round-trips between
+//! the text and binary formats.
 //!
-//! `hetfeas trace synth` deterministically synthesizes op-trace workloads
-//! (diurnal arrival waves, churn bursts, heavy-tailed lifetimes, optional
-//! adversarial arrivals drawn from the fault corpus) as streaming binary
-//! `.hbt` traces; `hetfeas trace convert` round-trips between the text and
-//! binary formats. `ops --trace X.hbt` detects the binary magic and
-//! replays as a pull-based stream — only the live engine state is ever
-//! resident, so million-op traces replay in bounded RSS with the same
-//! digests as a materialized text replay.
-//!
-//! `ops --journal FILE` runs a single-instance incremental replay through
-//! the crash-safe durability layer: every op is appended to a
+//! `ops --journal FILE` replays a single-instance trace of either format
+//! through the crash-safe durability layer: every op is appended to a
 //! length-prefixed, CRC32-checksummed write-ahead journal *before* it is
 //! applied, with periodic snapshot compaction (`--compact-every N`
 //! records, 0 = never) copied in bounded `--slice-bytes B` slices that
@@ -113,13 +112,13 @@
 
 use hetfeas::analysis;
 use hetfeas::experiments::{
-    combine_digests, replay_durable, replay_durable_stream, replay_sharded, replay_stream,
-    ReplayError, ReplayMode, ReplayStats, Sharding, StreamError, StreamSummary,
+    combine_digests, replay_instance, replay_ops, replay_sharded, replay_stream_with, ReplayError,
+    ReplayMode, ReplayStats, Sharding,
 };
 use hetfeas::lp::{level_scaling_factor, lp_feasible};
 use hetfeas::model::{
     is_binary_trace, parse_op_trace, parse_system, read_op_trace_bin, render_op_trace,
-    render_system, write_op_trace_bin, Augmentation, OpStream, OpTrace, Ratio, System,
+    render_system, write_op_trace_bin, Augmentation, OpStream, OpTrace, Platform, Ratio, System,
     TraceInstance, TraceWriter,
 };
 use hetfeas::obs::{Json, MemorySink, MetricsSink, RunReport};
@@ -127,9 +126,9 @@ use hetfeas::par::{default_workers, Progress};
 use hetfeas::partition::{
     exact_partition_edf, exact_partition_edf_degraded_workers, exact_partition_rms,
     first_fit_ordered_within_with, lp_feasible_degraded, min_feasible_alpha_within_with,
-    peek_config, recover, DurableOptions, EdfAdmission, ExactOutcome, FirstFitEngine,
-    IndexableAdmission, LadderVerdict, Outcome, RecoverError, RecoveryReport,
-    RmsHyperbolicAdmission, RmsLlAdmission, RmsRtaAdmission,
+    peek_config, recover, with_admission, Assignment, DurableEngine, DurableOptions, ExactOutcome,
+    FirstFitEngine, IndexableAdmission, LadderVerdict, Outcome, PolicyKind, RecoverError,
+    RmsRtaAdmission,
 };
 use hetfeas::robust::metrics::{ROBUST_FAULTS_INJECTED, ROBUST_PANICS};
 use hetfeas::robust::{
@@ -142,51 +141,52 @@ use hetfeas::workload::{
 };
 use std::process::ExitCode;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Policy {
-    Edf,
-    RmsLl,
-    RmsHyperbolic,
-    RmsRta,
+/// A `--policy` value: one of the indexable [`PolicyKind`]s, or `None` for
+/// exact RTA, which has no indexed form and runs on the reference scan.
+/// Only the CLI accepts the `rms`, `rms-hyperbolic` and `rms-rta`
+/// spellings.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Policy(Option<PolicyKind>);
+
+impl Default for Policy {
+    fn default() -> Self {
+        Policy::EDF
+    }
 }
 
 impl Policy {
+    const EDF: Policy = Policy(Some(PolicyKind::Edf));
+
     fn parse(s: &str) -> Result<Self, String> {
         match s {
-            "edf" => Ok(Policy::Edf),
-            "rms" | "rms-ll" => Ok(Policy::RmsLl),
-            "rms-hyp" | "rms-hyperbolic" => Ok(Policy::RmsHyperbolic),
-            "rms-rta" => Ok(Policy::RmsRta),
-            other => Err(format!(
-                "unknown policy {other:?} (edf|rms|rms-hyp|rms-rta)"
-            )),
+            "rms" => Ok(Policy(Some(PolicyKind::RmsLl))),
+            "rms-hyperbolic" => Ok(Policy(Some(PolicyKind::RmsHyp))),
+            "rms-rta" => Ok(Policy(None)),
+            other => PolicyKind::parse(other)
+                .map(|p| Policy(Some(p)))
+                .map_err(|_| format!("unknown policy {other:?} (edf|rms|rms-hyp|rms-rta)")),
         }
     }
 
     fn sched(self) -> SchedPolicy {
         match self {
-            Policy::Edf => SchedPolicy::Edf,
+            Policy::EDF => SchedPolicy::Edf,
             _ => SchedPolicy::RateMonotonic,
         }
     }
 
     fn name(self) -> &'static str {
-        match self {
-            Policy::Edf => "EDF",
-            Policy::RmsLl => "RMS (Liu–Layland)",
-            Policy::RmsHyperbolic => "RMS (hyperbolic)",
-            Policy::RmsRta => "RMS (exact RTA)",
+        match self.0 {
+            Some(PolicyKind::Edf) => "EDF",
+            Some(PolicyKind::RmsLl) => "RMS (Liu–Layland)",
+            Some(PolicyKind::RmsHyp) => "RMS (hyperbolic)",
+            None => "RMS (exact RTA)",
         }
     }
 
     /// Canonical flag spelling, used as the `policy` field of run reports.
     fn key(self) -> &'static str {
-        match self {
-            Policy::Edf => "edf",
-            Policy::RmsLl => "rms-ll",
-            Policy::RmsHyperbolic => "rms-hyp",
-            Policy::RmsRta => "rms-rta",
-        }
+        self.0.map_or("rms-rta", PolicyKind::key)
     }
 }
 
@@ -201,26 +201,18 @@ fn run_ff_within<S: MetricsSink>(
     gas: &mut Gas,
     sink: &S,
 ) -> Outcome {
-    fn indexed<A: IndexableAdmission, S: MetricsSink>(
-        sys: &System,
-        a: A,
-        alpha: Augmentation,
-        gas: &mut Gas,
-        sink: &S,
-    ) -> Outcome {
-        FirstFitEngine::new(a).run_within_with(&sys.tasks, &sys.platform, alpha, gas, sink)
-    }
-    match policy {
-        Policy::Edf => indexed(sys, EdfAdmission, alpha, gas, sink),
-        Policy::RmsLl => indexed(sys, RmsLlAdmission, alpha, gas, sink),
-        Policy::RmsHyperbolic => indexed(sys, RmsHyperbolicAdmission, alpha, gas, sink),
-        Policy::RmsRta => first_fit_ordered_within_with(
-            &sys.tasks,
-            &sys.platform,
+    let (tasks, platform) = (&sys.tasks, &sys.platform);
+    match policy.0 {
+        Some(kind) => with_admission!(kind, adm => {
+            FirstFitEngine::new(adm).run_within_with(tasks, platform, alpha, gas, sink)
+        }),
+        None => first_fit_ordered_within_with(
+            tasks,
+            platform,
             alpha,
             &RmsRtaAdmission,
-            &sys.tasks.order_by_decreasing_utilization(),
-            &sys.platform.order_by_increasing_speed(),
+            &tasks.order_by_decreasing_utilization(),
+            &platform.order_by_increasing_speed(),
             gas,
             sink,
         ),
@@ -239,35 +231,13 @@ fn min_alpha_within<S: MetricsSink>(
     sink: &S,
 ) -> Result<Option<f64>, hetfeas::robust::Exhaustion> {
     const TOL: f64 = 1e-6;
-    fn indexed<A: IndexableAdmission, S: MetricsSink>(
-        sys: &System,
-        a: A,
-        hi: f64,
-        gas: &mut Gas,
-        sink: &S,
-    ) -> Result<Option<f64>, hetfeas::robust::Exhaustion> {
-        FirstFitEngine::new(a).min_feasible_alpha_within_with(
-            &sys.tasks,
-            &sys.platform,
-            hi,
-            TOL,
-            gas,
-            sink,
-        )
-    }
-    match policy {
-        Policy::Edf => indexed(sys, EdfAdmission, hi, gas, sink),
-        Policy::RmsLl => indexed(sys, RmsLlAdmission, hi, gas, sink),
-        Policy::RmsHyperbolic => indexed(sys, RmsHyperbolicAdmission, hi, gas, sink),
-        Policy::RmsRta => min_feasible_alpha_within_with(
-            &sys.tasks,
-            &sys.platform,
-            &RmsRtaAdmission,
-            hi,
-            TOL,
-            gas,
-            sink,
-        ),
+    let (tasks, platform) = (&sys.tasks, &sys.platform);
+    match policy.0 {
+        Some(kind) => with_admission!(kind, adm => FirstFitEngine::new(adm)
+            .min_feasible_alpha_within_with(tasks, platform, hi, TOL, gas, sink)),
+        None => {
+            min_feasible_alpha_within_with(tasks, platform, &RmsRtaAdmission, hi, TOL, gas, sink)
+        }
     }
 }
 
@@ -302,6 +272,7 @@ fn write_report(path: &str, report: &RunReport) -> Result<(), String> {
     std::fs::write(path, report.render()).map_err(|e| format!("write {path}: {e}"))
 }
 
+#[derive(Default)]
 struct Common {
     file: Option<String>,
     policy: Policy,
@@ -348,223 +319,91 @@ struct Common {
     attempts: Option<u32>,
 }
 
+/// `flag`'s value, parsed.
+fn parsed<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("bad {flag}: {e}"))
+}
+
+/// `flag`'s value, parsed and nonzero.
+fn positive<T: std::str::FromStr + Default + PartialEq>(
+    flag: &str,
+    value: String,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let n = parsed(flag, value)?;
+    if n == T::default() {
+        return Err(format!("{flag} must be positive"));
+    }
+    Ok(n)
+}
+
 fn parse_common(args: &[String]) -> Result<Common, String> {
     let mut c = Common {
-        file: None,
-        policy: Policy::Edf,
         alpha: 1.0,
-        verbose: false,
-        jitter: None,
         seed: 1,
-        report: None,
-        budget_ms: None,
-        exact: false,
-        trace: None,
-        workers: None,
         mode: "incremental".into(),
-        journal: None,
-        compact_every: None,
-        slice_bytes: None,
-        out: None,
-        instances: None,
-        max_live: None,
-        adversarial: None,
         tasks: 10,
         machines: 4,
         util: 0.7,
         platform: "big-little".into(),
-        scenario: None,
-        data_dir: None,
-        socket: None,
-        tcp: None,
-        text_mode: false,
-        chaos: false,
-        net: false,
         tenants: 8,
-        ops: None,
-        queue_depth: None,
-        batch_max: None,
-        max_restarts: None,
-        max_conns: None,
-        reply_wait_ms: None,
-        attempts: None,
+        ..Common::default()
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut next = |what: &str| -> Result<String, String> {
+        let flag = a.as_str();
+        let mut next = || {
             it.next()
                 .cloned()
-                .ok_or_else(|| format!("{what} needs a value"))
+                .ok_or_else(|| format!("{flag} needs a value"))
         };
-        match a.as_str() {
-            "--policy" => c.policy = Policy::parse(&next("--policy")?)?,
-            "--alpha" => {
-                c.alpha = next("--alpha")?
-                    .parse()
-                    .map_err(|e| format!("bad --alpha: {e}"))?
-            }
-            "--jitter" => {
-                c.jitter = Some(
-                    next("--jitter")?
-                        .parse()
-                        .map_err(|e| format!("bad --jitter: {e}"))?,
-                )
-            }
-            "--seed" => {
-                c.seed = next("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?
-            }
-            "--tasks" => {
-                c.tasks = next("--tasks")?
-                    .parse()
-                    .map_err(|e| format!("bad --tasks: {e}"))?
-            }
-            "--machines" => {
-                c.machines = next("--machines")?
-                    .parse()
-                    .map_err(|e| format!("bad --machines: {e}"))?
-            }
-            "--util" => {
-                c.util = next("--util")?
-                    .parse()
-                    .map_err(|e| format!("bad --util: {e}"))?
-            }
-            "--platform" => c.platform = next("--platform")?,
-            "--scenario" => c.scenario = Some(next("--scenario")?),
-            "--trace" => c.trace = Some(next("--trace")?),
-            "--workers" => {
-                let w: usize = next("--workers")?
-                    .parse()
-                    .map_err(|e| format!("bad --workers: {e}"))?;
-                if w == 0 {
-                    return Err("--workers must be positive".into());
-                }
-                c.workers = Some(w);
-            }
-            "--mode" => c.mode = next("--mode")?,
-            "--journal" => c.journal = Some(next("--journal")?),
-            "--compact-every" => {
-                c.compact_every = Some(
-                    next("--compact-every")?
-                        .parse()
-                        .map_err(|e| format!("bad --compact-every: {e}"))?,
-                )
-            }
-            "--slice-bytes" => {
-                c.slice_bytes = Some(
-                    next("--slice-bytes")?
-                        .parse()
-                        .map_err(|e| format!("bad --slice-bytes: {e}"))?,
-                )
-            }
-            "--out" => c.out = Some(next("--out")?),
-            "--instances" => {
-                let n: usize = next("--instances")?
-                    .parse()
-                    .map_err(|e| format!("bad --instances: {e}"))?;
-                if n == 0 {
-                    return Err("--instances must be positive".into());
-                }
-                c.instances = Some(n);
-            }
-            "--max-live" => {
-                let n: usize = next("--max-live")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-live: {e}"))?;
-                if n == 0 {
-                    return Err("--max-live must be positive".into());
-                }
-                c.max_live = Some(n);
-            }
+        match flag {
+            "--policy" => c.policy = Policy::parse(&next()?)?,
+            "--alpha" => c.alpha = parsed(flag, next()?)?,
+            "--jitter" => c.jitter = Some(parsed(flag, next()?)?),
+            "--seed" => c.seed = parsed(flag, next()?)?,
+            "--tasks" => c.tasks = parsed(flag, next()?)?,
+            "--machines" => c.machines = parsed(flag, next()?)?,
+            "--util" => c.util = parsed(flag, next()?)?,
+            "--platform" => c.platform = next()?,
+            "--scenario" => c.scenario = Some(next()?),
+            "--trace" => c.trace = Some(next()?),
+            "--workers" => c.workers = Some(positive(flag, next()?)?),
+            "--mode" => c.mode = next()?,
+            "--journal" => c.journal = Some(next()?),
+            "--compact-every" => c.compact_every = Some(parsed(flag, next()?)?),
+            "--slice-bytes" => c.slice_bytes = Some(parsed(flag, next()?)?),
+            "--out" => c.out = Some(next()?),
+            "--instances" => c.instances = Some(positive(flag, next()?)?),
+            "--max-live" => c.max_live = Some(positive(flag, next()?)?),
             "--adversarial" => {
-                let n: u64 = next("--adversarial")?
-                    .parse()
-                    .map_err(|e| format!("bad --adversarial: {e}"))?;
+                let n = parsed(flag, next()?)?;
                 if n > 1000 {
                     return Err("--adversarial is per-mille (0..=1000)".into());
                 }
                 c.adversarial = Some(n);
             }
-            "--report" => c.report = Some(next("--report")?),
-            "--budget-ms" => {
-                let ms: u64 = next("--budget-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad --budget-ms: {e}"))?;
-                if ms == 0 {
-                    return Err("--budget-ms must be positive".into());
-                }
-                c.budget_ms = Some(ms);
-            }
-            "--data-dir" => c.data_dir = Some(next("--data-dir")?),
-            "--socket" => c.socket = Some(next("--socket")?),
-            "--tcp" => c.tcp = Some(next("--tcp")?),
+            "--report" => c.report = Some(next()?),
+            "--budget-ms" => c.budget_ms = Some(positive(flag, next()?)?),
+            "--data-dir" => c.data_dir = Some(next()?),
+            "--socket" => c.socket = Some(next()?),
+            "--tcp" => c.tcp = Some(next()?),
             "--text" => c.text_mode = true,
             "--chaos" => c.chaos = true,
             "--net" => c.net = true,
-            "--max-conns" => {
-                let n: usize = next("--max-conns")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-conns: {e}"))?;
-                if n == 0 {
-                    return Err("--max-conns must be positive".into());
-                }
-                c.max_conns = Some(n);
-            }
-            "--reply-wait-ms" => {
-                let ms: u64 = next("--reply-wait-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad --reply-wait-ms: {e}"))?;
-                if ms == 0 {
-                    return Err("--reply-wait-ms must be positive".into());
-                }
-                c.reply_wait_ms = Some(ms);
-            }
-            "--attempts" => {
-                let n: u32 = next("--attempts")?
-                    .parse()
-                    .map_err(|e| format!("bad --attempts: {e}"))?;
-                if n == 0 {
-                    return Err("--attempts must be positive".into());
-                }
-                c.attempts = Some(n);
-            }
-            "--tenants" => {
-                c.tenants = next("--tenants")?
-                    .parse()
-                    .map_err(|e| format!("bad --tenants: {e}"))?;
-                if c.tenants == 0 {
-                    return Err("--tenants must be positive".into());
-                }
-            }
-            "--ops" => {
-                c.ops = Some(
-                    next("--ops")?
-                        .parse()
-                        .map_err(|e| format!("bad --ops: {e}"))?,
-                )
-            }
-            "--queue-depth" => {
-                c.queue_depth = Some(
-                    next("--queue-depth")?
-                        .parse()
-                        .map_err(|e| format!("bad --queue-depth: {e}"))?,
-                )
-            }
-            "--batch-max" => {
-                c.batch_max = Some(
-                    next("--batch-max")?
-                        .parse()
-                        .map_err(|e| format!("bad --batch-max: {e}"))?,
-                )
-            }
-            "--max-restarts" => {
-                c.max_restarts = Some(
-                    next("--max-restarts")?
-                        .parse()
-                        .map_err(|e| format!("bad --max-restarts: {e}"))?,
-                )
-            }
+            "--max-conns" => c.max_conns = Some(positive(flag, next()?)?),
+            "--reply-wait-ms" => c.reply_wait_ms = Some(positive(flag, next()?)?),
+            "--attempts" => c.attempts = Some(positive(flag, next()?)?),
+            "--tenants" => c.tenants = positive(flag, next()?)?,
+            "--ops" => c.ops = Some(parsed(flag, next()?)?),
+            "--queue-depth" => c.queue_depth = Some(parsed(flag, next()?)?),
+            "--batch-max" => c.batch_max = Some(parsed(flag, next()?)?),
+            "--max-restarts" => c.max_restarts = Some(parsed(flag, next()?)?),
             "--exact" => c.exact = true,
             "-v" | "--verbose" => c.verbose = true,
             other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
@@ -612,14 +451,7 @@ fn cmd_check(c: &Common) -> Result<ExitCode, String> {
         Outcome::Feasible(a) => {
             println!("FEASIBLE");
             if c.verbose {
-                for m in 0..sys.platform.len() {
-                    println!(
-                        "  machine {m} (speed {}): tasks {:?}, load {:.3}",
-                        sys.platform.machine(m).speed(),
-                        a.tasks_on(m),
-                        a.load_on(m, &sys.tasks),
-                    );
-                }
+                print_assignment(&sys, a);
             }
             ExitCode::SUCCESS
         }
@@ -629,7 +461,7 @@ fn cmd_check(c: &Common) -> Result<ExitCode, String> {
                 w.failing_task, w.failing_utilization
             );
             let (bound, name) = match c.policy {
-                Policy::Edf => (2.0, "partitioned (Theorem I.1)"),
+                Policy::EDF => (2.0, "partitioned (Theorem I.1)"),
                 _ => (
                     Augmentation::RMS_VS_PARTITIONED.factor(),
                     "partitioned (Theorem I.2)",
@@ -672,11 +504,23 @@ fn cmd_check(c: &Common) -> Result<ExitCode, String> {
     Ok(code)
 }
 
+/// One `-v` line per machine: its speed, tasks and load.
+fn print_assignment(sys: &System, a: &Assignment) {
+    for m in 0..sys.platform.len() {
+        println!(
+            "  machine {m} (speed {}): tasks {:?}, load {:.3}",
+            sys.platform.machine(m).speed(),
+            a.tasks_on(m),
+            a.load_on(m, &sys.tasks),
+        );
+    }
+}
+
 /// `check --exact`: the graceful-degradation ladder. Exact branch-and-bound
 /// first; when the budget runs out, fall back to the first-fit witness, then
 /// the utilization bound. Every answer short of "undecided" is sound.
 fn cmd_check_exact(c: &Common, sys: &System) -> Result<ExitCode, String> {
-    if c.policy != Policy::Edf {
+    if c.policy != Policy::EDF {
         return Err("--exact currently supports only --policy edf".into());
     }
     // With a wall-clock budget the clock is the limiter; otherwise cap the
@@ -709,17 +553,8 @@ fn cmd_check_exact(c: &Common, sys: &System) -> Result<ExitCode, String> {
                 "FEASIBLE (decided by {}, {} downgrades)",
                 ladder.level, ladder.degraded
             );
-            if c.verbose {
-                if let Some(a) = witness {
-                    for m in 0..sys.platform.len() {
-                        println!(
-                            "  machine {m} (speed {}): tasks {:?}, load {:.3}",
-                            sys.platform.machine(m).speed(),
-                            a.tasks_on(m),
-                            a.load_on(m, &sys.tasks),
-                        );
-                    }
-                }
+            if let (true, Some(a)) = (c.verbose, witness) {
+                print_assignment(sys, a);
             }
             ExitCode::SUCCESS
         }
@@ -755,13 +590,9 @@ fn cmd_check_exact(c: &Common, sys: &System) -> Result<ExitCode, String> {
 fn cmd_alpha(c: &Common) -> Result<ExitCode, String> {
     let sys = load(c)?;
     let sink = c.report.as_ref().map(|_| MemorySink::new());
-    let beta = match &sink {
-        Some(s) => {
-            let _t = s.timer("phase.lp_bound");
-            level_scaling_factor(&sys.tasks, &sys.platform)
-        }
-        None => level_scaling_factor(&sys.tasks, &sys.platform),
-    };
+    let lp_phase = sink.as_ref().map(|s| s.timer("phase.lp_bound"));
+    let beta = level_scaling_factor(&sys.tasks, &sys.platform);
+    drop(lp_phase);
     println!("LP lower bound β (no scheduler can need less): {beta:.4}");
     let mut gas = gas_for(c);
     let searched = match &sink {
@@ -771,17 +602,25 @@ fn cmd_alpha(c: &Common) -> Result<ExitCode, String> {
         }
         None => min_alpha_within(&sys, c.policy, 64.0, &mut gas, &()),
     };
+    // The report: `lp_beta`, then `fields`, then the verdict.
+    let report = |fields: &[(&str, Json)], verdict: &str| -> Result<(), String> {
+        if let (Some(path), Some(s)) = (&c.report, &sink) {
+            let mut r = base_report("alpha", c, &sys);
+            r.set("lp_beta", Json::Float(beta));
+            for (k, v) in fields {
+                r.set(*k, v.clone());
+            }
+            r.set("verdict", Json::Str(verdict.into()));
+            r.attach_metrics(&s.snapshot());
+            write_report(path, &r)?;
+        }
+        Ok(())
+    };
     let star = match searched {
         Ok(star) => star,
         Err(why) => {
             println!("UNDECIDED — α-search budget exhausted ({})", why.as_str());
-            if let (Some(path), Some(s)) = (&c.report, &sink) {
-                let mut r = base_report("alpha", c, &sys);
-                r.set("lp_beta", Json::Float(beta))
-                    .set("verdict", Json::Str("undecided".into()));
-                r.attach_metrics(&s.snapshot());
-                write_report(path, &r)?;
-            }
+            report(&[], "undecided")?;
             return Ok(ExitCode::from(3));
         }
     };
@@ -796,24 +635,15 @@ fn cmd_alpha(c: &Common) -> Result<ExitCode, String> {
             ExitCode::from(1)
         }
     };
-    if let (Some(path), Some(s)) = (&c.report, &sink) {
-        let mut r = base_report("alpha", c, &sys);
-        r.set("lp_beta", Json::Float(beta))
-            .set("alpha_star", star.map_or(Json::Null, Json::Float))
-            .set(
-                "verdict",
-                Json::Str(
-                    if star.is_some() {
-                        "feasible"
-                    } else {
-                        "infeasible"
-                    }
-                    .into(),
-                ),
-            );
-        r.attach_metrics(&s.snapshot());
-        write_report(path, &r)?;
-    }
+    let verdict = if star.is_some() {
+        "feasible"
+    } else {
+        "infeasible"
+    };
+    report(
+        &[("alpha_star", star.map_or(Json::Null, Json::Float))],
+        verdict,
+    )?;
     Ok(code)
 }
 
@@ -875,19 +705,27 @@ fn cmd_simulate(c: &Common) -> Result<ExitCode, String> {
         }
         None => run_ff_within(&sys, c.policy, alpha, &mut gas, &()),
     };
+    // The report: `alpha`, then `fields`, then the verdict.
+    let report = |fields: &[(&str, Json)], verdict: &str| -> Result<(), String> {
+        if let (Some(path), Some(s)) = (&c.report, &sink) {
+            let mut r = base_report("simulate", c, &sys);
+            r.set("alpha", Json::Float(c.alpha));
+            for (k, v) in fields {
+                r.set(*k, v.clone());
+            }
+            r.set("verdict", Json::Str(verdict.into()));
+            r.attach_metrics(&s.snapshot());
+            write_report(path, &r)?;
+        }
+        Ok(())
+    };
     if let Outcome::BudgetExhausted { partial } = &outcome {
         println!(
             "UNDECIDED — budget exhausted during partitioning ({} of {} tasks placed)",
             partial.assigned_count(),
             sys.tasks.len()
         );
-        if let (Some(path), Some(s)) = (&c.report, &sink) {
-            let mut r = base_report("simulate", c, &sys);
-            r.set("alpha", Json::Float(c.alpha))
-                .set("verdict", Json::Str("undecided".into()));
-            r.attach_metrics(&s.snapshot());
-            write_report(path, &r)?;
-        }
+        report(&[], "undecided")?;
         return Ok(ExitCode::from(3));
     }
     let Outcome::Feasible(assignment) = outcome else {
@@ -895,13 +733,7 @@ fn cmd_simulate(c: &Common) -> Result<ExitCode, String> {
             "first-fit rejects this system at α = {} — nothing to simulate",
             c.alpha
         );
-        if let (Some(path), Some(s)) = (&c.report, &sink) {
-            let mut r = base_report("simulate", c, &sys);
-            r.set("alpha", Json::Float(c.alpha))
-                .set("verdict", Json::Str("rejected".into()));
-            r.attach_metrics(&s.snapshot());
-            write_report(path, &r)?;
-        }
+        report(&[], "rejected")?;
         return Ok(ExitCode::from(1));
     };
     let alpha_ratio = Ratio::approximate_f64(c.alpha, 1_000_000)
@@ -934,18 +766,12 @@ fn cmd_simulate(c: &Common) -> Result<ExitCode, String> {
         )
     };
     drop(_sim_phase);
-    let report = match sim_res {
+    let sim = match sim_res {
         Ok(inner) => inner.map_err(|e| e.to_string())?,
         Err(why) => {
             // A truncated trace proves nothing — report undecided, not clean.
             println!("UNDECIDED — simulation budget exhausted ({})", why.as_str());
-            if let (Some(path), Some(s)) = (&c.report, &sink) {
-                let mut r = base_report("simulate", c, &sys);
-                r.set("alpha", Json::Float(c.alpha))
-                    .set("verdict", Json::Str("undecided".into()));
-                r.attach_metrics(&s.snapshot());
-                write_report(path, &r)?;
-            }
+            report(&[], "undecided")?;
             return Ok(ExitCode::from(3));
         }
     };
@@ -957,37 +783,24 @@ fn cmd_simulate(c: &Common) -> Result<ExitCode, String> {
     };
     println!(
         "simulated {span}: {} jobs, {} misses, {} preemptions, max lateness {:?}",
-        report.jobs_completed, report.miss_count, report.preemptions, report.max_lateness
+        sim.jobs_completed, sim.miss_count, sim.preemptions, sim.max_lateness
     );
     if c.verbose {
-        for m in &report.misses {
+        for m in &sim.misses {
             println!(
                 "  miss: task {} released {} deadline {} completed {}",
                 m.task, m.release, m.deadline, m.completion
             );
         }
     }
-    if let (Some(path), Some(s)) = (&c.report, &sink) {
-        let mut r = base_report("simulate", c, &sys);
-        r.set("alpha", Json::Float(c.alpha))
-            .set("jobs_completed", Json::UInt(report.jobs_completed))
-            .set("miss_count", Json::UInt(report.miss_count))
-            .set("preemptions", Json::UInt(report.preemptions))
-            .set(
-                "verdict",
-                Json::Str(
-                    if report.miss_count == 0 {
-                        "clean"
-                    } else {
-                        "misses"
-                    }
-                    .into(),
-                ),
-            );
-        r.attach_metrics(&s.snapshot());
-        write_report(path, &r)?;
-    }
-    Ok(if report.miss_count == 0 {
+    let fields = [
+        ("jobs_completed", Json::UInt(sim.jobs_completed)),
+        ("miss_count", Json::UInt(sim.miss_count)),
+        ("preemptions", Json::UInt(sim.preemptions)),
+    ];
+    let clean = sim.miss_count == 0;
+    report(&fields, if clean { "clean" } else { "misses" })?;
+    Ok(if clean {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
@@ -1109,31 +922,6 @@ fn cmd_faults(c: &Common) -> Result<ExitCode, String> {
     Ok(worst)
 }
 
-/// Dispatch [`replay_sharded`] over the policy's indexed admission test.
-/// RMS-RTA has no incremental form (its response-time fixpoint is not a
-/// fold), so it is rejected up front.
-fn ops_results<S: MetricsSink + Sync>(
-    trace: &OpTrace,
-    policy: Policy,
-    alpha: Augmentation,
-    mode: ReplayMode,
-    sharding: Sharding<'_>,
-    sink: &S,
-) -> Result<Vec<Result<ReplayStats, ReplayError>>, String> {
-    Ok(match policy {
-        Policy::Edf => replay_sharded(trace, EdfAdmission, alpha, mode, sharding, sink),
-        Policy::RmsLl => replay_sharded(trace, RmsLlAdmission, alpha, mode, sharding, sink),
-        Policy::RmsHyperbolic => {
-            replay_sharded(trace, RmsHyperbolicAdmission, alpha, mode, sharding, sink)
-        }
-        Policy::RmsRta => {
-            return Err(
-                "--policy rms-rta has no indexed admission; ops supports edf|rms|rms-hyp".into(),
-            )
-        }
-    })
-}
-
 /// Open the journal file as a [`Storage`], wrapping it in the deterministic
 /// fault-injection layer when any `HETFEAS_JOURNAL_*` knob is set.
 fn journal_store(path: &str) -> Box<dyn Storage> {
@@ -1177,156 +965,119 @@ fn journal_summary(sink: &MemorySink) -> String {
     )
 }
 
-/// `ops --journal FILE`: single-instance incremental replay through the
-/// write-ahead journal. IO errors (including injected crash faults) exit 2;
-/// an exhausted budget exits 3.
-fn cmd_ops_journaled(
-    c: &Common,
-    path: &str,
-    trace: &OpTrace,
-    journal_path: &str,
-    alpha: Augmentation,
-) -> Result<ExitCode, String> {
-    if c.mode != "incremental" {
-        return Err("--journal requires --mode incremental".into());
-    }
-    let [inst] = trace.instances.as_slice() else {
-        return Err(format!(
-            "--journal replays exactly one instance; {path} holds {}",
-            trace.instances.len()
-        ));
-    };
-    let opts = durable_opts(c);
-    let mut gas = gas_for(c);
-    let sink = MemorySink::new();
-    let result = match c.policy {
-        Policy::Edf => replay_durable(
-            EdfAdmission,
-            inst,
-            alpha,
-            c.policy.key(),
-            opts,
-            journal_store(journal_path),
-            &mut gas,
-            &sink,
-        ),
-        Policy::RmsLl => replay_durable(
-            RmsLlAdmission,
-            inst,
-            alpha,
-            c.policy.key(),
-            opts,
-            journal_store(journal_path),
-            &mut gas,
-            &sink,
-        ),
-        Policy::RmsHyperbolic => replay_durable(
-            RmsHyperbolicAdmission,
-            inst,
-            alpha,
-            c.policy.key(),
-            opts,
-            journal_store(journal_path),
-            &mut gas,
-            &sink,
-        ),
-        Policy::RmsRta => {
-            return Err(
-                "--policy rms-rta has no indexed admission; ops supports edf|rms|rms-hyp".into(),
-            )
-        }
-    };
-    let (stats, digest) = match result {
-        Ok(v) => v,
-        Err(ReplayError::Exhausted { op_index, cause }) => {
-            println!(
-                "UNDECIDED — budget exhausted ({}) at op {op_index}",
-                cause.as_str()
-            );
-            return Ok(ExitCode::from(3));
-        }
-        Err(e) => return Err(format!("{path}: instance {:?}: {e}", inst.name)),
-    };
-    println!(
-        "{} ops journaled+replayed: {} admitted, {} rejected, {} removed, \
-         {} repacks, {} snapshots, {} rollbacks, live {}",
-        stats.ops,
-        stats.admitted,
-        stats.rejected,
-        stats.removed,
-        stats.repacks,
-        stats.snapshots,
-        stats.rollbacks,
-        stats.final_live
-    );
-    println!("{}", journal_summary(&sink));
-    println!("journal digest {digest:08x}");
-    if let Some(out) = &c.report {
-        let mut r = RunReport::new("hetfeas", "ops");
-        r.set("input", Json::Str(path.to_string()))
-            .set("policy", Json::Str(c.policy.key().into()))
-            .set("mode", Json::Str("incremental".into()))
-            .set("journal", Json::Str(journal_path.to_string()))
-            .set("workers", Json::UInt(1))
-            .set("ops", Json::UInt(stats.ops))
-            .set("admitted", Json::UInt(stats.admitted))
-            .set("rejected", Json::UInt(stats.rejected))
-            .set("removed", Json::UInt(stats.removed))
-            .set("snapshots", Json::UInt(stats.snapshots))
-            .set("rollbacks", Json::UInt(stats.rollbacks))
-            .set("repacks", Json::UInt(stats.repacks))
-            .set("final_live", Json::UInt(stats.final_live))
-            .set("digest", Json::Str(format!("{digest:08x}")))
-            .set(
-                "journal_compact_slices",
-                Json::UInt(sink.counter(hetfeas::robust::metrics::JOURNAL_COMPACT_SLICES)),
-            )
-            .set(
-                "journal_bytes_reclaimed",
-                Json::UInt(sink.counter(hetfeas::robust::metrics::JOURNAL_BYTES_RECLAIMED)),
-            )
-            .set("verdict", Json::Str("replayed".into()));
-        r.attach_metrics(&sink.snapshot());
-        write_report(out, &r)?;
-    }
-    Ok(ExitCode::SUCCESS)
+/// Where `ops` reads its instances from: a parsed text trace, whose
+/// instances shard across workers, or an HBT1 stream pulled one instance
+/// at a time, so only the live engine state and one decode frame are
+/// ever resident.
+enum OpsInput {
+    Text(OpTrace),
+    Binary {
+        stream: OpStream<std::io::BufReader<std::fs::File>>,
+        bytes: u64,
+    },
 }
 
-/// Replay an op trace through the online admission engine (or the batch
-/// from-scratch baseline), sharding instances across worker threads.
+impl OpsInput {
+    /// Open `path`, telling the formats apart by the HBT1 magic.
+    fn open(path: &str) -> Result<OpsInput, String> {
+        use std::io::Read as _;
+        let read_err = |e: std::io::Error| format!("read {path}: {e}");
+        let mut head = Vec::new();
+        std::fs::File::open(path)
+            .and_then(|f| f.take(8).read_to_end(&mut head))
+            .map_err(read_err)?;
+        if !is_binary_trace(&head) {
+            let text = std::fs::read_to_string(path).map_err(read_err)?;
+            let trace = parse_op_trace(&text).map_err(|e| format!("{path}: {e}"))?;
+            return Ok(OpsInput::Text(trace));
+        }
+        let file = std::fs::File::open(path).map_err(read_err)?;
+        let bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
+        let stream = OpStream::new(std::io::BufReader::with_capacity(1 << 20, file))
+            .map_err(|e| format!("{path}: {e}"))?;
+        Ok(OpsInput::Binary { stream, bytes })
+    }
+}
+
+/// Each replayed instance's name and outcome, in trace order.
+type Replayed = Vec<(String, Result<(ReplayStats, u32), ReplayError>)>;
+
+/// Replay every instance of `input` under `adm`: on a [`DurableEngine`]
+/// over the `--journal` file, else on a fresh `mode` engine each. A
+/// sharded text run reports every instance's outcome; a streamed or
+/// journaled run stops at its first error.
+#[allow(clippy::too_many_arguments)]
+fn ops_replay<A, S>(
+    c: &Common,
+    input: &mut OpsInput,
+    adm: A,
+    mode: ReplayMode,
+    alpha: Augmentation,
+    workers: usize,
+    sink: &S,
+) -> Result<Replayed, ReplayError>
+where
+    A: IndexableAdmission + Copy + Sync,
+    S: MetricsSink + Sync,
+{
+    let mut gas = gas_for(c);
+    let mut store = c.journal.as_deref().map(journal_store);
+    let mut journaled = |platform: &Platform, gas: &mut Gas| {
+        let store = store.take().ok_or_else(|| ReplayError::Trace {
+            op_index: 0,
+            message: "journaled replay needs a single-instance trace".to_string(),
+        })?;
+        DurableEngine::create(adm, platform, alpha, durable_opts(c), store, gas, sink)
+            .map_err(|e| ReplayError::at(0, e))
+    };
+    let summaries = match input {
+        OpsInput::Text(trace) if c.journal.is_some() => {
+            let inst = &trace.instances[0];
+            let eng = journaled(&inst.platform, &mut gas)?;
+            let out = replay_ops(eng, inst.ops.iter().copied(), &mut gas, sink)?;
+            return Ok(vec![(inst.name.clone(), Ok(out))]);
+        }
+        OpsInput::Text(trace) => {
+            let progress = Progress::new(trace.instances.len() as u64);
+            let sharding = Sharding {
+                workers,
+                budget_ms: c.budget_ms,
+                progress: Some(&progress),
+            };
+            let results = replay_sharded(trace, adm, alpha, mode, sharding, sink);
+            let names = trace.instances.iter().map(|i| i.name.clone());
+            return Ok(names.zip(results).collect());
+        }
+        OpsInput::Binary { stream, .. } if c.journal.is_some() => {
+            replay_stream_with(stream, &mut gas, |platform, ops, gas| {
+                replay_ops(journaled(platform, gas)?, ops, gas, sink)
+            })
+        }
+        OpsInput::Binary { stream, .. } => {
+            replay_stream_with(stream, &mut gas, |platform, ops, gas| {
+                replay_instance(adm, platform, ops, alpha, mode, gas, sink)
+            })
+        }
+    }?;
+    let done = summaries.into_iter();
+    Ok(done.map(|s| (s.name, Ok((s.stats, s.digest)))).collect())
+}
+
+/// `hetfeas ops`: replay an op trace through the online admission engine,
+/// its journaled form, or the from-scratch baseline. Every flag is
+/// checked before the trace is read. The trace's format decides only how
+/// instances arrive: sharded across `--workers` (text), pulled one at a
+/// time (HBT1), or, with `--journal`, as the single instance of either.
 fn cmd_ops(c: &Common) -> Result<ExitCode, String> {
     let path = c
         .trace
         .as_ref()
         .or(c.file.as_ref())
         .ok_or("missing --trace FILE")?;
-    if c.compact_every.is_some() && c.journal.is_none() {
-        return Err("--compact-every requires --journal".into());
-    }
-    if c.slice_bytes.is_some() && c.journal.is_none() {
-        return Err("--slice-bytes requires --journal".into());
-    }
-    let head = {
-        use std::io::Read as _;
-        let mut f = std::fs::File::open(path).map_err(|e| format!("read {path}: {e}"))?;
-        let mut buf = [0u8; 8];
-        let mut n = 0;
-        while n < buf.len() {
-            match f
-                .read(&mut buf[n..])
-                .map_err(|e| format!("read {path}: {e}"))?
-            {
-                0 => break,
-                k => n += k,
-            }
-        }
-        buf[..n].to_vec()
-    };
-    if is_binary_trace(&head) {
-        return cmd_ops_stream(c, path);
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let trace = parse_op_trace(&text).map_err(|e| format!("{path}: {e}"))?;
+    let policy = c
+        .policy
+        .0
+        .ok_or("--policy rms-rta has no indexed admission; ops supports edf|rms|rms-hyp")?;
     let mode = match c.mode.as_str() {
         "incremental" => ReplayMode::Incremental,
         "from-scratch" => ReplayMode::FromScratch,
@@ -1336,44 +1087,78 @@ fn cmd_ops(c: &Common) -> Result<ExitCode, String> {
             ))
         }
     };
-    let alpha = Augmentation::new(c.alpha).map_err(|e| e.to_string())?;
-    if let Some(journal_path) = c.journal.clone() {
-        return cmd_ops_journaled(c, path, &trace, &journal_path, alpha);
+    let journaled = c.journal.is_some();
+    if !journaled && c.compact_every.is_some() {
+        return Err("--compact-every requires --journal".into());
     }
+    if !journaled && c.slice_bytes.is_some() {
+        return Err("--slice-bytes requires --journal".into());
+    }
+    if journaled && mode != ReplayMode::Incremental {
+        return Err("--journal requires --mode incremental".into());
+    }
+    let alpha = Augmentation::new(c.alpha).map_err(|e| e.to_string())?;
+    let mut input = OpsInput::open(path)?;
     let workers = c.workers.unwrap_or_else(|| default_workers(8));
-    let total_ops: usize = trace.instances.iter().map(|i| i.ops.len()).sum();
-    println!(
-        "{} instances ({} ops), policy {}, mode {}, {} workers",
-        trace.instances.len(),
-        total_ops,
-        c.policy.name(),
-        mode.as_str(),
-        workers
-    );
-    let progress = Progress::new(trace.instances.len() as u64);
-    let sharding = Sharding {
-        workers,
-        budget_ms: c.budget_ms,
-        progress: Some(&progress),
-    };
-    let sink = c.report.as_ref().map(|_| MemorySink::new());
-    let results = match &sink {
+    let (name, mode_name) = (c.policy.name(), mode.as_str());
+    let binary = matches!(input, OpsInput::Binary { .. });
+    match &input {
+        OpsInput::Text(trace) if journaled && trace.instances.len() != 1 => {
+            let n = trace.instances.len();
+            return Err(format!(
+                "--journal replays exactly one instance; {path} holds {n}"
+            ));
+        }
+        OpsInput::Text(_) if journaled => {}
+        OpsInput::Text(trace) => {
+            let ops: usize = trace.instances.iter().map(|i| i.ops.len()).sum();
+            let n = trace.instances.len();
+            println!(
+                "{n} instances ({ops} ops), policy {name}, mode {mode_name}, {workers} workers"
+            );
+        }
+        OpsInput::Binary { bytes, .. } => println!(
+            "streaming binary trace {path} ({bytes} bytes), policy {name}, mode {mode_name}"
+        ),
+    }
+    // Metered only when something reads the meters.
+    let sink = (c.report.is_some() || journaled).then(MemorySink::new);
+    let replayed = match &sink {
         Some(s) => {
             let _t = s.timer("phase.replay");
-            ops_results(&trace, c.policy, alpha, mode, sharding, s)?
+            with_admission!(policy, adm => ops_replay(c, &mut input, adm, mode, alpha, workers, s))
         }
-        None => ops_results(&trace, c.policy, alpha, mode, sharding, &())?,
+        None => {
+            with_admission!(policy, adm => ops_replay(c, &mut input, adm, mode, alpha, workers, &()))
+        }
+    };
+    let instances = match replayed {
+        Ok(instances) => instances,
+        Err(ReplayError::Exhausted { op_index, cause }) => {
+            println!(
+                "UNDECIDED — budget exhausted ({}) at op {op_index}",
+                cause.as_str()
+            );
+            return Ok(ExitCode::from(3));
+        }
+        Err(e) => return Err(format!("{path}: {e}")),
     };
     let mut total = ReplayStats::default();
+    let mut digests = Vec::new();
     let mut exhausted = 0u64;
-    for (i, r) in results.iter().enumerate() {
-        let name = &trace.instances[i].name;
+    for (name, r) in &instances {
         match r {
-            Ok(stats) => {
+            Ok((stats, digest)) => {
                 total.merge(stats);
-                if c.verbose {
+                digests.push(*digest);
+                if c.verbose && !journaled {
+                    let shown = if binary {
+                        format!(", digest {digest:08x}")
+                    } else {
+                        String::new()
+                    };
                     println!(
-                        "  {name}: {} ops, {} admitted, {} rejected, {} removed, live {}",
+                        "  {name}: {} ops, {} admitted, {} rejected, {} removed, live {}{shown}",
                         stats.ops, stats.admitted, stats.rejected, stats.removed, stats.final_live
                     );
                 }
@@ -1385,63 +1170,113 @@ fn cmd_ops(c: &Common) -> Result<ExitCode, String> {
                     cause.as_str()
                 );
             }
-            Err(e @ (ReplayError::Trace { .. } | ReplayError::Io { .. })) => {
-                return Err(format!("{path}: instance {name:?}: {e}"));
-            }
+            Err(e) => return Err(format!("{path}: instance {name:?}: {e}")),
         }
     }
-    println!(
-        "{} ops replayed: {} admitted, {} rejected, {} removed ({} misses), \
-         {} queries ({} hits), {} repacks ({} infeasible), {} snapshots, {} rollbacks",
-        total.ops,
-        total.admitted,
-        total.rejected,
-        total.removed,
-        total.remove_misses,
-        total.query_hits + total.query_misses,
-        total.query_hits,
-        total.repacks,
-        total.repacks_infeasible,
-        total.snapshots,
-        total.rollbacks
-    );
-    if exhausted > 0 {
+    let n = instances.len();
+    let (digest_key, digest) = if journaled {
+        let [digest] = digests[..] else {
+            return Err(format!(
+                "{path}: --journal replays exactly one instance; it holds {n}"
+            ));
+        };
+        let (prefix, via) = match binary {
+            true => (format!("{}: ", instances[0].0), "streamed"),
+            false => (String::new(), "replayed"),
+        };
         println!(
-            "UNDECIDED — {exhausted} of {} instances exhausted the budget",
-            trace.instances.len()
+            "{prefix}{} ops journaled+{via}: {} admitted, {} rejected, {} removed, \
+             {} repacks, {} snapshots, {} rollbacks, live {}",
+            total.ops,
+            total.admitted,
+            total.rejected,
+            total.removed,
+            total.repacks,
+            total.snapshots,
+            total.rollbacks,
+            total.final_live
         );
-    }
+        let s = sink.as_ref().expect("journaled runs are metered");
+        println!("{}", journal_summary(s));
+        println!("journal digest {digest:08x}");
+        ("digest", digest)
+    } else {
+        let counts = format!(
+            "{} ops replayed: {} admitted, {} rejected, {} removed ({} misses), \
+             {} queries ({} hits), {} repacks ({} infeasible), {} snapshots, {} rollbacks",
+            total.ops,
+            total.admitted,
+            total.rejected,
+            total.removed,
+            total.remove_misses,
+            total.query_hits + total.query_misses,
+            total.query_hits,
+            total.repacks,
+            total.repacks_infeasible,
+            total.snapshots,
+            total.rollbacks
+        );
+        let combined = combine_digests(digests);
+        if binary {
+            println!("{n} instances streamed, {counts}");
+            println!("combined digest {combined:08x}");
+        } else {
+            println!("{counts}");
+        }
+        if exhausted > 0 {
+            println!("UNDECIDED — {exhausted} of {n} instances exhausted the budget");
+        }
+        ("combined_digest", combined)
+    };
     if let (Some(out), Some(s)) = (&c.report, &sink) {
         let mut r = RunReport::new("hetfeas", "ops");
         r.set("input", Json::Str(path.clone()))
             .set("policy", Json::Str(c.policy.key().into()))
-            .set("mode", Json::Str(mode.as_str().into()))
-            .set("workers", Json::UInt(workers as u64))
-            .set("instances", Json::UInt(trace.instances.len() as u64))
-            .set("exhausted", Json::UInt(exhausted))
-            .set("ops", Json::UInt(total.ops))
-            .set("admitted", Json::UInt(total.admitted))
-            .set("rejected", Json::UInt(total.rejected))
-            .set("removed", Json::UInt(total.removed))
-            .set("remove_misses", Json::UInt(total.remove_misses))
-            .set("query_hits", Json::UInt(total.query_hits))
-            .set("query_misses", Json::UInt(total.query_misses))
-            .set("snapshots", Json::UInt(total.snapshots))
-            .set("rollbacks", Json::UInt(total.rollbacks))
-            .set("repacks", Json::UInt(total.repacks))
-            .set("repacks_infeasible", Json::UInt(total.repacks_infeasible))
-            .set("final_live", Json::UInt(total.final_live))
+            .set("mode", Json::Str(mode_name.into()));
+        if let OpsInput::Binary { bytes, .. } = input {
+            r.set("streaming", Json::Bool(true))
+                .set("trace_bytes", Json::UInt(bytes));
+        }
+        if let Some(journal) = &c.journal {
+            r.set("journal", Json::Str(journal.clone()));
+        }
+        let sharded = !(journaled || binary);
+        r.set(
+            "workers",
+            Json::UInt(if sharded { workers as u64 } else { 1 }),
+        )
+        .set("instances", Json::UInt(n as u64))
+        .set("exhausted", Json::UInt(exhausted))
+        .set("ops", Json::UInt(total.ops))
+        .set("admitted", Json::UInt(total.admitted))
+        .set("rejected", Json::UInt(total.rejected))
+        .set("removed", Json::UInt(total.removed))
+        .set("remove_misses", Json::UInt(total.remove_misses))
+        .set("query_hits", Json::UInt(total.query_hits))
+        .set("query_misses", Json::UInt(total.query_misses))
+        .set("snapshots", Json::UInt(total.snapshots))
+        .set("rollbacks", Json::UInt(total.rollbacks))
+        .set("repacks", Json::UInt(total.repacks))
+        .set("repacks_infeasible", Json::UInt(total.repacks_infeasible))
+        .set("final_live", Json::UInt(total.final_live))
+        .set(digest_key, Json::Str(format!("{digest:08x}")));
+        if journaled {
+            use hetfeas::robust::metrics as jm;
+            r.set(
+                "journal_compact_slices",
+                Json::UInt(s.counter(jm::JOURNAL_COMPACT_SLICES)),
+            )
             .set(
-                "verdict",
-                Json::Str(
-                    if exhausted == 0 {
-                        "replayed"
-                    } else {
-                        "undecided"
-                    }
-                    .into(),
-                ),
+                "journal_bytes_reclaimed",
+                Json::UInt(s.counter(jm::JOURNAL_BYTES_RECLAIMED)),
             );
+        }
+        let verdict = if exhausted == 0 {
+            "replayed"
+        } else {
+            "undecided"
+        };
+        r.set("verdict", Json::Str(verdict.into()));
         r.attach_metrics(&s.snapshot());
         write_report(out, &r)?;
     }
@@ -1450,233 +1285,6 @@ fn cmd_ops(c: &Common) -> Result<ExitCode, String> {
     } else {
         ExitCode::from(3)
     })
-}
-
-/// `ops --trace X.hbt`: pull-based streaming replay of a binary op trace.
-/// Only the live engine state and one decode frame are ever resident — the
-/// trace itself is never materialized, so a multi-gigabyte trace replays in
-/// bounded RSS. `--journal` routes a single-instance stream through the
-/// crash-safe durability layer instead.
-fn cmd_ops_stream(c: &Common, path: &str) -> Result<ExitCode, String> {
-    if c.mode != "incremental" {
-        return Err(format!(
-            "{path} is a binary trace; streaming replay is incremental-only — \
-             convert to text with `hetfeas trace convert` for --mode {}",
-            c.mode
-        ));
-    }
-    let alpha = Augmentation::new(c.alpha).map_err(|e| e.to_string())?;
-    let file = std::fs::File::open(path).map_err(|e| format!("read {path}: {e}"))?;
-    let trace_bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
-    let mut stream = OpStream::new(std::io::BufReader::with_capacity(1 << 20, file))
-        .map_err(|e| format!("{path}: {e}"))?;
-    let mut gas = gas_for(c);
-    let sink = MemorySink::new();
-    println!(
-        "streaming binary trace {path} ({trace_bytes} bytes), policy {}, mode incremental",
-        c.policy.name()
-    );
-
-    if let Some(journal_path) = c.journal.clone() {
-        let opts = durable_opts(c);
-        let result = match c.policy {
-            Policy::Edf => replay_durable_stream(
-                &mut stream,
-                EdfAdmission,
-                alpha,
-                c.policy.key(),
-                opts,
-                journal_store(&journal_path),
-                &mut gas,
-                &sink,
-            ),
-            Policy::RmsLl => replay_durable_stream(
-                &mut stream,
-                RmsLlAdmission,
-                alpha,
-                c.policy.key(),
-                opts,
-                journal_store(&journal_path),
-                &mut gas,
-                &sink,
-            ),
-            Policy::RmsHyperbolic => replay_durable_stream(
-                &mut stream,
-                RmsHyperbolicAdmission,
-                alpha,
-                c.policy.key(),
-                opts,
-                journal_store(&journal_path),
-                &mut gas,
-                &sink,
-            ),
-            Policy::RmsRta => {
-                return Err(
-                    "--policy rms-rta has no indexed admission; ops supports edf|rms|rms-hyp"
-                        .into(),
-                )
-            }
-        };
-        let (name, stats, digest) = match result {
-            Ok(v) => v,
-            Err(StreamError::Replay(ReplayError::Exhausted { op_index, cause })) => {
-                println!(
-                    "UNDECIDED — budget exhausted ({}) at op {op_index}",
-                    cause.as_str()
-                );
-                return Ok(ExitCode::from(3));
-            }
-            Err(e) => return Err(format!("{path}: {e}")),
-        };
-        println!(
-            "{}: {} ops journaled+streamed: {} admitted, {} rejected, {} removed, \
-             {} repacks, {} snapshots, {} rollbacks, live {}",
-            name,
-            stats.ops,
-            stats.admitted,
-            stats.rejected,
-            stats.removed,
-            stats.repacks,
-            stats.snapshots,
-            stats.rollbacks,
-            stats.final_live
-        );
-        println!("{}", journal_summary(&sink));
-        println!("journal digest {digest:08x}");
-        if let Some(out) = &c.report {
-            let mut r = RunReport::new("hetfeas", "ops");
-            r.set("input", Json::Str(path.to_string()))
-                .set("policy", Json::Str(c.policy.key().into()))
-                .set("mode", Json::Str("incremental".into()))
-                .set("streaming", Json::Bool(true))
-                .set("trace_bytes", Json::UInt(trace_bytes))
-                .set("journal", Json::Str(journal_path))
-                .set("ops", Json::UInt(stats.ops))
-                .set("admitted", Json::UInt(stats.admitted))
-                .set("rejected", Json::UInt(stats.rejected))
-                .set("removed", Json::UInt(stats.removed))
-                .set("snapshots", Json::UInt(stats.snapshots))
-                .set("rollbacks", Json::UInt(stats.rollbacks))
-                .set("repacks", Json::UInt(stats.repacks))
-                .set("final_live", Json::UInt(stats.final_live))
-                .set("digest", Json::Str(format!("{digest:08x}")))
-                .set(
-                    "journal_compact_slices",
-                    Json::UInt(sink.counter(hetfeas::robust::metrics::JOURNAL_COMPACT_SLICES)),
-                )
-                .set(
-                    "journal_bytes_reclaimed",
-                    Json::UInt(sink.counter(hetfeas::robust::metrics::JOURNAL_BYTES_RECLAIMED)),
-                )
-                .set("verdict", Json::Str("replayed".into()));
-            r.attach_metrics(&sink.snapshot());
-            write_report(out, &r)?;
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let result: Result<Vec<StreamSummary>, StreamError> = match c.policy {
-        Policy::Edf => replay_stream(&mut stream, EdfAdmission, alpha, &mut gas, &sink),
-        Policy::RmsLl => replay_stream(&mut stream, RmsLlAdmission, alpha, &mut gas, &sink),
-        Policy::RmsHyperbolic => {
-            replay_stream(&mut stream, RmsHyperbolicAdmission, alpha, &mut gas, &sink)
-        }
-        Policy::RmsRta => {
-            return Err(
-                "--policy rms-rta has no indexed admission; ops supports edf|rms|rms-hyp".into(),
-            )
-        }
-    };
-    let summaries = match result {
-        Ok(v) => v,
-        Err(StreamError::Replay(ReplayError::Exhausted { op_index, cause })) => {
-            println!(
-                "UNDECIDED — budget exhausted ({}) at op {op_index}",
-                cause.as_str()
-            );
-            return Ok(ExitCode::from(3));
-        }
-        Err(e) => return Err(format!("{path}: {e}")),
-    };
-    let mut total = ReplayStats::default();
-    for s in &summaries {
-        total.merge(&s.stats);
-        if c.verbose {
-            println!(
-                "  {}: {} ops, {} admitted, {} rejected, {} removed, live {}, digest {:08x}",
-                s.name,
-                s.stats.ops,
-                s.stats.admitted,
-                s.stats.rejected,
-                s.stats.removed,
-                s.stats.final_live,
-                s.digest
-            );
-        }
-    }
-    let combined = combine_digests(summaries.iter().map(|s| s.digest));
-    println!(
-        "{} instances streamed, {} ops replayed: {} admitted, {} rejected, {} removed \
-         ({} misses), {} queries ({} hits), {} repacks ({} infeasible), {} snapshots, \
-         {} rollbacks",
-        summaries.len(),
-        total.ops,
-        total.admitted,
-        total.rejected,
-        total.removed,
-        total.remove_misses,
-        total.query_hits + total.query_misses,
-        total.query_hits,
-        total.repacks,
-        total.repacks_infeasible,
-        total.snapshots,
-        total.rollbacks
-    );
-    println!("combined digest {combined:08x}");
-    if let Some(out) = &c.report {
-        let mut r = RunReport::new("hetfeas", "ops");
-        r.set("input", Json::Str(path.to_string()))
-            .set("policy", Json::Str(c.policy.key().into()))
-            .set("mode", Json::Str("incremental".into()))
-            .set("streaming", Json::Bool(true))
-            .set("trace_bytes", Json::UInt(trace_bytes))
-            .set("instances", Json::UInt(summaries.len() as u64))
-            .set("ops", Json::UInt(total.ops))
-            .set("admitted", Json::UInt(total.admitted))
-            .set("rejected", Json::UInt(total.rejected))
-            .set("removed", Json::UInt(total.removed))
-            .set("remove_misses", Json::UInt(total.remove_misses))
-            .set("query_hits", Json::UInt(total.query_hits))
-            .set("query_misses", Json::UInt(total.query_misses))
-            .set("snapshots", Json::UInt(total.snapshots))
-            .set("rollbacks", Json::UInt(total.rollbacks))
-            .set("repacks", Json::UInt(total.repacks))
-            .set("repacks_infeasible", Json::UInt(total.repacks_infeasible))
-            .set("final_live", Json::UInt(total.final_live))
-            .set("combined_digest", Json::Str(format!("{combined:08x}")))
-            .set("verdict", Json::Str("replayed".into()));
-        r.attach_metrics(&sink.snapshot());
-        write_report(out, &r)?;
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Recover the engine from `path` and summarize it, generic over the
-/// admission test the journal's config record names.
-fn recover_summary<A: IndexableAdmission>(
-    admission: A,
-    path: &str,
-    policy: &str,
-    gas: &mut Gas,
-    sink: &MemorySink,
-) -> Result<(RecoveryReport, u32, usize, Vec<f64>), RecoverError> {
-    let (eng, rep) = recover(admission, journal_store(path), policy, gas, sink)?;
-    let digest = eng.state_digest();
-    let live = eng.engine().len();
-    let loads = (0..eng.engine().platform().len())
-        .map(|m| eng.engine().load_on(m))
-        .collect();
-    Ok((rep, digest, live, loads))
 }
 
 /// Rebuild a journaled engine from a (possibly crashed) journal file.
@@ -1694,12 +1302,15 @@ fn cmd_recover(c: &Common) -> Result<ExitCode, String> {
     let config = peek_config(&mut probe).map_err(|e| format!("{path}: {e}"))?;
     let mut gas = gas_for(c);
     let sink = MemorySink::new();
-    let result = match config.policy.as_str() {
-        "edf" => recover_summary(EdfAdmission, &path, "edf", &mut gas, &sink),
-        "rms-ll" => recover_summary(RmsLlAdmission, &path, "rms-ll", &mut gas, &sink),
-        "rms-hyp" => recover_summary(RmsHyperbolicAdmission, &path, "rms-hyp", &mut gas, &sink),
-        other => return Err(format!("{path}: journal names unknown policy {other:?}")),
-    };
+    let kind = PolicyKind::parse(&config.policy)
+        .map_err(|_| format!("{path}: journal names unknown policy {:?}", config.policy))?;
+    let result = with_admission!(kind, adm => {
+        recover(adm, journal_store(&path), &mut gas, &sink).map(|(eng, rep)| {
+            let e = eng.engine();
+            let loads: Vec<f64> = (0..e.platform().len()).map(|m| e.load_on(m)).collect();
+            (rep, eng.state_digest(), e.len(), loads)
+        })
+    });
     let (rep, digest, live, loads) = match result {
         Ok(v) => v,
         Err(RecoverError::Exhausted(x)) => {
@@ -1867,6 +1478,7 @@ fn cmd_serve(c: &Common) -> Result<ExitCode, String> {
     let mut svc_cfg = ServiceConfig {
         seed: c.seed,
         workers: c.workers.unwrap_or(0),
+        opts: durable_opts(c),
         ..ServiceConfig::default()
     };
     if let Some(q) = c.queue_depth {
@@ -1877,12 +1489,6 @@ fn cmd_serve(c: &Common) -> Result<ExitCode, String> {
     }
     if let Some(m) = c.max_restarts {
         svc_cfg.max_restarts = m;
-    }
-    if let Some(n) = c.compact_every {
-        svc_cfg.opts.compact_every = n;
-    }
-    if let Some(b) = c.slice_bytes {
-        svc_cfg.opts.slice_bytes = b;
     }
     let server_cfg = ServerConfig {
         data_dir: std::path::PathBuf::from(c.data_dir.as_deref().unwrap_or(".")),
@@ -2240,8 +1846,8 @@ const USAGE: &str =
   ops      --trace TRACE [--mode incremental|from-scratch] [--policy edf|rms|rms-hyp]
            [--alpha X] [--workers N] [--report FILE] [-v]
            [--journal FILE [--compact-every N] [--slice-bytes B]]
-           write-ahead journal (single instance); binary traces replay as a
-           bounded-RSS stream (incremental only)
+           text traces shard across workers, binary traces replay as a
+           bounded-RSS stream; --journal writes a write-ahead journal (one instance)
   recover  JOURNAL [--report FILE] [-v]   rebuild engine state from a journal
   serve    [--data-dir DIR] [--socket PATH | --tcp ADDR] [--text] [--workers N] [--seed N]
            [--queue-depth N] [--batch-max N] [--max-restarts N] [--compact-every N]

@@ -317,12 +317,42 @@ fn compaction_keeps_the_journal_recoverable() {
 #[test]
 fn ops_rejects_rms_rta_and_bad_mode() {
     let trace = write_trace(TRACE);
-    let out = hetfeas(&["ops", "--trace", trace.to_str(), "--policy", "rms-rta"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let out = hetfeas(&["ops", "--trace", trace.to_str(), "--mode", "sideways"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let bin = temp_path("hbt");
+    let out = hetfeas(&["trace", "convert", trace.to_str(), "--out", bin.to_str()]);
+    assert!(out.status.success(), "{out:?}");
+    // Both formats refuse before printing anything, naming the bad flag.
+    for path in [trace.to_str(), bin.to_str()] {
+        for (flag, value) in [("--policy", "rms-rta"), ("--mode", "sideways")] {
+            let out = hetfeas(&["ops", "--trace", path, flag, value]);
+            assert_eq!(out.status.code(), Some(2), "{out:?}");
+            assert!(out.stdout.is_empty(), "{path} {flag}: {out:?}");
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert!(stderr.contains(flag), "{path} {flag}: {stderr}");
+        }
+    }
     let out = hetfeas(&["ops"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
+}
+
+/// The from-scratch baseline replays a trace's text and HBT1 forms to the
+/// same counts.
+#[test]
+fn from_scratch_replays_both_formats_alike() {
+    let inputs = pin_inputs();
+    for (name, txt, bin) in &inputs {
+        let run = |path: &str| {
+            let out = hetfeas(&["ops", "--trace", path, "--mode", "from-scratch"]);
+            assert!(out.status.success(), "{name}: {out:?}");
+            String::from_utf8(out.stdout).unwrap()
+        };
+        let (text_out, bin_out) = (run(txt.to_str()), run(bin.to_str()));
+        assert!(bin_out.contains("mode from-scratch"), "{bin_out}");
+        assert_eq!(
+            replayed_counts(&text_out),
+            replayed_counts(&bin_out),
+            "{name}"
+        );
+    }
 }
 
 /// One pinned `ops` run: the input (`trace`, `solo` or `synth`) in text

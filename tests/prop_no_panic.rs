@@ -3,15 +3,15 @@
 //! generated instances and on the adversarial [`FaultPlan`] corpus alike.
 
 use hetfeas::analysis::{qpa_schedulable_within, rta_schedulable_within};
-use hetfeas::experiments::{replay_durable, replay_instance, ReplayMode};
+use hetfeas::experiments::{replay_instance, replay_ops, ReplayMode};
 use hetfeas::lp::solve_paper_lp_within;
 use hetfeas::model::properties;
 use hetfeas::model::rng::Gen;
 use hetfeas::model::{parse_op_trace, parse_system, Augmentation, Platform, Ratio, Task, TaskSet};
 use hetfeas::partition::{
     exact_partition_edf, exact_partition_edf_degraded, first_fit, first_fit_within,
-    lp_feasible_degraded, min_feasible_alpha_within, DurableOptions, EdfAdmission, ExactOutcome,
-    ExactSolver, LadderVerdict, Outcome,
+    lp_feasible_degraded, min_feasible_alpha_within, DurableEngine, DurableOptions, EdfAdmission,
+    ExactOutcome, ExactSolver, LadderVerdict, Outcome,
 };
 use hetfeas::robust::{guard, Budget, FaultKind, FaultPlan, MemStorage};
 use hetfeas::sim::{validate_assignment_within, SchedPolicy};
@@ -175,23 +175,25 @@ properties! {
                 let mut gas = Budget::ops(10_000).gas();
                 let _ = replay_instance(
                     EdfAdmission,
-                    inst,
+                    &inst.platform,
+                    inst.ops.iter().copied(),
                     Augmentation::NONE,
                     ReplayMode::Incremental,
                     &mut gas,
                     &(),
                 );
                 let mut gas = Budget::ops(10_000).gas();
-                let _ = replay_durable(
+                if let Ok(eng) = DurableEngine::create(
                     EdfAdmission,
-                    inst,
+                    &inst.platform,
                     Augmentation::NONE,
-                    "edf",
                     DurableOptions::default(),
                     Box::new(MemStorage::new()),
                     &mut gas,
                     &(),
-                );
+                ) {
+                    let _ = replay_ops(eng, inst.ops.iter().copied(), &mut gas, &());
+                }
             }
         }
     }
