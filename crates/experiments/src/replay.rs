@@ -7,7 +7,8 @@
 //!
 //! * [`Incremental`] — the [`IncrementalEngine`] (`O(log m)` adds, local
 //!   repairs) with the trace's single snapshot slot;
-//! * [`DurableEngine`] — the same engine behind a write-ahead journal;
+//! * [`DurableEngine`] — the same engine behind a write-ahead journal,
+//!   with the journal's barrier run after every op;
 //! * [`FromScratch`] — the honest baseline: a full batch first-fit re-run
 //!   ([`FirstFitEngine`]) after every mutating operation.
 //!
@@ -274,9 +275,14 @@ impl<A: IndexableAdmission> OpEngine for Incremental<A> {
     }
 }
 
+/// A replay acknowledges every op, so each one runs the journal's
+/// barrier ([`DurableEngine::sync`]) right after it: one `fsync` per op
+/// that wrote a record, none for one that did not.
 impl<A: IndexableAdmission> OpEngine for DurableEngine<A> {
     fn add<S: MetricsSink>(&mut self, task: Task, gas: &mut Gas, sink: &S) -> OpResult<AddOutcome> {
-        DurableEngine::add(self, task, gas, sink)
+        let out = DurableEngine::add(self, task, gas, sink)?;
+        self.sync(gas, sink)?;
+        Ok(out)
     }
 
     fn remove<S: MetricsSink>(
@@ -285,7 +291,9 @@ impl<A: IndexableAdmission> OpEngine for DurableEngine<A> {
         gas: &mut Gas,
         sink: &S,
     ) -> OpResult<Option<Task>> {
-        DurableEngine::remove(self, id, gas, sink)
+        let out = DurableEngine::remove(self, id, gas, sink)?;
+        self.sync(gas, sink)?;
+        Ok(out)
     }
 
     fn machine_of(&self, id: TaskId) -> Option<usize> {
@@ -297,15 +305,20 @@ impl<A: IndexableAdmission> OpEngine for DurableEngine<A> {
     }
 
     fn snapshot<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<()> {
-        DurableEngine::snapshot(self, gas, sink)
+        DurableEngine::snapshot(self, gas, sink)?;
+        self.sync(gas, sink)
     }
 
     fn rollback<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<bool> {
-        DurableEngine::rollback(self, gas, sink)
+        let out = DurableEngine::rollback(self, gas, sink)?;
+        self.sync(gas, sink)?;
+        Ok(out)
     }
 
     fn repack<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<RepackOutcome> {
-        DurableEngine::repack(self, gas, sink)
+        let out = DurableEngine::repack(self, gas, sink)?;
+        self.sync(gas, sink)?;
+        Ok(out)
     }
 
     fn digest(&self) -> u32 {

@@ -4,29 +4,56 @@
 //!
 //! ## Protocol
 //!
-//! Every mutating op (`add`/`remove`/`snapshot`/`rollback`/`repack`) is
-//! appended to the journal — one CRC32-framed record, fsynced — **before**
-//! it is applied in memory. Record payloads are deterministic: the inner
-//! engine runs with [`RepairPolicy::never`], and the divergence-triggered
-//! canonical repack is journaled as an explicit `p` record by this layer,
-//! so the journal is a complete, gas-independent description of the
-//! engine's history. [`recover`] replays it back to the **bit-identical**
-//! in-memory engine (same per-machine `f64` loads, same assignment, same
-//! id allocator) — the crash-matrix suite in
-//! `crates/partition/tests/prop_durable.rs` kills a run at every record
-//! boundary and inside records and asserts exactly that.
+//! Every mutating op (`add`/`remove`/`snapshot`/`rollback`/`repack`)
+//! writes one CRC32-framed record to the journal **before** it is applied
+//! in memory; no op fsyncs on its own. [`DurableEngine::sync`] is the one
+//! durability barrier: a single `fsync` covering every record written
+//! since the previous barrier. A caller acknowledges an op only after a
+//! barrier that covers its record has succeeded — the service shard runs
+//! it once per batch and replies after it, the `ops --journal` replay once
+//! per op. A failed barrier truncates the journal back to the previous
+//! one where the storage allows it (see
+//! [`hetfeas_robust::journal::Journal::sync`]).
+//!
+//! Record payloads are deterministic: the inner engine runs with
+//! [`RepairPolicy::never`], and the divergence-triggered canonical repack
+//! is journaled as an explicit `p` record by this layer, so the journal
+//! is a complete, gas-independent description of the engine's history.
+//! [`recover`] replays it back to the **bit-identical** in-memory engine
+//! (same per-machine `f64` loads, same assignment, same id allocator) —
+//! the crash-matrix suite in `crates/partition/tests/prop_durable.rs`
+//! kills a run at every record boundary and inside records and asserts
+//! exactly that.
+//!
+//! ## Request ids
+//!
+//! A caller that deduplicates client retries tags an op with its request
+//! id ([`DurableEngine::set_rid`]). The op's record then ends in
+//! ` rid=<n>`, and the engine keeps the outcomes ([`Applied`]) of the last
+//! [`DurableEngine::set_rid_window`] tagged ops, oldest first
+//! ([`DurableEngine::rid_log`]). Compaction carries that log forward as a
+//! `window` record after the state images — outside the bytes the state
+//! digest hashes — and [`recover`] rebuilds it from the window record and
+//! the tagged records it replays, so a retry that straddles a process
+//! restart can still be answered from the log. Only journaled outcomes
+//! are logged: a remove of a dead id, a rollback with no snapshot and a
+//! compaction write no op record, so they are not remembered across a
+//! restart.
 //!
 //! ## Compaction
 //!
 //! Every [`DurableOptions::compact_every`] ops the journal is rewritten as
-//! `[config, state, snapstate?]` into a staged file that replaces the live
-//! journal with an atomic rename: a crash during compaction leaves either
-//! the full old journal or the compacted new one, never a mix. The rewrite
-//! is **incremental**: [`DurableEngine::begin_compaction`] captures the
-//! framed image, then each [`DurableEngine::compaction_slice`] copies at
-//! most [`DurableOptions::slice_bytes`] of it into the stage, so live ops
-//! keep landing (in the live journal *and* mirrored into the staged tail)
-//! between slices — compaction never stops the world. `after_op` and the
+//! `[config, state, snapstate?, window?]` into a staged file that
+//! replaces the live journal with an atomic rename: a crash during
+//! compaction leaves either the full old journal or the compacted new
+//! one, never a mix. The rewrite is **incremental**:
+//! [`DurableEngine::begin_compaction`] captures the framed image, then
+//! each [`DurableEngine::compaction_slice`] copies at most
+//! [`DurableOptions::slice_bytes`] of it into the stage, so live ops keep
+//! landing (in the live journal *and* mirrored into the staged tail)
+//! between slices — compaction never stops the world. The commit fsyncs
+//! the staged file before the rename, so it is a barrier for the tail it
+//! carries. `after_op` and the
 //! public [`DurableEngine::compaction_tick`] hook each advance one slice;
 //! [`DurableEngine::compact`] loops slices to completion for callers that
 //! want the old blocking behaviour. State records serialize per-machine
@@ -67,13 +94,22 @@ use crate::incremental::{
 use hetfeas_model::crc::Crc32;
 use hetfeas_model::{Augmentation, Machine, Platform, Ratio, Task};
 use hetfeas_obs::MetricsSink;
-use hetfeas_robust::journal::{encode_record, scan_records, Journal, JournalError, Storage};
+use hetfeas_robust::journal::{
+    encode_record, frame_record, scan_records, Journal, JournalError, Storage, RECORD_HEADER_LEN,
+};
 use hetfeas_robust::{metrics as rmetrics, Exhaustion, Gas};
+use std::collections::VecDeque;
 use std::io::Write;
 
 /// First line of every journal's config record; bumping the format bumps
-/// this string, making old binaries fail closed with `Corrupt`.
-pub const JOURNAL_MAGIC: &str = "hetfeas-journal v1";
+/// this string, making old binaries fail closed with `Corrupt`. Version 2
+/// added request-id tags on op records and the `window` record; a
+/// version-1 journal has neither and is still read.
+pub const JOURNAL_MAGIC: &str = "hetfeas-journal v2";
+
+/// The config header of journals written before request ids were
+/// journaled. They recover exactly as before.
+const JOURNAL_MAGIC_V1: &str = "hetfeas-journal v1";
 
 /// Durability knobs for a [`DurableEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,7 +276,7 @@ fn parse_config(payload: &[u8]) -> Result<JournalConfig, String> {
         std::str::from_utf8(payload).map_err(|_| "config record is not UTF-8".to_string())?;
     let mut lines = text.lines();
     match lines.next() {
-        Some(JOURNAL_MAGIC) => {}
+        Some(JOURNAL_MAGIC | JOURNAL_MAGIC_V1) => {}
         Some(other) => return Err(format!("not a hetfeas journal (header '{other}')")),
         None => return Err("empty config record".to_string()),
     }
@@ -463,6 +499,130 @@ fn encode_add(task: &Task) -> Vec<u8> {
     format!("a {} {} {}", task.wcet(), task.period(), task.deadline()).into_bytes()
 }
 
+/// `payload` with the request-id tag ` rid=<n>` appended, when there is
+/// one.
+fn tagged(mut payload: Vec<u8>, rid: Option<u64>) -> Vec<u8> {
+    if let Some(rid) = rid {
+        payload.extend_from_slice(b" rid=");
+        push_u64(&mut payload, rid);
+    }
+    payload
+}
+
+/// The optional request-id tag after an op record's fields.
+fn parse_rid(tok: Option<&str>) -> Result<Option<u64>, String> {
+    let Some(tok) = tok else {
+        return Ok(None);
+    };
+    let n = tok
+        .strip_prefix("rid=")
+        .ok_or_else(|| format!("unexpected token '{tok}'"))?;
+    n.parse()
+        .map(Some)
+        .map_err(|_| format!("bad request id '{n}'"))
+}
+
+/// What a journaled op did, as the request-id log remembers it: enough
+/// to answer a retry of the same request with the same reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Applied {
+    /// An add admitted under raw task id `id`, on original machine index
+    /// `machine`.
+    Admitted {
+        /// Raw task id.
+        id: u64,
+        /// Machine the task landed on.
+        machine: usize,
+    },
+    /// An add rejected by the admission test.
+    Rejected,
+    /// A remove of a live task.
+    Removed,
+    /// A snapshot, a rollback to a held snapshot, or a repack that
+    /// repacked.
+    Done,
+    /// A repack whose re-run came back infeasible (assignment kept).
+    RepackInfeasible,
+}
+
+/// The outcomes of the last `cap` rid-tagged ops, oldest first.
+struct RidLog {
+    cap: usize,
+    entries: VecDeque<(u64, Applied)>,
+}
+
+impl RidLog {
+    fn unbounded() -> RidLog {
+        RidLog {
+            cap: usize::MAX,
+            entries: VecDeque::new(),
+        }
+    }
+
+    fn push(&mut self, rid: u64, applied: Applied) {
+        self.entries.push_back((rid, applied));
+        self.trim();
+    }
+
+    fn trim(&mut self) {
+        while self.entries.len() > self.cap {
+            self.entries.pop_front();
+        }
+    }
+}
+
+/// The `window` record: one line per logged request id, oldest first.
+fn encode_window(log: &RidLog) -> Vec<u8> {
+    let mut out = b"window\n".to_vec();
+    for &(rid, applied) in &log.entries {
+        push_u64(&mut out, rid);
+        match applied {
+            Applied::Admitted { id, machine } => {
+                out.extend_from_slice(b" admitted ");
+                push_u64(&mut out, id);
+                out.push(b' ');
+                push_u64(&mut out, machine as u64);
+            }
+            Applied::Rejected => out.extend_from_slice(b" rejected"),
+            Applied::Removed => out.extend_from_slice(b" removed"),
+            Applied::Done => out.extend_from_slice(b" done"),
+            Applied::RepackInfeasible => out.extend_from_slice(b" repack-infeasible"),
+        }
+        out.push(b'\n');
+    }
+    out
+}
+
+fn parse_window(text: &str, machine_count: usize) -> Result<Vec<(u64, Applied)>, String> {
+    fn num<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> Result<T, String> {
+        let tok = tok.ok_or_else(|| format!("window line missing {what}"))?;
+        tok.parse().map_err(|_| format!("bad {what} '{tok}'"))
+    }
+    text.lines()
+        .skip(1)
+        .map(|line| {
+            let mut toks = line.split_whitespace();
+            let rid = num(toks.next(), "request id")?;
+            let applied = match toks.next() {
+                Some("admitted") => {
+                    let id = num(toks.next(), "task id")?;
+                    let machine: usize = num(toks.next(), "machine")?;
+                    if machine >= machine_count {
+                        return Err(format!("machine index {machine} out of range"));
+                    }
+                    Applied::Admitted { id, machine }
+                }
+                Some("rejected") => Applied::Rejected,
+                Some("removed") => Applied::Removed,
+                Some("done") => Applied::Done,
+                Some("repack-infeasible") => Applied::RepackInfeasible,
+                other => return Err(format!("bad window outcome {other:?}")),
+            };
+            Ok((rid, applied))
+        })
+        .collect()
+}
+
 /// Progress reported by one compaction step ([`DurableEngine::compaction_slice`]
 /// / [`DurableEngine::compaction_tick`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -533,7 +693,7 @@ impl ChangeLog {
 }
 
 /// An in-flight incremental compaction: the framed `[config, state,
-/// snapstate?]` image captured at begin, how much of it has been staged,
+/// snapstate?, window?]` image captured at begin, how much of it has been staged,
 /// and the ops journaled since — those must follow the image into the
 /// stage before the atomic swap, or acknowledged ops would vanish.
 struct CompactionState {
@@ -544,7 +704,8 @@ struct CompactionState {
 }
 
 /// A crash-safe [`IncrementalEngine`]: write-ahead journaling before every
-/// op, periodic atomic compaction, gas-budgeted IO retries.
+/// op, one caller-run durability barrier ([`DurableEngine::sync`]),
+/// periodic atomic compaction, gas-budgeted IO retries.
 ///
 /// The public op surface mirrors the inner engine's `_within_with`
 /// methods; the single journaled snapshot slot mirrors the op-trace
@@ -559,6 +720,9 @@ pub struct DurableEngine<A: IndexableAdmission> {
     slice_bytes: u64,
     compaction: Option<CompactionState>,
     changed: ChangeLog,
+    /// Request id the next op's record carries ([`Self::set_rid`]).
+    rid: Option<u64>,
+    rids: RidLog,
 }
 
 impl<A: IndexableAdmission> DurableEngine<A> {
@@ -599,6 +763,8 @@ impl<A: IndexableAdmission> DurableEngine<A> {
             slice_bytes: opts.slice_bytes,
             compaction: None,
             changed: ChangeLog::all(platform.len()),
+            rid: None,
+            rids: RidLog::unbounded(),
         })
     }
 
@@ -646,20 +812,57 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         self.slice_bytes = bytes;
     }
 
-    /// Append `payload` to the live journal, mirroring it into the staged
+    /// Write `payload` to the live journal, mirroring it into the staged
     /// compaction tail when a rewrite is in flight: the staged journal
     /// must describe every op acknowledged after its image was captured.
-    fn log_append<S: MetricsSink>(
+    fn log_write<S: MetricsSink>(
         &mut self,
         payload: &[u8],
         gas: &mut Gas,
         sink: &S,
     ) -> Result<(), DurableError> {
-        self.journal.append(payload, gas, sink)?;
+        self.journal.write(payload, gas, sink)?;
         if let Some(c) = &mut self.compaction {
             c.tail.push(payload.to_vec());
         }
         Ok(())
+    }
+
+    /// The durability barrier: one `fsync` covering every record written
+    /// since the previous barrier (free when there is none). Acknowledge
+    /// an op only after a barrier that covers its record has succeeded.
+    /// On failure the journal is truncated back to the previous barrier
+    /// where the storage allows it; the in-memory engine may then be ahead
+    /// of the journal, so the caller must discard it and [`recover`].
+    pub fn sync<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> Result<(), DurableError> {
+        Ok(self.journal.sync(gas, sink)?)
+    }
+
+    /// Tag the next op with request id `rid`: its record carries the id,
+    /// and, when the op journals a record, its [`Applied`] outcome joins
+    /// the request-id log. The next op call consumes the tag whether or
+    /// not it writes a record.
+    pub fn set_rid(&mut self, rid: u64) {
+        self.rid = Some(rid);
+    }
+
+    /// Keep the outcomes of at most `cap` tagged ops, dropping the oldest
+    /// now if the log is longer. Until this is called the log is
+    /// unbounded; [`recover`] rebuilds every tagged outcome it replays.
+    pub fn set_rid_window(&mut self, cap: usize) {
+        self.rids.cap = cap;
+        self.rids.trim();
+    }
+
+    /// The logged `(request id, outcome)` pairs, oldest first.
+    pub fn rid_log(&self) -> impl Iterator<Item = (u64, Applied)> + '_ {
+        self.rids.entries.iter().copied()
+    }
+
+    fn remember(&mut self, rid: Option<u64>, applied: Applied) {
+        if let Some(rid) = rid {
+            self.rids.push(rid, applied);
+        }
     }
 
     /// The current assignment over live tasks (see
@@ -675,15 +878,24 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         gas: &mut Gas,
         sink: &S,
     ) -> Result<AddOutcome, DurableError> {
+        let rid = self.rid.take();
         gas.tick().map_err(DurableError::Exhausted)?;
-        self.log_append(&encode_add(&task), gas, sink)?;
+        self.log_write(&tagged(encode_add(&task), rid), gas, sink)?;
         let out = self
             .inner
             .add_within_with(task, &mut Gas::unlimited(), sink)
             .expect("unlimited gas cannot exhaust");
-        if let AddOutcome::Admitted { machine, .. } = out {
-            self.changed.mark(machine);
-        }
+        let applied = match out {
+            AddOutcome::Admitted { id, machine } => {
+                self.changed.mark(machine);
+                Applied::Admitted {
+                    id: id.raw(),
+                    machine,
+                }
+            }
+            AddOutcome::Rejected => Applied::Rejected,
+        };
+        self.remember(rid, applied);
         self.after_op(gas, sink)?;
         Ok(out)
     }
@@ -696,18 +908,24 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         gas: &mut Gas,
         sink: &S,
     ) -> Result<Option<Task>, DurableError> {
+        let rid = self.rid.take();
         gas.tick().map_err(DurableError::Exhausted)?;
         let Some(machine) = self.inner.machine_of(id) else {
             return Ok(None);
         };
         gas.tick_n(self.inner.residents_on(machine) as u64)
             .map_err(DurableError::Exhausted)?;
-        self.log_append(format!("r {}", id.raw()).as_bytes(), gas, sink)?;
+        self.log_write(
+            &tagged(format!("r {}", id.raw()).into_bytes(), rid),
+            gas,
+            sink,
+        )?;
         let out = self
             .inner
             .remove_within_with(id, &mut Gas::unlimited(), sink)
             .expect("unlimited gas cannot exhaust");
         self.changed.mark(machine);
+        self.remember(rid, Applied::Removed);
         self.after_op(gas, sink)?;
         Ok(out)
     }
@@ -718,10 +936,12 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         gas: &mut Gas,
         sink: &S,
     ) -> Result<(), DurableError> {
+        let rid = self.rid.take();
         gas.tick_n(self.inner.len() as u64 + 1)
             .map_err(DurableError::Exhausted)?;
-        self.log_append(b"s", gas, sink)?;
+        self.log_write(&tagged(b"s".to_vec(), rid), gas, sink)?;
         self.snap = Some(self.inner.snapshot_with(sink));
+        self.remember(rid, Applied::Done);
         self.after_op(gas, sink)
     }
 
@@ -732,15 +952,17 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         gas: &mut Gas,
         sink: &S,
     ) -> Result<bool, DurableError> {
+        let rid = self.rid.take();
         if self.snap.is_none() {
             return Ok(false);
         }
         gas.tick_n(self.inner.len() as u64 + 1)
             .map_err(DurableError::Exhausted)?;
-        self.log_append(b"b", gas, sink)?;
+        self.log_write(&tagged(b"b".to_vec(), rid), gas, sink)?;
         let snap = self.snap.as_ref().expect("checked above");
         self.inner.rollback_with(snap, sink);
         self.changed.mark_all();
+        self.remember(rid, Applied::Done);
         self.after_op(gas, sink)?;
         Ok(true)
     }
@@ -751,16 +973,26 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         gas: &mut Gas,
         sink: &S,
     ) -> Result<RepackOutcome, DurableError> {
-        let out = self.journaled_repack(gas, sink)?;
+        let rid = self.rid.take();
+        let out = self.journaled_repack(rid, gas, sink)?;
+        self.remember(
+            rid,
+            match out {
+                RepackOutcome::Repacked => Applied::Done,
+                RepackOutcome::Infeasible => Applied::RepackInfeasible,
+            },
+        );
         self.after_op(gas, sink)?;
         Ok(out)
     }
 
-    /// Rewrite the journal as `[config, state, snapstate?]` through an
-    /// atomic replace, blocking until done. Safe at any time; the same
-    /// work happens incrementally every [`DurableOptions::compact_every`]
-    /// ops via [`Self::compaction_tick`].
+    /// Rewrite the journal as `[config, state, snapstate?, window?]`
+    /// through an atomic replace, blocking until done. Safe at any time;
+    /// the same work happens incrementally every
+    /// [`DurableOptions::compact_every`] ops via [`Self::compaction_tick`].
+    /// Writes no op record, so a request-id tag is dropped.
     pub fn compact<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> Result<(), DurableError> {
+        self.rid = None;
         self.begin_compaction(gas, sink)?;
         loop {
             match self.compaction_slice(gas, sink)? {
@@ -783,13 +1015,21 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         }
         gas.tick_n(self.inner.len() as u64 + 1)
             .map_err(DurableError::Exhausted)?;
-        let mut image = encode_record(&encode_config(&self.config));
-        image.extend_from_slice(&encode_record(&encode_state("state", &self.inner.view())));
+        let mut records = vec![
+            encode_config(&self.config),
+            encode_state("state", &self.inner.view()),
+        ];
         if let Some(snap) = &self.snap {
-            image.extend_from_slice(&encode_record(&encode_state(
-                "snapstate",
-                &self.inner.snapshot_view(snap),
-            )));
+            records.push(encode_state("snapstate", &self.inner.snapshot_view(snap)));
+        }
+        if !self.rids.entries.is_empty() {
+            records.push(encode_window(&self.rids));
+        }
+        // Sized once: a growing image would be copied at each doubling.
+        let framed = records.iter().map(|r| RECORD_HEADER_LEN + r.len()).sum();
+        let mut image = Vec::with_capacity(framed);
+        for r in &records {
+            frame_record(&mut image, r);
         }
         self.journal.begin_rewrite(gas, sink)?;
         self.compaction = Some(CompactionState {
@@ -885,12 +1125,13 @@ impl<A: IndexableAdmission> DurableEngine<A> {
 
     fn journaled_repack<S: MetricsSink>(
         &mut self,
+        rid: Option<u64>,
         gas: &mut Gas,
         sink: &S,
     ) -> Result<RepackOutcome, DurableError> {
         gas.tick_n((self.inner.len() + self.inner.platform().len()) as u64 + 1)
             .map_err(DurableError::Exhausted)?;
-        self.log_append(b"p", gas, sink)?;
+        self.log_write(&tagged(b"p".to_vec(), rid), gas, sink)?;
         let out = self
             .inner
             .repack_within_with(&mut Gas::unlimited(), sink)
@@ -911,7 +1152,7 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         if self.config.repack_after > 0
             && self.inner.divergence() >= u64::from(self.config.repack_after)
         {
-            match self.journaled_repack(gas, sink) {
+            match self.journaled_repack(None, gas, sink) {
                 Ok(_) | Err(DurableError::Exhausted(_)) => {}
                 Err(e) => return Err(e),
             }
@@ -934,7 +1175,7 @@ impl<A: IndexableAdmission> DurableEngine<A> {
             .map_err(|_| corrupt("payload is not UTF-8".to_string()))?;
         let mut toks = text.split_whitespace();
         let m = self.inner.platform().len();
-        match toks.next() {
+        let applied = match toks.next() {
             Some("a") => {
                 gas.tick().map_err(RecoverError::Exhausted)?;
                 let (w, p, d) = (
@@ -946,9 +1187,17 @@ impl<A: IndexableAdmission> DurableEngine<A> {
                         .ok_or_else(|| corrupt("add missing deadline".into()))?,
                 );
                 let task = parse_task(w, p, d).map_err(corrupt)?;
-                self.inner
+                match self
+                    .inner
                     .add_within_with(task, &mut Gas::unlimited(), sink)
-                    .expect("unlimited gas cannot exhaust");
+                    .expect("unlimited gas cannot exhaust")
+                {
+                    AddOutcome::Admitted { id, machine } => Applied::Admitted {
+                        id: id.raw(),
+                        machine,
+                    },
+                    AddOutcome::Rejected => Applied::Rejected,
+                }
             }
             Some("r") => {
                 let raw = toks
@@ -967,11 +1216,13 @@ impl<A: IndexableAdmission> DurableEngine<A> {
                 self.inner
                     .remove_within_with(id, &mut Gas::unlimited(), sink)
                     .expect("unlimited gas cannot exhaust");
+                Applied::Removed
             }
             Some("s") => {
                 gas.tick_n(self.inner.len() as u64 + 1)
                     .map_err(RecoverError::Exhausted)?;
                 self.snap = Some(self.inner.snapshot_with(sink));
+                Applied::Done
             }
             Some("b") => {
                 gas.tick_n(self.inner.len() as u64 + 1)
@@ -981,28 +1232,48 @@ impl<A: IndexableAdmission> DurableEngine<A> {
                     .as_ref()
                     .ok_or_else(|| corrupt("rollback with no snapshot on record".into()))?;
                 self.inner.rollback_with(snap, sink);
+                Applied::Done
             }
             Some("p") => {
                 gas.tick_n((self.inner.len() + m) as u64 + 1)
                     .map_err(RecoverError::Exhausted)?;
-                self.inner
+                match self
+                    .inner
                     .repack_within_with(&mut Gas::unlimited(), sink)
-                    .expect("unlimited gas cannot exhaust");
+                    .expect("unlimited gas cannot exhaust")
+                {
+                    RepackOutcome::Repacked => Applied::Done,
+                    RepackOutcome::Infeasible => Applied::RepackInfeasible,
+                }
+            }
+            Some("window") => {
+                let entries = parse_window(text, m).map_err(corrupt)?;
+                gas.tick_n(entries.len() as u64 + 1)
+                    .map_err(RecoverError::Exhausted)?;
+                for (rid, applied) in entries {
+                    self.rids.push(rid, applied);
+                }
+                return Ok(());
             }
             Some("state") => {
                 gas.tick_n(self.inner.len() as u64 + 1)
                     .map_err(RecoverError::Exhausted)?;
                 let st = parse_state(text, m).map_err(corrupt)?;
                 self.inner.import_state(&st).map_err(corrupt)?;
+                return Ok(());
             }
             Some("snapstate") => {
                 gas.tick_n(self.inner.len() as u64 + 1)
                     .map_err(RecoverError::Exhausted)?;
                 let st = parse_state(text, m).map_err(corrupt)?;
                 self.snap = Some(self.inner.snapshot_from_state(&st).map_err(corrupt)?);
+                return Ok(());
             }
             Some(other) => return Err(corrupt(format!("unknown record tag '{other}'"))),
             None => return Err(corrupt("empty record".into())),
+        };
+        if let Some(rid) = parse_rid(toks.next()).map_err(corrupt)? {
+            self.rids.push(rid, applied);
         }
         Ok(())
     }
@@ -1061,8 +1332,10 @@ pub fn peek_config(store: &mut dyn Storage) -> Result<JournalConfig, RecoverErro
 /// Recover a [`DurableEngine`] from a (possibly crashed) journal: truncate
 /// any torn/corrupt tail, rebuild platform + augmentation from the config
 /// record, and replay every surviving record. The result is bit-identical
-/// to the engine that wrote the journal, up to the last fully-synced
-/// record.
+/// to the engine that wrote the journal, up to the last whole record. The
+/// request-id log holds every tagged outcome the replay passed (the
+/// `window` record's, then the tagged op records'), unbounded until the
+/// caller calls [`DurableEngine::set_rid_window`].
 ///
 /// A journal written under a policy other than `A`'s
 /// ([`IndexableAdmission::POLICY`]) is [`RecoverError::Corrupt`]; callers
@@ -1100,6 +1373,8 @@ where
         slice_bytes: DurableOptions::default().slice_bytes,
         compaction: None,
         changed: ChangeLog::all(platform.len()),
+        rid: None,
+        rids: RidLog::unbounded(),
     };
     let mut replayed = 0u64;
     for (index, payload) in payloads.iter().enumerate().skip(1) {
@@ -1432,6 +1707,129 @@ mod tests {
         g.compact(&mut gas, &()).expect("compact");
         let journaled = scan_records(&big.read_all().expect("read")).payloads;
         assert_eq!(journaled[1], record, "the journal stores the same bytes");
+    }
+
+    /// A journal written before request ids existed (`v1` header, no
+    /// tags, no window record) recovers exactly as it did: the ops of
+    /// `digest_is_the_crc_of_the_state_record_bytes`, framed by hand the
+    /// way the old writer framed them, land on the same pinned digest.
+    #[test]
+    fn v1_journal_recovers_to_the_pinned_digest() {
+        let config = "hetfeas-journal v1\npolicy edf\nalpha 3ff0000000000000\n\
+                      repack-after 0\ncompact-every 0\nmachine 1/1\nmachine 2/1\n";
+        let mut bytes = encode_record(config.as_bytes());
+        for op in [
+            "a 3 10 10",
+            "a 9 10 10",
+            "a 2 10 8",
+            "a 1 4 4",
+            "a 7 20 20",
+            "r 1",
+        ] {
+            bytes.extend_from_slice(&encode_record(op.as_bytes()));
+        }
+        let mut gas = Gas::unlimited();
+        let (rec, report) = recover(
+            EdfAdmission,
+            Box::new(MemStorage::with_bytes(bytes)),
+            &mut gas,
+            &(),
+        )
+        .expect("v1 journal recovers");
+        assert_eq!(report.records_replayed, 6);
+        assert_eq!(rec.state_digest(), 0x8acd_75b7);
+        assert_eq!(rec.rid_log().count(), 0);
+    }
+
+    #[test]
+    fn tagged_ops_carry_their_rid_and_untagged_ops_do_not() {
+        let store = MemStorage::new();
+        let mut eng = fresh(&store);
+        let mut gas = Gas::unlimited();
+        eng.set_rid(41);
+        eng.add(Task::implicit(3, 10).expect("valid"), &mut gas, &())
+            .expect("add");
+        eng.add(Task::implicit(1, 10).expect("valid"), &mut gas, &())
+            .expect("add");
+        // A dead-id remove writes nothing: its tag is consumed, not kept.
+        eng.set_rid(42);
+        assert_eq!(
+            eng.remove(TaskId::from_raw(99), &mut gas, &())
+                .expect("miss"),
+            None
+        );
+        eng.repack(&mut gas, &()).expect("repack");
+        let payloads = scan_records(&store.bytes()).payloads;
+        assert!(payloads[0].starts_with(b"hetfeas-journal v2\n"));
+        let ops: Vec<&[u8]> = payloads[1..].iter().map(Vec::as_slice).collect();
+        assert_eq!(ops, [&b"a 3 10 10 rid=41"[..], b"a 1 10 10", b"p"]);
+        assert_eq!(
+            eng.rid_log().collect::<Vec<_>>(),
+            vec![(41, Applied::Admitted { id: 0, machine: 0 })]
+        );
+    }
+
+    /// Tagged outcomes survive a recovery, a compaction (as the `window`
+    /// record) and a recovery of the compacted journal — and the state
+    /// digest never sees them.
+    #[test]
+    fn rid_log_survives_recovery_and_compaction() {
+        // Every op but the sixth is tagged (rids 100, 101, ...) when `tag`.
+        let run = |tag: bool| {
+            let store = MemStorage::new();
+            let mut eng = fresh(&store);
+            let mut gas = Gas::unlimited();
+            for (k, w, p) in [(0, 3, 10), (1, 9, 10), (2, 20, 10), (3, 1, 4)] {
+                if tag {
+                    eng.set_rid(100 + k);
+                }
+                let t = Task::implicit(w, p).expect("valid");
+                eng.add(t, &mut gas, &()).expect("add");
+            }
+            if tag {
+                eng.set_rid(104);
+            }
+            eng.snapshot(&mut gas, &()).expect("snapshot");
+            eng.add(Task::implicit(1, 5).expect("valid"), &mut gas, &())
+                .expect("add");
+            if tag {
+                eng.set_rid(105);
+            }
+            assert!(eng.rollback(&mut gas, &()).expect("rollback"));
+            if tag {
+                eng.set_rid(106);
+            }
+            eng.remove(TaskId::from_raw(0), &mut gas, &())
+                .expect("remove");
+            (store, eng)
+        };
+        let (store, mut eng) = run(true);
+        assert_eq!(eng.state_digest(), run(false).1.state_digest());
+        let log: Vec<_> = eng.rid_log().collect();
+        assert_eq!(log.len(), 7);
+        assert_eq!(log[2], (102, Applied::Rejected));
+        assert_eq!(log[4], (104, Applied::Done));
+        assert_eq!(log[6], (106, Applied::Removed));
+
+        let mut gas = Gas::unlimited();
+        let (rec, _) =
+            recover(EdfAdmission, Box::new(store.clone()), &mut gas, &()).expect("recovers");
+        assert_eq!(rec.rid_log().collect::<Vec<_>>(), log);
+        assert_eq!(rec.state_digest(), eng.state_digest());
+
+        eng.compact(&mut gas, &()).expect("compact");
+        let payloads = scan_records(&store.bytes()).payloads;
+        assert_eq!(payloads.len(), 4, "config, state, snapstate, window");
+        assert!(payloads[3].starts_with(b"window\n100 admitted 0 0\n"));
+        let (mut rec, report) =
+            recover(EdfAdmission, Box::new(store), &mut gas, &()).expect("recovers");
+        assert_eq!(report.records_replayed, 3);
+        assert_eq!(rec.rid_log().collect::<Vec<_>>(), log);
+        assert_eq!(rec.state_digest(), eng.state_digest());
+
+        // A bounded window keeps only the newest outcomes.
+        rec.set_rid_window(2);
+        assert_eq!(rec.rid_log().collect::<Vec<_>>(), log[5..].to_vec());
     }
 
     #[test]

@@ -91,8 +91,8 @@ pub use degrade::{
     LadderReport, LadderVerdict,
 };
 pub use durable::{
-    live_state_digest, peek_config, recover, ChangedMachines, CompactionStep, DurableEngine,
-    DurableError, DurableOptions, JournalConfig, RecoverError, RecoveryReport,
+    live_state_digest, peek_config, recover, Applied, ChangedMachines, CompactionStep,
+    DurableEngine, DurableError, DurableOptions, JournalConfig, RecoverError, RecoveryReport,
 };
 pub use engine::{FirstFitEngine, IndexableAdmission};
 pub use exact::{

@@ -3,16 +3,18 @@
 //! The central property is the
 //! recovery invariant: for **every** byte prefix of a journal — every
 //! record boundary and every torn mid-record cut — [`recover`] either
-//! rebuilds the engine bit-identically to the state after the last fully
-//! synced record, or (when not even the config record survives) reports
-//! `Corrupt` without panicking.
+//! rebuilds the engine bit-identically to the state after the last whole
+//! record, or (when not even the config record survives) reports
+//! `Corrupt` without panicking. The same holds for a crash at every byte
+//! of a batch of ops written under one barrier.
 
 use hetfeas_model::{Augmentation, Platform, Task};
 use hetfeas_obs::{MemorySink, MetricsSink};
 use hetfeas_partition::{
-    recover, CompactionStep, DurableEngine, DurableOptions, EdfAdmission, IncrementalEngine,
-    IndexableAdmission, RecoverError, RepairPolicy, RmsLlAdmission, TaskId,
+    recover, CompactionStep, DurableEngine, DurableError, DurableOptions, EdfAdmission,
+    IncrementalEngine, IndexableAdmission, RecoverError, RepairPolicy, RmsLlAdmission, TaskId,
 };
+use hetfeas_robust::journal::{FaultFs, FaultScript};
 use hetfeas_robust::metrics as rmetrics;
 use hetfeas_robust::{Gas, MemStorage};
 
@@ -66,33 +68,45 @@ fn loads_bits<A: IndexableAdmission>(e: &IncrementalEngine<A>) -> Vec<u64> {
         .collect()
 }
 
-/// Apply one scripted op to a durable engine, tracking admitted ids.
+/// Apply one scripted op to a durable engine and run its barrier, as a
+/// caller that acknowledges each op does, tracking admitted ids.
 fn apply_durable<A: IndexableAdmission, S: MetricsSink>(
     eng: &mut DurableEngine<A>,
     op: Op,
     ids: &mut Vec<TaskId>,
     sink: &S,
 ) {
+    write_durable(eng, op, ids, sink).expect("durable op");
+    eng.sync(&mut Gas::unlimited(), sink).expect("barrier");
+}
+
+/// Journal and apply one scripted op, with no barrier.
+fn write_durable<A: IndexableAdmission, S: MetricsSink>(
+    eng: &mut DurableEngine<A>,
+    op: Op,
+    ids: &mut Vec<TaskId>,
+    sink: &S,
+) -> Result<(), DurableError> {
     let mut gas = Gas::unlimited();
     match op {
         Op::Add(w, p) => {
-            let out = eng.add(task(w, p), &mut gas, sink).expect("durable add");
-            if let Some(id) = out.id() {
+            if let Some(id) = eng.add(task(w, p), &mut gas, sink)?.id() {
                 ids.push(id);
             }
         }
         Op::Remove(k) => {
-            let removed = eng.remove(ids[k], &mut gas, sink).expect("durable remove");
+            let removed = eng.remove(ids[k], &mut gas, sink)?;
             assert!(removed.is_some(), "script removes only live ids");
         }
-        Op::Snapshot => eng.snapshot(&mut gas, sink).expect("durable snapshot"),
+        Op::Snapshot => eng.snapshot(&mut gas, sink)?,
         Op::Rollback => {
-            assert!(eng.rollback(&mut gas, sink).expect("durable rollback"));
+            assert!(eng.rollback(&mut gas, sink)?);
         }
         Op::Repack => {
-            eng.repack(&mut gas, sink).expect("durable repack");
+            eng.repack(&mut gas, sink)?;
         }
     }
+    Ok(())
 }
 
 /// Apply one scripted op to a plain in-memory engine (the durable layer's
@@ -219,6 +233,88 @@ fn recovery_is_bit_exact_at_every_crash_point() {
             assert_eq!(rep.truncated_records, 0, "prefix {cut_len}");
             assert_eq!(rep.truncated_bytes, 0, "prefix {cut_len}");
         }
+    }
+}
+
+/// The crash matrix for one batch: three ops written under a single
+/// barrier, after a prefix acknowledged op by op. `FaultFs` kills the
+/// process once `n` bytes have been written, for every `n` from the
+/// previous barrier to the end of the batch. The batch stops at the op
+/// whose write dies, its barrier fails (the process is dead, so the
+/// journal cannot be truncated either), and recovery from what reached
+/// storage must give the state after the last whole record — never a
+/// state before the previous barrier.
+#[test]
+fn recovery_is_exact_at_every_byte_of_a_batch() {
+    let prefix = [Op::Add(1, 4), Op::Add(1, 3), Op::Snapshot];
+    let batch = [Op::Add(2, 5), Op::Remove(0), Op::Rollback];
+    let opts = DurableOptions {
+        repack_after: 0,
+        compact_every: 0,
+        ..DurableOptions::default()
+    };
+    let create = |store: Box<dyn hetfeas_robust::journal::Storage>| {
+        DurableEngine::create(
+            EdfAdmission,
+            &platform(),
+            Augmentation::NONE,
+            opts,
+            store,
+            &mut Gas::unlimited(),
+            &(),
+        )
+        .expect("create")
+    };
+
+    let mem = MemStorage::new();
+    let mut eng = create(Box::new(mem.clone()));
+    let mut ids = Vec::new();
+    let (mut cuts, mut digests) = (vec![mem.bytes().len()], vec![eng.state_digest()]);
+    for op in prefix {
+        apply_durable(&mut eng, op, &mut ids, &());
+        cuts.push(mem.bytes().len());
+        digests.push(eng.state_digest());
+    }
+    let barrier = cuts.len() - 1;
+    for op in batch {
+        write_durable(&mut eng, op, &mut ids, &()).expect("batch op");
+        cuts.push(mem.bytes().len());
+        digests.push(eng.state_digest());
+    }
+    eng.sync(&mut Gas::unlimited(), &()).expect("batch barrier");
+    let end = *cuts.last().expect("cuts");
+
+    for n in cuts[barrier]..=end {
+        let mem = MemStorage::new();
+        let script = FaultScript {
+            crash_after_bytes: Some(n as u64),
+            ..FaultScript::default()
+        };
+        let mut eng = create(Box::new(FaultFs::new(mem.clone(), script)));
+        let mut ids = Vec::new();
+        for op in prefix {
+            apply_durable(&mut eng, op, &mut ids, &());
+        }
+        for op in batch {
+            if write_durable(&mut eng, op, &mut ids, &()).is_err() {
+                break;
+            }
+        }
+        let synced = eng.sync(&mut Gas::unlimited(), &());
+        assert_eq!(synced.is_ok(), n == end, "crash at byte {n}: {synced:?}");
+        drop(eng);
+
+        let (rec, rep) = recover(
+            EdfAdmission,
+            Box::new(MemStorage::with_bytes(mem.bytes())),
+            &mut Gas::unlimited(),
+            &(),
+        )
+        .unwrap_or_else(|e| panic!("crash at byte {n}: {e}"));
+        let k = cuts.iter().rposition(|&c| c <= n).expect("config survives");
+        assert!(k >= barrier, "crash at byte {n}");
+        assert_eq!(rep.records_replayed, k as u64, "crash at byte {n}");
+        assert_eq!(rec.state_digest(), digests[k], "crash at byte {n}");
     }
 }
 

@@ -21,23 +21,36 @@
 //!
 //! Durability protocol (used by `hetfeas_partition::durable`):
 //!
-//! * [`Journal::append`] writes one framed record and then issues a
-//!   durability barrier (`fsync`) — write-ahead logging appends *before*
-//!   applying, so an op acknowledged to the caller is always recoverable;
+//! * [`Journal::write`] frames one record and appends it, with no
+//!   `fsync` — write-ahead logging writes *before* applying;
+//! * [`Journal::sync`] is the durability barrier: one `fsync` covers every
+//!   record written since the previous barrier, so a caller that
+//!   acknowledges ops in batches pays one barrier per batch. A barrier
+//!   with nothing written since the last one costs no syscall and counts
+//!   no sync. The journal tracks its byte length at the last barrier
+//!   (create, open, a successful sync, or a compaction commit); when a
+//!   barrier fails it truncates the live file back to that length where
+//!   the storage still allows it, so records nobody was told about do not
+//!   come back at recovery. An op is acknowledged only after a barrier
+//!   that covers its record succeeded, so an acknowledged op is always
+//!   recoverable. [`Journal::append`] is the one-record form: a write and
+//!   its own barrier;
 //! * [`Journal::rewrite`] replaces the whole file through a staged
 //!   sibling + atomic rename — a crash during compaction leaves either
 //!   the old journal or the new one, never a mix. The staged machinery is
 //!   also exposed incrementally ([`Journal::begin_rewrite`] /
 //!   [`Journal::rewrite_chunk`] / [`Journal::commit_rewrite`]) so a
 //!   caller can spread the copy over bounded slices while the live
-//!   journal keeps accepting appends between them;
+//!   journal keeps accepting writes between them. The commit fsyncs the
+//!   staged file before the rename, so it is a barrier too;
 //! * every IO call runs under [`with_retries`]: transient errors
 //!   (`Interrupted`/`WouldBlock`/`TimedOut`) are retried with capped
 //!   exponential backoff whose cost is charged to the caller's [`Gas`], so
 //!   a retry loop can never outlive its budget.
 //!
 //! [`FaultFs`] wraps any [`Storage`] with a deterministic failpoint script
-//! (crash-after-N-bytes, short writes, fsync failures, transient errors) —
+//! (crash-after-N-bytes, short writes, transient and hard fsync failures,
+//! transient errors) —
 //! the crash-matrix property tests and `scripts/crash_smoke.sh` drive every
 //! crash point through it.
 
@@ -70,10 +83,15 @@ pub use hetfeas_model::crc::crc32;
 /// Frame one payload as a journal record (length + CRC + payload).
 pub fn encode_record(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
+    frame_record(&mut out, payload);
+    out
+}
+
+/// Append `payload`, framed as a journal record, to `out`.
+pub fn frame_record(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 /// Result of walking a journal byte stream's record framing.
@@ -424,6 +442,10 @@ pub struct FaultScript {
     pub short_write_at: Option<u64>,
     /// Fail the Nth sync (1-based) with a transient error.
     pub fail_sync_at: Option<u64>,
+    /// Fail the Nth sync (1-based) with a hard (non-transient) error: the
+    /// retry loop gives up at once and the barrier fails. Scripted in
+    /// tests only; no environment variable sets it.
+    pub fail_sync_hard_at: Option<u64>,
 }
 
 impl FaultScript {
@@ -439,6 +461,7 @@ impl FaultScript {
             transient_errors: num("HETFEAS_JOURNAL_TRANSIENT").unwrap_or(0),
             short_write_at: num("HETFEAS_JOURNAL_SHORT_WRITE_AT"),
             fail_sync_at: num("HETFEAS_JOURNAL_FAIL_SYNC_AT"),
+            fail_sync_hard_at: None,
         }
     }
 
@@ -538,6 +561,9 @@ impl<S: Storage> Storage for FaultFs<S> {
         self.syncs += 1;
         if self.script.fail_sync_at == Some(self.syncs) {
             return Err(injected(io::ErrorKind::Interrupted, "transient fsync"));
+        }
+        if self.script.fail_sync_hard_at == Some(self.syncs) {
+            return Err(injected(io::ErrorKind::Other, "fsync failed"));
         }
         self.inner.sync()
     }
@@ -693,6 +719,14 @@ pub struct Journal {
     store: Box<dyn Storage>,
     /// Bytes staged by an in-progress incremental rewrite.
     staged_bytes: u64,
+    /// Bytes of whole records in the live journal.
+    len: u64,
+    /// `len` at the last barrier: the truncation point when a barrier
+    /// fails.
+    synced_len: u64,
+    /// Something was appended (perhaps only partly) since the last
+    /// barrier.
+    unsynced: bool,
 }
 
 impl Journal {
@@ -704,10 +738,7 @@ impl Journal {
         gas: &mut Gas,
         sink: &S,
     ) -> Result<Journal, JournalError> {
-        let mut journal = Journal {
-            store,
-            staged_bytes: 0,
-        };
+        let mut journal = Journal::over(store, 0);
         journal.write_all_records(payloads, gas, sink)?;
         Ok(journal)
     }
@@ -739,33 +770,80 @@ impl Journal {
                 sink.counter_add(metrics::RECOVER_TRUNCATED_BYTES, scan.truncated_bytes);
             }
         }
-        Ok((
-            Journal {
-                store,
-                staged_bytes: 0,
-            },
-            scan.payloads,
-            tail,
-        ))
+        Ok((Journal::over(store, scan.valid_len), scan.payloads, tail))
     }
 
-    /// Append one record and make it durable (fsync). Write-ahead rule:
-    /// call this *before* applying the op it describes.
-    pub fn append<S: MetricsSink>(
+    /// A journal over `store`, whose first `len` bytes are durable.
+    fn over(store: Box<dyn Storage>, len: u64) -> Journal {
+        Journal {
+            store,
+            staged_bytes: 0,
+            len,
+            synced_len: len,
+            unsynced: false,
+        }
+    }
+
+    /// Frame one record and append it, with no `fsync`. Write-ahead rule:
+    /// call this *before* applying the op it describes, and acknowledge
+    /// the op only after a [`Journal::sync`] that covers it.
+    pub fn write<S: MetricsSink>(
         &mut self,
         payload: &[u8],
         gas: &mut Gas,
         sink: &S,
     ) -> Result<(), JournalError> {
         let record = encode_record(payload);
+        self.unsynced = true;
         with_retries(gas, sink, || self.store.append(&record))?;
-        with_retries(gas, sink, || self.store.sync())?;
+        self.len += record.len() as u64;
         if S::ENABLED {
             sink.counter_add(metrics::JOURNAL_APPENDS, 1);
             sink.counter_add(metrics::JOURNAL_BYTES_WRITTEN, record.len() as u64);
-            sink.counter_add(metrics::JOURNAL_SYNCS, 1);
         }
         Ok(())
+    }
+
+    /// [`Journal::write`] one record, then run the barrier
+    /// ([`Journal::sync`]) for it: the cost a caller that acknowledges
+    /// every record on its own pays per record.
+    pub fn append<S: MetricsSink>(
+        &mut self,
+        payload: &[u8],
+        gas: &mut Gas,
+        sink: &S,
+    ) -> Result<(), JournalError> {
+        self.write(payload, gas, sink)?;
+        self.sync(gas, sink)
+    }
+
+    /// The durability barrier: one `fsync` for every record written since
+    /// the previous barrier. Free (no syscall, no `journal.syncs`) when
+    /// nothing was written since. When the barrier fails, the live
+    /// journal is truncated back to its length at the previous barrier
+    /// where the storage still allows it, and the error is returned.
+    pub fn sync<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> Result<(), JournalError> {
+        if !self.unsynced {
+            return Ok(());
+        }
+        match with_retries(gas, sink, || self.store.sync()) {
+            Ok(()) => {
+                self.synced_len = self.len;
+                self.unsynced = false;
+                if S::ENABLED {
+                    sink.counter_add(metrics::JOURNAL_SYNCS, 1);
+                }
+                Ok(())
+            }
+            Err(e) => {
+                let keep = self.synced_len;
+                if with_retries(&mut Gas::unlimited(), sink, || self.store.truncate(keep)).is_ok() {
+                    self.len = keep;
+                    self.unsynced = false;
+                }
+                Err(e)
+            }
+        }
     }
 
     /// One-shot compaction: stage the given records and commit in a
@@ -797,7 +875,7 @@ impl Journal {
 
     /// Begin an incremental rewrite: subsequent [`Journal::rewrite_chunk`]
     /// bytes build the replacement in a staging area while the live
-    /// journal keeps accepting [`Journal::append`]s. Restarting discards
+    /// journal keeps accepting [`Journal::write`]s. Restarting discards
     /// any previous stage.
     pub fn begin_rewrite<S: MetricsSink>(
         &mut self,
@@ -830,7 +908,9 @@ impl Journal {
     /// Atomically swap the staged replacement over the live journal and
     /// return the bytes reclaimed (old size minus staged size, 0 when the
     /// journal grew). Counts one `journal.compactions` and the reclaimed
-    /// bytes under `journal.bytes_reclaimed`.
+    /// bytes under `journal.bytes_reclaimed`. The staged file is fsynced
+    /// before the swap, so the commit is a barrier: the caller must have
+    /// staged every record written since the previous one.
     pub fn commit_rewrite<S: MetricsSink>(
         &mut self,
         gas: &mut Gas,
@@ -839,6 +919,9 @@ impl Journal {
         let old_len = with_retries(gas, sink, || self.store.len_bytes())?;
         with_retries(gas, sink, || self.store.stage_commit())?;
         let reclaimed = old_len.saturating_sub(self.staged_bytes);
+        self.len = self.staged_bytes;
+        self.synced_len = self.staged_bytes;
+        self.unsynced = false;
         self.staged_bytes = 0;
         if S::ENABLED {
             sink.counter_add(metrics::JOURNAL_COMPACTIONS, 1);
@@ -879,6 +962,8 @@ impl Journal {
             bytes.extend_from_slice(&encode_record(p));
         }
         with_retries(gas, sink, || self.store.replace(&bytes))?;
+        self.len = bytes.len() as u64;
+        self.synced_len = self.len;
         if S::ENABLED {
             sink.counter_add(metrics::JOURNAL_BYTES_WRITTEN, bytes.len() as u64);
         }
@@ -1029,6 +1114,80 @@ mod tests {
     }
 
     #[test]
+    fn one_barrier_covers_a_batch_and_a_clean_barrier_is_free() {
+        let store = MemStorage::new();
+        // The store fails its second fsync hard: a barrier that reached
+        // the store with nothing to sync would trip it.
+        let faulty = FaultFs::new(
+            store.clone(),
+            FaultScript {
+                fail_sync_hard_at: Some(2),
+                ..FaultScript::default()
+            },
+        );
+        let sink = MemorySink::new();
+        let mut gas = Gas::unlimited();
+        let mut j =
+            Journal::create(Box::new(faulty), &[b"cfg".to_vec()], &mut gas, &sink).expect("create");
+        j.sync(&mut gas, &sink)
+            .expect("nothing written since create");
+        for p in [&b"one"[..], b"two", b"three"] {
+            j.write(p, &mut gas, &sink).expect("write");
+        }
+        j.sync(&mut gas, &sink).expect("one barrier for the batch");
+        j.sync(&mut gas, &sink).expect("clean barrier is free");
+        assert_eq!(sink.counter(metrics::JOURNAL_APPENDS), 3);
+        assert_eq!(sink.counter(metrics::JOURNAL_SYNCS), 1);
+        let durable = store.bytes();
+
+        // The next barrier fails hard: the unsynced record is truncated
+        // away, back to the previous barrier, and nothing is counted.
+        j.write(b"lost", &mut gas, &sink).expect("write");
+        assert!(store.bytes().len() > durable.len());
+        let err = j.sync(&mut gas, &sink).expect_err("hard fsync failure");
+        assert!(matches!(err, JournalError::Io(_)), "{err:?}");
+        assert_eq!(store.bytes(), durable, "truncated to the last barrier");
+        assert_eq!(sink.counter(metrics::JOURNAL_SYNCS), 1);
+        assert_eq!(sink.counter(metrics::JOURNAL_IO_ERRORS), 1);
+        assert_eq!(
+            scan_records(&store.bytes()).payloads,
+            vec![
+                b"cfg".to_vec(),
+                b"one".to_vec(),
+                b"two".to_vec(),
+                b"three".to_vec()
+            ]
+        );
+    }
+
+    #[test]
+    fn compaction_commit_is_a_barrier() {
+        let store = MemStorage::new();
+        let faulty = FaultFs::new(
+            store.clone(),
+            FaultScript {
+                fail_sync_hard_at: Some(1),
+                ..FaultScript::default()
+            },
+        );
+        let sink = MemorySink::new();
+        let mut gas = Gas::unlimited();
+        let mut j =
+            Journal::create(Box::new(faulty), &[b"cfg".to_vec()], &mut gas, &sink).expect("create");
+        j.write(b"op", &mut gas, &sink).expect("write");
+        let image = [encode_record(b"cfg"), encode_record(b"op")].concat();
+        j.begin_rewrite(&mut gas, &sink).expect("begin");
+        j.rewrite_chunk(&image, &mut gas, &sink).expect("chunk");
+        j.commit_rewrite(&mut gas, &sink).expect("commit");
+        // The staged file was fsynced by the commit, so the barrier after
+        // it has nothing to do and never reaches the (failing) store.
+        j.sync(&mut gas, &sink)
+            .expect("commit counted as the barrier");
+        assert_eq!(sink.counter(metrics::JOURNAL_SYNCS), 0);
+        assert_eq!(store.bytes(), image);
+    }
+
+    #[test]
     fn retry_backoff_is_bounded_by_gas() {
         let store = MemStorage::new();
         let faulty = FaultFs::new(
@@ -1039,11 +1198,8 @@ mod tests {
             },
         );
         let mut gas = Budget::ops(3).gas();
-        let mut j = Journal {
-            store: Box::new(faulty),
-            staged_bytes: 0,
-        };
-        let err = j.append(b"x", &mut gas, &()).expect_err("gas runs out");
+        let mut j = Journal::over(Box::new(faulty), 0);
+        let err = j.write(b"x", &mut gas, &()).expect_err("gas runs out");
         assert_eq!(err, JournalError::Exhausted(Exhaustion::Ops));
     }
 
@@ -1060,11 +1216,8 @@ mod tests {
                 },
             );
             let mut gas = Budget::ops(10_000).gas();
-            let mut j = Journal {
-                store: Box::new(faulty),
-                staged_bytes: 0,
-            };
-            j.append(b"x", &mut gas, &()).expect("retries win");
+            let mut j = Journal::over(Box::new(faulty), 0);
+            j.write(b"x", &mut gas, &()).expect("retries win");
             gas.ops_left()
         };
         assert_eq!(charge(), charge());
@@ -1085,7 +1238,7 @@ mod tests {
         let mut j = Journal::create(Box::new(faulty), &[], &mut gas, &sink).expect("create");
         j.append(b"first record", &mut gas, &sink).expect("append");
         let err = j
-            .append(b"second record", &mut gas, &sink)
+            .write(b"second record", &mut gas, &sink)
             .expect_err("short write surfaces");
         assert!(matches!(err, JournalError::Io(_)), "{err:?}");
         assert_eq!(sink.counter(metrics::JOURNAL_IO_ERRORS), 1);

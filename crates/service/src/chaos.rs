@@ -423,7 +423,7 @@ pub(crate) fn op_replay_digest(
     )
     .ok()?;
     for &op in ops {
-        apply_op(&mut eng, op, &mut gas, &()).ok()?;
+        apply_op(&mut eng, op, None, &mut gas, &()).ok()?;
     }
     Some(eng.state_digest())
 }

@@ -467,11 +467,12 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let cfg = ServerConfig {
-            data_dir: dir,
+            data_dir: dir.clone(),
             ..ServerConfig::default()
         };
         let handle = std::thread::spawn(move || {
             let _ = serve_tcp(listener, Service::new(ServiceConfig::default()), &cfg);
+            let _ = std::fs::remove_dir_all(&dir);
         });
         (addr, handle)
     }

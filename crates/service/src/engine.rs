@@ -7,11 +7,13 @@
 //! `with_admission!`: `create` and `recover` on the [`PolicyKind`], the
 //! rest on the engine the tenant holds. Enum dispatch (not trait objects)
 //! keeps the [`MetricsSink`] genericity of the underlying engine intact
-//! and costs one match per op, which is noise next to the journal fsync
+//! and costs one match per op, which is noise next to the journal write
 //! the op already paid for. The shard maps its ops onto these methods in
-//! one place, `shard::apply_op`.
+//! one place, `shard::apply_op`, tags rid-bearing ops with
+//! [`TenantEngine::set_rid`], and runs the durability barrier
+//! ([`TenantEngine::sync`]) once per batch, before it replies.
 //!
-//! Besides the journaled ops, a shard reads three things from its
+//! Besides the journaled ops, a shard reads four things from its
 //! engine after a batch or on request:
 //!
 //! * which machines the batch changed ([`TenantEngine::take_changed`]);
@@ -19,12 +21,14 @@
 //!   it republishes into the tenant's [`crate::quote::QuoteBoard`] for
 //!   shed-time α quotes;
 //! * the O(live) [`TenantEngine::state_digest`], which it computes only
-//!   when asked: a `digest` request, boot, or shutdown.
+//!   when asked: a `digest` request, boot, or shutdown;
+//! * at boot, the request-id log a recovery rebuilt
+//!   ([`TenantEngine::rid_log`]), which seeds the shard's dedup window.
 
 use hetfeas_model::{Augmentation, Platform, Task};
 use hetfeas_obs::MetricsSink;
 use hetfeas_partition::durable::{
-    recover, ChangedMachines, CompactionStep, DurableEngine, DurableError, DurableOptions,
+    recover, Applied, ChangedMachines, CompactionStep, DurableEngine, DurableError, DurableOptions,
     RecoverError, RecoveryReport,
 };
 use hetfeas_partition::incremental::{AddOutcome, EngineState, RepackOutcome, TaskId};
@@ -67,6 +71,29 @@ impl TenantEngine {
             let (e, report) = recover(adm, store, gas, sink)?;
             Ok((TenantEngine(e.into()), report))
         })
+    }
+
+    /// Tag the next op with request id `rid` (see
+    /// [`DurableEngine::set_rid`]).
+    pub fn set_rid(&mut self, rid: u64) {
+        with_admission!(engine in &mut self.0, e => e.set_rid(rid))
+    }
+
+    /// Keep at most `cap` tagged outcomes (see
+    /// [`DurableEngine::set_rid_window`]).
+    pub fn set_rid_window(&mut self, cap: usize) {
+        with_admission!(engine in &mut self.0, e => e.set_rid_window(cap))
+    }
+
+    /// The logged `(request id, outcome)` pairs, oldest first.
+    pub fn rid_log(&self) -> Vec<(u64, Applied)> {
+        with_admission!(engine in &self.0, e => e.rid_log().collect())
+    }
+
+    /// The durability barrier over every record written since the last
+    /// one (see [`DurableEngine::sync`]).
+    pub fn sync<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> Result<(), DurableError> {
+        with_admission!(engine in &mut self.0, e => e.sync(gas, sink))
     }
 
     /// Journal-then-apply add.

@@ -187,6 +187,8 @@ fn stats_line(seq: u64, svc: &Service) -> String {
         crate::metrics::SERVICE_CONNS,
         crate::metrics::SERVICE_CONN_SHED,
         crate::metrics::SERVICE_DEADLINE_MISSES,
+        hetfeas_robust::metrics::JOURNAL_APPENDS,
+        hetfeas_robust::metrics::JOURNAL_SYNCS,
     ];
     let mut line = format!("{seq} ok stats workers={}", svc.workers());
     for key in keys {
@@ -974,6 +976,24 @@ mod tests {
         assert!(String::from_utf8_lossy(&la).contains("ok admitted"));
         assert!(String::from_utf8_lossy(&lb).contains("ok admitted"));
         drop((a, b, ra, rb));
+        // A pipelined burst of adds, queued behind a stall, shares its
+        // barriers: `stats` reads fewer syncs than appends.
+        let mut burst = vec!["stall t 200".to_string()];
+        burst.extend((0..40).map(|i| format!("add t 1 {}", 100 + i)));
+        let replies = session(burst);
+        assert_eq!(replies.len(), 41);
+        assert!(replies[1..].iter().all(|l| l.contains("ok admitted")));
+        let stats = session(vec!["stats".to_string()]);
+        let counter = |key: &str| -> u64 {
+            let tok = stats[0]
+                .split_whitespace()
+                .find_map(|t| t.strip_prefix(&format!("{key}=")))
+                .unwrap_or_else(|| panic!("stats lacks {key}: {}", stats[0]));
+            tok.parse().expect("counter value")
+        };
+        let (appends, syncs) = (counter("journal.appends"), counter("journal.syncs"));
+        assert_eq!(appends, 42, "{}", stats[0]);
+        assert!(syncs < appends, "{}", stats[0]);
         let bye = session(vec!["quit".to_string()]);
         assert!(bye[0].ends_with("ok bye"), "{:?}", bye);
         let report = server.join().expect("server thread").expect("serve ok");

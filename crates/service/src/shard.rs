@@ -45,13 +45,25 @@
 //! `compact`) into one execution. Requests queued behind a crash are
 //! *not* lost: they stay in the worker's pending deque across the
 //! restart and apply to the recovered engine in order.
+//!
+//! Each op of a batch writes its journal record before it applies, with
+//! no `fsync` of its own. The worker holds every reply of the batch —
+//! queries, digests and dedup hits included, so no reply shows state
+//! that is not yet durable — then runs the engine's durability barrier
+//! ([`TenantEngine::sync`]) once, and only then sends the replies. An
+//! op that fails or panics mid-batch ends the batch; the barrier still
+//! runs for the ops before it, which are answered only if it succeeds.
+//! When the barrier fails, every reply the batch held answers with the
+//! barrier's error (`err io` for a storage failure), the journal is
+//! truncated back to the previous barrier where the storage allows it,
+//! and the shard restarts from the journal as after a failed op.
 
 use crate::engine::TenantEngine;
 use crate::metrics;
 use crate::quote::QuoteBoard;
 use hetfeas_model::{Augmentation, Platform, Task};
 use hetfeas_obs::{MemorySink, MetricsSink};
-use hetfeas_partition::durable::{DurableError, DurableOptions, RecoverError};
+use hetfeas_partition::durable::{Applied, DurableError, DurableOptions, RecoverError};
 use hetfeas_partition::incremental::{AddOutcome, RepackOutcome};
 use hetfeas_partition::PolicyKind;
 use hetfeas_robust::journal::{with_retries, JournalError, Storage};
@@ -393,7 +405,30 @@ pub enum Response {
     Shutdown,
 }
 
+impl From<Applied> for Response {
+    fn from(applied: Applied) -> Response {
+        match applied {
+            Applied::Admitted { id, machine } => Response::Admitted { id, machine },
+            Applied::Rejected => Response::Rejected,
+            Applied::Removed => Response::Removed { found: true },
+            Applied::Done => Response::Done,
+            Applied::RepackInfeasible => Response::RepackInfeasible,
+        }
+    }
+}
+
 impl Response {
+    /// The reply to an op or barrier that failed with `e`.
+    fn failed(e: &DurableError) -> Response {
+        let (kind, message) = match e {
+            DurableError::Io(m) => (ErrorKind::Io, m.clone()),
+            DurableError::Exhausted(x) => {
+                (ErrorKind::Exhausted, format!("op gas exhausted ({x:?})"))
+            }
+        };
+        Response::Error { kind, message }
+    }
+
     /// True when the request's engine op was applied (journaled ops
     /// only; used by the chaos harness to build the fault-free
     /// reference replay).
@@ -509,15 +544,30 @@ fn boot(ctx: &WorkerCtx, incarnation: u32) -> Result<TenantEngine, BootError> {
     }
 }
 
-/// Apply one [`Op`] to `engine` — the one place the service maps its ops
-/// onto the engine, shared by the shard worker and the chaos harness's
-/// fault-free reference replay.
+/// Per-op (and per-barrier) gas for a shard's tenant.
+fn op_gas(spec: &TenantSpec) -> Gas {
+    match spec.op_gas {
+        Some(n) => Budget::ops(n).gas(),
+        None => Gas::unlimited(),
+    }
+}
+
+/// Apply one [`Op`] to `engine`, its journal record tagged with `rid`
+/// when the request carried one — the one place the service maps its
+/// ops onto the engine, shared by the shard worker and the chaos
+/// harness's fault-free reference replay. Writes the op's record but
+/// runs no barrier: the caller acknowledges only after
+/// [`TenantEngine::sync`].
 pub(crate) fn apply_op<S: MetricsSink>(
     engine: &mut TenantEngine,
     op: Op,
+    rid: Option<u64>,
     gas: &mut Gas,
     sink: &S,
 ) -> Result<Response, DurableError> {
+    if let Some(rid) = rid {
+        engine.set_rid(rid);
+    }
     Ok(match op {
         Op::Add(task) => match engine.add(task, gas, sink)? {
             AddOutcome::Admitted { id, machine } => Response::Admitted {
@@ -555,9 +605,14 @@ pub(crate) fn apply_op<S: MetricsSink>(
 /// cached replies. A retried op whose rid is still in the window is
 /// answered from the cache without touching the engine, so at-least-once
 /// delivery becomes exactly-once application. Only *applied* replies are
-/// cached — errors stay retryable. The window lives outside the
-/// supervision loop, so it survives panic-restart incarnations of the
-/// same worker (cross-process dedup is out of scope; see DESIGN.md §15).
+/// cached, and only once the batch's barrier made them durable — errors
+/// stay retryable. The window lives outside the supervision loop, so it
+/// survives panic-restart incarnations of the same worker, and every boot
+/// seeds it from the request-id log the engine's recovery rebuilt from
+/// the journal, so journaled outcomes survive a process restart too.
+/// Outcomes that write no record — a remove of a dead id, a rollback with
+/// no snapshot, a compaction — live only here and re-execute on a retry
+/// after a process restart (see DESIGN.md §15).
 struct DedupWindow {
     cap: usize,
     map: HashMap<u64, Response>,
@@ -636,6 +691,10 @@ pub(crate) fn run(ctx: WorkerCtx) {
     // Outside the supervision loop on purpose: acked ids must stay
     // deduplicated across panic-restart incarnations.
     let mut dedup = DedupWindow::new(ctx.cfg.dedup_window);
+    // Reused by every batch: the replies it holds until its barrier, and
+    // the rid outcomes it adds to the window once that barrier succeeds.
+    let mut held: Vec<(Envelope, Response)> = Vec::new();
+    let mut fresh: Vec<(u64, Response)> = Vec::new();
 
     let do_quarantine = |reason: &str,
                          engine: &mut Option<TenantEngine>,
@@ -667,6 +726,10 @@ pub(crate) fn run(ctx: WorkerCtx) {
             }
             match boot(&ctx, incarnation) {
                 Ok(mut e) => {
+                    e.set_rid_window(ctx.cfg.dedup_window);
+                    for (rid, applied) in e.rid_log() {
+                        dedup.insert(rid, applied.into());
+                    }
                     let d = digest(&e, &sink);
                     ctx.cell.publish(&mut e, &sink);
                     ctx.cell.update(|s| {
@@ -715,15 +778,170 @@ pub(crate) fn run(ctx: WorkerCtx) {
             }
         }
 
-        // Apply the batch under a CPU permit.
+        // Apply the batch under a CPU permit, holding every reply until
+        // the batch's barrier.
         let mut permit = if quarantine.is_none() {
             Some(ctx.gate.acquire())
         } else {
             None
         };
         let mut crashed: Option<String> = None;
+        let mut shutdown: Option<Envelope> = None;
         while let Some(env) = pending.pop_front() {
             if matches!(env.req, Request::Shutdown) {
+                shutdown = Some(env);
+                break;
+            }
+            // Idempotent-retry fast path: a rid we already acked (or
+            // applied earlier in this batch) answers from the cache —
+            // even on a now-quarantined shard, because the original
+            // application *did* happen and the ack must stay consistent
+            // with the journal.
+            if let (Some(rid), Request::Op(_)) = (env.rid, env.req) {
+                let cached = dedup.get(rid).or_else(|| {
+                    fresh
+                        .iter()
+                        .rev()
+                        .find(|(r, _)| *r == rid)
+                        .map(|(_, resp)| resp)
+                });
+                if let Some(cached) = cached {
+                    sink.counter_add(metrics::SERVICE_DEDUP_HITS, 1);
+                    held.push((env, cached.clone()));
+                    continue;
+                }
+            }
+            if let Some(reason) = &quarantine {
+                let resp = match env.req {
+                    Request::Digest => {
+                        let status = ctx.cell.status();
+                        Response::Digest {
+                            digest: status.digest.unwrap_or(0),
+                            state: ShardState::Quarantined,
+                            live: status.live,
+                        }
+                    }
+                    _ => Response::Quarantined {
+                        reason: reason.clone(),
+                    },
+                };
+                held.push((env, resp));
+                continue;
+            }
+            let eng = engine.as_mut().expect("running shard has an engine");
+            let resp = match env.req {
+                Request::Query(raw) => Response::Machine(eng.machine_of(raw)),
+                Request::Digest => {
+                    let d = digest(eng, &sink);
+                    ctx.cell.update(|s| s.digest = Some(d));
+                    Response::Digest {
+                        digest: d,
+                        state: ShardState::Running,
+                        live: eng.len(),
+                    }
+                }
+                Request::Stall(ms) => {
+                    // Testing aid: hold this worker (not the CPU gate)
+                    // busy so its bounded queue fills upstream.
+                    drop(permit.take());
+                    std::thread::sleep(Duration::from_millis(ms));
+                    permit = Some(ctx.gate.acquire());
+                    Response::Done
+                }
+                Request::InjectPanic => {
+                    let poisoned = firewall::guard_with(&*sink, || {
+                        panic!("injected shard panic");
+                    });
+                    debug_assert!(poisoned.is_err());
+                    sink.counter_add(metrics::SERVICE_OP_ERRORS, 1);
+                    crashed = Some("injected shard panic".to_string());
+                    Response::Error {
+                        kind: ErrorKind::Panic,
+                        message: "injected shard panic".to_string(),
+                    }
+                }
+                Request::Op(op) => {
+                    let mut gas = op_gas(&ctx.spec);
+                    match firewall::guard_with(&*sink, || {
+                        apply_op(eng, op, env.rid, &mut gas, &*sink)
+                    }) {
+                        Ok(Ok(resp)) => {
+                            if let Some(rid) = env.rid.filter(|_| resp.applied()) {
+                                fresh.push((rid, resp.clone()));
+                            }
+                            resp
+                        }
+                        Ok(Err(e)) => {
+                            sink.counter_add(metrics::SERVICE_OP_ERRORS, 1);
+                            // The journal may hold a torn tail; resync
+                            // by recovering a fresh incarnation before
+                            // touching the engine again.
+                            crashed = Some(format!("op failed: {e}"));
+                            Response::failed(&e)
+                        }
+                        Err(report) => {
+                            sink.counter_add(metrics::SERVICE_OP_ERRORS, 1);
+                            crashed = Some("panic during op".to_string());
+                            Response::Error {
+                                kind: ErrorKind::Panic,
+                                message: format!("panic during op: {}", report.message),
+                            }
+                        }
+                    }
+                }
+                Request::Shutdown => unreachable!("handled above"),
+            };
+            held.push((env, resp));
+            if crashed.is_some() {
+                break;
+            }
+        }
+        drop(permit);
+
+        // The batch's one barrier, then its replies. Free when no op of
+        // the batch wrote a record.
+        let barrier = match engine.as_mut() {
+            Some(e) => {
+                let mut gas = op_gas(&ctx.spec);
+                firewall::guard_with(&*sink, || e.sync(&mut gas, &*sink)).unwrap_or_else(|report| {
+                    let m = format!("panic during barrier: {}", report.message);
+                    Err(DurableError::Io(m))
+                })
+            }
+            None => Ok(()),
+        };
+        match barrier {
+            Ok(()) => {
+                for (rid, resp) in fresh.drain(..) {
+                    dedup.insert(rid, resp);
+                }
+                for (env, resp) in held.drain(..) {
+                    env.respond(resp);
+                }
+            }
+            Err(e) => {
+                // Nothing the batch did is known to be durable: every
+                // reply it held reports the barrier's failure, and the
+                // engine (now ahead of its journal) is recovered afresh.
+                let failed = Response::failed(&e);
+                fresh.clear();
+                for (env, resp) in held.drain(..) {
+                    if matches!(resp, Response::Error { .. }) {
+                        env.respond(resp);
+                    } else {
+                        sink.counter_add(metrics::SERVICE_OP_ERRORS, 1);
+                        env.respond(failed.clone());
+                    }
+                }
+                crashed.get_or_insert(format!("barrier failed: {e}"));
+            }
+        }
+
+        if let Some(env) = shutdown {
+            if crashed.is_some() {
+                // Answered by the recovered incarnation.
+                pending.push_front(env);
+            } else {
                 if let Some(e) = engine.as_ref() {
                     let d = digest(e, &sink);
                     ctx.cell.update(|s| {
@@ -734,112 +952,7 @@ pub(crate) fn run(ctx: WorkerCtx) {
                 env.respond(Response::Shutdown);
                 return;
             }
-            // Idempotent-retry fast path: a rid we already acked answers
-            // from the cache — even on a now-quarantined shard, because
-            // the original application *did* happen and the ack must
-            // stay consistent with the journal.
-            if let Some(rid) = env.rid {
-                if matches!(env.req, Request::Op(_)) {
-                    if let Some(cached) = dedup.get(rid) {
-                        sink.counter_add(metrics::SERVICE_DEDUP_HITS, 1);
-                        env.respond(cached.clone());
-                        continue;
-                    }
-                }
-            }
-            if let Some(reason) = &quarantine {
-                match env.req {
-                    Request::Digest => {
-                        let status = ctx.cell.status();
-                        env.respond(Response::Digest {
-                            digest: status.digest.unwrap_or(0),
-                            state: ShardState::Quarantined,
-                            live: status.live,
-                        });
-                    }
-                    _ => env.respond(Response::Quarantined {
-                        reason: reason.clone(),
-                    }),
-                }
-                continue;
-            }
-            let eng = engine.as_mut().expect("running shard has an engine");
-            match env.req {
-                Request::Query(raw) => env.respond(Response::Machine(eng.machine_of(raw))),
-                Request::Digest => {
-                    let d = digest(eng, &sink);
-                    ctx.cell.update(|s| s.digest = Some(d));
-                    env.respond(Response::Digest {
-                        digest: d,
-                        state: ShardState::Running,
-                        live: eng.len(),
-                    });
-                }
-                Request::Stall(ms) => {
-                    // Testing aid: hold this worker (not the CPU gate)
-                    // busy so its bounded queue fills upstream.
-                    drop(permit.take());
-                    std::thread::sleep(Duration::from_millis(ms));
-                    permit = Some(ctx.gate.acquire());
-                    env.respond(Response::Done);
-                }
-                Request::InjectPanic => {
-                    let poisoned = firewall::guard_with(&*sink, || {
-                        panic!("injected shard panic");
-                    });
-                    debug_assert!(poisoned.is_err());
-                    sink.counter_add(metrics::SERVICE_OP_ERRORS, 1);
-                    env.respond(Response::Error {
-                        kind: ErrorKind::Panic,
-                        message: "injected shard panic".to_string(),
-                    });
-                    crashed = Some("injected shard panic".to_string());
-                }
-                Request::Op(op) => {
-                    let mut gas = match ctx.spec.op_gas {
-                        Some(n) => Budget::ops(n).gas(),
-                        None => Gas::unlimited(),
-                    };
-                    match firewall::guard_with(&*sink, || apply_op(eng, op, &mut gas, &*sink)) {
-                        Ok(Ok(resp)) => {
-                            if let Some(rid) = env.rid {
-                                if resp.applied() {
-                                    dedup.insert(rid, resp.clone());
-                                }
-                            }
-                            env.respond(resp);
-                        }
-                        Ok(Err(e)) => {
-                            sink.counter_add(metrics::SERVICE_OP_ERRORS, 1);
-                            let (kind, message) = match &e {
-                                DurableError::Io(m) => (ErrorKind::Io, m.clone()),
-                                DurableError::Exhausted(x) => {
-                                    (ErrorKind::Exhausted, format!("op gas exhausted ({x:?})"))
-                                }
-                            };
-                            env.respond(Response::Error { kind, message });
-                            // The journal may hold a torn tail; resync
-                            // by recovering a fresh incarnation before
-                            // touching the engine again.
-                            crashed = Some(format!("op failed: {e}"));
-                        }
-                        Err(report) => {
-                            sink.counter_add(metrics::SERVICE_OP_ERRORS, 1);
-                            env.respond(Response::Error {
-                                kind: ErrorKind::Panic,
-                                message: format!("panic during op: {}", report.message),
-                            });
-                            crashed = Some("panic during op".to_string());
-                        }
-                    }
-                }
-                Request::Shutdown => unreachable!("handled above"),
-            }
-            if crashed.is_some() {
-                break;
-            }
         }
-        drop(permit);
 
         if let Some(reason) = crashed {
             // Discard the possibly-poisoned incarnation; the supervision
@@ -863,11 +976,7 @@ pub(crate) fn run(ctx: WorkerCtx) {
                 // gas exhaustion resumes next batch; an IO error here
                 // aborted the staged file only, so the live journal (and
                 // the shard) keep going — the next cadence retries.
-                let mut tick_gas = match ctx.spec.op_gas {
-                    Some(n) => Budget::ops(n).gas(),
-                    None => Gas::unlimited(),
-                };
-                let _ = e.compaction_tick(&mut tick_gas, &*sink);
+                let _ = e.compaction_tick(&mut op_gas(&ctx.spec), &*sink);
                 ctx.cell.publish(e, &sink);
             }
         }

@@ -318,9 +318,10 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::StorageFactory;
+    use crate::shard::{ShardState, StorageFactory};
     use hetfeas_model::{Augmentation, Platform, Task};
-    use hetfeas_robust::journal::{MemStorage, Storage};
+    use hetfeas_robust::journal::{FaultFs, FaultScript, MemStorage, Storage};
+    use hetfeas_robust::metrics as jm;
     use std::sync::mpsc;
 
     fn mem_factory(store: &MemStorage) -> StorageFactory {
@@ -518,6 +519,7 @@ mod tests {
         svc.open_tenant(spec("t", &store)).expect("open");
         let (tx, rx) = mpsc::channel();
         let before = svc.sink().counter(metrics::SERVICE_BATCHES);
+        let syncs_before = svc.sink().counter(jm::JOURNAL_SYNCS);
         // The stall holds the shard while 32 adds queue behind it; the
         // shard must then take them as one batch, not one per request.
         svc.submit(1, "t", Request::Stall(300), &tx);
@@ -533,6 +535,126 @@ mod tests {
         }
         let batches = svc.sink().counter(metrics::SERVICE_BATCHES) - before;
         assert!(batches <= 2, "{adds} queued adds took {batches} batches");
+        // One barrier per batch, not one per add.
+        let syncs = svc.sink().counter(jm::JOURNAL_SYNCS) - syncs_before;
+        assert!(syncs <= 2, "{adds} queued adds paid {syncs} syncs");
+        assert_eq!(svc.sink().counter(jm::JOURNAL_APPENDS), adds);
+        svc.shutdown();
+    }
+
+    /// A tenant whose first incarnation's storage follows `script`;
+    /// later incarnations reopen the same bytes without faults.
+    fn faulty_spec(name: &str, store: &MemStorage, script: FaultScript) -> TenantSpec {
+        let store = store.clone();
+        TenantSpec {
+            factory: Arc::new(move |incarnation| {
+                if incarnation == 0 {
+                    Box::new(FaultFs::new(store.clone(), script)) as Box<dyn Storage>
+                } else {
+                    Box::new(store.clone()) as Box<dyn Storage>
+                }
+            }),
+            ..spec(name, &MemStorage::new())
+        }
+    }
+
+    /// Stall the shard, wait until the stall is a batch of its own, then
+    /// queue `adds` behind it: they drain as exactly one batch. Returns
+    /// the replies to the adds, in submission order.
+    fn one_batch_of_adds(svc: &Service, first_seq: u64, adds: u64) -> Vec<Response> {
+        let (tx, rx) = mpsc::channel();
+        let batches = svc.sink().counter(metrics::SERVICE_BATCHES);
+        svc.submit(first_seq, "t", Request::Stall(200), &tx);
+        while svc.sink().counter(metrics::SERVICE_BATCHES) == batches {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for seq in first_seq + 1..=first_seq + adds {
+            let task = Task::implicit(1, 100).expect("task");
+            svc.submit(seq, "t", Request::Op(Op::Add(task)), &tx);
+        }
+        assert_eq!(await_seq(&rx, first_seq), Response::Done);
+        let replies: Vec<Response> = (first_seq + 1..=first_seq + adds)
+            .map(|seq| await_seq(&rx, seq))
+            .collect();
+        assert_eq!(
+            svc.sink().counter(metrics::SERVICE_BATCHES),
+            batches + 2,
+            "the stall and the adds are one batch each"
+        );
+        replies
+    }
+
+    #[test]
+    fn transient_sync_failure_inside_a_batch_is_retried() {
+        let store = MemStorage::new();
+        let script = FaultScript {
+            fail_sync_at: Some(1),
+            ..FaultScript::default()
+        };
+        let mut svc = Service::new(ServiceConfig::default());
+        svc.open_tenant(faulty_spec("t", &store, script))
+            .expect("open");
+        let replies = one_batch_of_adds(&svc, 1, 8);
+        for resp in &replies {
+            assert!(matches!(resp, Response::Admitted { .. }), "{resp:?}");
+        }
+        assert_eq!(svc.sink().counter(jm::JOURNAL_RETRIES), 1);
+        assert_eq!(svc.sink().counter(jm::JOURNAL_SYNCS), 1);
+        assert_eq!(svc.status("t").expect("status").restarts, 0);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn hard_sync_failure_fails_the_whole_batch_and_the_shard_recovers() {
+        let store = MemStorage::new();
+        // Sync 1 is the priming add's barrier; sync 2 is the batch's.
+        let script = FaultScript {
+            fail_sync_hard_at: Some(2),
+            ..FaultScript::default()
+        };
+        let mut svc = Service::new(ServiceConfig::default());
+        svc.open_tenant(faulty_spec("t", &store, script))
+            .expect("open");
+        let (tx, rx) = mpsc::channel();
+        let task = Task::implicit(3, 10).expect("task");
+        svc.submit(1, "t", Request::Op(Op::Add(task)), &tx);
+        assert!(matches!(await_seq(&rx, 1), Response::Admitted { .. }));
+        svc.submit(2, "t", Request::Digest, &tx);
+        let Response::Digest { digest: before, .. } = await_seq(&rx, 2) else {
+            panic!("digest expected");
+        };
+        let durable = store.bytes();
+
+        let replies = one_batch_of_adds(&svc, 3, 8);
+        for resp in &replies {
+            assert!(
+                matches!(
+                    resp,
+                    Response::Error {
+                        kind: ErrorKind::Io,
+                        ..
+                    }
+                ),
+                "every journaled op of the failed batch answers err io: {resp:?}"
+            );
+        }
+        assert_eq!(store.bytes(), durable, "truncated back to the last barrier");
+
+        // The shard restarted from its journal: the batch is gone, the
+        // earlier add is not, and it serves again.
+        svc.submit(20, "t", Request::Digest, &tx);
+        let Response::Digest {
+            digest: after,
+            state,
+            live,
+        } = await_seq(&rx, 20)
+        else {
+            panic!("digest expected");
+        };
+        assert_eq!((after, state, live), (before, ShardState::Running, 1));
+        assert_eq!(svc.status("t").expect("status").restarts, 1);
+        svc.submit(21, "t", Request::Op(Op::Add(task)), &tx);
+        assert!(matches!(await_seq(&rx, 21), Response::Admitted { .. }));
         svc.shutdown();
     }
 }

@@ -18,10 +18,14 @@
 //!    observed exactly once: duplicated submissions ack byte-identically
 //!    and the journal replays to the digest of applying each acked op
 //!    once — across a panic-restart in the middle.
+//! 6. Exactly-once survives a process restart: after the whole service
+//!    is dropped and rebuilt over the same storages, every acked rid
+//!    retries as a dedup hit with the identical reply — also when a
+//!    compaction ran between the acks and the drop.
 
 use hetfeas_model::rng::splitmix64;
 use hetfeas_model::{Augmentation, Platform, Task};
-use hetfeas_robust::journal::{MemStorage, Storage};
+use hetfeas_robust::journal::{scan_records, MemStorage, Storage};
 use hetfeas_service::frame::{parse_request, read_frame, write_frame, MAX_FRAME_LEN};
 use hetfeas_service::shard::{Op, Request, Response};
 use hetfeas_service::{PolicyKind, Service, ServiceConfig, ShardState, TenantEngine, TenantSpec};
@@ -640,5 +644,130 @@ fn duplicated_rids_apply_exactly_once_against_the_durable_digest() {
             live_digest,
             "seed {seed:#x}: each acked op applied exactly once"
         );
+    }
+}
+
+/// One rid-tagged request to tenant `t`, awaited.
+fn ask(
+    svc: &Service,
+    tx: &Sender<(u64, Response)>,
+    rx: &Receiver<(u64, Response)>,
+    seq: &mut u64,
+    rid: Option<u64>,
+    req: Request,
+) -> Response {
+    *seq += 1;
+    svc.submit_tagged(*seq, rid, "t", req, tx);
+    loop {
+        let (s, resp) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("shard must answer");
+        if s == *seq {
+            return resp;
+        }
+    }
+}
+
+/// Property 6: acked rids stay deduplicated across a process restart.
+/// A service over `MemStorage` acks rid-bearing ops — adds, removes of
+/// live ids, snapshots, rollbacks to a held snapshot, repacks — and is
+/// then dropped whole, with no shutdown, as a kill would leave it. A new
+/// service over the same storage must answer every acked rid, retried,
+/// as a dedup hit with the identical reply, and keep its digest and live
+/// count — also when a compaction ran between the acks and the drop (the
+/// request-id log then rides in the compacted journal's `window` record).
+#[test]
+fn acked_rids_are_dedup_hits_after_a_service_rebuild() {
+    let policies = [PolicyKind::Edf, PolicyKind::RmsLl, PolicyKind::RmsHyp];
+    for (i, seed) in [0x51u64, 0xFEED, 0x0BAD_CAFE].into_iter().enumerate() {
+        for compact in [false, true] {
+            let store = MemStorage::new();
+            let open = || {
+                let mut svc = Service::new(ServiceConfig {
+                    seed,
+                    backoff_base_ms: 1,
+                    backoff_cap_ms: 4,
+                    ..ServiceConfig::default()
+                });
+                let handle = store.clone();
+                svc.open_tenant(TenantSpec {
+                    name: "t".into(),
+                    policy: policies[i],
+                    platform: Platform::from_int_speeds([1, 2, 3]).expect("platform"),
+                    alpha: Augmentation::NONE,
+                    factory: Arc::new(move |_inc| Box::new(handle.clone()) as Box<dyn Storage>),
+                    op_gas: None,
+                    recover_gas: None,
+                })
+                .expect("open tenant");
+                svc
+            };
+            let (tx, rx) = channel();
+            let mut seq = 0u64;
+            let at = format!("seed {seed:#x} compact {compact}");
+
+            let svc = open();
+            let mut rng = Rng(seed);
+            let (mut live, mut live_snap): (Vec<u64>, Option<Vec<u64>>) = (Vec::new(), None);
+            let mut acked: Vec<(u64, Op, Response)> = Vec::new();
+            for k in 0..40u64 {
+                let roll = rng.below(20);
+                let op = if roll < 11 || live.is_empty() {
+                    Op::Add(Task::implicit(1 + rng.below(6), 10 + rng.below(30)).expect("task"))
+                } else if roll < 15 {
+                    Op::Remove(live[rng.below(live.len() as u64) as usize])
+                } else if roll < 17 {
+                    Op::Snapshot
+                } else if roll < 19 && live_snap.is_some() {
+                    Op::Rollback
+                } else {
+                    Op::Repack
+                };
+                let rid = 5000 + k;
+                let resp = ask(&svc, &tx, &rx, &mut seq, Some(rid), Request::Op(op));
+                assert!(resp.applied(), "{at} op {k}: {resp:?}");
+                match (op, &resp) {
+                    (Op::Add(_), Response::Admitted { id, .. }) => live.push(*id),
+                    (Op::Remove(raw), Response::Removed { found }) => {
+                        assert!(found, "{at} op {k}: removes target live ids");
+                        live.retain(|&x| x != raw);
+                    }
+                    (Op::Snapshot, _) => live_snap = Some(live.clone()),
+                    (Op::Rollback, _) => live.clone_from(live_snap.as_ref().expect("held")),
+                    _ => {}
+                }
+                acked.push((rid, op, resp));
+            }
+            if compact {
+                let done = ask(&svc, &tx, &rx, &mut seq, None, Request::Op(Op::Compact));
+                assert_eq!(done, Response::Done, "{at}");
+                let records = scan_records(&store.bytes()).payloads;
+                assert!(
+                    records.iter().any(|p| p.starts_with(b"window\n")),
+                    "{at}: the compacted journal carries the window"
+                );
+            }
+            let before = ask(&svc, &tx, &rx, &mut seq, None, Request::Digest);
+            drop(svc);
+
+            let svc = open();
+            for (rid, op, first) in &acked {
+                let retry = ask(&svc, &tx, &rx, &mut seq, Some(*rid), Request::Op(*op));
+                assert_eq!(&retry, first, "{at}: rid {rid} retried across the rebuild");
+            }
+            assert_eq!(
+                svc.sink()
+                    .counter(hetfeas_service::metrics::SERVICE_DEDUP_HITS),
+                acked.len() as u64,
+                "{at}: every retry is a dedup hit"
+            );
+            let after = ask(&svc, &tx, &rx, &mut seq, None, Request::Digest);
+            assert_eq!(after, before, "{at}: digest and live count unchanged");
+            let Response::Digest { live: n, .. } = after else {
+                panic!("{at}: digest expected, got {after:?}");
+            };
+            assert_eq!(n, live.len(), "{at}");
+            svc.shutdown();
+        }
     }
 }

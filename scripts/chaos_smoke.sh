@@ -28,14 +28,21 @@
 #   5. kill -9 of a TCP server mid-stream with a retrying `call` client:
 #      the orphaned client fails with the transport exit code (4), and a
 #      restarted server on the same data dir serves the recovered state,
-#      digest included.
+#      digest included;
+#   6. a retry that straddles a kill -9: a text-mode TCP server acks an
+#      `add` carrying a fixed `rid=`, is SIGKILLed and restarted on the
+#      same data dir, and the same line sent again must get the same
+#      reply (bar the seq prefix) without the live count growing — the
+#      rid is in the journal record, so exactly-once survives the
+#      process.
 set -euo pipefail
 
 hetfeas="${HETFEAS_BIN:?set HETFEAS_BIN to the hetfeas binary}"
 cap="${CHAOS_SMOKE_TIMEOUT:-120}"
 
 work="$(mktemp -d)"
-trap 'rm -rf "$work" || true' EXIT
+# A failing last stage must not leave its text-mode server running.
+trap 'kill "${ridserver:-}" 2>/dev/null || true; rm -rf "$work" || true' EXIT
 
 echo "== seeded fault storms converge" >&2
 for seed in 7 1013 57005; do
@@ -337,5 +344,79 @@ recovered="$(sed -n 's/.*state digest \([0-9a-f]*\).*/\1/p' "$work/tcp_recover.o
 }
 "$hetfeas" call 'quit' --tcp "127.0.0.1:$tcpport" >/dev/null 2>&1 || true
 wait "$tcpserver2" 2>/dev/null || true
+
+echo "== a retry that straddles a kill -9 is a dedup hit" >&2
+riddata="$work/rid_kill_data"
+mkdir -p "$riddata"
+ridport=$((tcpport + 1))
+# Start a text-mode TCP server on $ridport (its `timeout` wrapper's pid
+# lands in $ridserver) and wait until it accepts.
+start_text_server() {
+    timeout "$cap" "$hetfeas" serve --tcp "127.0.0.1:$ridport" --text \
+        --data-dir "$riddata" >>"$work/rid_kill.out" 2>&1 &
+    ridserver=$!
+    disown "$ridserver"
+    for _ in $(seq 1 100); do
+        if (exec 6<>"/dev/tcp/127.0.0.1/$ridport") 2>/dev/null; then
+            return 0
+        fi
+        sleep 0.1
+    done
+    echo "chaos_smoke: FAIL — text TCP server never accepted" >&2
+    cat "$work/rid_kill.out" >&2
+    exit 1
+}
+# Send each argument as one line on a fresh connection; print one reply
+# line per request.
+text_session() {
+    exec 6<>"/dev/tcp/127.0.0.1/$ridport"
+    printf '%s\n' "$@" >&6
+    local reply
+    for _ in "$@"; do
+        IFS= read -r -t 10 reply <&6 || {
+            echo "chaos_smoke: FAIL — text TCP session got no reply" >&2
+            exit 1
+        }
+        printf '%s\n' "$reply"
+    done
+    exec 6>&-
+}
+start_text_server
+text_session 'open r edf 1.0 1,2' 'add r 3 10 rid=4242' 'digest r' \
+    >"$work/rid_first.out"
+first="$(sed -n 2p "$work/rid_first.out")"
+[[ "$first" == *" ok admitted "*" rid=4242" ]] || {
+    echo "chaos_smoke: FAIL — rid-tagged add not acked" >&2
+    cat "$work/rid_first.out" >&2
+    exit 1
+}
+grep -q 'live=1$' "$work/rid_first.out" || {
+    echo "chaos_smoke: FAIL — first session should hold one task" >&2
+    cat "$work/rid_first.out" >&2
+    exit 1
+}
+pkill -KILL -P "$ridserver" 2>/dev/null || true
+kill -9 "$ridserver" 2>/dev/null || true
+while kill -0 "$ridserver" 2>/dev/null; do sleep 0.05; done
+while pgrep -f "serve --tcp 127.0.0.1:$ridport" >/dev/null 2>&1; do
+    sleep 0.05
+done
+start_text_server
+text_session 'open r edf 1.0 1,2' 'add r 3 10 rid=4242' 'digest r' \
+    >"$work/rid_retry.out"
+retry="$(sed -n 2p "$work/rid_retry.out")"
+[[ "${retry#* }" == "${first#* }" ]] || {
+    echo "chaos_smoke: FAIL — retry across kill -9 answered '$retry', first ack was '$first'" >&2
+    exit 1
+}
+grep -q 'live=1$' "$work/rid_retry.out" || {
+    echo "chaos_smoke: FAIL — retry across kill -9 applied the add again" >&2
+    cat "$work/rid_retry.out" >&2
+    exit 1
+}
+text_session quit >/dev/null
+while pgrep -f "serve --tcp 127.0.0.1:$ridport" >/dev/null 2>&1; do
+    sleep 0.05
+done
 
 echo "chaos_smoke: all stages passed" >&2

@@ -119,7 +119,7 @@ use hetfeas::lp::{level_scaling_factor, lp_feasible};
 use hetfeas::model::{
     is_binary_trace, parse_op_trace, parse_system, read_op_trace_bin, render_op_trace,
     render_system, write_op_trace_bin, Augmentation, OpStream, OpTrace, Platform, Ratio, System,
-    TraceInstance, TraceWriter,
+    TraceEvent, TraceInstance, TraceWriter,
 };
 use hetfeas::obs::{Json, MemorySink, MetricsSink, RunReport};
 use hetfeas::par::{default_workers, Progress};
@@ -997,6 +997,25 @@ impl OpsInput {
             .map_err(|e| format!("{path}: {e}"))?;
         Ok(OpsInput::Binary { stream, bytes })
     }
+
+    /// How many instances the trace at `path` holds. An HBT1 stream is
+    /// counted by a decode-only pass over a second reader, so a journaled
+    /// run can refuse a multi-instance trace before it creates the
+    /// journal; a decode error ends the count, and the replay itself
+    /// then reports it.
+    fn instances(&self, path: &str) -> Result<usize, String> {
+        let OpsInput::Text(trace) = self else {
+            let file = std::fs::File::open(path).map_err(|e| format!("read {path}: {e}"))?;
+            let mut stream = OpStream::new(std::io::BufReader::with_capacity(1 << 20, file))
+                .map_err(|e| format!("{path}: {e}"))?;
+            let mut n = 0;
+            while let Ok(Some(ev)) = stream.next_event() {
+                n += usize::from(matches!(ev, TraceEvent::Begin { .. }));
+            }
+            return Ok(n);
+        };
+        Ok(trace.instances.len())
+    }
 }
 
 /// Each replayed instance's name and outcome, in trace order.
@@ -1102,13 +1121,15 @@ fn cmd_ops(c: &Common) -> Result<ExitCode, String> {
     let workers = c.workers.unwrap_or_else(|| default_workers(8));
     let (name, mode_name) = (c.policy.name(), mode.as_str());
     let binary = matches!(input, OpsInput::Binary { .. });
-    match &input {
-        OpsInput::Text(trace) if journaled && trace.instances.len() != 1 => {
-            let n = trace.instances.len();
+    if journaled {
+        let n = input.instances(path)?;
+        if n != 1 {
             return Err(format!(
                 "--journal replays exactly one instance; {path} holds {n}"
             ));
         }
+    }
+    match &input {
         OpsInput::Text(_) if journaled => {}
         OpsInput::Text(trace) => {
             let ops: usize = trace.instances.iter().map(|i| i.ops.len()).sum();

@@ -292,6 +292,31 @@ fn journal_flag_validation_exits_two() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
 
+/// A multi-instance HBT1 trace is refused before the journal exists:
+/// exit 2, nothing on stdout, the instance count on stderr, and a file
+/// already at the `--journal` path keeps its bytes.
+#[test]
+fn journaled_hbt1_with_two_instances_is_refused_before_journaling() {
+    let trace = write_trace(TRACE);
+    let bin = temp_path("hbt");
+    let out = hetfeas(&["trace", "convert", trace.to_str(), "--out", bin.to_str()]);
+    assert!(out.status.success(), "{out:?}");
+    let journal = temp_path("journal");
+    std::fs::write(&journal.0, b"someone else's bytes").unwrap();
+    let out = hetfeas(&[
+        "ops",
+        "--trace",
+        bin.to_str(),
+        "--journal",
+        journal.to_str(),
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("holds 2"), "{stderr}");
+    assert_eq!(std::fs::read(&journal.0).unwrap(), b"someone else's bytes");
+}
+
 #[test]
 fn compaction_keeps_the_journal_recoverable() {
     let trace = write_trace(SOLO_TRACE);
