@@ -838,6 +838,14 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         Ok(self.journal.sync(gas, sink)?)
     }
 
+    /// True when a barrier already covers every record written so far —
+    /// none was written since the last one, or a compaction commit just
+    /// made them durable — so every op applied so far is recoverable
+    /// whatever the next [`Self::sync`] does.
+    pub fn is_synced(&self) -> bool {
+        self.journal.is_synced()
+    }
+
     /// Tag the next op with request id `rid`: its record carries the id,
     /// and, when the op journals a record, its [`Applied`] outcome joins
     /// the request-id log. The next op call consumes the tag whether or

@@ -27,7 +27,9 @@
 //!   record written since the previous barrier, so a caller that
 //!   acknowledges ops in batches pays one barrier per batch. A barrier
 //!   with nothing written since the last one costs no syscall and counts
-//!   no sync. The journal tracks its byte length at the last barrier
+//!   no sync. [`Journal::open`] fsyncs the records it read, so a record
+//!   a killed process wrote but never synced is durable before anyone
+//!   acts on it. The journal tracks its byte length at the last barrier
 //!   (create, open, a successful sync, or a compaction commit); when a
 //!   barrier fails it truncates the live file back to that length where
 //!   the storage still allows it, so records nobody was told about do not
@@ -744,8 +746,15 @@ impl Journal {
     }
 
     /// Open an existing journal: read everything, truncate any torn or
-    /// corrupt tail in place, and return the intact payloads. The damage
-    /// counters go to `recover.truncated_records` / `.truncated_bytes`.
+    /// corrupt tail in place, fsync what is left, and return the intact
+    /// payloads. The damage counters go to `recover.truncated_records` /
+    /// `.truncated_bytes`.
+    ///
+    /// The fsync makes open a barrier. Records a killed process wrote but
+    /// never synced may still sit in the page cache, where this read finds
+    /// them; a caller is about to act on them (answer a retry from their
+    /// outcomes, say), so they must be durable first. It costs one
+    /// `journal.syncs` per open of a non-empty journal.
     pub fn open<S: MetricsSink>(
         mut store: Box<dyn Storage>,
         gas: &mut Gas,
@@ -768,6 +777,12 @@ impl Journal {
             if S::ENABLED {
                 sink.counter_add(metrics::RECOVER_TRUNCATED_RECORDS, 1);
                 sink.counter_add(metrics::RECOVER_TRUNCATED_BYTES, scan.truncated_bytes);
+            }
+        }
+        if scan.valid_len > 0 {
+            with_retries(gas, sink, || store.sync())?;
+            if S::ENABLED {
+                sink.counter_add(metrics::JOURNAL_SYNCS, 1);
             }
         }
         Ok((Journal::over(store, scan.valid_len), scan.payloads, tail))
@@ -802,6 +817,12 @@ impl Journal {
             sink.counter_add(metrics::JOURNAL_BYTES_WRITTEN, record.len() as u64);
         }
         Ok(())
+    }
+
+    /// True when every record written so far is covered by a barrier, so
+    /// [`Journal::sync`] has nothing to do.
+    pub fn is_synced(&self) -> bool {
+        !self.unsynced
     }
 
     /// [`Journal::write`] one record, then run the barrier
@@ -1185,6 +1206,51 @@ mod tests {
             .expect("commit counted as the barrier");
         assert_eq!(sink.counter(metrics::JOURNAL_SYNCS), 0);
         assert_eq!(store.bytes(), image);
+    }
+
+    #[test]
+    fn open_fsyncs_records_a_killed_writer_never_synced() {
+        let store = MemStorage::new();
+        let sink = MemorySink::new();
+        let mut gas = Gas::unlimited();
+        let mut j = Journal::create(Box::new(store.clone()), &[b"cfg".to_vec()], &mut gas, &sink)
+            .expect("create");
+        // Killed between the write and its barrier: the record is in the
+        // store's volatile bytes only.
+        j.write(b"unsynced", &mut gas, &sink).expect("write");
+        drop(j);
+        assert_eq!(sink.counter(metrics::JOURNAL_SYNCS), 0);
+
+        // Open must reach the store's fsync: a failing one fails the open.
+        let failing = FaultFs::new(
+            store.clone(),
+            FaultScript {
+                fail_sync_hard_at: Some(1),
+                ..FaultScript::default()
+            },
+        );
+        let err = Journal::open(Box::new(failing), &mut gas, &sink)
+            .map(|_| ())
+            .expect_err("open fsyncs what it read");
+        assert!(matches!(err, JournalError::Io(_)), "{err:?}");
+
+        let (mut j, payloads, _) =
+            Journal::open(Box::new(store.clone()), &mut gas, &sink).expect("open");
+        assert_eq!(payloads, vec![b"cfg".to_vec(), b"unsynced".to_vec()]);
+        assert_eq!(sink.counter(metrics::JOURNAL_SYNCS), 1, "open is a barrier");
+        assert!(j.is_synced());
+        j.sync(&mut gas, &sink).expect("nothing written since open");
+        assert_eq!(sink.counter(metrics::JOURNAL_SYNCS), 1);
+
+        // An empty store has nothing to make durable.
+        let empty = FaultFs::new(
+            MemStorage::new(),
+            FaultScript {
+                fail_sync_hard_at: Some(1),
+                ..FaultScript::default()
+            },
+        );
+        Journal::open(Box::new(empty), &mut gas, &sink).expect("no fsync for no bytes");
     }
 
     #[test]

@@ -96,6 +96,12 @@ impl TenantEngine {
         with_admission!(engine in &mut self.0, e => e.sync(gas, sink))
     }
 
+    /// True when a barrier already covers every op applied so far (see
+    /// [`DurableEngine::is_synced`]).
+    pub fn is_synced(&self) -> bool {
+        with_admission!(engine in &self.0, e => e.is_synced())
+    }
+
     /// Journal-then-apply add.
     pub fn add<S: MetricsSink>(
         &mut self,

@@ -56,7 +56,12 @@
 //! When the barrier fails, every reply the batch held answers with the
 //! barrier's error (`err io` for a storage failure), the journal is
 //! truncated back to the previous barrier where the storage allows it,
-//! and the shard restarts from the journal as after a failed op.
+//! and the shard restarts from the journal as after a failed op. Two
+//! kinds of reply are already durable and keep their answer: a dedup hit
+//! from the window, which holds only outcomes an earlier barrier (or the
+//! boot's open of the journal) made durable, and a reply the engine gave
+//! while no record was waiting for a barrier — such as every reply up to
+//! an op whose compaction commit, itself a barrier, landed mid-batch.
 
 use crate::engine::TenantEngine;
 use crate::metrics;
@@ -605,11 +610,12 @@ pub(crate) fn apply_op<S: MetricsSink>(
 /// cached replies. A retried op whose rid is still in the window is
 /// answered from the cache without touching the engine, so at-least-once
 /// delivery becomes exactly-once application. Only *applied* replies are
-/// cached, and only once the batch's barrier made them durable — errors
-/// stay retryable. The window lives outside the supervision loop, so it
+/// cached, and only once a barrier made them durable — errors stay
+/// retryable. The window lives outside the supervision loop, so it
 /// survives panic-restart incarnations of the same worker, and every boot
 /// seeds it from the request-id log the engine's recovery rebuilt from
-/// the journal, so journaled outcomes survive a process restart too.
+/// the journal (whose open fsyncs what it read), so journaled outcomes
+/// survive a process restart too. Every entry is therefore durable.
 /// Outcomes that write no record — a remove of a dead id, a rollback with
 /// no snapshot, a compaction — live only here and re-execute on a retry
 /// after a process restart (see DESIGN.md §15).
@@ -643,6 +649,36 @@ impl DedupWindow {
                     self.map.remove(&old);
                 }
             }
+        }
+    }
+}
+
+/// A reply a batch holds until its barrier.
+struct Held {
+    env: Envelope,
+    resp: Response,
+    /// The reply stands whatever the batch's barrier does: it is a hit
+    /// in the dedup window (which holds durable outcomes only), or a
+    /// barrier inside the batch — a compaction commit — already covered
+    /// the state it reports.
+    durable: bool,
+}
+
+impl Held {
+    fn pending(env: Envelope, resp: Response) -> Held {
+        Held {
+            env,
+            resp,
+            durable: false,
+        }
+    }
+
+    /// The request id whose applied outcome this reply is, if any: what
+    /// the dedup window remembers once the reply is sent.
+    fn outcome_rid(&self) -> Option<u64> {
+        match self.env.req {
+            Request::Op(_) => self.env.rid.filter(|_| self.resp.applied()),
+            _ => None,
         }
     }
 }
@@ -691,10 +727,8 @@ pub(crate) fn run(ctx: WorkerCtx) {
     // Outside the supervision loop on purpose: acked ids must stay
     // deduplicated across panic-restart incarnations.
     let mut dedup = DedupWindow::new(ctx.cfg.dedup_window);
-    // Reused by every batch: the replies it holds until its barrier, and
-    // the rid outcomes it adds to the window once that barrier succeeds.
-    let mut held: Vec<(Envelope, Response)> = Vec::new();
-    let mut fresh: Vec<(u64, Response)> = Vec::new();
+    // Reused by every batch: the replies it holds until its barrier.
+    let mut held: Vec<Held> = Vec::new();
 
     let do_quarantine = |reason: &str,
                          engine: &mut Option<TenantEngine>,
@@ -787,6 +821,9 @@ pub(crate) fn run(ctx: WorkerCtx) {
         };
         let mut crashed: Option<String> = None;
         let mut shutdown: Option<Envelope> = None;
+        // `held[..settled]` is marked durable: after the last of those
+        // replies, no record waited for a barrier.
+        let mut settled = 0;
         while let Some(env) = pending.pop_front() {
             if matches!(env.req, Request::Shutdown) {
                 shutdown = Some(env);
@@ -796,18 +833,20 @@ pub(crate) fn run(ctx: WorkerCtx) {
             // applied earlier in this batch) answers from the cache —
             // even on a now-quarantined shard, because the original
             // application *did* happen and the ack must stay consistent
-            // with the journal.
+            // with the journal. The window holds durable outcomes only,
+            // so a hit there stands whatever this batch's barrier does.
             if let (Some(rid), Request::Op(_)) = (env.rid, env.req) {
-                let cached = dedup.get(rid).or_else(|| {
-                    fresh
+                let cached = match dedup.get(rid) {
+                    Some(resp) => Some((resp.clone(), true)),
+                    None => held
                         .iter()
                         .rev()
-                        .find(|(r, _)| *r == rid)
-                        .map(|(_, resp)| resp)
-                });
-                if let Some(cached) = cached {
+                        .find(|h| h.outcome_rid() == Some(rid))
+                        .map(|h| (h.resp.clone(), h.durable)),
+                };
+                if let Some((resp, durable)) = cached {
                     sink.counter_add(metrics::SERVICE_DEDUP_HITS, 1);
-                    held.push((env, cached.clone()));
+                    held.push(Held { env, resp, durable });
                     continue;
                 }
             }
@@ -825,7 +864,7 @@ pub(crate) fn run(ctx: WorkerCtx) {
                         reason: reason.clone(),
                     },
                 };
-                held.push((env, resp));
+                held.push(Held::pending(env, resp));
                 continue;
             }
             let eng = engine.as_mut().expect("running shard has an engine");
@@ -865,12 +904,7 @@ pub(crate) fn run(ctx: WorkerCtx) {
                     match firewall::guard_with(&*sink, || {
                         apply_op(eng, op, env.rid, &mut gas, &*sink)
                     }) {
-                        Ok(Ok(resp)) => {
-                            if let Some(rid) = env.rid.filter(|_| resp.applied()) {
-                                fresh.push((rid, resp.clone()));
-                            }
-                            resp
-                        }
+                        Ok(Ok(resp)) => resp,
                         Ok(Err(e)) => {
                             sink.counter_add(metrics::SERVICE_OP_ERRORS, 1);
                             // The journal may hold a torn tail; resync
@@ -891,7 +925,15 @@ pub(crate) fn run(ctx: WorkerCtx) {
                 }
                 Request::Shutdown => unreachable!("handled above"),
             };
-            held.push((env, resp));
+            held.push(Held::pending(env, resp));
+            if eng.is_synced() {
+                // Nothing written since the last barrier — or a
+                // compaction commit just made it durable.
+                for h in &mut held[settled..] {
+                    h.durable = true;
+                }
+                settled = held.len();
+            }
             if crashed.is_some() {
                 break;
             }
@@ -910,31 +952,27 @@ pub(crate) fn run(ctx: WorkerCtx) {
             }
             None => Ok(()),
         };
-        match barrier {
-            Ok(()) => {
-                for (rid, resp) in fresh.drain(..) {
-                    dedup.insert(rid, resp);
+        // When it fails, every held reply not already durable reports the
+        // failure instead, and the engine (now ahead of its journal) is
+        // recovered afresh.
+        let failed = barrier.as_ref().err().map(Response::failed);
+        for h in held.drain(..) {
+            let resp = match &failed {
+                Some(f) if !h.durable && !matches!(h.resp, Response::Error { .. }) => {
+                    sink.counter_add(metrics::SERVICE_OP_ERRORS, 1);
+                    f.clone()
                 }
-                for (env, resp) in held.drain(..) {
-                    env.respond(resp);
-                }
-            }
-            Err(e) => {
-                // Nothing the batch did is known to be durable: every
-                // reply it held reports the barrier's failure, and the
-                // engine (now ahead of its journal) is recovered afresh.
-                let failed = Response::failed(&e);
-                fresh.clear();
-                for (env, resp) in held.drain(..) {
-                    if matches!(resp, Response::Error { .. }) {
-                        env.respond(resp);
-                    } else {
-                        sink.counter_add(metrics::SERVICE_OP_ERRORS, 1);
-                        env.respond(failed.clone());
+                _ => {
+                    if let Some(rid) = h.outcome_rid() {
+                        dedup.insert(rid, h.resp.clone());
                     }
+                    h.resp
                 }
-                crashed.get_or_insert(format!("barrier failed: {e}"));
-            }
+            };
+            h.env.respond(resp);
+        }
+        if let Err(e) = barrier {
+            crashed.get_or_insert(format!("barrier failed: {e}"));
         }
 
         if let Some(env) = shutdown {

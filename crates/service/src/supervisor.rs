@@ -318,10 +318,12 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::TenantEngine;
     use crate::shard::{ShardState, StorageFactory};
     use hetfeas_model::{Augmentation, Platform, Task};
     use hetfeas_robust::journal::{FaultFs, FaultScript, MemStorage, Storage};
     use hetfeas_robust::metrics as jm;
+    use hetfeas_robust::Gas;
     use std::sync::mpsc;
 
     fn mem_factory(store: &MemStorage) -> StorageFactory {
@@ -559,23 +561,23 @@ mod tests {
     }
 
     /// Stall the shard, wait until the stall is a batch of its own, then
-    /// queue `adds` behind it: they drain as exactly one batch. Returns
-    /// the replies to the adds, in submission order.
-    fn one_batch_of_adds(svc: &Service, first_seq: u64, adds: u64) -> Vec<Response> {
+    /// queue one add per entry of `rids`, tagged with it: they drain as
+    /// exactly one batch. Returns the replies to the adds, in submission
+    /// order.
+    fn one_batch_of_adds(svc: &Service, first_seq: u64, rids: &[Option<u64>]) -> Vec<Response> {
         let (tx, rx) = mpsc::channel();
         let batches = svc.sink().counter(metrics::SERVICE_BATCHES);
         svc.submit(first_seq, "t", Request::Stall(200), &tx);
         while svc.sink().counter(metrics::SERVICE_BATCHES) == batches {
             std::thread::sleep(Duration::from_millis(1));
         }
-        for seq in first_seq + 1..=first_seq + adds {
+        let seqs = first_seq + 1..=first_seq + rids.len() as u64;
+        for (seq, &rid) in seqs.clone().zip(rids) {
             let task = Task::implicit(1, 100).expect("task");
-            svc.submit(seq, "t", Request::Op(Op::Add(task)), &tx);
+            svc.submit_tagged(seq, rid, "t", Request::Op(Op::Add(task)), &tx);
         }
         assert_eq!(await_seq(&rx, first_seq), Response::Done);
-        let replies: Vec<Response> = (first_seq + 1..=first_seq + adds)
-            .map(|seq| await_seq(&rx, seq))
-            .collect();
+        let replies: Vec<Response> = seqs.map(|seq| await_seq(&rx, seq)).collect();
         assert_eq!(
             svc.sink().counter(metrics::SERVICE_BATCHES),
             batches + 2,
@@ -594,7 +596,7 @@ mod tests {
         let mut svc = Service::new(ServiceConfig::default());
         svc.open_tenant(faulty_spec("t", &store, script))
             .expect("open");
-        let replies = one_batch_of_adds(&svc, 1, 8);
+        let replies = one_batch_of_adds(&svc, 1, &[None; 8]);
         for resp in &replies {
             assert!(matches!(resp, Response::Admitted { .. }), "{resp:?}");
         }
@@ -617,16 +619,25 @@ mod tests {
             .expect("open");
         let (tx, rx) = mpsc::channel();
         let task = Task::implicit(3, 10).expect("task");
-        svc.submit(1, "t", Request::Op(Op::Add(task)), &tx);
-        assert!(matches!(await_seq(&rx, 1), Response::Admitted { .. }));
+        svc.submit_tagged(1, Some(77), "t", Request::Op(Op::Add(task)), &tx);
+        let acked = await_seq(&rx, 1);
+        assert!(matches!(acked, Response::Admitted { .. }), "{acked:?}");
         svc.submit(2, "t", Request::Digest, &tx);
         let Response::Digest { digest: before, .. } = await_seq(&rx, 2) else {
             panic!("digest expected");
         };
         let durable = store.bytes();
 
-        let replies = one_batch_of_adds(&svc, 3, 8);
-        for resp in &replies {
+        // The batch also retries the acked rid 77: that outcome is durable
+        // already, so its reply does not depend on this batch's barrier.
+        let mut rids = [None; 8];
+        rids[3] = Some(77);
+        let replies = one_batch_of_adds(&svc, 3, &rids);
+        for (i, resp) in replies.iter().enumerate() {
+            if i == 3 {
+                assert_eq!(resp, &acked, "the retried rid keeps its acked reply");
+                continue;
+            }
             assert!(
                 matches!(
                     resp,
@@ -653,8 +664,115 @@ mod tests {
         };
         assert_eq!((after, state, live), (before, ShardState::Running, 1));
         assert_eq!(svc.status("t").expect("status").restarts, 1);
-        svc.submit(21, "t", Request::Op(Op::Add(task)), &tx);
-        assert!(matches!(await_seq(&rx, 21), Response::Admitted { .. }));
+        svc.submit_tagged(21, Some(77), "t", Request::Op(Op::Add(task)), &tx);
+        assert_eq!(await_seq(&rx, 21), acked, "still a hit after the restart");
+        svc.submit(22, "t", Request::Op(Op::Add(task)), &tx);
+        assert!(matches!(await_seq(&rx, 22), Response::Admitted { .. }));
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_compaction_commit_inside_a_failing_batch_keeps_the_replies_it_covered() {
+        let store = MemStorage::new();
+        // Sync 1 is the priming add's barrier; sync 2 is the batch's. The
+        // compaction commit fsyncs its staged file, which the script does
+        // not count.
+        let script = FaultScript {
+            fail_sync_hard_at: Some(2),
+            ..FaultScript::default()
+        };
+        let cfg = ServiceConfig {
+            opts: DurableOptions {
+                compact_every: 5,
+                slice_bytes: 0,
+                ..DurableOptions::default()
+            },
+            ..ServiceConfig::default()
+        };
+        let mut svc = Service::new(cfg);
+        svc.open_tenant(faulty_spec("t", &store, script))
+            .expect("open");
+        let (tx, rx) = mpsc::channel();
+        let task = Task::implicit(1, 100).expect("task");
+        svc.submit(1, "t", Request::Op(Op::Add(task)), &tx);
+        assert!(matches!(await_seq(&rx, 1), Response::Admitted { .. }));
+
+        // The batch's fourth add is the fifth op: it begins and commits a
+        // one-slice compaction, a barrier over the batch so far.
+        let replies = one_batch_of_adds(&svc, 2, &[None; 8]);
+        assert_eq!(svc.sink().counter(jm::JOURNAL_COMPACTIONS), 1);
+        for (i, resp) in replies.iter().enumerate() {
+            if i < 4 {
+                assert!(matches!(resp, Response::Admitted { .. }), "{i}: {resp:?}");
+            } else {
+                assert!(
+                    matches!(
+                        resp,
+                        Response::Error {
+                            kind: ErrorKind::Io,
+                            ..
+                        }
+                    ),
+                    "{i}: {resp:?}"
+                );
+            }
+        }
+
+        // The restarted shard holds the priming add and the four the
+        // commit covered, exactly what was acknowledged.
+        svc.submit(20, "t", Request::Digest, &tx);
+        let Response::Digest { state, live, .. } = await_seq(&rx, 20) else {
+            panic!("digest expected");
+        };
+        assert_eq!((state, live), (ShardState::Running, 5));
+        assert_eq!(svc.status("t").expect("status").restarts, 1);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_retry_answered_from_an_unsynced_record_waits_for_the_open_fsync() {
+        // A process killed between a batch's writes and its barrier: the
+        // rid-tagged record sits in the store, never fsynced, never acked.
+        let store = MemStorage::new();
+        let task = Task::implicit(1, 10).expect("task");
+        let platform = Platform::from_int_speeds([1, 2]).expect("platform");
+        let mut gas = Gas::unlimited();
+        let mut eng = TenantEngine::create(
+            PolicyKind::Edf,
+            &platform,
+            Augmentation::NONE,
+            DurableOptions::default(),
+            Box::new(store.clone()),
+            &mut gas,
+            &(),
+        )
+        .expect("create");
+        eng.set_rid(42);
+        eng.add(task, &mut gas, &()).expect("write, then killed");
+        drop(eng);
+
+        // The next process boots over those bytes. Its first open cannot
+        // fsync them, so the shard restarts; the retry is answered only
+        // after an open whose fsync succeeded.
+        let script = FaultScript {
+            fail_sync_hard_at: Some(1),
+            ..FaultScript::default()
+        };
+        let mut svc = Service::new(ServiceConfig::default());
+        svc.open_tenant(faulty_spec("t", &store, script))
+            .expect("open");
+        let (tx, rx) = mpsc::channel();
+        svc.submit_tagged(1, Some(42), "t", Request::Op(Op::Add(task)), &tx);
+        let resp = await_seq(&rx, 1);
+        assert!(matches!(resp, Response::Admitted { .. }), "{resp:?}");
+        assert_eq!(svc.sink().counter(metrics::SERVICE_DEDUP_HITS), 1);
+        assert_eq!(svc.sink().counter(jm::JOURNAL_APPENDS), 0, "not re-applied");
+        assert_eq!(
+            svc.sink().counter(jm::JOURNAL_SYNCS),
+            1,
+            "the open's fsync covered the recovered record"
+        );
+        assert_eq!(svc.status("t").expect("status").restarts, 1);
         svc.shutdown();
     }
 }

@@ -1000,16 +1000,15 @@ impl OpsInput {
 
     /// How many instances the trace at `path` holds. An HBT1 stream is
     /// counted by a decode-only pass over a second reader, so a journaled
-    /// run can refuse a multi-instance trace before it creates the
-    /// journal; a decode error ends the count, and the replay itself
-    /// then reports it.
+    /// run can refuse a multi-instance or damaged trace before it creates
+    /// the journal.
     fn instances(&self, path: &str) -> Result<usize, String> {
         let OpsInput::Text(trace) = self else {
             let file = std::fs::File::open(path).map_err(|e| format!("read {path}: {e}"))?;
             let mut stream = OpStream::new(std::io::BufReader::with_capacity(1 << 20, file))
                 .map_err(|e| format!("{path}: {e}"))?;
             let mut n = 0;
-            while let Ok(Some(ev)) = stream.next_event() {
+            while let Some(ev) = stream.next_event().map_err(|e| format!("{path}: {e}"))? {
                 n += usize::from(matches!(ev, TraceEvent::Begin { .. }));
             }
             return Ok(n);

@@ -292,29 +292,46 @@ fn journal_flag_validation_exits_two() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
 
-/// A multi-instance HBT1 trace is refused before the journal exists:
-/// exit 2, nothing on stdout, the instance count on stderr, and a file
-/// already at the `--journal` path keeps its bytes.
+/// An HBT1 trace that is not one clean instance is refused before the
+/// journal exists: exit 2, nothing on stdout, the reason on stderr, and
+/// a file already at the `--journal` path keeps its bytes. Two cases: a
+/// two-instance trace, and one whose first instance decodes but whose
+/// tail is torn.
 #[test]
-fn journaled_hbt1_with_two_instances_is_refused_before_journaling() {
-    let trace = write_trace(TRACE);
-    let bin = temp_path("hbt");
-    let out = hetfeas(&["trace", "convert", trace.to_str(), "--out", bin.to_str()]);
-    assert!(out.status.success(), "{out:?}");
-    let journal = temp_path("journal");
-    std::fs::write(&journal.0, b"someone else's bytes").unwrap();
-    let out = hetfeas(&[
-        "ops",
-        "--trace",
-        bin.to_str(),
-        "--journal",
-        journal.to_str(),
-    ]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(out.stdout.is_empty(), "{out:?}");
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("holds 2"), "{stderr}");
-    assert_eq!(std::fs::read(&journal.0).unwrap(), b"someone else's bytes");
+fn journaled_hbt1_with_two_instances_or_a_torn_tail_is_refused_before_journaling() {
+    // A second frame whose header promises 16 payload bytes but holds 3.
+    let mut torn = 16u32.to_le_bytes().to_vec();
+    torn.extend_from_slice(&[0, 0, 0, 0, 1, 2, 3]);
+    for (text, tail, reason) in [
+        (TRACE, &[][..], "holds 2"),
+        (SOLO_TRACE, &torn[..], "corrupt trace"),
+    ] {
+        let trace = write_trace(text);
+        let bin = temp_path("hbt");
+        let out = hetfeas(&["trace", "convert", trace.to_str(), "--out", bin.to_str()]);
+        assert!(out.status.success(), "{out:?}");
+        let mut bytes = std::fs::read(&bin.0).unwrap();
+        bytes.extend_from_slice(tail);
+        std::fs::write(&bin.0, bytes).unwrap();
+        let journal = temp_path("journal");
+        std::fs::write(&journal.0, b"someone else's bytes").unwrap();
+        let out = hetfeas(&[
+            "ops",
+            "--trace",
+            bin.to_str(),
+            "--journal",
+            journal.to_str(),
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{reason}: {out:?}");
+        assert!(out.stdout.is_empty(), "{reason}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(reason), "{stderr}");
+        assert_eq!(
+            std::fs::read(&journal.0).unwrap(),
+            b"someone else's bytes",
+            "{reason}"
+        );
+    }
 }
 
 #[test]
