@@ -9,6 +9,7 @@
 use crate::stats;
 use hetfeas_model::{Platform, TaskSet};
 use hetfeas_partition::{min_feasible_alpha, AdmissionTest, FirstFitEngine, IndexableAdmission};
+use hetfeas_robust::Gas;
 
 /// Bisection tolerance for α*.
 pub const ALPHA_TOL: f64 = 1e-4;
@@ -27,9 +28,9 @@ pub fn empirical_alpha<A: AdmissionTest>(
     min_feasible_alpha(tasks, platform, admission, bound + 1.0, ALPHA_TOL)
 }
 
-/// [`empirical_alpha`] on the indexed engine's warm-started search: the
-/// sorts run once per instance and each bisection probe is an
-/// `O((n+m)·log m)` indexed first-fit instead of an `O(n·m)` scan — the
+/// [`empirical_alpha`] on the indexed engine's α-search: the sorts run once
+/// per instance and each bisection probe is an `O((n+m)·log m)` indexed
+/// first-fit instead of an `O(n·m)` scan — the
 /// E1–E4 sweeps measure thousands of instances, so this is their hot path.
 /// Returns exactly what [`empirical_alpha`] returns. Only for indexable
 /// admissions (EDF, RMS-LL, hyperbolic); RTA/Kuo–Mok sweeps keep using
@@ -40,7 +41,16 @@ pub fn empirical_alpha_indexed<A: IndexableAdmission>(
     admission: A,
     bound: f64,
 ) -> Option<f64> {
-    FirstFitEngine::new(admission).min_feasible_alpha(tasks, platform, bound + 1.0, ALPHA_TOL)
+    FirstFitEngine::new(admission)
+        .min_feasible_alpha(
+            tasks,
+            platform,
+            bound + 1.0,
+            ALPHA_TOL,
+            &mut Gas::unlimited(),
+            &(),
+        )
+        .expect("unlimited gas cannot exhaust")
 }
 
 /// Aggregate α* statistics for a table row.

@@ -55,8 +55,8 @@ pub mod theorems;
 pub use config::ExpConfig;
 pub use replay::{
     combine_digests, replay_instance, replay_ops, replay_sharded, replay_stream,
-    replay_stream_with, FromScratch, Incremental, InstanceReplayer, OpEngine, ReplayError,
-    ReplayMode, ReplayStats, Sharding, StreamOps, StreamSummary,
+    replay_stream_with, FromScratch, Incremental, InstanceOutcome, InstanceReplayer, OpEngine,
+    ReplayError, ReplayMode, ReplayStats, Sharding, StreamOps, StreamSummary,
 };
 pub use sweep::{run_checkpointed, CellOutcome, Checkpoint};
 pub use table::Table;

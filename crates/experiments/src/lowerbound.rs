@@ -85,8 +85,8 @@ impl Setting {
     }
 
     fn alpha(&self, tasks: &TaskSet, platform: &Platform) -> Option<f64> {
-        // The search evaluates α* per mutation — the indexed warm-started
-        // engine keeps the inner loop cheap.
+        // The search evaluates α* per mutation — the indexed engine's
+        // sort-once α-search keeps the inner loop cheap.
         let policy = match self {
             Setting::EdfVsPartitioned | Setting::EdfVsLp => PolicyKind::Edf,
             Setting::RmsVsPartitioned | Setting::RmsVsLp => PolicyKind::RmsLl,

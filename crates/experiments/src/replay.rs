@@ -17,8 +17,11 @@
 //! trace's instances out across worker threads with
 //! [`hetfeas_par::par_map_with`], ticking a shared [`Progress`] counter so
 //! long replays report `done/total` live, and [`replay_stream_with`] pulls
-//! an HBT1 stream's instances one at a time in bounded memory. A journaled
-//! replay is one instance of either format run on a [`DurableEngine`].
+//! an HBT1 stream's instances one at a time in bounded memory. Both give
+//! each instance its own meter from one run deadline, so an exhausted
+//! instance is reported on its own and the next one still runs. A
+//! journaled replay is one instance of either format run on a
+//! [`DurableEngine`].
 //!
 //! The engines agree on the *protocol* (a rejected add leaves the live
 //! set unchanged, removes of unknown ids are counted misses, a rollback
@@ -222,7 +225,7 @@ impl<A: IndexableAdmission> Incremental<A> {
 impl<A: IndexableAdmission> OpEngine for Incremental<A> {
     fn add<S: MetricsSink>(&mut self, task: Task, gas: &mut Gas, sink: &S) -> OpResult<AddOutcome> {
         self.eng
-            .add_within_with(task, gas, sink)
+            .add(task, gas, sink)
             .map_err(DurableError::Exhausted)
     }
 
@@ -233,7 +236,7 @@ impl<A: IndexableAdmission> OpEngine for Incremental<A> {
         sink: &S,
     ) -> OpResult<Option<Task>> {
         self.eng
-            .remove_within_with(id, gas, sink)
+            .remove(id, gas, sink)
             .map_err(DurableError::Exhausted)
     }
 
@@ -246,9 +249,8 @@ impl<A: IndexableAdmission> OpEngine for Incremental<A> {
     }
 
     fn snapshot<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<()> {
-        gas.tick_n(self.eng.len() as u64 + 1)
-            .map_err(DurableError::Exhausted)?;
-        self.snap = Some(self.eng.snapshot_with(sink));
+        let snap = self.eng.snapshot(gas, sink);
+        self.snap = Some(snap.map_err(DurableError::Exhausted)?);
         Ok(())
     }
 
@@ -256,16 +258,13 @@ impl<A: IndexableAdmission> OpEngine for Incremental<A> {
         let Some(snap) = &self.snap else {
             return Ok(false);
         };
-        gas.tick_n(self.eng.len() as u64 + 1)
-            .map_err(DurableError::Exhausted)?;
-        self.eng.rollback_with(snap, sink);
+        let restored = self.eng.rollback(snap, gas, sink);
+        restored.map_err(DurableError::Exhausted)?;
         Ok(true)
     }
 
     fn repack<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<RepackOutcome> {
-        self.eng
-            .repack_within_with(gas, sink)
-            .map_err(DurableError::Exhausted)
+        self.eng.repack(gas, sink).map_err(DurableError::Exhausted)
     }
 
     /// The bytes [`DurableEngine::state_digest`] hashes, so a journal-free
@@ -366,7 +365,11 @@ impl<A: IndexableAdmission> FromScratch<A> {
         gas.tick_n((live.tasks.len() + self.platform.len()) as u64 + 1)
             .map_err(DurableError::Exhausted)?;
         let ts: TaskSet = live.tasks.iter().copied().collect();
-        let Outcome::Feasible(a) = self.ff.run_with(&ts, &self.platform, self.alpha, sink) else {
+        let unmetered = &mut Gas::unlimited();
+        let Outcome::Feasible(a) = self
+            .ff
+            .run(&ts, &self.platform, self.alpha, unmetered, sink)
+        else {
             return Ok(false);
         };
         live.placed = live
@@ -635,9 +638,11 @@ pub struct StreamSummary {
 }
 
 /// The ops of the instance an [`OpStream`] is inside, up to its end. A
-/// decode error ends the iteration and is kept for the caller.
+/// decode error ends the iteration and is kept for the caller; after the
+/// end, the iteration reads nothing more.
 pub struct StreamOps<'s, R: std::io::Read> {
     stream: &'s mut OpStream<R>,
+    ended: bool,
     err: Option<BinTraceError>,
 }
 
@@ -645,55 +650,92 @@ impl<R: std::io::Read> Iterator for StreamOps<'_, R> {
     type Item = TraceOp;
 
     fn next(&mut self) -> Option<TraceOp> {
-        match self.stream.next_event() {
-            Ok(Some(TraceEvent::Op(op))) => Some(op),
-            Ok(_) => None,
-            Err(e) => {
-                self.err = Some(e);
-                None
-            }
+        if self.ended {
+            return None;
         }
+        match self.stream.next_event() {
+            Ok(Some(TraceEvent::Op(op))) => return Some(op),
+            Ok(_) => {}
+            Err(e) => self.err = Some(e),
+        }
+        self.ended = true;
+        None
     }
 }
 
-/// Pull `stream`'s instances one at a time and hand each one's platform
-/// and ops to `replay` (usually [`replay_ops`] on a fresh engine). Only
-/// one instance's engine and one decode frame are ever resident, never
-/// the trace.
+/// One replayed instance: its name, and its stats and digest or the
+/// budget exhaustion that stopped it.
+pub type InstanceOutcome = (String, Result<(ReplayStats, u32), ReplayError>);
+
+/// The wall-clock deadline `budget_ms` from now, for a whole run.
+fn run_deadline(budget_ms: Option<u64>) -> Option<Instant> {
+    budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms))
+}
+
+/// A meter for one instance of a run: the time left before the run's
+/// `deadline`, or unlimited without one.
+fn instance_gas(deadline: Option<Instant>) -> Gas {
+    match deadline {
+        Some(d) => {
+            let left = d.saturating_duration_since(Instant::now());
+            Budget::wall_ms(left.as_millis() as u64).gas()
+        }
+        None => Gas::unlimited(),
+    }
+}
+
+/// Pull `stream`'s instances one at a time and hand each one's platform,
+/// ops and meter to `replay` (usually [`replay_ops`] on a fresh engine).
+/// Only one instance's engine and one decode frame are ever resident,
+/// never the trace.
+///
+/// `budget_ms` is one wall-clock allowance for the whole run: each
+/// instance replays under the time left when it starts, as in
+/// [`replay_sharded`]. An instance that runs out is kept as
+/// `Err(ReplayError::Exhausted)`, the rest of its ops are skipped, and the
+/// next instance starts. Any other error ends the run.
 pub fn replay_stream_with<R, F>(
     stream: &mut OpStream<R>,
-    gas: &mut Gas,
+    budget_ms: Option<u64>,
     mut replay: F,
-) -> Result<Vec<StreamSummary>, ReplayError>
+) -> Result<Vec<InstanceOutcome>, ReplayError>
 where
     R: std::io::Read,
     F: FnMut(&Platform, &mut StreamOps<'_, R>, &mut Gas) -> Result<(ReplayStats, u32), ReplayError>,
 {
     let decode = |e: BinTraceError| ReplayError::Decode(e.to_string());
+    let deadline = run_deadline(budget_ms);
     let mut out = Vec::new();
     while let Some(ev) = stream.next_event().map_err(decode)? {
         let TraceEvent::Begin { name, platform } = ev else {
             unreachable!("OpStream yields ops and ends only inside an instance");
         };
-        let mut ops = StreamOps { stream, err: None };
-        let replayed = replay(&platform, &mut ops, gas);
+        let mut ops = StreamOps {
+            stream,
+            ended: false,
+            err: None,
+        };
+        let replayed = replay(&platform, &mut ops, &mut instance_gas(deadline));
+        if matches!(replayed, Err(ReplayError::Exhausted { .. })) {
+            // Skip the ops the exhausted instance left unread.
+            ops.by_ref().for_each(drop);
+        }
         if let Some(e) = ops.err {
             return Err(decode(e));
         }
-        let (stats, digest) = replayed?;
-        out.push(StreamSummary {
-            name,
-            stats,
-            digest,
-        });
+        match replayed {
+            Err(e) if !matches!(e, ReplayError::Exhausted { .. }) => return Err(e),
+            replayed => out.push((name, replayed)),
+        }
     }
     Ok(out)
 }
 
-/// [`replay_stream_with`] on incremental engines. Digests are
-/// [`live_state_digest`]s, so a materialized [`replay_instance`] run over
-/// the same trace (text or binary) lands on identical values —
-/// `tests/prop_stream.rs` pins that on every prefix.
+/// [`replay_stream_with`] on incremental engines, every instance against
+/// the one `gas`; the first error, exhaustion included, is the result.
+/// Digests are [`live_state_digest`]s, so a materialized
+/// [`replay_instance`] run over the same trace (text or binary) lands on
+/// identical values — `tests/prop_stream.rs` pins that on every prefix.
 pub fn replay_stream<A, S, R>(
     stream: &mut OpStream<R>,
     admission: A,
@@ -706,10 +748,19 @@ where
     S: MetricsSink,
     R: std::io::Read,
 {
-    replay_stream_with(stream, gas, |platform, ops, gas| {
+    let done = replay_stream_with(stream, None, |platform, ops, _| {
         let eng = Incremental::new(admission.clone(), platform, alpha);
         replay_ops(eng, ops, gas, sink)
-    })
+    })?;
+    let summary = |(name, replayed): InstanceOutcome| {
+        let (stats, digest) = replayed?;
+        Ok(StreamSummary {
+            name,
+            stats,
+            digest,
+        })
+    };
+    done.into_iter().map(summary).collect()
 }
 
 /// Fold per-instance digests into one order-sensitive trace digest (the
@@ -754,19 +805,11 @@ where
     A: IndexableAdmission + Clone + Sync,
     S: MetricsSink + Sync,
 {
-    let deadline = (sharding.budget_ms).map(|ms| Instant::now() + Duration::from_millis(ms));
+    let deadline = run_deadline(sharding.budget_ms);
     let total = trace.instances.len() as u64;
     let step = (total / 20).max(1);
     par_map_with(&trace.instances, sharding.workers, 1, |inst| {
-        let mut gas = match deadline {
-            Some(d) => {
-                let left = d.saturating_duration_since(Instant::now());
-                Budget::unlimited()
-                    .with_wall_ms(left.as_millis() as u64)
-                    .gas()
-            }
-            None => Gas::unlimited(),
-        };
+        let mut gas = instance_gas(deadline);
         let (platform, ops) = (&inst.platform, inst.ops.iter().copied());
         let out = replay_instance(
             admission.clone(),
@@ -1034,15 +1077,12 @@ end
 
         let store = MemStorage::new();
         let mut stream = OpStream::new(&bin[..]).expect("valid header");
-        let summaries = replay_stream_with(&mut stream, &mut gas, |_, ops, gas| {
+        let summaries = replay_stream_with(&mut stream, None, |_, ops, gas| {
             replay_ops(durable(inst, &store, gas), ops, gas, &())
         })
         .expect("streamed durable replay");
-        let StreamSummary {
-            name,
-            stats,
-            digest,
-        } = summaries.into_iter().next().expect("one instance");
+        let (name, replayed) = summaries.into_iter().next().expect("one instance");
+        let (stats, digest) = replayed.expect("streamed durable replay");
         assert_eq!(name, "churn");
         assert_eq!(stats, mat_stats);
         assert_eq!(digest, mat_digest);
@@ -1050,6 +1090,39 @@ end
         let (rec, _) = hetfeas_partition::recover(EdfAdmission, Box::new(store), &mut gas, &())
             .expect("recovers");
         assert_eq!(rec.state_digest(), digest);
+    }
+
+    #[test]
+    fn stream_budget_is_per_instance() {
+        use hetfeas_model::write_op_trace_bin;
+
+        // A spent run deadline exhausts each instance at its snapshot (a
+        // `tick_n` polls the clock), and the replay goes on to the next.
+        let mut trace = parse_op_trace(TRACE).expect("parses");
+        trace.instances.push(trace.instances[0].clone());
+        let bin = write_op_trace_bin(&trace, Vec::new()).expect("encodes");
+        let mut stream = OpStream::new(&bin[..]).expect("valid header");
+        let done = replay_stream_with(&mut stream, Some(0), |platform, ops, gas| {
+            replay_instance(
+                EdfAdmission,
+                platform,
+                ops,
+                Augmentation::NONE,
+                ReplayMode::Incremental,
+                gas,
+                &(),
+            )
+        })
+        .expect("exhaustion is per instance");
+        assert_eq!(done.len(), 2);
+        for (name, replayed) in done {
+            assert_eq!(name, "churn");
+            let err = replayed.expect_err("no time left");
+            assert!(
+                matches!(err, ReplayError::Exhausted { op_index: 3, .. }),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::table::Table;
 use hetfeas_obs::{Json, MetricsSink};
 use hetfeas_robust::metrics::{SWEEP_CELLS_RESUMED, SWEEP_CELLS_RUN};
-use hetfeas_robust::{guard_with, PanicReport};
+use hetfeas_robust::{guard, PanicReport};
 
 /// Result of one sweep cell after firewalling/resume.
 #[derive(Debug, Clone, PartialEq)]
@@ -253,7 +253,7 @@ where
             continue;
         }
         sink.counter_add(SWEEP_CELLS_RUN, 1);
-        match guard_with(sink, || run_cell(id)) {
+        match guard(sink, || run_cell(id)) {
             Ok(tables) => {
                 progress.record(id, &tables);
                 if let Err(e) = persist(&progress) {

@@ -17,6 +17,7 @@ use hetfeas_partition::{
     exact_partition_edf, exact_partition_edf_rational, exact_partition_rms, first_fit,
     with_admission, ExactOutcome, PolicyKind,
 };
+use hetfeas_robust::Gas;
 use hetfeas_workload::{PeriodMenu, PlatformSpec, UtilizationSampler, WorkloadSpec};
 
 /// The adversary class a theorem compares against.
@@ -45,7 +46,8 @@ impl Adversary {
             Adversary::PartitionedEdf { budget } => {
                 // Prefer the pure-integer oracle (no epsilon); fall back to
                 // the f64 branch-and-bound if the hyperperiod cannot scale.
-                let first = exact_partition_edf_rational(tasks, platform, budget);
+                let first =
+                    exact_partition_edf_rational(tasks, platform, budget, &mut Gas::unlimited());
                 let outcome = if first.is_decided() {
                     first
                 } else {

@@ -183,14 +183,14 @@ fn durable_stream_matches_under<A: IndexableAdmission + Copy>(adm: A) {
     };
     let bytes = write_op_trace_bin(&trace, Vec::new()).expect("encode");
     let mut stream = OpStream::new(&bytes[..]).expect("header");
-    let summaries = replay_stream_with(&mut stream, &mut Gas::unlimited(), |platform, ops, gas| {
+    let summaries = replay_stream_with(&mut stream, None, |platform, ops, gas| {
         replay_ops(durable(platform, gas), ops, gas, &())
     })
     .expect("streamed durable replays");
-    let [summary] = &summaries[..] else {
+    let [(name, replayed)] = &summaries[..] else {
         panic!("one instance, got {}", summaries.len());
     };
-    let (name, got_stats, got_digest) = (&summary.name, summary.stats, summary.digest);
+    let (got_stats, got_digest) = replayed.clone().expect("streamed durable replays");
     assert_eq!(name, "synth-0");
     assert_eq!(got_digest, want_digest);
     assert_eq!(got_stats.ops, want_stats.ops);
@@ -217,12 +217,12 @@ fn from_scratch_stats_match_across_formats() {
                 .collect();
             let mut stream = OpStream::new(&bytes[..]).expect("header");
             let got: Vec<ReplayStats> =
-                replay_stream_with(&mut stream, &mut Gas::unlimited(), |platform, ops, gas| {
+                replay_stream_with(&mut stream, None, |platform, ops, gas| {
                     replay_instance(adm, platform, ops, Augmentation::NONE, ReplayMode::FromScratch, gas, &())
                 })
                 .expect("stream replays")
                 .into_iter()
-                .map(|summary| summary.stats)
+                .map(|(_, replayed)| replayed.expect("stream replays").0)
                 .collect();
             assert_eq!(got, want, "{policy:?}");
             assert!(want.iter().any(|st| st.rollbacks > 0 && st.repacks > 0), "{want:?}");

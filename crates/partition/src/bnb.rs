@@ -195,7 +195,7 @@ impl Default for BnbConfig {
 
 /// The parallel branch-and-bound exact solver. See the module docs for
 /// the algorithm; construct with [`ExactSolver::new`], adjust via the
-/// builder methods, then call one of the `solve*` entry points.
+/// builder methods, then call [`ExactSolver::solve`].
 #[derive(Debug)]
 pub struct ExactSolver<'a, A: BnbAdmission> {
     tasks: &'a TaskSet,
@@ -623,19 +623,9 @@ impl<'a, A: BnbAdmission> ExactSolver<'a, A> {
         self
     }
 
-    /// Solve with unlimited gas and no metrics.
-    pub fn solve(&self) -> ExactOutcome {
-        self.solve_within(&mut Gas::unlimited())
-    }
-
-    /// Solve under an execution budget (exhaustion ⇒
-    /// [`ExactOutcome::Unknown`], latched stickily into `gas`).
-    pub fn solve_within(&self, gas: &mut Gas) -> ExactOutcome {
-        self.solve_with(gas, &())
-    }
-
-    /// Solve under a budget, emitting `bnb.*` counters into `sink`.
-    pub fn solve_with<S: MetricsSink>(&self, gas: &mut Gas, sink: &S) -> ExactOutcome {
+    /// Solve under `gas` (exhaustion ⇒ [`ExactOutcome::Unknown`], latched
+    /// stickily into `gas`), emitting `bnb.*` counters into `sink`.
+    pub fn solve<S: MetricsSink>(&self, gas: &mut Gas, sink: &S) -> ExactOutcome {
         // An already-exhausted (or zero) budget must surface as Unknown
         // before any work happens — the sticky-exhaustion contract the
         // degradation ladders rely on.
@@ -951,7 +941,9 @@ mod tests {
                     "{}: bound input not non-increasing",
                     case.name
                 );
-                solver.node_budget(1 << 16).solve();
+                solver
+                    .node_budget(1 << 16)
+                    .solve(&mut Gas::unlimited(), &());
             }
         }
     }
@@ -981,7 +973,7 @@ mod tests {
                             frontier_target: 4,
                             ..BnbConfig::default()
                         })
-                        .solve_with(&mut Gas::unlimited(), &sink);
+                        .solve(&mut Gas::unlimited(), &sink);
                     (
                         out,
                         sink.counter(m::BNB_FRONTIER),
@@ -1008,7 +1000,7 @@ mod tests {
         let (tasks, p) = perfect_triples_n24_m8();
         let ff = first_fit(&tasks, &p, Augmentation::NONE, &EdfAdmission);
         assert!(!ff.is_feasible(), "instance must defeat the incumbent");
-        let out = ExactSolver::new(&tasks, &p, &EdfAdmission).solve();
+        let out = ExactSolver::new(&tasks, &p, &EdfAdmission).solve(&mut Gas::unlimited(), &());
         let ExactOutcome::Feasible(w) = out else {
             panic!("perfect packing exists, got {out:?}");
         };
@@ -1022,8 +1014,7 @@ mod tests {
         let tasks = ts(&pairs);
         let p = Platform::identical(8).unwrap();
         let sink = MemorySink::new();
-        let out =
-            ExactSolver::new(&tasks, &p, &EdfAdmission).solve_with(&mut Gas::unlimited(), &sink);
+        let out = ExactSolver::new(&tasks, &p, &EdfAdmission).solve(&mut Gas::unlimited(), &sink);
         assert!(out.is_feasible());
         assert_eq!(sink.counter(m::BNB_FF_INCUMBENT), 1);
         assert_eq!(sink.counter(m::BNB_NODES), 0);
@@ -1037,7 +1028,7 @@ mod tests {
         let p = Platform::identical(6).unwrap();
         let out = ExactSolver::new(&tasks, &p, &EdfAdmission)
             .node_budget(1)
-            .solve();
+            .solve(&mut Gas::unlimited(), &());
         assert_eq!(out, ExactOutcome::Unknown);
     }
 
@@ -1049,7 +1040,7 @@ mod tests {
         let tasks = ts(&pairs);
         let p = Platform::identical(10).unwrap();
         let mut gas = Budget::ops(2_000).gas();
-        let out = ExactSolver::new(&tasks, &p, &EdfAdmission).solve_within(&mut gas);
+        let out = ExactSolver::new(&tasks, &p, &EdfAdmission).solve(&mut gas, &());
         assert_eq!(out, ExactOutcome::Unknown);
         // Sticky: the caller's meter is latched after absorb.
         assert!(gas.tick().is_err());
@@ -1064,7 +1055,7 @@ mod tests {
         let sink = MemorySink::new();
         let out = ExactSolver::new(&tasks, &p, &EdfAdmission)
             .node_budget(50_000)
-            .solve_with(&mut Gas::unlimited(), &sink);
+            .solve(&mut Gas::unlimited(), &sink);
         assert_eq!(out, ExactOutcome::Infeasible);
         assert!(sink.counter(m::BNB_NODES) < 10_000);
     }
@@ -1075,10 +1066,10 @@ mod tests {
         // group, the fast one its own. Feasibility must respect that.
         let tasks = ts(&[(18, 10), (9, 10), (9, 10)]); // 1.8, 0.9, 0.9
         let p = Platform::from_int_speeds([1, 1, 2]).unwrap();
-        let out = ExactSolver::new(&tasks, &p, &EdfAdmission).solve();
+        let out = ExactSolver::new(&tasks, &p, &EdfAdmission).solve(&mut Gas::unlimited(), &());
         assert!(out.is_feasible());
         let tasks = ts(&[(18, 10), (19, 10), (9, 10)]); // 1.8+1.9 need the fast one twice
-        let out = ExactSolver::new(&tasks, &p, &EdfAdmission).solve();
+        let out = ExactSolver::new(&tasks, &p, &EdfAdmission).solve(&mut Gas::unlimited(), &());
         assert_eq!(out, ExactOutcome::Infeasible);
     }
 
@@ -1095,7 +1086,7 @@ mod tests {
         let sink = MemorySink::new();
         let capped = ExactSolver::new(&tasks, &p, &EdfAdmission)
             .config(config)
-            .solve_with(&mut Gas::unlimited(), &sink);
+            .solve(&mut Gas::unlimited(), &sink);
         let frontier = sink.counter(m::BNB_FRONTIER);
         assert!(frontier > 0 && frontier < 64, "frontier {frontier}");
         let workers = sink.counter(m::BNB_WORKERS);
@@ -1108,7 +1099,7 @@ mod tests {
                 workers: 1,
                 ..config
             })
-            .solve();
+            .solve(&mut Gas::unlimited(), &());
         assert_eq!(capped, single);
     }
 
@@ -1131,7 +1122,7 @@ mod tests {
     fn empty_taskset_is_feasible() {
         let tasks = TaskSet::empty();
         let p = Platform::identical(2).unwrap();
-        let out = ExactSolver::new(&tasks, &p, &EdfAdmission).solve();
+        let out = ExactSolver::new(&tasks, &p, &EdfAdmission).solve(&mut Gas::unlimited(), &());
         assert!(out.is_feasible());
     }
 }

@@ -87,24 +87,13 @@ pub struct LadderReport {
 /// Budgeted exact partitioned-EDF feasibility with graceful degradation:
 /// exact branch-and-bound → first-fit witness → utilization bound.
 ///
-/// The exact rung runs against `gas`; the fallback rungs are closed-form
-/// `O(n log n)` computations and always terminate. Every downgrade bumps
-/// `robust.degraded` in `sink` (pass `&()` to discard the counters).
+/// The exact rung runs against `gas` on `workers` branch-and-bound
+/// threads; worker count affects only how much of the tree a given budget
+/// covers, never the verdict reached when the budget suffices. The
+/// fallback rungs are closed-form `O(n log n)` computations and always
+/// terminate. Every downgrade bumps `robust.degraded` in `sink` (pass
+/// `&()` to discard the counters).
 pub fn exact_partition_edf_degraded<S: MetricsSink>(
-    tasks: &TaskSet,
-    platform: &Platform,
-    node_budget: u64,
-    gas: &mut Gas,
-    sink: &S,
-) -> LadderReport {
-    exact_partition_edf_degraded_workers(tasks, platform, node_budget, 1, gas, sink)
-}
-
-/// [`exact_partition_edf_degraded`] with the exact rung running the
-/// branch-and-bound solver across `workers` threads. The ladder semantics
-/// are unchanged — worker count affects only how much of the tree a given
-/// budget covers, never the verdict reached when the budget suffices.
-pub fn exact_partition_edf_degraded_workers<S: MetricsSink>(
     tasks: &TaskSet,
     platform: &Platform,
     node_budget: u64,
@@ -115,7 +104,7 @@ pub fn exact_partition_edf_degraded_workers<S: MetricsSink>(
     match ExactSolver::new(tasks, platform, &EdfAdmission)
         .node_budget(node_budget)
         .workers(workers)
-        .solve_with(gas, sink)
+        .solve(gas, sink)
     {
         ExactOutcome::Feasible(a) => {
             return LadderReport {
@@ -247,7 +236,7 @@ mod tests {
         let p = Platform::identical(2).unwrap();
         let sink = MemorySink::new();
         let mut gas = Gas::unlimited();
-        let r = exact_partition_edf_degraded(&tasks, &p, 1 << 20, &mut gas, &sink);
+        let r = exact_partition_edf_degraded(&tasks, &p, 1 << 20, 1, &mut gas, &sink);
         assert!(r.verdict.is_feasible());
         assert_eq!((r.level, r.degraded), ("exact", 0));
         assert_eq!(sink.counter(rmetrics::ROBUST_DEGRADED), 0);
@@ -260,7 +249,7 @@ mod tests {
         let p = Platform::identical(4).unwrap();
         let sink = MemorySink::new();
         let mut gas = Budget::ops(0).gas();
-        let r = exact_partition_edf_degraded(&tasks, &p, 1 << 20, &mut gas, &sink);
+        let r = exact_partition_edf_degraded(&tasks, &p, 1 << 20, 1, &mut gas, &sink);
         assert!(r.verdict.is_feasible());
         assert_eq!((r.level, r.degraded), ("first-fit", 1));
         assert_eq!(sink.counter(rmetrics::ROBUST_DEGRADED), 1);
@@ -280,7 +269,7 @@ mod tests {
         let p = Platform::identical(2).unwrap();
         let sink = MemorySink::new();
         let mut gas = Budget::ops(0).gas();
-        let r = exact_partition_edf_degraded(&tasks, &p, 1 << 20, &mut gas, &sink);
+        let r = exact_partition_edf_degraded(&tasks, &p, 1 << 20, 1, &mut gas, &sink);
         assert_eq!(r.verdict, LadderVerdict::Infeasible);
         assert_eq!((r.level, r.degraded), ("utilization-bound", 2));
         assert_eq!(sink.counter(rmetrics::ROBUST_DEGRADED), 2);
@@ -291,7 +280,7 @@ mod tests {
         let (tasks, p) = blowup_instance();
         let sink = MemorySink::new();
         let mut gas = Budget::ops(10_000).gas();
-        let r = exact_partition_edf_degraded(&tasks, &p, u64::MAX, &mut gas, &sink);
+        let r = exact_partition_edf_degraded(&tasks, &p, u64::MAX, 1, &mut gas, &sink);
         // First-fit also fails (it is infeasible) and utilization is under
         // total speed — the sound answer within this budget is Undecided.
         assert_eq!(r.verdict, LadderVerdict::Undecided);
@@ -309,8 +298,7 @@ mod tests {
         let p = Platform::identical(6).unwrap();
         for workers in [1usize, 2, 8] {
             let mut gas = Gas::unlimited();
-            let r =
-                exact_partition_edf_degraded_workers(&tasks, &p, 1 << 20, workers, &mut gas, &());
+            let r = exact_partition_edf_degraded(&tasks, &p, 1 << 20, workers, &mut gas, &());
             assert_eq!(r.verdict, LadderVerdict::Infeasible, "workers={workers}");
             assert_eq!((r.level, r.degraded), ("exact", 0));
         }

@@ -879,7 +879,7 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         self.inner.assignment()
     }
 
-    /// Journal-then-apply [`IncrementalEngine::add_within_with`].
+    /// Journal-then-apply [`IncrementalEngine::add`].
     pub fn add<S: MetricsSink>(
         &mut self,
         task: Task,
@@ -891,7 +891,7 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         self.log_write(&tagged(encode_add(&task), rid), gas, sink)?;
         let out = self
             .inner
-            .add_within_with(task, &mut Gas::unlimited(), sink)
+            .add(task, &mut Gas::unlimited(), sink)
             .expect("unlimited gas cannot exhaust");
         let applied = match out {
             AddOutcome::Admitted { id, machine } => {
@@ -908,7 +908,7 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         Ok(out)
     }
 
-    /// Journal-then-apply [`IncrementalEngine::remove_within_with`]. A
+    /// Journal-then-apply [`IncrementalEngine::remove`]. A
     /// remove of a dead id is a no-op and is **not** journaled.
     pub fn remove<S: MetricsSink>(
         &mut self,
@@ -930,7 +930,7 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         )?;
         let out = self
             .inner
-            .remove_within_with(id, &mut Gas::unlimited(), sink)
+            .remove(id, &mut Gas::unlimited(), sink)
             .expect("unlimited gas cannot exhaust");
         self.changed.mark(machine);
         self.remember(rid, Applied::Removed);
@@ -948,7 +948,8 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         gas.tick_n(self.inner.len() as u64 + 1)
             .map_err(DurableError::Exhausted)?;
         self.log_write(&tagged(b"s".to_vec(), rid), gas, sink)?;
-        self.snap = Some(self.inner.snapshot_with(sink));
+        let snap = self.inner.snapshot(&mut Gas::unlimited(), sink);
+        self.snap = Some(snap.expect("unlimited gas cannot exhaust"));
         self.remember(rid, Applied::Done);
         self.after_op(gas, sink)
     }
@@ -968,7 +969,8 @@ impl<A: IndexableAdmission> DurableEngine<A> {
             .map_err(DurableError::Exhausted)?;
         self.log_write(&tagged(b"b".to_vec(), rid), gas, sink)?;
         let snap = self.snap.as_ref().expect("checked above");
-        self.inner.rollback_with(snap, sink);
+        let restored = self.inner.rollback(snap, &mut Gas::unlimited(), sink);
+        restored.expect("unlimited gas cannot exhaust");
         self.changed.mark_all();
         self.remember(rid, Applied::Done);
         self.after_op(gas, sink)?;
@@ -1142,7 +1144,7 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         self.log_write(&tagged(b"p".to_vec(), rid), gas, sink)?;
         let out = self
             .inner
-            .repack_within_with(&mut Gas::unlimited(), sink)
+            .repack(&mut Gas::unlimited(), sink)
             .expect("unlimited gas cannot exhaust");
         if out == RepackOutcome::Repacked {
             self.changed.mark_all();
@@ -1197,7 +1199,7 @@ impl<A: IndexableAdmission> DurableEngine<A> {
                 let task = parse_task(w, p, d).map_err(corrupt)?;
                 match self
                     .inner
-                    .add_within_with(task, &mut Gas::unlimited(), sink)
+                    .add(task, &mut Gas::unlimited(), sink)
                     .expect("unlimited gas cannot exhaust")
                 {
                     AddOutcome::Admitted { id, machine } => Applied::Admitted {
@@ -1222,14 +1224,13 @@ impl<A: IndexableAdmission> DurableEngine<A> {
                 gas.tick_n(residents as u64 + 1)
                     .map_err(RecoverError::Exhausted)?;
                 self.inner
-                    .remove_within_with(id, &mut Gas::unlimited(), sink)
+                    .remove(id, &mut Gas::unlimited(), sink)
                     .expect("unlimited gas cannot exhaust");
                 Applied::Removed
             }
             Some("s") => {
-                gas.tick_n(self.inner.len() as u64 + 1)
-                    .map_err(RecoverError::Exhausted)?;
-                self.snap = Some(self.inner.snapshot_with(sink));
+                let snap = self.inner.snapshot(gas, sink);
+                self.snap = Some(snap.map_err(RecoverError::Exhausted)?);
                 Applied::Done
             }
             Some("b") => {
@@ -1239,7 +1240,8 @@ impl<A: IndexableAdmission> DurableEngine<A> {
                     .snap
                     .as_ref()
                     .ok_or_else(|| corrupt("rollback with no snapshot on record".into()))?;
-                self.inner.rollback_with(snap, sink);
+                let restored = self.inner.rollback(snap, &mut Gas::unlimited(), sink);
+                restored.expect("unlimited gas cannot exhaust");
                 Applied::Done
             }
             Some("p") => {
@@ -1247,7 +1249,7 @@ impl<A: IndexableAdmission> DurableEngine<A> {
                     .map_err(RecoverError::Exhausted)?;
                 match self
                     .inner
-                    .repack_within_with(&mut Gas::unlimited(), sink)
+                    .repack(&mut Gas::unlimited(), sink)
                     .expect("unlimited gas cannot exhaust")
                 {
                     RepackOutcome::Repacked => Applied::Done,

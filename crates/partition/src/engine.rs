@@ -33,15 +33,14 @@
 //! The engine owns its workspaces (sort permutations, admission states,
 //! the tree), so repeated calls — e.g. the probes of
 //! [`FirstFitEngine::min_feasible_alpha`] — amortize all allocation, and
-//! [`FirstFitEngine::prepare`]/[`FirstFitEngine::probe`] additionally
-//! hoist the two sorts out of multi-α loops.
+//! that search sorts once for all its probes.
 
 use crate::admission::{
     admit_rhs, AdmissionTest, EdfAdmission, HyperbolicState, RmsHyperbolicAdmission,
     RmsLlAdmission, RmsLlState,
 };
 use crate::assignment::{Assignment, FailureWitness, Outcome};
-use crate::first_fit::bisect_alpha;
+use crate::first_fit::bisection;
 use crate::metrics;
 use crate::policy::PolicyKind;
 use hetfeas_analysis::liu_layland_bound;
@@ -289,11 +288,12 @@ impl MaxTree {
 /// ```
 /// use hetfeas_model::{Augmentation, Platform, TaskSet};
 /// use hetfeas_partition::{first_fit, EdfAdmission, FirstFitEngine};
+/// use hetfeas_robust::Gas;
 ///
 /// let tasks = TaskSet::from_pairs([(3, 10), (4, 10), (9, 10)]).unwrap();
 /// let platform = Platform::from_int_speeds([1, 2]).unwrap();
 /// let mut engine = FirstFitEngine::new(EdfAdmission);
-/// let indexed = engine.run(&tasks, &platform, Augmentation::NONE);
+/// let indexed = engine.run(&tasks, &platform, Augmentation::NONE, &mut Gas::unlimited(), &());
 /// let reference = first_fit(&tasks, &platform, Augmentation::NONE, &EdfAdmission);
 /// assert_eq!(indexed, reference);
 /// ```
@@ -309,8 +309,6 @@ pub struct FirstFitEngine<A: IndexableAdmission> {
     states: Vec<A::State>,
     residuals: Vec<f64>,
     tree: MaxTree,
-    /// `(n, m)` of the instance `prepare` last saw, for misuse checks.
-    prepared_for: Option<(usize, usize)>,
 }
 
 impl<A: IndexableAdmission> FirstFitEngine<A> {
@@ -326,7 +324,6 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
             states: Vec::new(),
             residuals: Vec::new(),
             tree: MaxTree::default(),
-            prepared_for: None,
         }
     }
 
@@ -335,52 +332,37 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
         &self.admission
     }
 
-    /// Hoist the per-instance work out of a multi-α loop: sort tasks by
-    /// decreasing utilization and machines by increasing speed, and cache
-    /// the scan-order speeds. Call once per instance, then [`Self::probe`]
-    /// per α value.
-    pub fn prepare(&mut self, tasks: &TaskSet, platform: &Platform) {
+    /// Sort tasks by decreasing utilization and machines by increasing
+    /// speed, and cache the scan-order speeds: the per-instance work that
+    /// [`Self::probe`] reuses for every α.
+    fn prepare(&mut self, tasks: &TaskSet, platform: &Platform) {
         tasks.order_by_decreasing_utilization_into(&mut self.task_order);
         platform.order_by_increasing_speed_into(&mut self.machine_order);
         self.base_speeds.clear();
         self.base_speeds
             .extend(self.machine_order.iter().map(|&m| platform.speed_f64(m)));
-        self.prepared_for = Some((tasks.len(), platform.len()));
     }
 
-    /// Run the first-fit test at augmentation `alpha` over the orders
-    /// cached by the last [`Self::prepare`] call. `tasks` and `platform`
-    /// must be the same instance handed to `prepare` (checked by shape in
-    /// debug builds; passing a different same-shaped instance silently
-    /// reuses the stale sort and produces garbage).
-    pub fn probe(&mut self, tasks: &TaskSet, platform: &Platform, alpha: Augmentation) -> Outcome {
-        self.probe_with(tasks, platform, alpha, &())
-    }
-
-    /// [`Self::probe`] with metrics. Emits two families into `sink` (see
-    /// [`crate::metrics`]):
+    /// One first-fit run at augmentation `alpha` over the orders the last
+    /// [`Self::prepare`] cached for this same instance. Emits two families
+    /// into `sink` (see [`crate::metrics`]):
     ///
     /// * `ff.*` in *reference-scan units*, derived from the byte-identical
     ///   placement sequence (a task placed at scan slot `s` would have cost
     ///   the reference `s + 1` checks; a failing task costs `m`) — so the
-    ///   engine and [`crate::first_fit_with`] report identical `ff.*`
+    ///   engine and [`crate::first_fit_ordered`] report identical `ff.*`
     ///   numbers for the same instance;
     /// * `engine.*` for the work actually done: tree descents, exact
     ///   re-checks, and re-verification misses.
     ///
     /// Counts accumulate in locals and flush once per probe.
-    pub fn probe_with<S: MetricsSink>(
+    fn probe<S: MetricsSink>(
         &mut self,
         tasks: &TaskSet,
         platform: &Platform,
         alpha: Augmentation,
         sink: &S,
     ) -> Outcome {
-        debug_assert_eq!(
-            self.prepared_for,
-            Some((tasks.len(), platform.len())),
-            "probe() without a matching prepare()"
-        );
         let alpha = alpha.factor();
         let caps = (
             self.speeds.capacity(),
@@ -509,29 +491,15 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
         Outcome::Feasible(assignment)
     }
 
-    /// One-shot indexed first-fit: [`Self::prepare`] + [`Self::probe`].
-    /// Drop-in replacement for [`crate::first_fit()`] with an indexable
-    /// admission — identical outcomes, `O((n+m)·log m)` placements.
-    pub fn run(&mut self, tasks: &TaskSet, platform: &Platform, alpha: Augmentation) -> Outcome {
-        self.run_with(tasks, platform, alpha, &())
-    }
-
-    /// [`Self::run`] with metrics (see [`Self::probe_with`]).
-    pub fn run_with<S: MetricsSink>(
-        &mut self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        alpha: Augmentation,
-        sink: &S,
-    ) -> Outcome {
-        self.prepare(tasks, platform);
-        self.probe_with(tasks, platform, alpha, sink)
-    }
-
-    /// [`Self::run_with`] under an execution budget: the run is charged
-    /// `n + m + 1` ticks up front, and a refused charge returns
-    /// [`Outcome::BudgetExhausted`] with nothing placed.
-    pub fn run_within_with<S: MetricsSink>(
+    /// Indexed first-fit: a drop-in replacement for [`crate::first_fit()`]
+    /// with an indexable admission — identical outcomes,
+    /// `O((n+m)·log m)` placements. The run is charged `n + m + 1` ticks of
+    /// `gas` up front, and a refused charge returns
+    /// [`Outcome::BudgetExhausted`] with nothing placed. `sink` receives
+    /// `ff.*` counts in reference-scan units (equal to
+    /// [`crate::first_fit_ordered`]'s for the same instance) and `engine.*`
+    /// counts of the work actually done (see [`crate::metrics`]).
+    pub fn run<S: MetricsSink>(
         &mut self,
         tasks: &TaskSet,
         platform: &Platform,
@@ -544,7 +512,8 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
                 partial: Assignment::new(tasks.len(), platform.len()),
             };
         }
-        self.run_with(tasks, platform, alpha, sink)
+        self.prepare(tasks, platform);
+        self.probe(tasks, platform, alpha, sink)
     }
 
     /// Task indices in the decreasing-utilization order the last
@@ -556,7 +525,7 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
     /// Sort-once α-search: smallest augmentation (within `tol`) in
     /// `[1, hi]` at which the test accepts `tasks`, or `None` if even `hi`
     /// does not suffice — the engine counterpart of
-    /// [`crate::min_feasible_alpha`].
+    /// [`crate::bisect_alpha`].
     ///
     /// The sorts run once (not once per probe) and every probe reuses the
     /// engine's workspaces. The search probes exactly the reference
@@ -565,40 +534,14 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
     /// [`crate::min_feasible_alpha`] on every input, including the rare
     /// ones where first-fit's acceptance is not monotone in α.
     ///
-    /// Invalid searches (`hi` below 1 or non-finite, `tol` non-positive or
-    /// non-finite) return `None` instead of panicking.
-    pub fn min_feasible_alpha(
-        &mut self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        hi: f64,
-        tol: f64,
-    ) -> Option<f64> {
-        self.min_feasible_alpha_with(tasks, platform, hi, tol, &())
-    }
-
-    /// [`Self::min_feasible_alpha`] with metrics (see
-    /// [`Self::min_feasible_alpha_within_with`]).
-    pub fn min_feasible_alpha_with<S: MetricsSink>(
-        &mut self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        hi: f64,
-        tol: f64,
-        sink: &S,
-    ) -> Option<f64> {
-        self.min_feasible_alpha_within_with(tasks, platform, hi, tol, &mut Gas::unlimited(), sink)
-            .expect("unlimited gas cannot exhaust")
-    }
-
-    /// [`Self::min_feasible_alpha`] under an execution budget, with
-    /// metrics. Each probe is charged `n + m + 1` ticks, so a wall-clock or
+    /// Each probe is charged `n + m + 1` ticks of `gas`, so a wall-clock or
     /// ops limit stops the search with `Err(Exhaustion)` (distinct from the
     /// in-band `Ok(None)` "even `hi` fails"). Every probe adds one to
-    /// `alpha.probes` (plus its own `ff.*`/`engine.*` counts, see
-    /// [`Self::probe_with`]), and each bisection halving adds one to
-    /// `alpha.bisect_iters` — the reference bisection's counts.
-    pub fn min_feasible_alpha_within_with<S: MetricsSink>(
+    /// `alpha.probes` in `sink` plus its own `ff.*`/`engine.*` counts, and
+    /// each bisection halving adds one to `alpha.bisect_iters` — the
+    /// reference bisection's counts. Invalid searches (`hi` below 1 or
+    /// non-finite, `tol` non-positive or non-finite) return `Ok(None)`.
+    pub fn min_feasible_alpha<S: MetricsSink>(
         &mut self,
         tasks: &TaskSet,
         platform: &Platform,
@@ -612,9 +555,9 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
         }
         self.prepare(tasks, platform);
         let cost = probe_gas(tasks.len(), platform.len());
-        bisect_alpha(hi, tol, sink, |alpha| {
+        bisection(hi, tol, sink, |alpha| {
             gas.tick_n(cost)?;
-            Ok(self.probe_with(tasks, platform, alpha, sink).is_feasible())
+            Ok(self.probe(tasks, platform, alpha, sink).is_feasible())
         })
     }
 }
@@ -634,6 +577,29 @@ mod tests {
 
     fn platform(speeds: &[u64]) -> Platform {
         Platform::from_int_speeds(speeds.iter().copied()).unwrap()
+    }
+
+    /// [`FirstFitEngine::run`] with unlimited gas and no metrics.
+    fn run<A: IndexableAdmission>(
+        e: &mut FirstFitEngine<A>,
+        ts: &TaskSet,
+        p: &Platform,
+        alpha: Augmentation,
+    ) -> Outcome {
+        e.run(ts, p, alpha, &mut Gas::unlimited(), &())
+    }
+
+    /// [`FirstFitEngine::min_feasible_alpha`] with unlimited gas and no
+    /// metrics.
+    fn min_alpha<A: IndexableAdmission>(
+        e: &mut FirstFitEngine<A>,
+        ts: &TaskSet,
+        p: &Platform,
+        hi: f64,
+        tol: f64,
+    ) -> Option<f64> {
+        e.min_feasible_alpha(ts, p, hi, tol, &mut Gas::unlimited(), &())
+            .expect("unlimited gas cannot exhaust")
     }
 
     #[test]
@@ -677,18 +643,18 @@ mod tests {
         let p = platform(&[1, 2]);
         let mut e = FirstFitEngine::new(EdfAdmission);
         assert_eq!(
-            e.run(&tasks, &p, Augmentation::NONE),
+            run(&mut e, &tasks, &p, Augmentation::NONE),
             first_fit(&tasks, &p, Augmentation::NONE, &EdfAdmission)
         );
         // Infeasible case: identical witness.
         let heavy = TaskSet::from_pairs([(8, 10), (8, 10), (8, 10)]).unwrap();
         let p2 = platform(&[1, 1]);
         assert_eq!(
-            e.run(&heavy, &p2, Augmentation::NONE),
+            run(&mut e, &heavy, &p2, Augmentation::NONE),
             first_fit(&heavy, &p2, Augmentation::NONE, &EdfAdmission)
         );
         assert_eq!(
-            e.run(&heavy, &p2, Augmentation::EDF_VS_PARTITIONED),
+            run(&mut e, &heavy, &p2, Augmentation::EDF_VS_PARTITIONED),
             first_fit(&heavy, &p2, Augmentation::EDF_VS_PARTITIONED, &EdfAdmission)
         );
     }
@@ -696,7 +662,12 @@ mod tests {
     #[test]
     fn engine_empty_taskset_is_feasible() {
         let mut e = FirstFitEngine::new(EdfAdmission);
-        let out = e.run(&TaskSet::empty(), &platform(&[1]), Augmentation::NONE);
+        let out = run(
+            &mut e,
+            &TaskSet::empty(),
+            &platform(&[1]),
+            Augmentation::NONE,
+        );
         assert!(out.is_feasible());
         assert!(out.assignment().unwrap().is_complete());
     }
@@ -707,10 +678,10 @@ mod tests {
         let mut e = FirstFitEngine::new(EdfAdmission);
         let big = TaskSet::from_pairs((0..40).map(|_| (1u64, 10u64))).unwrap();
         let p_big = platform(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        e.run(&big, &p_big, Augmentation::NONE);
+        run(&mut e, &big, &p_big, Augmentation::NONE);
         let small = TaskSet::from_pairs([(1, 2)]).unwrap();
         let p_small = platform(&[4, 1]);
-        let out = e.run(&small, &p_small, Augmentation::NONE);
+        let out = run(&mut e, &small, &p_small, Augmentation::NONE);
         assert_eq!(out.assignment().unwrap().machine_of(0), Some(1));
     }
 
@@ -743,17 +714,17 @@ mod tests {
             for &a in &alphas {
                 let aug = Augmentation::new(a).unwrap();
                 assert_eq!(
-                    edf.run(&ts, &p, aug),
+                    run(&mut edf, &ts, &p, aug),
                     first_fit(&ts, &p, aug, &EdfAdmission),
                     "EDF mismatch (case {case}, α={a}): {ts} on {p}"
                 );
                 assert_eq!(
-                    rms.run(&ts, &p, aug),
+                    run(&mut rms, &ts, &p, aug),
                     first_fit(&ts, &p, aug, &RmsLlAdmission),
                     "RMS-LL mismatch (case {case}, α={a}): {ts} on {p}"
                 );
                 assert_eq!(
-                    hyp.run(&ts, &p, aug),
+                    run(&mut hyp, &ts, &p, aug),
                     first_fit(&ts, &p, aug, &RmsHyperbolicAdmission),
                     "hyperbolic mismatch (case {case}, α={a}): {ts} on {p}"
                 );
@@ -776,17 +747,17 @@ mod tests {
                 let aug = Augmentation::new(a).unwrap();
                 let (n, m) = (ts.len(), p.len());
                 assert_eq!(
-                    edf.run(&ts, &p, aug),
+                    run(&mut edf, &ts, &p, aug),
                     first_fit(&ts, &p, aug, &EdfAdmission),
                     "EDF case {case}, α={a}, n={n}, m={m}"
                 );
                 assert_eq!(
-                    rms.run(&ts, &p, aug),
+                    run(&mut rms, &ts, &p, aug),
                     first_fit(&ts, &p, aug, &RmsLlAdmission),
                     "RMS-LL case {case}, α={a}, n={n}, m={m}"
                 );
                 assert_eq!(
-                    hyp.run(&ts, &p, aug),
+                    run(&mut hyp, &ts, &p, aug),
                     first_fit(&ts, &p, aug, &RmsHyperbolicAdmission),
                     "hyperbolic case {case}, α={a}, n={n}, m={m}"
                 );
@@ -794,7 +765,7 @@ mod tests {
         }
     }
 
-    /// The warm α-search's answer is the reference bisection's, and a
+    /// The engine α-search's answer is the reference bisection's, and a
     /// one-sided certificate: feasible at α*, infeasible at α* − 2·tol
     /// (unless α* = 1).
     fn assert_alpha_certificates<A: IndexableAdmission + Copy>(admission: A, seed: u64) {
@@ -803,7 +774,7 @@ mod tests {
         let mut engine = FirstFitEngine::new(admission);
         for case in 0..100 {
             let (ts, p) = random_instance(&mut rng, 14, 4);
-            let warm = engine.min_feasible_alpha(&ts, &p, 8.0, tol);
+            let warm = min_alpha(&mut engine, &ts, &p, 8.0, tol);
             let cold = min_feasible_alpha(&ts, &p, &admission, 8.0, tol);
             let name = admission.name();
             assert_eq!(warm, cold, "{name} case {case}: {ts} / {p}");
@@ -811,20 +782,20 @@ mod tests {
                 Some(a) => {
                     let at = Augmentation::new(a).unwrap();
                     assert!(
-                        engine.run(&ts, &p, at).is_feasible(),
+                        run(&mut engine, &ts, &p, at).is_feasible(),
                         "{name} case {case}: α* = {a} infeasible on {ts} / {p}"
                     );
                     if a > 1.0 + 2.0 * tol {
                         let below = Augmentation::new(a - 2.0 * tol).unwrap();
                         assert!(
-                            !engine.run(&ts, &p, below).is_feasible(),
+                            !run(&mut engine, &ts, &p, below).is_feasible(),
                             "{name} case {case}: α* − 2·tol still feasible on {ts} / {p}"
                         );
                     }
                 }
-                None => assert!(!engine
-                    .run(&ts, &p, Augmentation::new(8.0).unwrap())
-                    .is_feasible()),
+                None => assert!(
+                    !run(&mut engine, &ts, &p, Augmentation::new(8.0).unwrap()).is_feasible()
+                ),
             }
         }
     }
@@ -845,10 +816,10 @@ mod tests {
         // n + m + 1 = 6 ops pays for exactly one run.
         let mut gas = Budget::ops(6).gas();
         assert_eq!(
-            e.run_within_with(&tasks, &p, Augmentation::NONE, &mut gas, &()),
+            e.run(&tasks, &p, Augmentation::NONE, &mut gas, &()),
             first_fit(&tasks, &p, Augmentation::NONE, &EdfAdmission)
         );
-        match e.run_within_with(&tasks, &p, Augmentation::NONE, &mut gas, &()) {
+        match e.run(&tasks, &p, Augmentation::NONE, &mut gas, &()) {
             Outcome::BudgetExhausted { partial } => assert_eq!(partial.assigned_count(), 0),
             other => panic!("expected exhaustion, got {other:?}"),
         }
@@ -860,7 +831,7 @@ mod tests {
     /// never exceed them (that is the point of the index).
     #[test]
     fn engine_counters_match_reference_scan() {
-        use crate::instrumented::{first_fit_instrumented, ScanStats};
+        use crate::first_fit::{first_fit_instrumented, ScanStats};
         use hetfeas_obs::MemorySink;
         let mut rng = Rng::new(0x1234_5678_9ABC_DEF0);
         let mut e = FirstFitEngine::new(EdfAdmission);
@@ -870,13 +841,13 @@ mod tests {
             for &a in &[1.0, 1.5, 2.0] {
                 let aug = Augmentation::new(a).unwrap();
                 for admissible in [true, false] {
-                    let sink = MemorySink::new();
+                    let (sink, gas) = (MemorySink::new(), &mut Gas::unlimited());
                     let (out, reference, stats) = if admissible {
-                        let out = e.run_with(&ts, &p, aug, &sink);
+                        let out = e.run(&ts, &p, aug, gas, &sink);
                         let (r, s) = first_fit_instrumented(&ts, &p, aug, &EdfAdmission);
                         (out, r, s)
                     } else {
-                        let out = rms.run_with(&ts, &p, aug, &sink);
+                        let out = rms.run(&ts, &p, aug, gas, &sink);
                         let (r, s) = first_fit_instrumented(&ts, &p, aug, &RmsLlAdmission);
                         (out, r, s)
                     };
@@ -912,7 +883,8 @@ mod tests {
         let mut e = FirstFitEngine::new(EdfAdmission);
         let sink = MemorySink::new();
         let a = e
-            .min_feasible_alpha_with(&tasks, &p, 4.0, 1e-6, &sink)
+            .min_feasible_alpha(&tasks, &p, 4.0, 1e-6, &mut Gas::unlimited(), &sink)
+            .unwrap()
             .unwrap();
         assert!((a - 1.6).abs() < 1e-5);
         let probes = sink.counter(metrics::ALPHA_PROBES);
@@ -922,7 +894,8 @@ mod tests {
         assert!(iters >= 1);
         // The reference bisection counts the same probes.
         let cold = MemorySink::new();
-        crate::first_fit::min_feasible_alpha_with(&tasks, &p, &EdfAdmission, 4.0, 1e-6, &cold);
+        let gas = &mut Gas::unlimited();
+        crate::first_fit::bisect_alpha(&tasks, &p, &EdfAdmission, 4.0, 1e-6, gas, &cold).unwrap();
         assert_eq!(cold.counter(metrics::ALPHA_PROBES), probes);
     }
 
@@ -934,11 +907,11 @@ mod tests {
         let mut e = FirstFitEngine::new(EdfAdmission);
         e.prepare(&tasks, &p);
         let warmup = MemorySink::new();
-        e.probe_with(&tasks, &p, Augmentation::NONE, &warmup);
+        e.probe(&tasks, &p, Augmentation::NONE, &warmup);
         assert!(warmup.counter(metrics::FF_WORKSPACE_ALLOCS) > 0);
         let steady = MemorySink::new();
         for a in [1.0, 1.5, 1.6, 2.0, 3.0] {
-            e.probe_with(&tasks, &p, Augmentation::new(a).unwrap(), &steady);
+            e.probe(&tasks, &p, Augmentation::new(a).unwrap(), &steady);
         }
         assert_eq!(steady.counter(metrics::FF_WORKSPACE_ALLOCS), 0);
     }
@@ -950,7 +923,7 @@ mod tests {
         let tasks = TaskSet::from_pairs([(1, 2), (1, 2), (1, 2), (1, 2)]).unwrap();
         let p = platform(&[1, 1]);
         let mut e = FirstFitEngine::new(EdfAdmission);
-        let out = e.run(&tasks, &p, Augmentation::NONE);
+        let out = run(&mut e, &tasks, &p, Augmentation::NONE);
         assert_eq!(
             out,
             first_fit(&tasks, &p, Augmentation::NONE, &EdfAdmission)
@@ -964,12 +937,12 @@ mod tests {
         let p = platform(&[1, 1]);
         let mut e = FirstFitEngine::new(EdfAdmission);
         e.prepare(&tasks, &p);
-        assert!(!e.probe(&tasks, &p, Augmentation::NONE).is_feasible());
+        assert!(!e.probe(&tasks, &p, Augmentation::NONE, &()).is_feasible());
         assert!(e
-            .probe(&tasks, &p, Augmentation::new(1.6).unwrap())
+            .probe(&tasks, &p, Augmentation::new(1.6).unwrap(), &())
             .is_feasible());
         assert!(!e
-            .probe(&tasks, &p, Augmentation::new(1.59).unwrap())
+            .probe(&tasks, &p, Augmentation::new(1.59).unwrap(), &())
             .is_feasible());
     }
 
@@ -978,17 +951,17 @@ mod tests {
         let tasks = TaskSet::from_pairs([(8, 10), (8, 10), (8, 10)]).unwrap();
         let p = platform(&[1, 1]);
         let mut e = FirstFitEngine::new(EdfAdmission);
-        let warm = e.min_feasible_alpha(&tasks, &p, 4.0, 1e-6).unwrap();
+        let warm = min_alpha(&mut e, &tasks, &p, 4.0, 1e-6).unwrap();
         let cold = min_feasible_alpha(&tasks, &p, &EdfAdmission, 4.0, 1e-6).unwrap();
-        // Different probe sequences, same threshold up to tolerance.
+        // Same probe sequence as the reference bisection, same threshold.
         assert!((warm - 1.6).abs() < 1e-5, "warm α* = {warm}");
         assert!((warm - cold).abs() < 2e-6, "warm {warm} vs cold {cold}");
         // Feasible at 1 → exactly 1.
         let light = TaskSet::from_pairs([(1, 10)]).unwrap();
-        assert_eq!(e.min_feasible_alpha(&light, &p, 4.0, 1e-6), Some(1.0));
+        assert_eq!(min_alpha(&mut e, &light, &p, 4.0, 1e-6), Some(1.0));
         // Impossible even at hi.
         let heavy = TaskSet::from_pairs([(100, 10)]).unwrap();
-        assert_eq!(e.min_feasible_alpha(&heavy, &p, 2.0, 1e-6), None);
+        assert_eq!(min_alpha(&mut e, &heavy, &p, 2.0, 1e-6), None);
     }
 
     #[test]
@@ -996,12 +969,12 @@ mod tests {
         let tasks = TaskSet::from_pairs([(8, 10)]).unwrap();
         let p = platform(&[1]);
         let mut e = FirstFitEngine::new(EdfAdmission);
-        assert_eq!(e.min_feasible_alpha(&tasks, &p, 0.5, 1e-6), None);
-        assert_eq!(e.min_feasible_alpha(&tasks, &p, f64::NAN, 1e-6), None);
-        assert_eq!(e.min_feasible_alpha(&tasks, &p, 4.0, f64::NAN), None);
-        assert_eq!(e.min_feasible_alpha(&tasks, &p, 4.0, 0.0), None);
-        assert_eq!(e.min_feasible_alpha(&tasks, &p, 4.0, -1.0), None);
-        assert_eq!(e.min_feasible_alpha(&tasks, &p, f64::INFINITY, 1e-6), None);
+        assert_eq!(min_alpha(&mut e, &tasks, &p, 0.5, 1e-6), None);
+        assert_eq!(min_alpha(&mut e, &tasks, &p, f64::NAN, 1e-6), None);
+        assert_eq!(min_alpha(&mut e, &tasks, &p, 4.0, f64::NAN), None);
+        assert_eq!(min_alpha(&mut e, &tasks, &p, 4.0, 0.0), None);
+        assert_eq!(min_alpha(&mut e, &tasks, &p, 4.0, -1.0), None);
+        assert_eq!(min_alpha(&mut e, &tasks, &p, f64::INFINITY, 1e-6), None);
     }
 
     #[test]
@@ -1043,14 +1016,14 @@ mod tests {
         let p = platform(&[1, 1]);
         let mut eng = FirstFitEngine::new(EdfAdmission);
         let a = eng
-            .min_feasible_alpha_within_with(&tasks, &p, 4.0, 1e-6, &mut Gas::unlimited(), &())
+            .min_feasible_alpha(&tasks, &p, 4.0, 1e-6, &mut Gas::unlimited(), &())
             .unwrap()
             .unwrap();
-        let reference = eng.min_feasible_alpha(&tasks, &p, 4.0, 1e-6).unwrap();
+        let reference = min_alpha(&mut eng, &tasks, &p, 4.0, 1e-6).unwrap();
         assert!((a - reference).abs() < 1e-9, "{a} vs {reference}");
         let mut gas = Budget::ops(2).gas();
         assert_eq!(
-            eng.min_feasible_alpha_within_with(&tasks, &p, 4.0, 1e-6, &mut gas, &()),
+            eng.min_feasible_alpha(&tasks, &p, 4.0, 1e-6, &mut gas, &()),
             Err(Exhaustion::Ops)
         );
     }

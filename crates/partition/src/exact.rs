@@ -46,7 +46,8 @@ impl ExactOutcome {
 /// augmented speeds `alpha · s_j`, within `node_budget` branch nodes,
 /// decided by the branch-and-bound [`ExactSolver`]
 /// (LP bounding, dominance and visited-state pruning, first-fit
-/// incumbent) with a single worker.
+/// incumbent) with a single worker. For a [`Gas`] budget, metrics or more
+/// workers, use the solver directly.
 pub fn exact_partition<A: BnbAdmission>(
     tasks: &TaskSet,
     platform: &Platform,
@@ -54,32 +55,10 @@ pub fn exact_partition<A: BnbAdmission>(
     admission: &A,
     node_budget: u64,
 ) -> ExactOutcome {
-    exact_partition_within(
-        tasks,
-        platform,
-        alpha,
-        admission,
-        node_budget,
-        &mut Gas::unlimited(),
-    )
-}
-
-/// [`exact_partition`] under an execution budget: each branch node ticks
-/// `gas` once, so a wall-clock or ops limit ends the search with
-/// [`ExactOutcome::Unknown`] exactly like an exhausted node budget — a
-/// salvageable "undecided", never a hang.
-pub fn exact_partition_within<A: BnbAdmission>(
-    tasks: &TaskSet,
-    platform: &Platform,
-    alpha: Augmentation,
-    admission: &A,
-    node_budget: u64,
-    gas: &mut Gas,
-) -> ExactOutcome {
     ExactSolver::new(tasks, platform, admission)
         .alpha(alpha)
         .node_budget(node_budget)
-        .solve_within(gas)
+        .solve(&mut Gas::unlimited(), &())
 }
 
 /// Exact partitioned-EDF feasibility at speed 1 (the Theorem I.1
@@ -311,14 +290,7 @@ mod tests {
         let tasks = TaskSet::from_pairs((0..21u64).map(|i| (451 + i, 1000))).unwrap();
         let p = Platform::identical(10).unwrap();
         let mut gas = Budget::ops(1_000).gas();
-        let out = exact_partition_within(
-            &tasks,
-            &p,
-            Augmentation::NONE,
-            &EdfAdmission,
-            u64::MAX,
-            &mut gas,
-        );
+        let out = ExactSolver::new(&tasks, &p, &EdfAdmission).solve(&mut gas, &());
         assert_eq!(out, ExactOutcome::Unknown);
         // The identical-utilization variant the old DFS needed ~4M nodes
         // for is now refuted comfortably inside a small node budget.

@@ -111,18 +111,9 @@ impl RSearch<'_> {
 /// arithmetic. Requires the task set's hyperperiod (and per-task scaled
 /// loads) to fit `u128` — guaranteed for the divisor-friendly period menus
 /// the workspace uses; returns [`ExactOutcome::Unknown`] otherwise (callers
-/// can fall back to the f64 oracle).
+/// can fall back to the f64 oracle). Each branch node ticks `gas`;
+/// exhaustion yields [`ExactOutcome::Unknown`] too.
 pub fn exact_partition_edf_rational(
-    tasks: &TaskSet,
-    platform: &Platform,
-    node_budget: u64,
-) -> ExactOutcome {
-    exact_partition_edf_rational_within(tasks, platform, node_budget, &mut Gas::unlimited())
-}
-
-/// [`exact_partition_edf_rational`] under an execution budget: each branch
-/// node ticks `gas`; exhaustion yields [`ExactOutcome::Unknown`].
-pub fn exact_partition_edf_rational_within(
     tasks: &TaskSet,
     platform: &Platform,
     node_budget: u64,
@@ -197,7 +188,8 @@ mod tests {
         ];
         for (pairs, platform) in cases {
             let ts = TaskSet::from_pairs(pairs).unwrap();
-            let rational = exact_partition_edf_rational(&ts, platform, 1 << 22);
+            let rational =
+                exact_partition_edf_rational(&ts, platform, 1 << 22, &mut Gas::unlimited());
             let float = exact_partition_edf(&ts, platform, 1 << 22);
             assert_eq!(
                 rational.is_feasible(),
@@ -212,11 +204,13 @@ mod tests {
         // Loads exactly filling both machines: 1/3 + 2/3 = 1 per machine.
         let ts = TaskSet::from_pairs([(1, 3), (2, 3), (1, 3), (2, 3)]).unwrap();
         let p = Platform::identical(2).unwrap();
-        assert!(exact_partition_edf_rational(&ts, &p, 1 << 20).is_feasible());
+        assert!(
+            exact_partition_edf_rational(&ts, &p, 1 << 20, &mut Gas::unlimited()).is_feasible()
+        );
         // One extra unit of work anywhere tips it over — exactly.
         let ts = TaskSet::from_pairs([(1, 3), (2, 3), (1, 3), (2, 3), (1, 300)]).unwrap();
         assert_eq!(
-            exact_partition_edf_rational(&ts, &p, 1 << 20),
+            exact_partition_edf_rational(&ts, &p, 1 << 20, &mut Gas::unlimited()),
             ExactOutcome::Infeasible
         );
     }
@@ -226,10 +220,12 @@ mod tests {
         // Machine of speed 3/2: capacity is exactly 1.5 utilization.
         let p = Platform::from_f64_speeds([1.5]).unwrap();
         let fits = TaskSet::from_pairs([(3, 2)]).unwrap(); // 1.5
-        assert!(exact_partition_edf_rational(&fits, &p, 1 << 16).is_feasible());
+        assert!(
+            exact_partition_edf_rational(&fits, &p, 1 << 16, &mut Gas::unlimited()).is_feasible()
+        );
         let over = TaskSet::from_pairs([(3, 2), (1, 1000)]).unwrap();
         assert_eq!(
-            exact_partition_edf_rational(&over, &p, 1 << 16),
+            exact_partition_edf_rational(&over, &p, 1 << 16, &mut Gas::unlimited()),
             ExactOutcome::Infeasible
         );
     }
@@ -241,7 +237,7 @@ mod tests {
         let p6 = Platform::identical(6).unwrap();
         let mut gas = Budget::ops(2).gas();
         assert_eq!(
-            exact_partition_edf_rational_within(&deep, &p6, u64::MAX, &mut gas),
+            exact_partition_edf_rational(&deep, &p6, u64::MAX, &mut gas),
             ExactOutcome::Unknown
         );
     }
@@ -249,11 +245,14 @@ mod tests {
     #[test]
     fn empty_and_budget_edges() {
         let p = Platform::identical(2).unwrap();
-        assert!(exact_partition_edf_rational(&TaskSet::empty(), &p, 1).is_feasible());
+        assert!(
+            exact_partition_edf_rational(&TaskSet::empty(), &p, 1, &mut Gas::unlimited())
+                .is_feasible()
+        );
         let deep = TaskSet::from_pairs(vec![(5, 10); 12]).unwrap();
         let p6 = Platform::identical(6).unwrap();
         assert_eq!(
-            exact_partition_edf_rational(&deep, &p6, 1),
+            exact_partition_edf_rational(&deep, &p6, 1, &mut Gas::unlimited()),
             ExactOutcome::Unknown
         );
     }

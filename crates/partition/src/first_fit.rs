@@ -50,101 +50,15 @@ pub fn first_fit<A: AdmissionTest>(
     alpha: Augmentation,
     admission: &A,
 ) -> Outcome {
-    first_fit_with(tasks, platform, alpha, admission, &())
-}
-
-/// [`first_fit`] with metrics: emits `ff.*` counters and the
-/// `ff.checks_per_task` histogram (see [`crate::metrics`]) into `sink`.
-/// Passing `&()` selects the no-op sink and compiles to exactly
-/// [`first_fit`].
-pub fn first_fit_with<A: AdmissionTest, S: MetricsSink>(
-    tasks: &TaskSet,
-    platform: &Platform,
-    alpha: Augmentation,
-    admission: &A,
-    sink: &S,
-) -> Outcome {
-    let task_order = tasks.order_by_decreasing_utilization();
-    let machine_order = platform.order_by_increasing_speed();
-    first_fit_ordered_with(
+    first_fit_ordered(
         tasks,
         platform,
         alpha,
         admission,
-        &task_order,
-        &machine_order,
-        sink,
-    )
-}
-
-/// First-fit over explicit task/machine orders (the paper's algorithm uses
-/// decreasing-utilization tasks and increasing-speed machines; the E8
-/// ablation passes other orders). `task_order` and `machine_order` must be
-/// permutations of the respective index ranges.
-pub fn first_fit_ordered<A: AdmissionTest>(
-    tasks: &TaskSet,
-    platform: &Platform,
-    alpha: Augmentation,
-    admission: &A,
-    task_order: &[usize],
-    machine_order: &[usize],
-) -> Outcome {
-    first_fit_ordered_with(
-        tasks,
-        platform,
-        alpha,
-        admission,
-        task_order,
-        machine_order,
-        &(),
-    )
-}
-
-/// [`first_fit_ordered`] with metrics (see [`first_fit_with`]). The hot
-/// loop accumulates counts into locals and flushes once at the end, so an
-/// enabled sink adds a handful of map operations per *run*, not per check.
-#[allow(clippy::too_many_arguments)]
-pub fn first_fit_ordered_with<A: AdmissionTest, S: MetricsSink>(
-    tasks: &TaskSet,
-    platform: &Platform,
-    alpha: Augmentation,
-    admission: &A,
-    task_order: &[usize],
-    machine_order: &[usize],
-    sink: &S,
-) -> Outcome {
-    first_fit_ordered_within_with(
-        tasks,
-        platform,
-        alpha,
-        admission,
-        task_order,
-        machine_order,
+        &tasks.order_by_decreasing_utilization(),
+        &platform.order_by_increasing_speed(),
+        &mut ScanWorkspace::new(),
         &mut Gas::unlimited(),
-        sink,
-    )
-}
-
-/// [`first_fit`] under an execution budget: each admission check ticks
-/// `gas` once, and exhaustion returns [`Outcome::BudgetExhausted`] with
-/// the partial assignment built so far instead of finishing the scan.
-pub fn first_fit_within<A: AdmissionTest>(
-    tasks: &TaskSet,
-    platform: &Platform,
-    alpha: Augmentation,
-    admission: &A,
-    gas: &mut Gas,
-) -> Outcome {
-    let task_order = tasks.order_by_decreasing_utilization();
-    let machine_order = platform.order_by_increasing_speed();
-    first_fit_ordered_within_with(
-        tasks,
-        platform,
-        alpha,
-        admission,
-        &task_order,
-        &machine_order,
-        gas,
         &(),
     )
 }
@@ -152,7 +66,7 @@ pub fn first_fit_within<A: AdmissionTest>(
 /// Reusable scratch buffers for the reference scan: the α-augmented speeds
 /// and per-machine admission states in scan order. A workspace held across
 /// calls — e.g. across the probes of [`min_feasible_alpha`] — makes every
-/// call after the first allocation-free; the instrumented paths count each
+/// call after the first allocation-free; an enabled sink counts each
 /// buffer growth under `ff.workspace_allocs` so steady-state reuse is
 /// verifiable (zero after warm-up).
 #[derive(Debug, Clone)]
@@ -177,39 +91,21 @@ impl<A: AdmissionTest> Default for ScanWorkspace<A> {
     }
 }
 
-/// [`first_fit_ordered_with`] under an execution budget (explicit orders,
-/// metrics sink and gas meter). Allocates a fresh workspace per call;
-/// repeated callers should hold a [`ScanWorkspace`] and use
-/// [`first_fit_ordered_ws`] instead.
+/// The reference scan in full: [`first_fit`] over explicit task/machine
+/// orders, in a caller-owned [`ScanWorkspace`], under `gas`, counting into
+/// `sink`.
+///
+/// * `task_order` and `machine_order` must be permutations of the
+///   respective index ranges; the paper's algorithm (and [`first_fit`])
+///   uses decreasing-utilization tasks and increasing-speed machines.
+/// * Each admission check ticks `gas` once; exhaustion returns
+///   [`Outcome::BudgetExhausted`] with the partial assignment built so far.
+/// * `sink` receives the `ff.*` counters and the `ff.checks_per_task`
+///   histogram (see [`crate::metrics`]). The hot loop accumulates counts
+///   into locals and flushes once per run, and `&()` compiles the counting
+///   away.
 #[allow(clippy::too_many_arguments)]
-pub fn first_fit_ordered_within_with<A: AdmissionTest, S: MetricsSink>(
-    tasks: &TaskSet,
-    platform: &Platform,
-    alpha: Augmentation,
-    admission: &A,
-    task_order: &[usize],
-    machine_order: &[usize],
-    gas: &mut Gas,
-    sink: &S,
-) -> Outcome {
-    first_fit_ordered_ws(
-        tasks,
-        platform,
-        alpha,
-        admission,
-        task_order,
-        machine_order,
-        &mut ScanWorkspace::new(),
-        gas,
-        sink,
-    )
-}
-
-/// The most general reference-scan form: explicit orders, metrics sink,
-/// gas meter, and a caller-owned [`ScanWorkspace`] so multi-probe loops
-/// (the α-searches) run allocation-free after the first probe.
-#[allow(clippy::too_many_arguments)]
-pub fn first_fit_ordered_ws<A: AdmissionTest, S: MetricsSink>(
+pub fn first_fit_ordered<A: AdmissionTest, S: MetricsSink>(
     tasks: &TaskSet,
     platform: &Platform,
     alpha: Augmentation,
@@ -301,12 +197,10 @@ pub fn first_fit_ordered_ws<A: AdmissionTest, S: MetricsSink>(
 /// flips back as α grows, the answer is an accepting α within `tol` of a
 /// rejecting one, not necessarily the smallest accepting α.
 ///
-/// The task/machine sorts are computed once and shared by every bisection
-/// probe via [`first_fit_ordered`]. Invalid searches (`hi` below 1 or
-/// non-finite, `tol` non-positive or non-finite) return `None`. For
-/// indexable admissions, [`crate::FirstFitEngine::min_feasible_alpha`]
-/// additionally replaces each probe's linear scan with the `O(log m)`
-/// indexed one.
+/// Invalid searches (`hi` below 1 or non-finite, `tol` non-positive or
+/// non-finite) return `None`. For indexable admissions,
+/// [`crate::FirstFitEngine::min_feasible_alpha`] runs the same search with
+/// the `O(log m)` indexed probe in place of the linear scan.
 pub fn min_feasible_alpha<A: AdmissionTest>(
     tasks: &TaskSet,
     platform: &Platform,
@@ -314,49 +208,25 @@ pub fn min_feasible_alpha<A: AdmissionTest>(
     hi: f64,
     tol: f64,
 ) -> Option<f64> {
-    min_feasible_alpha_with(tasks, platform, admission, hi, tol, &())
-}
-
-/// [`min_feasible_alpha`] with metrics (see
-/// [`min_feasible_alpha_within_with`]).
-pub fn min_feasible_alpha_with<A: AdmissionTest, S: MetricsSink>(
-    tasks: &TaskSet,
-    platform: &Platform,
-    admission: &A,
-    hi: f64,
-    tol: f64,
-    sink: &S,
-) -> Option<f64> {
-    min_feasible_alpha_within_with(
+    bisect_alpha(
         tasks,
         platform,
         admission,
         hi,
         tol,
         &mut Gas::unlimited(),
-        sink,
+        &(),
     )
     .expect("unlimited gas cannot exhaust")
 }
 
-/// [`min_feasible_alpha`] under an execution budget: every first-fit probe
-/// runs against `gas`, and exhaustion surfaces as `Err(Exhaustion)`
-/// (distinguishable from the in-band `Ok(None)` "even `hi` fails").
-pub fn min_feasible_alpha_within<A: AdmissionTest>(
-    tasks: &TaskSet,
-    platform: &Platform,
-    admission: &A,
-    hi: f64,
-    tol: f64,
-    gas: &mut Gas,
-) -> Result<Option<f64>, Exhaustion> {
-    min_feasible_alpha_within_with(tasks, platform, admission, hi, tol, gas, &())
-}
-
-/// [`min_feasible_alpha_within`] with metrics: each first-fit probe adds
-/// one to `alpha.probes` (and emits its own `ff.*` counts into `sink`),
-/// and each bisection halving adds one to `alpha.bisect_iters`.
-pub fn min_feasible_alpha_within_with<A: AdmissionTest, S: MetricsSink>(
+/// [`min_feasible_alpha`] under `gas`, counting into `sink`. The sorts run
+/// once and every probe shares one [`ScanWorkspace`]. Each probe is a
+/// [`first_fit_ordered`] run against `gas` that adds one to `alpha.probes`
+/// and its own `ff.*` counts; each bisection halving adds one to
+/// `alpha.bisect_iters`. Exhaustion is `Err(Exhaustion)`, distinct from
+/// the in-band `Ok(None)` "even `hi` fails".
+pub fn bisect_alpha<A: AdmissionTest, S: MetricsSink>(
     tasks: &TaskSet,
     platform: &Platform,
     admission: &A,
@@ -372,8 +242,8 @@ pub fn min_feasible_alpha_within_with<A: AdmissionTest, S: MetricsSink>(
     let machine_order = platform.order_by_increasing_speed();
     // One workspace shared by every probe: only the first may allocate.
     let mut ws = ScanWorkspace::new();
-    bisect_alpha(hi, tol, sink, |alpha| {
-        let out = first_fit_ordered_ws(
+    bisection(hi, tol, sink, |alpha| {
+        let out = first_fit_ordered(
             tasks,
             platform,
             alpha,
@@ -400,7 +270,7 @@ pub fn min_feasible_alpha_within_with<A: AdmissionTest, S: MetricsSink>(
 /// each probe identically, so sharing this sequence makes their α*
 /// identical even where acceptance is not monotone in α. `hi` and `tol`
 /// must already be validated.
-pub(crate) fn bisect_alpha<S: MetricsSink>(
+pub(crate) fn bisection<S: MetricsSink>(
     hi: f64,
     tol: f64,
     sink: &S,
@@ -433,14 +303,110 @@ pub(crate) fn bisect_alpha<S: MetricsSink>(
     Ok(Some(hi))
 }
 
+/// Exact work counters of one scan, read back from its `ff.*` counters.
+#[cfg(test)]
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct ScanStats {
+    pub admission_checks: u64,
+    pub placed: u64,
+    pub machines_visited: u64,
+}
+
+#[cfg(test)]
+impl ScanStats {
+    pub fn worst_case(n_tasks: usize, n_machines: usize) -> u64 {
+        n_tasks as u64 * n_machines as u64
+    }
+
+    pub fn from_sink(sink: &hetfeas_obs::MemorySink) -> ScanStats {
+        ScanStats {
+            admission_checks: sink.counter(metrics::FF_ADMISSION_CHECKS),
+            placed: sink.counter(metrics::FF_PLACED),
+            machines_visited: sink.counter(metrics::FF_MACHINES_VISITED),
+        }
+    }
+}
+
+/// [`first_fit`] plus its exact work counters.
+#[cfg(test)]
+pub(crate) fn first_fit_instrumented<A: AdmissionTest>(
+    t: &TaskSet,
+    p: &Platform,
+    alpha: Augmentation,
+    adm: &A,
+) -> (Outcome, ScanStats) {
+    let sink = hetfeas_obs::MemorySink::new();
+    let (to, mo) = (
+        t.order_by_decreasing_utilization(),
+        p.order_by_increasing_speed(),
+    );
+    let (ws, gas) = (&mut ScanWorkspace::new(), &mut Gas::unlimited());
+    let out = first_fit_ordered(t, p, alpha, adm, &to, &mo, ws, gas, &sink);
+    (out, ScanStats::from_sink(&sink))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::admission::{EdfAdmission, RmsLlAdmission};
     use hetfeas_model::Augmentation;
+    use hetfeas_obs::MemorySink;
 
     fn platform(speeds: &[u64]) -> Platform {
         Platform::from_int_speeds(speeds.iter().copied()).unwrap()
+    }
+
+    fn setup(pairs: &[(u64, u64)], speeds: &[u64]) -> (TaskSet, Platform) {
+        (
+            TaskSet::from_pairs(pairs.iter().copied()).unwrap(),
+            platform(speeds),
+        )
+    }
+
+    #[test]
+    fn matches_uninstrumented_outcome() {
+        let (ts, p) = setup(&[(9, 10), (4, 10), (3, 10)], &[1, 2]);
+        let (out, _) = first_fit_instrumented(&ts, &p, Augmentation::NONE, &EdfAdmission);
+        assert_eq!(out, first_fit(&ts, &p, Augmentation::NONE, &EdfAdmission));
+    }
+
+    #[test]
+    fn counts_bounded_by_nm() {
+        let (ts, p) = setup(&[(9, 10), (9, 10), (9, 10), (9, 10)], &[1, 1, 1]);
+        let (_, stats) = first_fit_instrumented(&ts, &p, Augmentation::NONE, &EdfAdmission);
+        assert!(stats.admission_checks <= ScanStats::worst_case(ts.len(), p.len()));
+        assert_eq!(stats.admission_checks, stats.machines_visited);
+    }
+
+    #[test]
+    fn light_load_checks_one_machine_per_task() {
+        // Everything fits the slowest machine → exactly n checks.
+        let (ts, p) = setup(&[(1, 100); 5], &[1, 1, 1, 1]);
+        let (out, stats) = first_fit_instrumented(&ts, &p, Augmentation::NONE, &EdfAdmission);
+        assert!(out.is_feasible());
+        assert_eq!(stats.admission_checks, 5);
+        assert_eq!(stats.placed, 5);
+    }
+
+    #[test]
+    fn failure_scans_every_machine_for_the_failing_task() {
+        let (ts, p) = setup(&[(9, 10), (9, 10), (9, 10)], &[1, 1]);
+        let (out, stats) = first_fit_instrumented(&ts, &p, Augmentation::NONE, &EdfAdmission);
+        assert!(!out.is_feasible());
+        // Task 1: 1 check (fits m0). Task 2: m0 full, m1 ok → 2 checks.
+        // Task 3: scans both and fails → 2 checks.
+        assert_eq!(stats.admission_checks, 1 + 2 + 2);
+        assert_eq!(stats.placed, 2);
+    }
+
+    #[test]
+    fn saturated_instance_approaches_worst_case() {
+        // Tasks sized so each new one walks past all filled machines.
+        let (ts, p) = setup(&[(1, 1); 4], &[1, 1, 1, 1]);
+        let (out, stats) = first_fit_instrumented(&ts, &p, Augmentation::NONE, &EdfAdmission);
+        assert!(out.is_feasible());
+        // Task k (1-based) performs k checks: 1+2+3+4 = 10 = n(n+1)/2.
+        assert_eq!(stats.admission_checks, 10);
     }
 
     #[test]
@@ -575,45 +541,70 @@ mod tests {
         use hetfeas_robust::Budget;
         let tasks = TaskSet::from_pairs([(9, 10), (4, 10), (3, 10)]).unwrap();
         let p = platform(&[1, 2]);
+        let (to, mo) = (
+            tasks.order_by_decreasing_utilization(),
+            p.order_by_increasing_speed(),
+        );
+        let scan = |gas: &mut Gas| {
+            let ws = &mut ScanWorkspace::new();
+            first_fit_ordered(
+                &tasks,
+                &p,
+                Augmentation::NONE,
+                &EdfAdmission,
+                &to,
+                &mo,
+                ws,
+                gas,
+                &(),
+            )
+        };
         // Ample budget: identical to the unbudgeted scan.
-        let mut gas = Budget::ops(1_000).gas();
         assert_eq!(
-            first_fit_within(&tasks, &p, Augmentation::NONE, &EdfAdmission, &mut gas),
+            scan(&mut Budget::ops(1_000).gas()),
             first_fit(&tasks, &p, Augmentation::NONE, &EdfAdmission)
         );
         // One admission check of budget: stops with a partial assignment.
-        let mut gas = Budget::ops(1).gas();
-        let out = first_fit_within(&tasks, &p, Augmentation::NONE, &EdfAdmission, &mut gas);
+        let out = scan(&mut Budget::ops(1).gas());
         assert!(!out.is_decided());
         assert!(out.partial().assigned_count() <= 1);
     }
 
     #[test]
     fn budgeted_min_alpha_agrees_and_exhausts() {
-        use hetfeas_robust::{Budget, Exhaustion, Gas};
+        use hetfeas_robust::Budget;
         let tasks = TaskSet::from_pairs([(8, 10), (8, 10), (8, 10)]).unwrap();
         let p = platform(&[1, 1]);
-        let a =
-            min_feasible_alpha_within(&tasks, &p, &EdfAdmission, 4.0, 1e-6, &mut Gas::unlimited())
-                .unwrap()
-                .unwrap();
+        let a = bisect_alpha(
+            &tasks,
+            &p,
+            &EdfAdmission,
+            4.0,
+            1e-6,
+            &mut Gas::unlimited(),
+            &(),
+        )
+        .unwrap()
+        .unwrap();
         assert!((a - 1.6).abs() < 1e-5);
         let mut gas = Budget::ops(3).gas();
         assert_eq!(
-            min_feasible_alpha_within(&tasks, &p, &EdfAdmission, 4.0, 1e-6, &mut gas),
+            bisect_alpha(&tasks, &p, &EdfAdmission, 4.0, 1e-6, &mut gas, &()),
             Err(Exhaustion::Ops)
         );
     }
 
     #[test]
     fn workspace_allocations_zero_at_steady_state() {
-        use hetfeas_obs::MemorySink;
         // The α-search shares one workspace across all its probes: only
         // the first probe may grow the two buffers (speeds + states).
         let tasks = TaskSet::from_pairs([(8, 10), (8, 10), (8, 10)]).unwrap();
         let p = platform(&[1, 1]);
         let sink = MemorySink::new();
-        let a = min_feasible_alpha_with(&tasks, &p, &EdfAdmission, 4.0, 1e-6, &sink).unwrap();
+        let gas = &mut Gas::unlimited();
+        let a = bisect_alpha(&tasks, &p, &EdfAdmission, 4.0, 1e-6, gas, &sink)
+            .unwrap()
+            .unwrap();
         assert!((a - 1.6).abs() < 1e-5);
         let probes = sink.counter(metrics::ALPHA_PROBES);
         let allocs = sink.counter(metrics::FF_WORKSPACE_ALLOCS);
@@ -628,7 +619,7 @@ mod tests {
         let mut ws = ScanWorkspace::new();
         for pass in 0..3 {
             let sink = MemorySink::new();
-            first_fit_ordered_ws(
+            first_fit_ordered(
                 &tasks,
                 &p,
                 Augmentation::NONE,

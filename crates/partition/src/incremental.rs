@@ -82,7 +82,7 @@ pub struct RepairPolicy {
     /// Trigger a full repack once this many potentially canonical-breaking
     /// operations (out-of-order adds, removals) accumulate since the last
     /// repack. `0` disables automatic repacks — only
-    /// [`IncrementalEngine::force_repack`] re-canonicalizes.
+    /// [`IncrementalEngine::repack`] re-canonicalizes.
     pub repack_after: u32,
 }
 
@@ -288,14 +288,17 @@ impl<'a> StateView<'a> {
 /// ```
 /// use hetfeas_model::{Augmentation, Platform, Task};
 /// use hetfeas_partition::{AddOutcome, EdfAdmission, IncrementalEngine};
+/// use hetfeas_robust::{Exhaustion, Gas};
 ///
 /// let platform = Platform::from_int_speeds([1, 2]).unwrap();
 /// let mut eng = IncrementalEngine::new(EdfAdmission, &platform, Augmentation::NONE);
-/// let a = eng.add(Task::implicit(9, 10).unwrap());
+/// let gas = &mut Gas::unlimited();
+/// let a = eng.add(Task::implicit(9, 10).unwrap(), gas, &())?;
 /// assert!(a.is_admitted());
-/// let b = eng.add(Task::implicit(4, 10).unwrap()).id().unwrap();
-/// eng.remove(b);
+/// let b = eng.add(Task::implicit(4, 10).unwrap(), gas, &())?.id().unwrap();
+/// eng.remove(b, gas, &())?;
 /// assert_eq!(eng.len(), 1);
+/// # Ok::<(), Exhaustion>(())
 /// ```
 pub struct IncrementalEngine<A: IndexableAdmission> {
     platform: Platform,
@@ -484,17 +487,13 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
 
     /// Admit `task` onto the first (slowest) machine that accepts it —
     /// one tree descent plus exact re-checks, `O(log m)` amortized.
-    pub fn add(&mut self, task: Task) -> AddOutcome {
-        self.add_within_with(task, &mut Gas::unlimited(), &())
-            .expect("unlimited gas cannot exhaust")
-    }
-
-    /// [`Self::add`] under a budget, with metrics. On `Err` the operation
-    /// was **not** applied. An automatic repack triggered by this add is
-    /// best-effort: if the remaining gas cannot pay for it, the repack is
-    /// skipped (the add itself still succeeded) and — exhaustion being
-    /// sticky — the *next* operation surfaces the error.
-    pub fn add_within_with<S: MetricsSink>(
+    ///
+    /// Charges one tick of `gas`; on `Err` the operation was **not**
+    /// applied. An automatic repack triggered by this add is best-effort:
+    /// if the remaining gas cannot pay for it, the repack is skipped (the
+    /// add itself still succeeded) and — exhaustion being sticky — the
+    /// *next* operation surfaces the error.
+    pub fn add<S: MetricsSink>(
         &mut self,
         task: Task,
         gas: &mut Gas,
@@ -565,16 +564,12 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
     /// Remove a live task, crediting its capacity back via a local repair
     /// of its machine's state. Returns the removed task, or `None` if the
     /// id is unknown or already removed.
-    pub fn remove(&mut self, id: TaskId) -> Option<Task> {
-        self.remove_within_with(id, &mut Gas::unlimited(), &())
-            .expect("unlimited gas cannot exhaust")
-    }
-
-    /// [`Self::remove`] under a budget, with metrics. Gas is charged
-    /// proportionally to the resident count of the leaver's machine (the
-    /// local-repair re-fold). On `Err` the operation was **not** applied;
-    /// automatic repacks are best-effort as in [`Self::add_within_with`].
-    pub fn remove_within_with<S: MetricsSink>(
+    ///
+    /// Gas is charged proportionally to the resident count of the leaver's
+    /// machine (the local-repair re-fold). On `Err` the operation was
+    /// **not** applied; automatic repacks are best-effort as in
+    /// [`Self::add`].
+    pub fn remove<S: MetricsSink>(
         &mut self,
         id: TaskId,
         gas: &mut Gas,
@@ -639,16 +634,10 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
     }
 
     /// Re-pack the survivors canonically (from-scratch FFD via the batch
-    /// engine) regardless of the divergence counter.
-    pub fn force_repack(&mut self) -> RepackOutcome {
-        self.repack_within_with(&mut Gas::unlimited(), &())
-            .expect("unlimited gas cannot exhaust")
-    }
-
-    /// [`Self::force_repack`] under a budget, with metrics. Gas is charged
+    /// engine) regardless of the divergence counter. Gas is charged
     /// `n + m + 1` up front (a repack is `O((n+m)·log m)` work); on `Err`
     /// the engine state is unchanged.
-    pub fn repack_within_with<S: MetricsSink>(
+    pub fn repack<S: MetricsSink>(
         &mut self,
         gas: &mut Gas,
         sink: &S,
@@ -656,9 +645,10 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
         gas.tick_n(probe_gas(self.core.live_count, self.platform.len()))?;
         let survivors = self.live_tasks();
         let ids = self.live_ids();
+        let unmetered = &mut Gas::unlimited();
         let outcome = self
             .ff
-            .run_with(&survivors, &self.platform, self.alpha, sink);
+            .run(&survivors, &self.platform, self.alpha, unmetered, sink);
         let asg = match outcome {
             Outcome::Feasible(asg) => asg,
             _ => {
@@ -726,29 +716,32 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
     }
 
     /// Capture the engine's observable state for speculative admission.
-    pub fn snapshot(&self) -> IncrSnapshot<A> {
-        self.snapshot_with(&())
-    }
-
-    /// [`Self::snapshot`] with metrics.
-    pub fn snapshot_with<S: MetricsSink>(&self, sink: &S) -> IncrSnapshot<A> {
+    /// Charges `n + 1` ticks of `gas` for the copy.
+    pub fn snapshot<S: MetricsSink>(
+        &self,
+        gas: &mut Gas,
+        sink: &S,
+    ) -> Result<IncrSnapshot<A>, Exhaustion> {
+        gas.tick_n(self.len() as u64 + 1)?;
         if S::ENABLED {
             sink.counter_add(metrics::INCR_SNAPSHOTS, 1);
         }
-        IncrSnapshot {
+        Ok(IncrSnapshot {
             core: self.core.clone(),
-        }
+        })
     }
 
     /// Restore the state captured by [`Self::snapshot`] — every observable
     /// (live set, assignment, divergence, id allocation) returns to its
-    /// captured value.
-    pub fn rollback(&mut self, snap: &IncrSnapshot<A>) {
-        self.rollback_with(snap, &())
-    }
-
-    /// [`Self::rollback`] with metrics.
-    pub fn rollback_with<S: MetricsSink>(&mut self, snap: &IncrSnapshot<A>, sink: &S) {
+    /// captured value. Charges `n + 1` ticks of `gas`, `n` being the live
+    /// count before the restore; on `Err` the engine is unchanged.
+    pub fn rollback<S: MetricsSink>(
+        &mut self,
+        snap: &IncrSnapshot<A>,
+        gas: &mut Gas,
+        sink: &S,
+    ) -> Result<(), Exhaustion> {
+        gas.tick_n(self.len() as u64 + 1)?;
         debug_assert_eq!(
             snap.core.states.len(),
             self.platform.len(),
@@ -758,6 +751,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
             sink.counter_add(metrics::INCR_ROLLBACKS, 1);
         }
         self.core = snap.core.clone();
+        Ok(())
     }
 
     /// Export the observable state as a portable [`EngineState`].
@@ -902,14 +896,14 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
     }
 
     /// Divergence-triggered repack; best-effort under gas (see
-    /// [`Self::add_within_with`]).
+    /// [`Self::add`]).
     fn maybe_auto_repack<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) {
         if self.policy.repack_after > 0
             && self.core.divergence >= u64::from(self.policy.repack_after)
         {
             // A failed up-front gas charge leaves the state untouched and
             // the meter latched; the next operation surfaces the error.
-            let _ = self.repack_within_with(gas, sink);
+            let _ = self.repack(gas, sink);
         }
     }
 }

@@ -24,9 +24,9 @@
 //! * [`lp_rounding`] — an LP-guided rounding baseline (experiment E11).
 //! * [`splitting`] — semi-partitioned EDF with two-machine task splitting
 //!   (experiment E16).
-//! * [`min_feasible_alpha`] — the reference bisection for the empirical
-//!   augmentation factor α*, the oracle the engine's search is tested
-//!   against.
+//! * [`min_feasible_alpha`] / [`bisect_alpha`] — the reference bisection
+//!   for the empirical augmentation factor α*, the oracle the engine's
+//!   search is tested against.
 //! * [`engine`] — [`FirstFitEngine`], the indexed `O((n+m)·log m)` version
 //!   of the §III scan with reusable workspaces and an α-search that sorts
 //!   once, then probes the reference bisection's α sequence:
@@ -46,16 +46,20 @@
 //!   and [`AnyDurable`], a durable engine whose policy is chosen at run
 //!   time.
 //! * [`metrics`] — metric names for the instrumented paths (`ff.*`,
-//!   `engine.*`, `alpha.*`). Every hot-path entry point has a `_with`
-//!   variant generic over [`hetfeas_obs::MetricsSink`]; passing `&()`
-//!   compiles the instrumentation away entirely.
+//!   `engine.*`, `alpha.*`, `incr.*`, `bnb.*`).
 //! * [`degrade`] — graceful-degradation ladders: when a budgeted exact (or
 //!   LP) computation exhausts its [`hetfeas_robust::Budget`], fall back to
 //!   cheaper tests whose one-sided guarantees still yield a *sound*
-//!   verdict. Unbounded entry points additionally have `_within` variants
-//!   taking a [`hetfeas_robust::Gas`] meter; exhaustion surfaces as
-//!   [`Outcome::BudgetExhausted`] / [`ExactOutcome::Unknown`] instead of a
-//!   hang.
+//!   verdict.
+//!
+//! Each operation has one full form, whose last two parameters are a
+//! [`hetfeas_robust::Gas`] meter and a [`hetfeas_obs::MetricsSink`]
+//! (either is left out where the operation never uses it); exhaustion
+//! surfaces as [`Outcome::BudgetExhausted`], [`ExactOutcome::Unknown`] or
+//! `Err(Exhaustion)` instead of a hang. Pass `&mut Gas::unlimited(), &()`
+//! for neither: the `()` sink compiles the counting away. A plain form
+//! without either ([`first_fit()`], [`min_feasible_alpha`],
+//! [`exact_partition`]) exists only where callers use it that way.
 
 #![warn(missing_docs)]
 
@@ -71,7 +75,6 @@ pub mod exact;
 pub mod exact_rational;
 pub mod first_fit;
 pub mod incremental;
-pub mod instrumented;
 pub mod lp_rounding;
 pub mod metrics;
 pub mod policy;
@@ -87,28 +90,22 @@ pub use bloom::{BloomFilter, VisitedFilter};
 pub use bnb::{BnbAdmission, BnbConfig, ExactSolver};
 pub use constrained::{DemandState, DensityAdmission, EdfDemandAdmission};
 pub use degrade::{
-    exact_partition_edf_degraded, exact_partition_edf_degraded_workers, lp_feasible_degraded,
-    LadderReport, LadderVerdict,
+    exact_partition_edf_degraded, lp_feasible_degraded, LadderReport, LadderVerdict,
 };
 pub use durable::{
     live_state_digest, peek_config, recover, Applied, ChangedMachines, CompactionStep,
     DurableEngine, DurableError, DurableOptions, JournalConfig, RecoverError, RecoveryReport,
 };
 pub use engine::{FirstFitEngine, IndexableAdmission};
-pub use exact::{
-    exact_partition, exact_partition_edf, exact_partition_rms, exact_partition_within, ExactOutcome,
-};
-pub use exact_rational::{exact_partition_edf_rational, exact_partition_edf_rational_within};
+pub use exact::{exact_partition, exact_partition_edf, exact_partition_rms, ExactOutcome};
+pub use exact_rational::exact_partition_edf_rational;
 pub use first_fit::{
-    first_fit, first_fit_ordered, first_fit_ordered_with, first_fit_ordered_within_with,
-    first_fit_with, first_fit_within, min_feasible_alpha, min_feasible_alpha_with,
-    min_feasible_alpha_within, min_feasible_alpha_within_with,
+    bisect_alpha, first_fit, first_fit_ordered, min_feasible_alpha, ScanWorkspace,
 };
 pub use incremental::{
     AddOutcome, EngineState, IncrSnapshot, IncrementalEngine, RepackOutcome, RepairPolicy,
     StateView, TaskId,
 };
-pub use instrumented::{first_fit_instrumented, ScanStats};
 pub use lp_rounding::lp_rounding_partition;
 pub use policy::{AnyDurable, PolicyKind};
 pub use splitting::{semi_partition, Placement, SplitOutcome};

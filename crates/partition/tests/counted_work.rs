@@ -13,7 +13,9 @@ use hetfeas_model::rng::Rng;
 use hetfeas_model::{Augmentation, Platform, Task, TaskSet};
 use hetfeas_obs::MemorySink;
 use hetfeas_partition::metrics as pm;
-use hetfeas_partition::{first_fit_with, EdfAdmission, FirstFitEngine, IncrementalEngine, TaskId};
+use hetfeas_partition::{
+    first_fit_ordered, EdfAdmission, FirstFitEngine, IncrementalEngine, ScanWorkspace, TaskId,
+};
 use hetfeas_robust::Gas;
 use hetfeas_workload::{discretize_all, uunifast, PeriodMenu, PlatformSpec};
 
@@ -42,11 +44,26 @@ fn system(n: usize, m: usize, load: f64, seed: u64) -> (TaskSet, Platform) {
 /// checks per placement)`.
 fn first_fit_work(m: usize, seed: u64) -> (f64, f64, f64) {
     let (tasks, platform) = system(4096, m, 0.9, seed);
+    let (to, mo) = (
+        tasks.order_by_decreasing_utilization(),
+        platform.order_by_increasing_speed(),
+    );
+    let (none, gas) = (Augmentation::NONE, &mut Gas::unlimited());
     let scan = MemorySink::new();
-    let reference = first_fit_with(&tasks, &platform, Augmentation::NONE, &EdfAdmission, &scan);
+    let ws = &mut ScanWorkspace::new();
+    let reference = first_fit_ordered(
+        &tasks,
+        &platform,
+        none,
+        &EdfAdmission,
+        &to,
+        &mo,
+        ws,
+        gas,
+        &scan,
+    );
     let indexed = MemorySink::new();
-    let outcome =
-        FirstFitEngine::new(EdfAdmission).run_with(&tasks, &platform, Augmentation::NONE, &indexed);
+    let outcome = FirstFitEngine::new(EdfAdmission).run(&tasks, &platform, none, gas, &indexed);
     assert_eq!(outcome, reference, "m = {m}: engine diverged from the scan");
     let placed = reference.partial().assigned_count() as f64;
     assert!(placed > 0.0, "m = {m}: nothing placed");
@@ -120,29 +137,31 @@ fn indexed_work(sink: &MemorySink) -> u64 {
 fn incremental_churn_costs_a_hundredth_of_a_from_scratch_run() {
     let (tasks, platform) = system(4096, 1024, 0.6, 7);
     let mut eng = IncrementalEngine::new(EdfAdmission, &platform, Augmentation::NONE);
-    let mut live: Vec<TaskId> = tasks.iter().filter_map(|&t| eng.add(t).id()).collect();
+    let mut gas = Gas::unlimited();
+    let mut live: Vec<TaskId> = (tasks.iter())
+        .filter_map(|&t| eng.add(t, &mut gas, &()).expect("gas").id())
+        .collect();
 
     // 2048 alternating ops: remove a random live task, re-add it.
     let churn = MemorySink::new();
-    let mut gas = Gas::unlimited();
     let mut rng = Rng::new(99);
     let mut spare: Vec<Task> = Vec::new();
     let ops = 2048u64;
     for i in 0..ops {
         if i % 2 == 0 {
             let victim = live.swap_remove(rng.below(live.len() as u64) as usize);
-            let task = eng.remove_within_with(victim, &mut gas, &churn);
+            let task = eng.remove(victim, &mut gas, &churn);
             spare.push(task.expect("live").expect("live id removes"));
         } else {
             let task = spare.pop().expect("a removed task to re-add");
-            let added = eng.add_within_with(task, &mut gas, &churn).expect("gas");
+            let added = eng.add(task, &mut gas, &churn).expect("gas");
             live.extend(added.id());
         }
     }
     let incremental = indexed_work(&churn) as f64 / ops as f64;
 
     let batch = MemorySink::new();
-    FirstFitEngine::new(EdfAdmission).run_with(&tasks, &platform, Augmentation::NONE, &batch);
+    FirstFitEngine::new(EdfAdmission).run(&tasks, &platform, Augmentation::NONE, &mut gas, &batch);
     let from_scratch = indexed_work(&batch) as f64;
     eprintln!(
         "churn: {incremental:.1} work per op ({} repacks) vs {from_scratch:.0} per \

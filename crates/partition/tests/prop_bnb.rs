@@ -276,7 +276,7 @@ fn brute_force<A: AdmissionTest>(tasks: &TaskSet, platform: &Platform, admission
 fn bnb_verdict<A: BnbAdmission>(tasks: &TaskSet, platform: &Platform, a: &A) -> ExactOutcome {
     ExactSolver::new(tasks, platform, a)
         .node_budget(1 << 22)
-        .solve()
+        .solve(&mut Gas::unlimited(), &())
 }
 
 fn assert_three_way_agreement<A: BnbAdmission>(
@@ -371,7 +371,7 @@ fn verdict_and_witness_deterministic_across_workers() {
                 ExactSolver::new(&tasks, &platform, &EdfAdmission)
                     .workers(w)
                     .node_budget(1 << 22)
-                    .solve()
+                    .solve(&mut Gas::unlimited(), &())
             })
             .collect();
         // Byte-identical outcomes, witness included — not just the verdict.
@@ -451,7 +451,7 @@ fn dfs_node_blowup_instances_stay_decided_under_bnb() {
         let platform = Platform::identical(m).unwrap();
         let bnb = ExactSolver::new(&tasks, &platform, &EdfAdmission)
             .node_budget(100_000)
-            .solve();
+            .solve(&mut Gas::unlimited(), &());
         assert_eq!(bnb, ExactOutcome::Infeasible, "m={m}");
         let dfs = exact_partition_dfs(
             &tasks,
@@ -473,7 +473,7 @@ fn huge_period_corpus_agrees_with_dfs() {
         for case in FaultPlan::new(seed).cases_of(FaultKind::HugePeriods) {
             let out = ExactSolver::new(&case.tasks, &case.platform, &EdfAdmission)
                 .node_budget(1 << 16)
-                .solve();
+                .solve(&mut Gas::unlimited(), &());
             let dfs = exact_partition_dfs(
                 &case.tasks,
                 &case.platform,
@@ -500,7 +500,8 @@ fn agrees_with_old_dfs_on_exhaustive_small_grid() {
                     let tasks = ts(&[a, b, c]);
                     let dfs =
                         exact_partition_dfs(&tasks, p, Augmentation::NONE, &EdfAdmission, 1 << 20);
-                    let bnb = ExactSolver::new(&tasks, p, &EdfAdmission).solve();
+                    let bnb = ExactSolver::new(&tasks, p, &EdfAdmission)
+                        .solve(&mut Gas::unlimited(), &());
                     assert_eq!(
                         dfs.is_feasible(),
                         bnb.is_feasible(),
@@ -525,7 +526,7 @@ fn gate_decides_n50_m8_where_old_dfs_exhausts() {
     let sink = MemorySink::new();
     let bnb = ExactSolver::new(&tasks, &p, &EdfAdmission)
         .node_budget(2_000_000)
-        .solve_with(&mut Gas::unlimited(), &sink);
+        .solve(&mut Gas::unlimited(), &sink);
     assert_eq!(bnb, ExactOutcome::Infeasible);
     assert!(
         sink.counter(m::BNB_NODES) < 200_000,
@@ -540,7 +541,7 @@ fn gate_decides_n50_m8_where_old_dfs_exhausts() {
     ] {
         let bnb = ExactSolver::new(&tasks, &p, &EdfAdmission)
             .node_budget(2_000_000)
-            .solve();
+            .solve(&mut Gas::unlimited(), &());
         assert!(bnb.is_decided(), "{name}: B&B exhausted 2M nodes");
         let dfs = exact_partition_dfs(&tasks, &p, Augmentation::NONE, &EdfAdmission, 2_000_000);
         if dfs.is_decided() {
@@ -565,7 +566,8 @@ fn rms_ll_solver_agrees_with_dfs() {
                         &RmsLlAdmission,
                         1 << 20,
                     );
-                    let bnb = ExactSolver::new(&tasks, &p, &RmsLlAdmission).solve();
+                    let bnb = ExactSolver::new(&tasks, &p, &RmsLlAdmission)
+                        .solve(&mut Gas::unlimited(), &());
                     assert_eq!(dfs.is_feasible(), bnb.is_feasible());
                     if let ExactOutcome::Feasible(w) = &bnb {
                         assert!(w.validate(&tasks, &p, 1.0, &RmsLlAdmission));
@@ -594,7 +596,7 @@ fn budgeted_dfs_and_bnb_agree_when_both_decide() {
         ("identical-util-9x4", &heavy_9, &p4, false),
         ("mixed-5x2", &mixed, &p12, true),
     ] {
-        let bnb = ExactSolver::new(tasks, p, &EdfAdmission).solve_within(&mut Gas::unlimited());
+        let bnb = ExactSolver::new(tasks, p, &EdfAdmission).solve(&mut Gas::unlimited(), &());
         let dfs = exact_partition_dfs_within(
             tasks,
             p,
@@ -628,7 +630,7 @@ fn budgeted_dfs_and_bnb_agree_when_both_decide() {
         "DFS refuted a feasible instance: {dfs:?}"
     );
     let ExactOutcome::Feasible(w) =
-        ExactSolver::new(&tasks, &p, &EdfAdmission).solve_within(&mut Gas::unlimited())
+        ExactSolver::new(&tasks, &p, &EdfAdmission).solve(&mut Gas::unlimited(), &())
     else {
         panic!("B&B must decide the triples instance feasible");
     };

@@ -118,22 +118,27 @@ fn apply_plain<A: IndexableAdmission>(
     ids: &mut Vec<TaskId>,
     snap: &mut Option<hetfeas_partition::IncrSnapshot<A>>,
 ) {
+    let gas = &mut Gas::unlimited();
     match op {
         Op::Add(w, p) => {
-            let out = eng
-                .add_within_with(task(w, p), &mut Gas::unlimited(), &())
-                .expect("unlimited gas");
+            let out = eng.add(task(w, p), gas, &()).expect("unlimited gas");
             if let Some(id) = out.id() {
                 ids.push(id);
             }
         }
         Op::Remove(k) => {
-            assert!(eng.remove(ids[k]).is_some());
+            assert!(eng
+                .remove(ids[k], gas, &())
+                .expect("unlimited gas")
+                .is_some());
         }
-        Op::Snapshot => *snap = Some(eng.snapshot()),
-        Op::Rollback => eng.rollback(snap.as_ref().expect("script snapshots first")),
+        Op::Snapshot => *snap = Some(eng.snapshot(gas, &()).expect("unlimited gas")),
+        Op::Rollback => {
+            let held = snap.as_ref().expect("script snapshots first");
+            eng.rollback(held, gas, &()).expect("unlimited gas");
+        }
         Op::Repack => {
-            eng.force_repack();
+            eng.repack(gas, &()).expect("unlimited gas");
         }
     }
 }

@@ -7,9 +7,10 @@ use hetfeas_model::rng::Gen;
 use hetfeas_model::{Augmentation, Platform, Task, TaskSet};
 use hetfeas_obs::MemorySink;
 use hetfeas_partition::{
-    first_fit, first_fit_instrumented, first_fit_with, metrics, min_feasible_alpha, EdfAdmission,
-    FirstFitEngine, RmsHyperbolicAdmission, RmsLlAdmission, ScanStats,
+    first_fit, first_fit_ordered, metrics, min_feasible_alpha, EdfAdmission, FirstFitEngine,
+    Outcome, RmsHyperbolicAdmission, RmsLlAdmission, ScanWorkspace,
 };
+use hetfeas_robust::Gas;
 
 fn menu_task(g: &mut Gen) -> Task {
     Task::implicit(g.range(1u64..=60), g.pick(&[10u64, 20, 25, 40, 50, 100])).unwrap()
@@ -27,6 +28,27 @@ fn alpha(g: &mut Gen) -> Augmentation {
     Augmentation::new(g.range(10u32..=40) as f64 / 10.0).unwrap()
 }
 
+/// The EDF reference scan, counting into `sink`.
+fn scan(ts: &TaskSet, p: &Platform, a: Augmentation, sink: &MemorySink) -> Outcome {
+    let (to, mo) = (
+        ts.order_by_decreasing_utilization(),
+        p.order_by_increasing_speed(),
+    );
+    let (ws, gas) = (&mut ScanWorkspace::new(), &mut Gas::unlimited());
+    first_fit_ordered(ts, p, a, &EdfAdmission, &to, &mo, ws, gas, sink)
+}
+
+/// The `ff.*` work counters a sink holds: admission checks, placed tasks,
+/// machines visited.
+fn ff_counts(sink: &MemorySink) -> [u64; 3] {
+    [
+        metrics::FF_ADMISSION_CHECKS,
+        metrics::FF_PLACED,
+        metrics::FF_MACHINES_VISITED,
+    ]
+    .map(|name| sink.counter(name))
+}
+
 properties! {
     // The engine is a drop-in replacement: identical Outcome — same
     // Assignment on success, same FailureWitness (failing task, its
@@ -35,7 +57,7 @@ properties! {
         let (ts, p, a) = (small_set(g, 16), small_platform(g), alpha(g));
         let mut engine = FirstFitEngine::new(EdfAdmission);
         assert_eq!(
-            engine.run(&ts, &p, a),
+            engine.run(&ts, &p, a, &mut Gas::unlimited(), &()),
             first_fit(&ts, &p, a, &EdfAdmission),
             "EDF engine/reference diverge on {} / {} at {}", ts, p, a
         );
@@ -47,7 +69,7 @@ properties! {
         let (ts, p, a) = (small_set(g, 16), small_platform(g), alpha(g));
         let mut engine = FirstFitEngine::new(RmsLlAdmission);
         assert_eq!(
-            engine.run(&ts, &p, a),
+            engine.run(&ts, &p, a, &mut Gas::unlimited(), &()),
             first_fit(&ts, &p, a, &RmsLlAdmission),
             "RMS-LL engine/reference diverge on {} / {} at {}", ts, p, a
         );
@@ -58,7 +80,7 @@ properties! {
         let (ts, p, a) = (small_set(g, 16), small_platform(g), alpha(g));
         let mut engine = FirstFitEngine::new(RmsHyperbolicAdmission);
         assert_eq!(
-            engine.run(&ts, &p, a),
+            engine.run(&ts, &p, a, &mut Gas::unlimited(), &()),
             first_fit(&ts, &p, a, &RmsHyperbolicAdmission),
             "hyperbolic engine/reference diverge on {} / {} at {}", ts, p, a
         );
@@ -71,47 +93,49 @@ properties! {
         let (warmup, ts, wp, p, a) =
             (small_set(g, 16), small_set(g, 16), small_platform(g), small_platform(g), alpha(g));
         let mut fresh = FirstFitEngine::new(EdfAdmission);
-        let expected = fresh.run(&ts, &p, a);
+        let expected = fresh.run(&ts, &p, a, &mut Gas::unlimited(), &());
         let mut warmed = FirstFitEngine::new(EdfAdmission);
-        warmed.run(&warmup, &wp, a);
-        assert_eq!(warmed.run(&ts, &p, a), expected);
+        warmed.run(&warmup, &wp, a, &mut Gas::unlimited(), &());
+        assert_eq!(warmed.run(&ts, &p, a, &mut Gas::unlimited(), &()), expected);
     }
 
-    // Differential counter test: the instrumented scan, a plain scan run
-    // against a MemorySink, and the indexed engine (whose ff.* counters are
-    // derived scan-equivalently from its placements) must all report the
-    // same admission_checks / placed / machines_visited on the same
-    // instance — and of course the same outcome.
+    // Differential counter test: the reference scan run against a
+    // MemorySink and the indexed engine (whose ff.* counters are derived
+    // scan-equivalently from its placements) must report the same
+    // admission_checks / placed / machines_visited on the same instance —
+    // and, like the unmetered scan, the same outcome.
     fn counters_agree_across_implementations(g) {
         let (ts, p, a) = (small_set(g, 16), small_platform(g), alpha(g));
-        let (ref_out, ref_stats) = first_fit_instrumented(&ts, &p, a, &EdfAdmission);
-
         let scan_sink = MemorySink::new();
-        let scan_out = first_fit_with(&ts, &p, a, &EdfAdmission, &scan_sink);
+        let ref_out = scan(&ts, &p, a, &scan_sink);
+        let ref_stats = ff_counts(&scan_sink);
+
+        let scan_out = first_fit(&ts, &p, a, &EdfAdmission);
         assert_eq!(&scan_out, &ref_out);
-        assert_eq!(ScanStats::from_sink(&scan_sink), ref_stats);
 
         let engine_sink = MemorySink::new();
         let mut engine = FirstFitEngine::new(EdfAdmission);
-        let engine_out = engine.run_with(&ts, &p, a, &engine_sink);
+        let engine_out = engine.run(&ts, &p, a, &mut Gas::unlimited(), &engine_sink);
         assert_eq!(&engine_out, &ref_out);
-        assert_eq!(ScanStats::from_sink(&engine_sink), ref_stats);
+        assert_eq!(ff_counts(&engine_sink), ref_stats);
 
         // The engine's own work counters stay within the scan's budget:
         // every exact check corresponds to at most one reference check.
         assert!(
-            engine_sink.counter(metrics::ENGINE_EXACT_CHECKS) <= ref_stats.admission_checks,
+            engine_sink.counter(metrics::ENGINE_EXACT_CHECKS) <= ref_stats[0],
             "engine did more exact checks than the scan on {} / {} at {}", ts, p, a
         );
     }
 
-    // Warm-started α-search agrees with the reference bisection up to the
-    // tolerance (different probe sequences can land on different sides of
-    // the same threshold, hence 2·tol).
+    // The engine's α-search agrees with the reference bisection: it probes
+    // the same α sequence and each probe's verdict is the scan's. The
+    // check below allows 2·tol of slack.
     fn engine_alpha_search_matches_reference(g) {
         let (ts, p) = (small_set(g, 12), small_platform(g));
         let mut engine = FirstFitEngine::new(EdfAdmission);
-        let warm = engine.min_feasible_alpha(&ts, &p, 8.0, 1e-6);
+        let warm = engine
+            .min_feasible_alpha(&ts, &p, 8.0, 1e-6, &mut Gas::unlimited(), &())
+            .expect("unlimited gas cannot exhaust");
         let cold = min_feasible_alpha(&ts, &p, &EdfAdmission, 8.0, 1e-6);
         match (warm, cold) {
             (Some(w), Some(c)) => assert!(
@@ -133,9 +157,15 @@ fn engine_tie_breaking_is_deterministic() {
     let tasks = TaskSet::from_pairs([(1, 2), (2, 4), (3, 6)]).unwrap();
     let p = Platform::from_int_speeds([1, 1, 1]).unwrap();
     let mut engine = FirstFitEngine::new(EdfAdmission);
-    let a1 = engine.run(&tasks, &p, Augmentation::NONE);
-    let a2 = engine.run(&tasks, &p, Augmentation::NONE);
-    let a3 = FirstFitEngine::new(EdfAdmission).run(&tasks, &p, Augmentation::NONE);
+    let a1 = engine.run(&tasks, &p, Augmentation::NONE, &mut Gas::unlimited(), &());
+    let a2 = engine.run(&tasks, &p, Augmentation::NONE, &mut Gas::unlimited(), &());
+    let a3 = FirstFitEngine::new(EdfAdmission).run(
+        &tasks,
+        &p,
+        Augmentation::NONE,
+        &mut Gas::unlimited(),
+        &(),
+    );
     let reference = first_fit(&tasks, &p, Augmentation::NONE, &EdfAdmission);
     assert_eq!(a1, a2);
     assert_eq!(a1, a3);

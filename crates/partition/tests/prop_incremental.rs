@@ -21,8 +21,13 @@ use hetfeas_model::rng::Rng;
 use hetfeas_model::{Augmentation, Platform, Task};
 use hetfeas_partition::{
     first_fit_ordered, Assignment, EdfAdmission, IncrementalEngine, IndexableAdmission, Outcome,
-    RepackOutcome, RepairPolicy, RmsLlAdmission, TaskId,
+    RepackOutcome, RepairPolicy, RmsLlAdmission, ScanWorkspace, TaskId,
 };
+use hetfeas_robust::Gas;
+
+/// These properties are about state, not budgets: every op runs on
+/// unlimited gas, which cannot exhaust.
+const GAS: &str = "unlimited gas cannot exhaust";
 
 /// Dense per-task placement vector for byte-identical comparisons.
 fn placements(a: &Assignment, n: usize) -> Vec<Option<usize>> {
@@ -65,11 +70,15 @@ fn churn<A: IndexableAdmission>(
     ops: usize,
 ) -> Vec<TaskId> {
     let mut live: Vec<TaskId> = Vec::new();
+    let gas = &mut Gas::unlimited();
     for _ in 0..ops {
         if !live.is_empty() && rng.below(3) == 0 {
             let victim = live.swap_remove(rng.below(live.len() as u64) as usize);
-            assert!(eng.remove(victim).is_some(), "live id removes");
-        } else if let Some(id) = eng.add(random_task(rng)).id() {
+            assert!(
+                eng.remove(victim, gas, &()).expect(GAS).is_some(),
+                "live id removes"
+            );
+        } else if let Some(id) = eng.add(random_task(rng), gas, &()).expect(GAS).id() {
             live.push(id);
         }
     }
@@ -85,7 +94,7 @@ fn check_repack_equivalence<A: IndexableAdmission>(admission: A, seed: u64) {
     let mut eng = IncrementalEngine::new(admission, &platform, alpha);
     churn(&mut rng, &mut eng, 60);
     let survivors = eng.live_tasks();
-    match eng.force_repack() {
+    match eng.repack(&mut Gas::unlimited(), &()).expect(GAS) {
         RepackOutcome::Repacked => {}
         RepackOutcome::Infeasible => return, // nothing to compare against
     }
@@ -100,6 +109,9 @@ fn check_repack_equivalence<A: IndexableAdmission>(admission: A, seed: u64) {
         eng.admission(),
         &task_order,
         &machine_order,
+        &mut ScanWorkspace::new(),
+        &mut Gas::unlimited(),
+        &(),
     );
     let Outcome::Feasible(expect) = batch else {
         panic!("repack said feasible but batch disagrees (seed {seed})");
@@ -134,19 +146,20 @@ fn check_rollback_restores<A: IndexableAdmission>(admission: A, seed: u64) {
     let platform = random_platform(&mut rng, 5);
     let mut eng = IncrementalEngine::new(admission, &platform, Augmentation::NONE);
     churn(&mut rng, &mut eng, 30);
-    let snap = eng.snapshot();
+    let gas = &mut Gas::unlimited();
+    let snap = eng.snapshot(gas, &()).expect(GAS);
     let saved = observe(&eng);
 
     // Speculative phase: more churn, maybe a repack.
     churn(&mut rng, &mut eng, 25);
     if rng.below(2) == 0 {
-        let _ = eng.force_repack();
+        let _ = eng.repack(gas, &());
     }
 
-    eng.rollback(&snap);
+    eng.rollback(&snap, gas, &()).expect(GAS);
     assert_eq!(observe(&eng), saved, "rollback drifted (seed {seed})");
     // Idempotent: rolling back again changes nothing.
-    eng.rollback(&snap);
+    eng.rollback(&snap, gas, &()).expect(GAS);
     assert_eq!(
         observe(&eng),
         saved,
@@ -155,12 +168,13 @@ fn check_rollback_restores<A: IndexableAdmission>(admission: A, seed: u64) {
 
     // The restored engine still behaves like a fresh engine in that
     // canonical state: adds after rollback work.
-    let _ = eng.add(random_task(&mut rng));
+    let _ = eng.add(random_task(&mut rng), gas, &());
 
     // And removing every live task drains it to empty, every machine
     // back to zero load.
     for id in eng.live_ids() {
-        assert!(eng.remove(id).is_some(), "live id removes (seed {seed})");
+        let removed = eng.remove(id, gas, &()).expect(GAS);
+        assert!(removed.is_some(), "live id removes (seed {seed})");
     }
     assert!(eng.is_empty(), "drained engine is empty (seed {seed})");
     assert!(
@@ -195,7 +209,7 @@ fn sorted_appends_stay_canonical_and_match_batch() {
         tasks.sort_by_key(|t| std::cmp::Reverse(t.utilization_ratio()));
         let mut eng = IncrementalEngine::new(EdfAdmission, &platform, Augmentation::NONE);
         for &t in &tasks {
-            let _ = eng.add(t);
+            let _ = eng.add(t, &mut Gas::unlimited(), &());
         }
         assert!(
             eng.is_canonical(),
@@ -213,6 +227,9 @@ fn sorted_appends_stay_canonical_and_match_batch() {
             &EdfAdmission,
             &task_order,
             &machine_order,
+            &mut ScanWorkspace::new(),
+            &mut Gas::unlimited(),
+            &(),
         ) {
             let n = survivors.len();
             assert_eq!(
@@ -240,8 +257,9 @@ fn heavier_append_near_u64_max_is_not_canonical() {
         Augmentation::NONE,
         RepairPolicy::never(),
     );
-    assert!(eng.add(lighter).is_admitted());
-    assert!(eng.add(heavier).is_admitted());
+    let gas = &mut Gas::unlimited();
+    assert!(eng.add(lighter, gas, &()).expect(GAS).is_admitted());
+    assert!(eng.add(heavier, gas, &()).expect(GAS).is_admitted());
     let survivors = eng.live_tasks();
     let batch = first_fit_ordered(
         &survivors,
@@ -250,6 +268,9 @@ fn heavier_append_near_u64_max_is_not_canonical() {
         &EdfAdmission,
         &survivors.order_by_decreasing_utilization(),
         &platform.order_by_increasing_speed(),
+        &mut ScanWorkspace::new(),
+        gas,
+        &(),
     );
     let Outcome::Feasible(expect) = batch else {
         panic!("two unit tasks fit two unit machines");
@@ -257,6 +278,6 @@ fn heavier_append_near_u64_max_is_not_canonical() {
     assert_ne!(placements(&eng.assignment(), 2), placements(&expect, 2));
     assert!(!eng.is_canonical(), "out-of-order add kept canonicality");
     assert_eq!(eng.divergence(), 1);
-    assert_eq!(eng.force_repack(), RepackOutcome::Repacked);
+    assert_eq!(eng.repack(gas, &()), Ok(RepackOutcome::Repacked));
     assert_eq!(placements(&eng.assignment(), 2), placements(&expect, 2));
 }

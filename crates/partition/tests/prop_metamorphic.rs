@@ -7,6 +7,7 @@
 use hetfeas_model::rng::Rng;
 use hetfeas_model::{Augmentation, Platform, Task, TaskSet};
 use hetfeas_partition::{first_fit, EdfAdmission, FirstFitEngine, Outcome, RmsLlAdmission};
+use hetfeas_robust::Gas;
 
 /// Random instance: up to `max_n` tasks off a shared period menu, up to
 /// `max_m` machines with small integer speeds.
@@ -145,25 +146,26 @@ fn engine_reuse_is_idempotent_across_workspaces() {
         let (ts, p) = build(&tasks, &speeds);
         let (other_tasks, other_speeds) = instance(&mut rng, 16, 3);
         let (ts2, p2) = build(&other_tasks, &other_speeds);
+        let gas = &mut Gas::unlimited();
         for a in alphas() {
-            let first_edf = edf.run(&ts, &p, a);
-            let first_rms = rms.run(&ts, &p, a);
+            let first_edf = edf.run(&ts, &p, a, gas, &());
+            let first_rms = rms.run(&ts, &p, a, gas, &());
             // Warm both workspaces on an unrelated instance, then repeat.
-            edf.run(&ts2, &p2, a);
-            rms.run(&ts2, &p2, a);
+            edf.run(&ts2, &p2, a, gas, &());
+            rms.run(&ts2, &p2, a, gas, &());
             assert_eq!(
-                edf.run(&ts, &p, a),
+                edf.run(&ts, &p, a, gas, &()),
                 first_edf,
                 "round {round}: EDF engine leaked state"
             );
             assert_eq!(
-                rms.run(&ts, &p, a),
+                rms.run(&ts, &p, a, gas, &()),
                 first_rms,
                 "round {round}: RMS engine leaked state"
             );
             // And a cold engine agrees with the warmed one.
             assert_eq!(
-                FirstFitEngine::new(EdfAdmission).run(&ts, &p, a),
+                FirstFitEngine::new(EdfAdmission).run(&ts, &p, a, gas, &()),
                 first_edf,
                 "round {round}: cold/warm EDF engines diverge"
             );

@@ -10,6 +10,7 @@ use hetfeas_partition::{
     min_feasible_alpha, partition_with, semi_partition, EdfAdmission, ExactOutcome, FitStrategy,
     HeuristicConfig, Outcome, RmsLlAdmission,
 };
+use hetfeas_robust::Gas;
 
 fn menu_task(g: &mut Gen) -> Task {
     Task::implicit(g.range(1u64..=60), g.pick(&[10u64, 20, 25, 40, 50, 100])).unwrap()
@@ -209,7 +210,7 @@ properties! {
     // accepts, so in practice they coincide).
     fn rational_oracle_matches_f64(g) {
         let (ts, p) = (small_set(g, 9), small_platform(g));
-        let rational = exact_partition_edf_rational(&ts, &p, 2_000_000);
+        let rational = exact_partition_edf_rational(&ts, &p, 2_000_000, &mut Gas::unlimited());
         let float = exact_partition_edf(&ts, &p, 2_000_000);
         assume(rational.is_decided() && float.is_decided())?;
         assert_eq!(

@@ -26,13 +26,15 @@ impl PanicReport {
     pub const CELL: &'static str = "✗panic";
 }
 
-/// Run `f`, converting a panic into `Err(PanicReport)`.
+/// Run `f`, converting a panic into `Err(PanicReport)` and a
+/// `robust.panics` increment in `sink`.
 ///
 /// `AssertUnwindSafe` is deliberate: the closures guarded here construct
 /// their state internally (a sweep cell rebuilds its instance from config),
 /// so observing broken invariants after an unwind is not possible.
-pub fn guard<R>(f: impl FnOnce() -> R) -> Result<R, PanicReport> {
+pub fn guard<S: MetricsSink, R>(sink: &S, f: impl FnOnce() -> R) -> Result<R, PanicReport> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        sink.counter_add(ROBUST_PANICS, 1);
         let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
             (*s).to_string()
         } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -44,16 +46,6 @@ pub fn guard<R>(f: impl FnOnce() -> R) -> Result<R, PanicReport> {
     })
 }
 
-/// [`guard`], plus a `robust.panics` counter increment when a panic is
-/// caught.
-pub fn guard_with<S: MetricsSink, R>(sink: &S, f: impl FnOnce() -> R) -> Result<R, PanicReport> {
-    let out = guard(f);
-    if out.is_err() {
-        sink.counter_add(ROBUST_PANICS, 1);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,28 +53,28 @@ mod tests {
 
     #[test]
     fn ok_results_pass_through() {
-        assert_eq!(guard(|| 41 + 1), Ok(42));
+        assert_eq!(guard(&(), || 41 + 1), Ok(42));
     }
 
     #[test]
     fn str_panics_are_captured() {
-        let err = guard(|| -> () { panic!("boom") }).unwrap_err();
+        let err = guard(&(), || -> () { panic!("boom") }).unwrap_err();
         assert_eq!(err.message, "boom");
     }
 
     #[test]
     fn formatted_panics_are_captured() {
-        let err = guard(|| -> () { panic!("bad value {}", 7) }).unwrap_err();
+        let err = guard(&(), || -> () { panic!("bad value {}", 7) }).unwrap_err();
         assert_eq!(err.message, "bad value 7");
     }
 
     #[test]
     fn guard_with_counts_panics() {
         let sink = MemorySink::new();
-        assert_eq!(guard_with(&sink, || 1), Ok(1));
+        assert_eq!(guard(&sink, || 1), Ok(1));
         assert_eq!(sink.counter(ROBUST_PANICS), 0);
-        let _ = guard_with(&sink, || -> () { panic!("x") });
-        let _ = guard_with(&sink, || -> () { panic!("y") });
+        let _ = guard(&sink, || -> () { panic!("x") });
+        let _ = guard(&sink, || -> () { panic!("y") });
         assert_eq!(sink.counter(ROBUST_PANICS), 2);
     }
 

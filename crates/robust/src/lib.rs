@@ -46,7 +46,7 @@ pub mod metrics;
 pub use backoff::Backoff;
 pub use budget::{Budget, Exhaustion, Gas, SharedBudget, SharedGas};
 pub use fault::{FaultCase, FaultKind, FaultPlan};
-pub use firewall::{guard, guard_with, PanicReport};
+pub use firewall::{guard, PanicReport};
 pub use journal::{
     atomic_write, crc32, FaultFs, FaultScript, FileStorage, Journal, JournalError, MemStorage,
     Storage, TailReport,

@@ -508,7 +508,7 @@ fn boot(ctx: &WorkerCtx, incarnation: u32) -> Result<TenantEngine, BootError> {
         JournalError::Io(m) => BootError::Retry(format!("journal IO: {m}")),
         JournalError::Exhausted(x) => BootError::Retry(format!("boot gas exhausted ({x:?})")),
     };
-    let guarded = firewall::guard_with(sink, || {
+    let guarded = firewall::guard(sink, || {
         let mut store = (ctx.spec.factory)(incarnation);
         let empty = with_retries(&mut gas, sink, || store.read_all())
             .map_err(retry_io)?
@@ -888,7 +888,7 @@ pub(crate) fn run(ctx: WorkerCtx) {
                     Response::Done
                 }
                 Request::InjectPanic => {
-                    let poisoned = firewall::guard_with(&*sink, || {
+                    let poisoned = firewall::guard(&*sink, || {
                         panic!("injected shard panic");
                     });
                     debug_assert!(poisoned.is_err());
@@ -901,9 +901,7 @@ pub(crate) fn run(ctx: WorkerCtx) {
                 }
                 Request::Op(op) => {
                     let mut gas = op_gas(&ctx.spec);
-                    match firewall::guard_with(&*sink, || {
-                        apply_op(eng, op, env.rid, &mut gas, &*sink)
-                    }) {
+                    match firewall::guard(&*sink, || apply_op(eng, op, env.rid, &mut gas, &*sink)) {
                         Ok(Ok(resp)) => resp,
                         Ok(Err(e)) => {
                             sink.counter_add(metrics::SERVICE_OP_ERRORS, 1);
@@ -945,7 +943,7 @@ pub(crate) fn run(ctx: WorkerCtx) {
         let barrier = match engine.as_mut() {
             Some(e) => {
                 let mut gas = op_gas(&ctx.spec);
-                firewall::guard_with(&*sink, || e.sync(&mut gas, &*sink)).unwrap_or_else(|report| {
+                firewall::guard(&*sink, || e.sync(&mut gas, &*sink)).unwrap_or_else(|report| {
                     let m = format!("panic during barrier: {}", report.message);
                     Err(DurableError::Io(m))
                 })

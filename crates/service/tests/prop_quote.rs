@@ -50,13 +50,17 @@ fn quote_alpha(
         if eng.import_state(state).is_err() {
             return false;
         }
-        let snap = eng.snapshot_with(&());
+        let gas = &mut Gas::unlimited();
+        let snap = eng
+            .snapshot(gas, &())
+            .expect("unlimited gas cannot exhaust");
         let admitted = matches!(
-            eng.add_within_with(task, &mut Gas::unlimited(), &())
+            eng.add(task, gas, &())
                 .expect("unlimited gas cannot exhaust"),
             AddOutcome::Admitted { .. }
         );
-        eng.rollback_with(&snap, &());
+        eng.rollback(&snap, gas, &())
+            .expect("unlimited gas cannot exhaust");
         admitted
     }
 

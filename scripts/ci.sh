@@ -9,14 +9,17 @@
 #   4. the tier-1 command, `cargo build --release && cargo test -q` —
 #      every unit, integration, property and doc test, including the
 #      counted-work and peak-memory checks that stand in for timing gates;
-#   5. scripts/fault_smoke.sh — the adversarial corpus and budgeted
+#   5. `run-experiments all --workers 1` — every committed `results/*.csv`
+#      is reproduced byte for byte, except E6's timing tables (`e6_0`,
+#      `e6_1`, `e6_3`);
+#   6. scripts/fault_smoke.sh — the adversarial corpus and budgeted
 #      degradation through the CLI, and a killed sweep resuming from its
 #      checkpoint;
-#   6. scripts/crash_smoke.sh — journal IO faults and crashes at many
+#   7. scripts/crash_smoke.sh — journal IO faults and crashes at many
 #      byte offsets, each recovered bit-exactly by `hetfeas recover`;
-#   7. scripts/chaos_smoke.sh — service fault storms, network chaos with
+#   8. scripts/chaos_smoke.sh — service fault storms, network chaos with
 #      exactly-once verdicts, and kill -9 restarts of a live server;
-#   8. `perfbench/run.py --self-test` — the end-to-end benchmark still
+#   9. `perfbench/run.py --self-test` — the end-to-end benchmark still
 #      builds against the library and its harness tests pass.
 #
 # Wall-clock performance is measured only by perfbench (BENCHMARK.json).
@@ -32,6 +35,17 @@ echo "== cargo doc (rustdoc warnings denied)" >&2
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== tier-1: cargo build --release && cargo test -q" >&2
 cargo build --release && cargo test -q
+echo "== experiments reproduce results/*.csv" >&2
+csv_dir=$(mktemp -d)
+trap 'rm -rf "$csv_dir"' EXIT
+target/release/run-experiments all --workers 1 --csv "$csv_dir" >/dev/null
+for committed in results/*.csv; do
+    name=$(basename "$committed")
+    case "$name" in
+    e6_0.csv | e6_1.csv | e6_3.csv) continue ;; # wall-clock timings
+    esac
+    cmp "$committed" "$csv_dir/$name"
+done
 echo "== fault-injection smoke" >&2
 HETFEAS_BIN=target/release/hetfeas \
     RUN_EXPERIMENTS_BIN=target/release/run-experiments \

@@ -112,8 +112,8 @@
 
 use hetfeas::analysis;
 use hetfeas::experiments::{
-    combine_digests, replay_instance, replay_ops, replay_sharded, replay_stream_with, ReplayError,
-    ReplayMode, ReplayStats, Sharding,
+    combine_digests, replay_instance, replay_ops, replay_sharded, replay_stream_with,
+    InstanceOutcome, ReplayError, ReplayMode, ReplayStats, Sharding,
 };
 use hetfeas::lp::{level_scaling_factor, lp_feasible};
 use hetfeas::model::{
@@ -124,15 +124,14 @@ use hetfeas::model::{
 use hetfeas::obs::{Json, MemorySink, MetricsSink, RunReport};
 use hetfeas::par::{default_workers, Progress};
 use hetfeas::partition::{
-    exact_partition_edf, exact_partition_edf_degraded_workers, exact_partition_rms,
-    first_fit_ordered_within_with, lp_feasible_degraded, min_feasible_alpha_within_with,
-    peek_config, recover, with_admission, Assignment, DurableEngine, DurableOptions, ExactOutcome,
-    FirstFitEngine, IndexableAdmission, LadderVerdict, Outcome, PolicyKind, RecoverError,
-    RmsRtaAdmission,
+    bisect_alpha, exact_partition_edf, exact_partition_edf_degraded, exact_partition_rms,
+    first_fit_ordered, lp_feasible_degraded, peek_config, recover, with_admission, Assignment,
+    DurableEngine, DurableOptions, ExactOutcome, FirstFitEngine, IndexableAdmission, LadderVerdict,
+    Outcome, PolicyKind, RecoverError, RmsRtaAdmission, ScanWorkspace,
 };
 use hetfeas::robust::metrics::{ROBUST_FAULTS_INJECTED, ROBUST_PANICS};
 use hetfeas::robust::{
-    guard_with, Budget, FaultFs, FaultPlan, FaultScript, FileStorage, Gas, PanicReport, Storage,
+    guard, Budget, FaultFs, FaultPlan, FaultScript, FileStorage, Gas, PanicReport, Storage,
 };
 use hetfeas::sim::{validate_assignment_within, ReleasePattern, SchedPolicy};
 use hetfeas::workload::{
@@ -204,15 +203,16 @@ fn run_ff_within<S: MetricsSink>(
     let (tasks, platform) = (&sys.tasks, &sys.platform);
     match policy.0 {
         Some(kind) => with_admission!(kind, adm => {
-            FirstFitEngine::new(adm).run_within_with(tasks, platform, alpha, gas, sink)
+            FirstFitEngine::new(adm).run(tasks, platform, alpha, gas, sink)
         }),
-        None => first_fit_ordered_within_with(
+        None => first_fit_ordered(
             tasks,
             platform,
             alpha,
             &RmsRtaAdmission,
             &tasks.order_by_decreasing_utilization(),
             &platform.order_by_increasing_speed(),
+            &mut ScanWorkspace::new(),
             gas,
             sink,
         ),
@@ -222,7 +222,7 @@ fn run_ff_within<S: MetricsSink>(
 /// Smallest α in `[1, hi]` at which the chosen test accepts the system,
 /// metered by `sink` and bounded by `gas` — `Err` means the budget ran out
 /// before the search converged. The indexable admissions use the engine's
-/// warm-started search, exact RTA the reference bisection.
+/// sort-once search, exact RTA the reference bisection.
 fn min_alpha_within<S: MetricsSink>(
     sys: &System,
     policy: Policy,
@@ -234,10 +234,8 @@ fn min_alpha_within<S: MetricsSink>(
     let (tasks, platform) = (&sys.tasks, &sys.platform);
     match policy.0 {
         Some(kind) => with_admission!(kind, adm => FirstFitEngine::new(adm)
-            .min_feasible_alpha_within_with(tasks, platform, hi, TOL, gas, sink)),
-        None => {
-            min_feasible_alpha_within_with(tasks, platform, &RmsRtaAdmission, hi, TOL, gas, sink)
-        }
+            .min_feasible_alpha(tasks, platform, hi, TOL, gas, sink)),
+        None => bisect_alpha(tasks, platform, &RmsRtaAdmission, hi, TOL, gas, sink),
     }
 }
 
@@ -538,7 +536,7 @@ fn cmd_check_exact(c: &Common, sys: &System) -> Result<ExitCode, String> {
     let sink = MemorySink::new();
     let ladder = {
         let _t = sink.timer("phase.exact_ladder");
-        exact_partition_edf_degraded_workers(
+        exact_partition_edf_degraded(
             &sys.tasks,
             &sys.platform,
             node_budget,
@@ -872,9 +870,9 @@ fn cmd_faults(c: &Common) -> Result<ExitCode, String> {
     let mut worst = ExitCode::SUCCESS;
     for case in &cases {
         sink.counter_add(ROBUST_FAULTS_INJECTED, 1);
-        let verdicts = guard_with(&sink, || {
+        let verdicts = guard(&sink, || {
             let mut gas = Budget::wall_ms(per_case_ms).gas();
-            let exact = exact_partition_edf_degraded_workers(
+            let exact = exact_partition_edf_degraded(
                 &case.tasks,
                 &case.platform,
                 200_000,
@@ -1017,13 +1015,11 @@ impl OpsInput {
     }
 }
 
-/// Each replayed instance's name and outcome, in trace order.
-type Replayed = Vec<(String, Result<(ReplayStats, u32), ReplayError>)>;
-
 /// Replay every instance of `input` under `adm`: on a [`DurableEngine`]
-/// over the `--journal` file, else on a fresh `mode` engine each. A
-/// sharded text run reports every instance's outcome; a streamed or
-/// journaled run stops at its first error.
+/// over the `--journal` file, else on a fresh `mode` engine each. Each
+/// instance's name and outcome comes back in trace order; an instance
+/// that ran out of `--budget-ms` is reported on its own and the replay
+/// goes on. A journaled run stops at its first error.
 #[allow(clippy::too_many_arguments)]
 fn ops_replay<A, S>(
     c: &Common,
@@ -1033,12 +1029,11 @@ fn ops_replay<A, S>(
     alpha: Augmentation,
     workers: usize,
     sink: &S,
-) -> Result<Replayed, ReplayError>
+) -> Result<Vec<InstanceOutcome>, ReplayError>
 where
     A: IndexableAdmission + Copy + Sync,
     S: MetricsSink + Sync,
 {
-    let mut gas = gas_for(c);
     let mut store = c.journal.as_deref().map(journal_store);
     let mut journaled = |platform: &Platform, gas: &mut Gas| {
         let store = store.take().ok_or_else(|| ReplayError::Trace {
@@ -1048,12 +1043,13 @@ where
         DurableEngine::create(adm, platform, alpha, durable_opts(c), store, gas, sink)
             .map_err(|e| ReplayError::at(0, e))
     };
-    let summaries = match input {
+    match input {
         OpsInput::Text(trace) if c.journal.is_some() => {
+            let mut gas = gas_for(c);
             let inst = &trace.instances[0];
             let eng = journaled(&inst.platform, &mut gas)?;
             let out = replay_ops(eng, inst.ops.iter().copied(), &mut gas, sink)?;
-            return Ok(vec![(inst.name.clone(), Ok(out))]);
+            Ok(vec![(inst.name.clone(), Ok(out))])
         }
         OpsInput::Text(trace) => {
             let progress = Progress::new(trace.instances.len() as u64);
@@ -1064,21 +1060,22 @@ where
             };
             let results = replay_sharded(trace, adm, alpha, mode, sharding, sink);
             let names = trace.instances.iter().map(|i| i.name.clone());
-            return Ok(names.zip(results).collect());
+            Ok(names.zip(results).collect())
         }
         OpsInput::Binary { stream, .. } if c.journal.is_some() => {
-            replay_stream_with(stream, &mut gas, |platform, ops, gas| {
+            let done = replay_stream_with(stream, c.budget_ms, |platform, ops, gas| {
                 replay_ops(journaled(platform, gas)?, ops, gas, sink)
-            })
+            })?;
+            done.into_iter()
+                .map(|(name, r)| Ok((name, Ok(r?))))
+                .collect()
         }
         OpsInput::Binary { stream, .. } => {
-            replay_stream_with(stream, &mut gas, |platform, ops, gas| {
+            replay_stream_with(stream, c.budget_ms, |platform, ops, gas| {
                 replay_instance(adm, platform, ops, alpha, mode, gas, sink)
             })
         }
-    }?;
-    let done = summaries.into_iter();
-    Ok(done.map(|s| (s.name, Ok((s.stats, s.digest)))).collect())
+    }
 }
 
 /// `hetfeas ops`: replay an op trace through the online admission engine,

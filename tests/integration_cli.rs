@@ -1,8 +1,9 @@
 //! End-to-end tests of the `hetfeas` CLI binary.
 
 use hetfeas::model::{parse_system, Augmentation};
-use hetfeas::obs::json;
-use hetfeas::partition::{first_fit_instrumented, EdfAdmission};
+use hetfeas::obs::{json, MemorySink};
+use hetfeas::partition::{first_fit_ordered, EdfAdmission, ScanWorkspace};
+use hetfeas::robust::Gas;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -199,21 +200,28 @@ fn report_flag_writes_wellformed_json_and_round_trips_counters() {
     // Acceptance criterion: the reported admission-check counter equals
     // the instrumented in-process run on the same system.
     let parsed = parse_system(FEASIBLE).unwrap();
-    let (_, stats) = first_fit_instrumented(
-        &parsed.tasks,
-        &parsed.platform,
+    let (tasks, platform) = (&parsed.tasks, &parsed.platform);
+    let stats = MemorySink::new();
+    first_fit_ordered(
+        tasks,
+        platform,
         Augmentation::NONE,
         &EdfAdmission,
+        &tasks.order_by_decreasing_utilization(),
+        &platform.order_by_increasing_speed(),
+        &mut ScanWorkspace::new(),
+        &mut Gas::unlimited(),
+        &stats,
     );
     let counters = v.get("counters").unwrap();
     assert_eq!(
         counters.get("ff.admission_checks").unwrap().as_u64(),
-        Some(stats.admission_checks),
+        Some(stats.counter("ff.admission_checks")),
         "reported counters diverge from the instrumented scan"
     );
     assert_eq!(
         counters.get("ff.placed").unwrap().as_u64(),
-        Some(stats.placed)
+        Some(stats.counter("ff.placed"))
     );
 
     // The partition phase timer fired exactly once.

@@ -12,9 +12,10 @@ use hetfeas::lp::lp_feasible;
 use hetfeas::model::{Augmentation, Platform, Ratio, TaskSet};
 use hetfeas::obs::MemorySink;
 use hetfeas::partition::{
-    exact_partition_edf, exact_partition_rms, first_fit, first_fit_instrumented, EdfAdmission,
-    FirstFitEngine, RmsLlAdmission, ScanStats,
+    exact_partition_edf, exact_partition_rms, first_fit, first_fit_ordered, EdfAdmission,
+    FirstFitEngine, RmsLlAdmission, ScanWorkspace,
 };
+use hetfeas::robust::Gas;
 use hetfeas::sim::{level_schedulable, validate_assignment, SchedPolicy};
 
 fn all_tasksets(max_n: usize) -> Vec<TaskSet> {
@@ -191,16 +192,31 @@ fn exhaustive_theorem_constants_wide_grid() {
             // Counter conformance rides the same sweep: the scan does at
             // most n·m admission checks and places at most n tasks, and
             // the engine's derived counters match the scan exactly.
-            let (outcome, stats) =
-                first_fit_instrumented(ts, &platform, Augmentation::NONE, &EdfAdmission);
-            let worst = ScanStats::worst_case(ts.len(), platform.len());
-            assert!(stats.admission_checks <= worst, "{ts} / {platform}");
-            assert!(stats.placed <= ts.len() as u64, "{ts} / {platform}");
-            let sink = MemorySink::new();
-            let engine_outcome = FirstFitEngine::new(EdfAdmission).run_with(
+            let stats = MemorySink::new();
+            let outcome = first_fit_ordered(
                 ts,
                 &platform,
                 Augmentation::NONE,
+                &EdfAdmission,
+                &ts.order_by_decreasing_utilization(),
+                &platform.order_by_increasing_speed(),
+                &mut ScanWorkspace::new(),
+                &mut Gas::unlimited(),
+                &stats,
+            );
+            let ff = |s: &MemorySink| {
+                ["ff.admission_checks", "ff.placed", "ff.machines_visited"].map(|k| s.counter(k))
+            };
+            let [checks, placed, _] = ff(&stats);
+            let worst = ts.len() as u64 * platform.len() as u64;
+            assert!(checks <= worst, "{ts} / {platform}");
+            assert!(placed <= ts.len() as u64, "{ts} / {platform}");
+            let sink = MemorySink::new();
+            let engine_outcome = FirstFitEngine::new(EdfAdmission).run(
+                ts,
+                &platform,
+                Augmentation::NONE,
+                &mut Gas::unlimited(),
                 &sink,
             );
             assert_eq!(
@@ -208,8 +224,8 @@ fn exhaustive_theorem_constants_wide_grid() {
                 "engine diverges on {ts} / {platform}"
             );
             assert_eq!(
-                ScanStats::from_sink(&sink),
-                stats,
+                ff(&sink),
+                ff(&stats),
                 "engine counters diverge on {ts} / {platform}"
             );
         }

@@ -115,24 +115,39 @@ fn ops_tiny_budget_is_undecided_exit_three() {
     // A trace heavy enough that a 1 ms wall budget always exhausts
     // mid-replay: every `repack` is a full batch re-run over 1000 live
     // tasks, and each one polls the clock (tick_n), so the deadline is
-    // observed promptly no matter how fast the host is.
-    let mut heavy = String::from("begin heavy\n");
-    for _ in 0..64 {
-        heavy.push_str("machine 1\n");
+    // observed promptly no matter how fast the host is. Both formats give
+    // each of the two instances the time left of one run deadline, so
+    // each is reported exhausted on its own line.
+    let mut heavy = String::new();
+    for name in ["heavy-a", "heavy-b"] {
+        heavy.push_str(&format!("begin {name}\n"));
+        for _ in 0..64 {
+            heavy.push_str("machine 1\n");
+        }
+        for id in 0..1000u32 {
+            heavy.push_str(&format!("add {id} 1 1000\n"));
+        }
+        for _ in 0..500 {
+            heavy.push_str("repack\n");
+        }
+        heavy.push_str("end\n");
     }
-    for id in 0..1000u32 {
-        heavy.push_str(&format!("add {id} 1 1000\n"));
-    }
-    for _ in 0..500 {
-        heavy.push_str("repack\n");
-    }
-    heavy.push_str("end\n");
     let trace = write_trace(&heavy);
-    let out = hetfeas(&["ops", "--trace", trace.to_str(), "--budget-ms", "1"]);
-    assert_eq!(out.status.code(), Some(3), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("UNDECIDED"), "{stdout}");
-    assert!(stdout.contains("wall-clock"), "{stdout}");
+    let bin = temp_path("hbt");
+    let out = hetfeas(&["trace", "convert", trace.to_str(), "--out", bin.to_str()]);
+    assert!(out.status.success(), "{out:?}");
+    for path in [trace.to_str(), bin.to_str()] {
+        let out = hetfeas(&["ops", "--trace", path, "--budget-ms", "1"]);
+        assert_eq!(out.status.code(), Some(3), "{out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        for name in ["heavy-a", "heavy-b"] {
+            let line = format!("\n  {name}: UNDECIDED — budget exhausted (wall-clock) at op ");
+            assert_eq!(stdout.matches(&line).count(), 1, "{path}: {stdout}");
+        }
+        let summary = "\nUNDECIDED — 2 of 2 instances exhausted the budget\n";
+        assert!(stdout.contains(summary), "{path}: {stdout}");
+        assert_eq!(stdout.matches("UNDECIDED").count(), 3, "{path}: {stdout}");
+    }
 }
 
 #[test]

@@ -201,3 +201,67 @@ fn facade_types_interoperate() {
     assert_eq!(p_int, p_f64);
     assert!(first_fit(&t1, &p_int, Augmentation::NONE, &EdfAdmission).is_feasible());
 }
+
+/// The two older names `hetfeas::partition` keeps for the benchmark
+/// harness answer what the full forms answer, counters included.
+#[test]
+fn facade_aliases_match_the_full_forms() {
+    use hetfeas::obs::MemorySink;
+    use hetfeas::partition::{
+        bisect_alpha, first_fit_ordered, first_fit_ordered_within_with, min_feasible_alpha_with,
+        ScanWorkspace,
+    };
+    use hetfeas::robust::Gas;
+    let tasks = TaskSet::from_pairs([(8, 10), (8, 10), (8, 10), (3, 10)]).unwrap();
+    let p = Platform::from_int_speeds([1, 1]).unwrap();
+    let (to, mo) = (
+        tasks.order_by_decreasing_utilization(),
+        p.order_by_increasing_speed(),
+    );
+    for alpha in [Augmentation::NONE, Augmentation::EDF_VS_PARTITIONED] {
+        let (alias_sink, full_sink) = (MemorySink::new(), MemorySink::new());
+        let alias = first_fit_ordered_within_with(
+            &tasks,
+            &p,
+            alpha,
+            &RmsLlAdmission,
+            &to,
+            &mo,
+            &mut Gas::unlimited(),
+            &alias_sink,
+        );
+        let full = first_fit_ordered(
+            &tasks,
+            &p,
+            alpha,
+            &RmsLlAdmission,
+            &to,
+            &mo,
+            &mut ScanWorkspace::new(),
+            &mut Gas::unlimited(),
+            &full_sink,
+        );
+        assert_eq!(alias, full);
+        assert_eq!(
+            alias_sink.snapshot().counters,
+            full_sink.snapshot().counters
+        );
+    }
+    let (alias_sink, full_sink) = (MemorySink::new(), MemorySink::new());
+    let alias = min_feasible_alpha_with(&tasks, &p, &EdfAdmission, 4.0, 1e-6, &alias_sink);
+    let full = bisect_alpha(
+        &tasks,
+        &p,
+        &EdfAdmission,
+        4.0,
+        1e-6,
+        &mut Gas::unlimited(),
+        &full_sink,
+    );
+    assert_eq!(Ok(alias), full);
+    assert!(alias.is_some_and(|a| a > 1.0), "{alias:?}");
+    assert_eq!(
+        alias_sink.snapshot().counters,
+        full_sink.snapshot().counters
+    );
+}

@@ -9,9 +9,9 @@ use hetfeas::model::properties;
 use hetfeas::model::rng::Gen;
 use hetfeas::model::{parse_op_trace, parse_system, Augmentation, Platform, Ratio, Task, TaskSet};
 use hetfeas::partition::{
-    exact_partition_edf, exact_partition_edf_degraded, first_fit, first_fit_within,
-    lp_feasible_degraded, min_feasible_alpha_within, DurableEngine, DurableOptions, EdfAdmission,
-    ExactOutcome, ExactSolver, LadderVerdict, Outcome,
+    bisect_alpha, exact_partition_edf, exact_partition_edf_degraded, first_fit, first_fit_ordered,
+    lp_feasible_degraded, DurableEngine, DurableOptions, EdfAdmission, ExactOutcome, ExactSolver,
+    LadderVerdict, Outcome, ScanWorkspace,
 };
 use hetfeas::robust::{guard, Budget, FaultKind, FaultPlan, MemStorage};
 use hetfeas::sim::{validate_assignment_within, SchedPolicy};
@@ -46,7 +46,10 @@ properties! {
     fn first_fit_within_terminates_and_agrees(g) {
         let (ts, p, ops) = (small_set(g, 14), small_platform(g), tight_ops(g));
         let mut gas = Budget::ops(ops).gas();
-        let budgeted = first_fit_within(&ts, &p, Augmentation::NONE, &EdfAdmission, &mut gas);
+        let (to, mo) = (ts.order_by_decreasing_utilization(), p.order_by_increasing_speed());
+        let ws = &mut ScanWorkspace::new();
+        let budgeted =
+            first_fit_ordered(&ts, &p, Augmentation::NONE, &EdfAdmission, &to, &mo, ws, &mut gas, &());
         if budgeted.is_decided() {
             let free = first_fit(&ts, &p, Augmentation::NONE, &EdfAdmission);
             assert_eq!(budgeted.is_feasible(), free.is_feasible());
@@ -58,7 +61,7 @@ properties! {
     fn alpha_search_within_terminates(g) {
         let (ts, p, ops) = (small_set(g, 10), small_platform(g), tight_ops(g));
         let mut gas = Budget::ops(ops).gas();
-        let _ = min_feasible_alpha_within(&ts, &p, &EdfAdmission, 8.0, 1e-4, &mut gas);
+        let _ = bisect_alpha(&ts, &p, &EdfAdmission, 8.0, 1e-4, &mut gas, &());
     }
 
     // The exact-partition degradation ladder: always returns, and a
@@ -66,7 +69,7 @@ properties! {
     fn exact_ladder_is_sound_under_any_budget(g) {
         let (ts, p, ops) = (small_set(g, 9), small_platform(g), tight_ops(g));
         let mut gas = Budget::ops(ops).gas();
-        let ladder = exact_partition_edf_degraded(&ts, &p, 100_000, &mut gas, &());
+        let ladder = exact_partition_edf_degraded(&ts, &p, 100_000, 1, &mut gas, &());
         match exact_partition_edf(&ts, &p, 2_000_000) {
             ExactOutcome::Feasible(_) => {
                 assert!(!matches!(ladder.verdict, LadderVerdict::Infeasible));
@@ -231,12 +234,13 @@ end
 fn fault_corpus_survives_both_ladders() {
     for seed in [0u64, 1, 42] {
         for case in FaultPlan::new(seed).cases() {
-            let outcome = guard(|| {
+            let outcome = guard(&(), || {
                 let mut gas = Budget::ops(200_000).gas();
                 let exact = exact_partition_edf_degraded(
                     &case.tasks,
                     &case.platform,
                     50_000,
+                    1,
                     &mut gas,
                     &(),
                 );
@@ -276,7 +280,7 @@ fn bnb_blowup_tiny_budgets_never_lie_and_latch_is_sticky() {
                 let mut gas = Budget::ops(ops).gas();
                 let out = ExactSolver::new(&case.tasks, &case.platform, &EdfAdmission)
                     .workers(2)
-                    .solve_within(&mut gas);
+                    .solve(&mut gas, &());
                 assert!(
                     !matches!(out, ExactOutcome::Feasible(_)),
                     "case {} (ops={ops}): counting-infeasible instance reported feasible",
@@ -312,7 +316,7 @@ fn starved_exact_blowup_degrades_soundly() {
     );
     let platform = Platform::from_int_speeds(vec![1u64; 10]).unwrap();
     let mut gas = Budget::ops(10_000).gas();
-    let ladder = exact_partition_edf_degraded(&tasks, &platform, u64::MAX, &mut gas, &());
+    let ladder = exact_partition_edf_degraded(&tasks, &platform, u64::MAX, 1, &mut gas, &());
     assert!(
         !ladder.verdict.is_feasible(),
         "infeasible instance reported feasible after degradation"
