@@ -831,7 +831,7 @@ mod tests {
     /// never exceed them (that is the point of the index).
     #[test]
     fn engine_counters_match_reference_scan() {
-        use crate::first_fit::{first_fit_instrumented, ScanStats};
+        use crate::first_fit::{counted_first_fit, ScanStats};
         use hetfeas_obs::MemorySink;
         let mut rng = Rng::new(0x1234_5678_9ABC_DEF0);
         let mut e = FirstFitEngine::new(EdfAdmission);
@@ -844,11 +844,11 @@ mod tests {
                     let (sink, gas) = (MemorySink::new(), &mut Gas::unlimited());
                     let (out, reference, stats) = if admissible {
                         let out = e.run(&ts, &p, aug, gas, &sink);
-                        let (r, s) = first_fit_instrumented(&ts, &p, aug, &EdfAdmission);
+                        let (r, s) = counted_first_fit(&ts, &p, aug, &EdfAdmission);
                         (out, r, s)
                     } else {
                         let out = rms.run(&ts, &p, aug, gas, &sink);
-                        let (r, s) = first_fit_instrumented(&ts, &p, aug, &RmsLlAdmission);
+                        let (r, s) = counted_first_fit(&ts, &p, aug, &RmsLlAdmission);
                         (out, r, s)
                     };
                     assert_eq!(out, reference, "outcome mismatch (case {case}, α={a})");
@@ -1016,7 +1016,7 @@ mod tests {
         let p = platform(&[1, 1]);
         let mut eng = FirstFitEngine::new(EdfAdmission);
         let a = eng
-            .min_feasible_alpha(&tasks, &p, 4.0, 1e-6, &mut Gas::unlimited(), &())
+            .min_feasible_alpha(&tasks, &p, 4.0, 1e-6, &mut Budget::ops(10_000).gas(), &())
             .unwrap()
             .unwrap();
         let reference = min_alpha(&mut eng, &tasks, &p, 4.0, 1e-6).unwrap();

@@ -329,7 +329,7 @@ impl ScanStats {
 
 /// [`first_fit`] plus its exact work counters.
 #[cfg(test)]
-pub(crate) fn first_fit_instrumented<A: AdmissionTest>(
+pub(crate) fn counted_first_fit<A: AdmissionTest>(
     t: &TaskSet,
     p: &Platform,
     alpha: Augmentation,
@@ -366,14 +366,14 @@ mod tests {
     #[test]
     fn matches_uninstrumented_outcome() {
         let (ts, p) = setup(&[(9, 10), (4, 10), (3, 10)], &[1, 2]);
-        let (out, _) = first_fit_instrumented(&ts, &p, Augmentation::NONE, &EdfAdmission);
+        let (out, _) = counted_first_fit(&ts, &p, Augmentation::NONE, &EdfAdmission);
         assert_eq!(out, first_fit(&ts, &p, Augmentation::NONE, &EdfAdmission));
     }
 
     #[test]
     fn counts_bounded_by_nm() {
         let (ts, p) = setup(&[(9, 10), (9, 10), (9, 10), (9, 10)], &[1, 1, 1]);
-        let (_, stats) = first_fit_instrumented(&ts, &p, Augmentation::NONE, &EdfAdmission);
+        let (_, stats) = counted_first_fit(&ts, &p, Augmentation::NONE, &EdfAdmission);
         assert!(stats.admission_checks <= ScanStats::worst_case(ts.len(), p.len()));
         assert_eq!(stats.admission_checks, stats.machines_visited);
     }
@@ -382,7 +382,7 @@ mod tests {
     fn light_load_checks_one_machine_per_task() {
         // Everything fits the slowest machine → exactly n checks.
         let (ts, p) = setup(&[(1, 100); 5], &[1, 1, 1, 1]);
-        let (out, stats) = first_fit_instrumented(&ts, &p, Augmentation::NONE, &EdfAdmission);
+        let (out, stats) = counted_first_fit(&ts, &p, Augmentation::NONE, &EdfAdmission);
         assert!(out.is_feasible());
         assert_eq!(stats.admission_checks, 5);
         assert_eq!(stats.placed, 5);
@@ -391,7 +391,7 @@ mod tests {
     #[test]
     fn failure_scans_every_machine_for_the_failing_task() {
         let (ts, p) = setup(&[(9, 10), (9, 10), (9, 10)], &[1, 1]);
-        let (out, stats) = first_fit_instrumented(&ts, &p, Augmentation::NONE, &EdfAdmission);
+        let (out, stats) = counted_first_fit(&ts, &p, Augmentation::NONE, &EdfAdmission);
         assert!(!out.is_feasible());
         // Task 1: 1 check (fits m0). Task 2: m0 full, m1 ok → 2 checks.
         // Task 3: scans both and fails → 2 checks.
@@ -403,7 +403,7 @@ mod tests {
     fn saturated_instance_approaches_worst_case() {
         // Tasks sized so each new one walks past all filled machines.
         let (ts, p) = setup(&[(1, 1); 4], &[1, 1, 1, 1]);
-        let (out, stats) = first_fit_instrumented(&ts, &p, Augmentation::NONE, &EdfAdmission);
+        let (out, stats) = counted_first_fit(&ts, &p, Augmentation::NONE, &EdfAdmission);
         assert!(out.is_feasible());
         // Task k (1-based) performs k checks: 1+2+3+4 = 10 = n(n+1)/2.
         assert_eq!(stats.admission_checks, 10);
