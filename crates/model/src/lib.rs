@@ -48,7 +48,7 @@ pub use io::{
 pub use machine::{Augmentation, Machine, Platform};
 pub use ratio::{gcd_i128, Ratio};
 pub use task::Task;
-pub use taskset::TaskSet;
+pub use taskset::{utilization_key, TaskSet};
 
 /// Workspace-wide tolerance for `f64` feasibility comparisons.
 ///

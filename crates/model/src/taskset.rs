@@ -4,6 +4,7 @@ use crate::error::ModelError;
 use crate::ratio::Ratio;
 use crate::task::Task;
 use crate::time::hyperperiod;
+use core::cmp::Ordering;
 use core::fmt;
 use core::ops::Index;
 
@@ -121,33 +122,55 @@ impl TaskSet {
 
     /// [`TaskSet::order_by_decreasing_utilization`] into a caller-owned
     /// buffer, so repeated sorts (e.g. an engine probing many α values)
-    /// reuse the allocation. The buffer is cleared first.
-    ///
-    /// The order is exact: each task gets the fixed-point key
-    /// `⌊c·2^64 / p⌋` (`u128`), which is monotone in `c/p`, so a strict key
-    /// inequality decides a comparison with no division or gcd. Equal keys
-    /// fall back to the exact `u128` cross-multiplication `c_a·p_b` vs
-    /// `c_b·p_a` (both factors are `u64`, so it cannot overflow), then to
-    /// the original index.
+    /// reuse the allocation. The buffer is cleared first. The order is
+    /// exact: [`TaskSet::cmp_by_decreasing_utilization`] on each task's
+    /// [`utilization_key`] and index.
     pub fn order_by_decreasing_utilization_into(&self, idx: &mut Vec<usize>) {
-        let mut keys: Vec<(u128, usize)> = self
-            .tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| ((u128::from(t.wcet()) << 64) / u128::from(t.period()), i))
-            .collect();
-        keys.sort_unstable_by(|&(ka, a), &(kb, b)| {
-            kb.cmp(&ka)
-                .then_with(|| {
-                    let (ta, tb) = (&self.tasks[a], &self.tasks[b]);
-                    let lhs = u128::from(tb.wcet()) * u128::from(ta.period());
-                    let rhs = u128::from(ta.wcet()) * u128::from(tb.period());
-                    lhs.cmp(&rhs)
-                })
-                .then(a.cmp(&b))
-        });
         idx.clear();
+        self.extend_by_decreasing_utilization(0, idx);
+    }
+
+    /// Append the indices `from..self.len()` to `idx` in the order of
+    /// [`TaskSet::order_by_decreasing_utilization`] — that sort, over a
+    /// tail of the set. The incremental engine's repack sorts only the
+    /// tasks admitted since its previous repack this way and merges them
+    /// into the order it kept.
+    pub fn extend_by_decreasing_utilization(&self, from: usize, idx: &mut Vec<usize>) {
+        let mut keys: Vec<(u128, usize)> = (from..)
+            .zip(&self.tasks[from..])
+            .map(|(i, t)| (utilization_key(t), i))
+            .collect();
+        keys.sort_unstable_by(|&a, &b| self.cmp_by_decreasing_utilization(a, b));
         idx.extend(keys.iter().map(|&(_, i)| i));
+    }
+
+    /// The decreasing-utilization order between tasks `a` and `b` of this
+    /// set, each given as `(`[`utilization_key`]`, index)`: `Less` when `a`
+    /// comes first. The heavier key comes first; equal keys fall back to
+    /// the exact `u128` cross-multiplication `c_a·p_b` vs `c_b·p_a` (both
+    /// factors are `u64`, so it cannot overflow), then to the lower index.
+    /// This is the one comparison behind
+    /// [`TaskSet::order_by_decreasing_utilization`] and every order the
+    /// incremental engine's repacks merge.
+    #[inline]
+    pub fn cmp_by_decreasing_utilization(
+        &self,
+        (ka, a): (u128, usize),
+        (kb, b): (u128, usize),
+    ) -> Ordering {
+        kb.cmp(&ka)
+            .then_with(|| {
+                let (ta, tb) = (&self.tasks[a], &self.tasks[b]);
+                let lhs = u128::from(tb.wcet()) * u128::from(ta.period());
+                let rhs = u128::from(ta.wcet()) * u128::from(tb.period());
+                lhs.cmp(&rhs)
+            })
+            .then(a.cmp(&b))
+    }
+
+    /// Remove every task, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.tasks.clear();
     }
 
     /// Hyperperiod (lcm of periods), `None` when empty or on overflow.
@@ -179,6 +202,14 @@ impl TaskSet {
             tasks: indices.iter().map(|&i| self.tasks[i]).collect(),
         }
     }
+}
+
+/// The fixed-point sort key `⌊c·2^64 / p⌋` (`u128`) of a task's
+/// utilization `c/p`. It is monotone in `c/p`, so a strict key inequality
+/// orders two tasks with no division or gcd.
+#[inline]
+pub fn utilization_key(task: &Task) -> u128 {
+    (u128::from(task.wcet()) << 64) / u128::from(task.period())
 }
 
 impl Index<usize> for TaskSet {
@@ -315,6 +346,21 @@ mod tests {
         // Exact ties (1/3 == 2/6 == 4/12) keep original index order.
         let ts = TaskSet::from_pairs([(2, 6), (1, 3), (4, 12), (1, 2)]).unwrap();
         assert_eq!(ts.order_by_decreasing_utilization(), vec![3, 0, 1, 2]);
+    }
+
+    #[test]
+    fn tail_ordering_is_the_full_ordering_restricted_to_the_tail() {
+        // Exact ties (1/3 == 2/6 == 3/9 == 4/12) keep original index order
+        // on both sides of every split point.
+        let ts = TaskSet::from_pairs([(2, 6), (1, 3), (4, 12), (1, 2), (1, 10), (3, 9)]).unwrap();
+        let full = ts.order_by_decreasing_utilization();
+        for from in 0..=ts.len() {
+            let mut idx = vec![usize::MAX];
+            ts.extend_by_decreasing_utilization(from, &mut idx);
+            let tail = full.iter().copied().filter(|&i| i >= from);
+            let expect: Vec<usize> = std::iter::once(usize::MAX).chain(tail).collect();
+            assert_eq!(idx, expect, "from {from}");
+        }
     }
 
     #[test]

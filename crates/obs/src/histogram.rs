@@ -2,6 +2,7 @@
 //! order-of-magnitude distributions (per-task admission checks, probe
 //! counts, nanosecond timings).
 
+use crate::sink::MetricsSink;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets: one for zero plus one per power of two up to 2^63.
@@ -51,7 +52,13 @@ impl Log2Histogram {
     /// Record one observation of `v`.
     #[inline]
     pub fn record(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` observations of `v`: one atomic add.
+    #[inline]
+    pub(crate) fn record_n(&self, v: u64, n: u64) {
+        self.buckets[bucket_of(v)].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Total number of observations.
@@ -69,7 +76,9 @@ impl Log2Histogram {
     }
 }
 
-/// A plain (non-atomic) copy of a [`Log2Histogram`]'s bucket counts.
+/// Plain (non-atomic) log2 bucket counts: a copy of a
+/// [`Log2Histogram`], or a local histogram that a hot loop fills with
+/// [`Self::record`] and hands to a sink once with [`Self::flush`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Count per bucket; see [`bucket_of`] for the edge convention.
@@ -77,6 +86,28 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// No observations.
+    pub const EMPTY: HistogramSnapshot = HistogramSnapshot {
+        buckets: [0; BUCKETS],
+    };
+
+    /// Count one observation of `v`.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_of(v)] += 1;
+    }
+
+    /// Add every counted observation to histogram `name` of `sink`: one
+    /// [`MetricsSink::observe_n`] per non-empty bucket, so the sink's
+    /// histogram gains exactly these bucket counts.
+    pub fn flush<S: MetricsSink>(&self, sink: &S, name: &'static str) {
+        for (i, &n) in self.buckets.iter().enumerate() {
+            if n > 0 {
+                sink.observe_n(name, bucket_upper_edge(i), n);
+            }
+        }
+    }
+
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
@@ -161,6 +192,23 @@ mod tests {
             .percentile_upper_edge(50.0),
             None
         );
+    }
+
+    #[test]
+    fn local_counts_flush_into_a_sink_bucket_for_bucket() {
+        let values = [0, 1, 3, 5, 5, 1000, u64::MAX];
+        let direct = crate::MemorySink::new();
+        let mut local = HistogramSnapshot::EMPTY;
+        for v in values {
+            direct.observe("h", v);
+            local.record(v);
+        }
+        let flushed = crate::MemorySink::new();
+        local.flush(&flushed, "h");
+        assert_eq!(flushed.histogram("h"), direct.histogram("h"));
+        assert_eq!(flushed.histogram("h"), Some(local));
+        HistogramSnapshot::EMPTY.flush(&flushed, "untouched");
+        assert!(flushed.histogram("untouched").is_none());
     }
 
     #[test]

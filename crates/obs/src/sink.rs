@@ -30,6 +30,14 @@ pub trait MetricsSink {
     /// Record `value` into the log2-bucket histogram `name`.
     fn observe(&self, name: &'static str, value: u64);
 
+    /// Record `n` observations of `value` into histogram `name`; by
+    /// default `n` calls to [`Self::observe`].
+    fn observe_n(&self, name: &'static str, value: u64, n: u64) {
+        for _ in 0..n {
+            self.observe(name, value);
+        }
+    }
+
     /// RAII timer: measures from now until drop, then [`Self::record_ns`]s
     /// the elapsed time. Reads no clock when [`Self::ENABLED`] is false.
     fn timer(&self, name: &'static str) -> ScopedTimer<'_, Self>
@@ -54,6 +62,9 @@ impl MetricsSink for () {
 
     #[inline(always)]
     fn observe(&self, _name: &'static str, _value: u64) {}
+
+    #[inline(always)]
+    fn observe_n(&self, _name: &'static str, _value: u64, _n: u64) {}
 }
 
 /// Forwarding impl so instrumented helpers can hand the same sink to
@@ -74,6 +85,11 @@ impl<S: MetricsSink> MetricsSink for &S {
     #[inline(always)]
     fn observe(&self, name: &'static str, value: u64) {
         (**self).observe(name, value);
+    }
+
+    #[inline(always)]
+    fn observe_n(&self, name: &'static str, value: u64, n: u64) {
+        (**self).observe_n(name, value, n);
     }
 }
 
@@ -233,6 +249,10 @@ impl MetricsSink for MemorySink {
     fn observe(&self, name: &'static str, value: u64) {
         with_entry(&self.histograms, name, |h| h.record(value));
     }
+
+    fn observe_n(&self, name: &'static str, value: u64, n: u64) {
+        with_entry(&self.histograms, name, |h| h.record_n(value, n));
+    }
 }
 
 #[cfg(test)]
@@ -297,6 +317,30 @@ mod tests {
         let h = s.histogram("h").unwrap();
         assert_eq!(h.count(), 3);
         assert!(s.histogram("untouched").is_none());
+    }
+
+    #[test]
+    fn observe_n_equals_n_observations() {
+        let (bulk, single) = (MemorySink::new(), MemorySink::new());
+        bulk.observe_n("h", 6, 3);
+        bulk.observe_n("h", 0, 2);
+        for v in [6, 6, 6, 0, 0] {
+            single.observe("h", v);
+        }
+        assert_eq!(bulk.histogram("h"), single.histogram("h"));
+        // The provided default: `n` calls to `observe`.
+        struct ObserveOnly(MemorySink);
+        impl MetricsSink for ObserveOnly {
+            fn counter_add(&self, _: &'static str, _: u64) {}
+            fn record_ns(&self, _: &'static str, _: u64) {}
+            fn observe(&self, name: &'static str, value: u64) {
+                self.0.observe(name, value);
+            }
+        }
+        let default = ObserveOnly(MemorySink::new());
+        default.observe_n("h", 6, 3);
+        default.observe_n("h", 0, 2);
+        assert_eq!(default.0.histogram("h"), single.histogram("h"));
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::metrics;
 use crate::policy::PolicyKind;
 use hetfeas_analysis::liu_layland_bound;
 use hetfeas_model::{Augmentation, Platform, Task, TaskSet};
-use hetfeas_obs::MetricsSink;
+use hetfeas_obs::{HistogramSnapshot, MetricsSink};
 use hetfeas_robust::{Exhaustion, Gas};
 
 /// Relative slack added to residual hints so f64 rounding in
@@ -302,7 +302,8 @@ pub struct FirstFitEngine<A: IndexableAdmission> {
     admission: A,
     task_order: Vec<usize>,
     machine_order: Vec<usize>,
-    /// Un-augmented speeds in machine-scan order (filled by `prepare`).
+    /// Un-augmented speeds in machine-scan order (filled by
+    /// `prepare_machines`).
     base_speeds: Vec<f64>,
     /// α-augmented speeds in machine-scan order (filled per probe).
     speeds: Vec<f64>,
@@ -332,20 +333,19 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
         &self.admission
     }
 
-    /// Sort tasks by decreasing utilization and machines by increasing
-    /// speed, and cache the scan-order speeds: the per-instance work that
-    /// [`Self::probe`] reuses for every α.
-    fn prepare(&mut self, tasks: &TaskSet, platform: &Platform) {
-        tasks.order_by_decreasing_utilization_into(&mut self.task_order);
+    /// Sort machines by increasing speed and cache the scan-order speeds:
+    /// the per-platform work that [`Self::probe`] reuses for every α.
+    fn prepare_machines(&mut self, platform: &Platform) {
         platform.order_by_increasing_speed_into(&mut self.machine_order);
         self.base_speeds.clear();
         self.base_speeds
             .extend(self.machine_order.iter().map(|&m| platform.speed_f64(m)));
     }
 
-    /// One first-fit run at augmentation `alpha` over the orders the last
-    /// [`Self::prepare`] cached for this same instance. Emits two families
-    /// into `sink` (see [`crate::metrics`]):
+    /// One first-fit run at augmentation `alpha`, placing `tasks` in
+    /// `order` (a permutation of their indices) over the machine order
+    /// the last [`Self::prepare_machines`] cached for this same platform.
+    /// Emits two families into `sink` (see [`crate::metrics`]):
     ///
     /// * `ff.*` in *reference-scan units*, derived from the byte-identical
     ///   placement sequence (a task placed at scan slot `s` would have cost
@@ -355,14 +355,17 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
     /// * `engine.*` for the work actually done: tree descents, exact
     ///   re-checks, and re-verification misses.
     ///
-    /// Counts accumulate in locals and flush once per probe.
+    /// Counts, and the `ff.checks_per_task` buckets, accumulate in locals
+    /// and flush once per probe.
     fn probe<S: MetricsSink>(
         &mut self,
         tasks: &TaskSet,
+        order: &[usize],
         platform: &Platform,
         alpha: Augmentation,
         sink: &S,
     ) -> Outcome {
+        debug_assert_eq!(order.len(), tasks.len());
         let alpha = alpha.factor();
         let caps = (
             self.speeds.capacity(),
@@ -399,13 +402,16 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
         let mut tree_nodes = 0u64;
         let mut exact_checks = 0u64;
         let mut misses = 0u64;
+        let mut checks_per_task = HistogramSnapshot::EMPTY;
         let flush = |scan_checks: u64,
                      placed: u64,
                      descents: u64,
                      tree_nodes: u64,
                      exact: u64,
-                     misses: u64| {
+                     misses: u64,
+                     checks_per_task: &HistogramSnapshot| {
             if S::ENABLED {
+                checks_per_task.flush(sink, metrics::FF_CHECKS_PER_TASK);
                 sink.counter_add(metrics::FF_ADMISSION_CHECKS, scan_checks);
                 sink.counter_add(metrics::FF_MACHINES_VISITED, scan_checks);
                 sink.counter_add(metrics::FF_PLACED, placed);
@@ -417,8 +423,7 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
         };
 
         let mut assignment = Assignment::new(tasks.len(), platform.len());
-        for idx in 0..self.task_order.len() {
-            let ti = self.task_order[idx];
+        for &ti in order {
             let task = &tasks[ti];
             let u = task.utilization();
             let mut from = 0usize;
@@ -453,7 +458,7 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
                     if S::ENABLED {
                         // The reference scan visits slots 0..=slot.
                         scan_checks += slot as u64 + 1;
-                        sink.observe(metrics::FF_CHECKS_PER_TASK, slot as u64 + 1);
+                        checks_per_task.record(slot as u64 + 1);
                         placed_count += 1;
                     }
                     assignment.assign(ti, self.machine_order[slot]);
@@ -462,7 +467,7 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
                     if S::ENABLED {
                         // The reference scan visits every machine and fails.
                         scan_checks += platform.len() as u64;
-                        sink.observe(metrics::FF_CHECKS_PER_TASK, platform.len() as u64);
+                        checks_per_task.record(platform.len() as u64);
                     }
                     flush(
                         scan_checks,
@@ -471,6 +476,7 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
                         tree_nodes,
                         exact_checks,
                         misses,
+                        &checks_per_task,
                     );
                     return Outcome::Infeasible(FailureWitness {
                         failing_task: ti,
@@ -487,6 +493,7 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
             tree_nodes,
             exact_checks,
             misses,
+            &checks_per_task,
         );
         Outcome::Feasible(assignment)
     }
@@ -512,14 +519,36 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
                 partial: Assignment::new(tasks.len(), platform.len()),
             };
         }
-        self.prepare(tasks, platform);
-        self.probe(tasks, platform, alpha, sink)
+        tasks.order_by_decreasing_utilization_into(&mut self.task_order);
+        let order = std::mem::take(&mut self.task_order);
+        let out = self.run_ordered(tasks, &order, platform, alpha, sink);
+        self.task_order = order;
+        out
     }
 
-    /// Task indices in the decreasing-utilization order the last
-    /// [`Self::prepare`] computed — the order placements were made in.
-    pub(crate) fn task_order(&self) -> &[usize] {
-        &self.task_order
+    /// [`Self::run`] without the task sort and without gas: the caller
+    /// supplies the decreasing-utilization `order` (a permutation of
+    /// `tasks`' indices) and has already charged the run. The incremental
+    /// engine's repack keeps its order across repacks and runs it here.
+    pub(crate) fn run_ordered<S: MetricsSink>(
+        &mut self,
+        tasks: &TaskSet,
+        order: &[usize],
+        platform: &Platform,
+        alpha: Augmentation,
+        sink: &S,
+    ) -> Outcome {
+        self.prepare_machines(platform);
+        self.probe(tasks, order, platform, alpha, sink)
+    }
+
+    /// Trade the last run's per-slot admission states and max-tree for
+    /// `states` and `tree`, whose buffers the next run reuses. After a
+    /// feasible run they are exactly what replaying its placements in
+    /// order onto empty machines would build.
+    pub(crate) fn swap_final_state(&mut self, states: &mut Vec<A::State>, tree: &mut MaxTree) {
+        std::mem::swap(&mut self.states, states);
+        std::mem::swap(&mut self.tree, tree);
     }
 
     /// Sort-once α-search: smallest augmentation (within `tol`) in
@@ -553,12 +582,18 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
         if !hi.is_finite() || hi < 1.0 || !tol.is_finite() || tol <= 0.0 {
             return Ok(None);
         }
-        self.prepare(tasks, platform);
+        tasks.order_by_decreasing_utilization_into(&mut self.task_order);
+        self.prepare_machines(platform);
+        let order = std::mem::take(&mut self.task_order);
         let cost = probe_gas(tasks.len(), platform.len());
-        bisection(hi, tol, sink, |alpha| {
+        let found = bisection(hi, tol, sink, |alpha| {
             gas.tick_n(cost)?;
-            Ok(self.probe(tasks, platform, alpha, sink).is_feasible())
-        })
+            Ok(self
+                .probe(tasks, &order, platform, alpha, sink)
+                .is_feasible())
+        });
+        self.task_order = order;
+        found
     }
 }
 
@@ -827,7 +862,8 @@ mod tests {
 
     /// The engine's `ff.*` counters are *scan-equivalent*: derived from the
     /// byte-identical placement sequence, they must equal the reference
-    /// scan's actual counts exactly — while the engine's own exact checks
+    /// scan's actual counts exactly, and its `ff.checks_per_task` histogram
+    /// the scan's bucket for bucket — while the engine's own exact checks
     /// never exceed them (that is the point of the index).
     #[test]
     fn engine_counters_match_reference_scan() {
@@ -852,6 +888,8 @@ mod tests {
                         (out, r, s)
                     };
                     assert_eq!(out, reference, "outcome mismatch (case {case}, α={a})");
+                    // The counters, and the checks-per-task histogram
+                    // bucket for bucket.
                     assert_eq!(
                         ScanStats::from_sink(&sink),
                         stats,
@@ -905,13 +943,14 @@ mod tests {
         let tasks = TaskSet::from_pairs([(8, 10), (8, 10), (8, 10)]).unwrap();
         let p = platform(&[1, 1]);
         let mut e = FirstFitEngine::new(EdfAdmission);
-        e.prepare(&tasks, &p);
+        let order = tasks.order_by_decreasing_utilization();
+        e.prepare_machines(&p);
         let warmup = MemorySink::new();
-        e.probe(&tasks, &p, Augmentation::NONE, &warmup);
+        e.probe(&tasks, &order, &p, Augmentation::NONE, &warmup);
         assert!(warmup.counter(metrics::FF_WORKSPACE_ALLOCS) > 0);
         let steady = MemorySink::new();
         for a in [1.0, 1.5, 1.6, 2.0, 3.0] {
-            e.probe(&tasks, &p, Augmentation::new(a).unwrap(), &steady);
+            e.probe(&tasks, &order, &p, Augmentation::new(a).unwrap(), &steady);
         }
         assert_eq!(steady.counter(metrics::FF_WORKSPACE_ALLOCS), 0);
     }
@@ -936,13 +975,16 @@ mod tests {
         let tasks = TaskSet::from_pairs([(8, 10), (8, 10), (8, 10)]).unwrap();
         let p = platform(&[1, 1]);
         let mut e = FirstFitEngine::new(EdfAdmission);
-        e.prepare(&tasks, &p);
-        assert!(!e.probe(&tasks, &p, Augmentation::NONE, &()).is_feasible());
+        let order = tasks.order_by_decreasing_utilization();
+        e.prepare_machines(&p);
+        assert!(!e
+            .probe(&tasks, &order, &p, Augmentation::NONE, &())
+            .is_feasible());
         assert!(e
-            .probe(&tasks, &p, Augmentation::new(1.6).unwrap(), &())
+            .probe(&tasks, &order, &p, Augmentation::new(1.6).unwrap(), &())
             .is_feasible());
         assert!(!e
-            .probe(&tasks, &p, Augmentation::new(1.59).unwrap(), &())
+            .probe(&tasks, &order, &p, Augmentation::new(1.59).unwrap(), &())
             .is_feasible());
     }
 

@@ -22,7 +22,7 @@ use crate::admission::AdmissionTest;
 use crate::assignment::{Assignment, FailureWitness, Outcome};
 use crate::metrics;
 use hetfeas_model::{Augmentation, Platform, TaskSet};
-use hetfeas_obs::MetricsSink;
+use hetfeas_obs::{HistogramSnapshot, MetricsSink};
 use hetfeas_robust::{Exhaustion, Gas};
 
 /// The paper's feasibility test with EDF or RMS admission (or any other
@@ -102,8 +102,8 @@ impl<A: AdmissionTest> Default for ScanWorkspace<A> {
 ///   [`Outcome::BudgetExhausted`] with the partial assignment built so far.
 /// * `sink` receives the `ff.*` counters and the `ff.checks_per_task`
 ///   histogram (see [`crate::metrics`]). The hot loop accumulates counts
-///   into locals and flushes once per run, and `&()` compiles the counting
-///   away.
+///   and histogram buckets into locals and flushes once per run, and
+///   `&()` compiles the counting away.
 #[allow(clippy::too_many_arguments)]
 pub fn first_fit_ordered<A: AdmissionTest, S: MetricsSink>(
     tasks: &TaskSet,
@@ -138,8 +138,9 @@ pub fn first_fit_ordered<A: AdmissionTest, S: MetricsSink>(
     }
     let (speeds, states) = (&ws.speeds, &mut ws.states);
 
-    let flush = |checks: u64, placed: u64| {
+    let flush = |checks: u64, placed: u64, checks_per_task: &HistogramSnapshot| {
         if S::ENABLED {
+            checks_per_task.flush(sink, metrics::FF_CHECKS_PER_TASK);
             sink.counter_add(metrics::FF_ADMISSION_CHECKS, checks);
             sink.counter_add(metrics::FF_MACHINES_VISITED, checks);
             sink.counter_add(metrics::FF_PLACED, placed);
@@ -148,6 +149,7 @@ pub fn first_fit_ordered<A: AdmissionTest, S: MetricsSink>(
 
     let mut checks = 0u64;
     let mut placed_count = 0u64;
+    let mut checks_per_task = HistogramSnapshot::EMPTY;
     let mut assignment = Assignment::new(tasks.len(), platform.len());
     for &ti in task_order {
         let task = &tasks[ti];
@@ -155,7 +157,7 @@ pub fn first_fit_ordered<A: AdmissionTest, S: MetricsSink>(
         let mut task_checks = 0u64;
         for (slot, &mi) in machine_order.iter().enumerate() {
             if gas.tick().is_err() {
-                flush(checks + task_checks, placed_count);
+                flush(checks + task_checks, placed_count, &checks_per_task);
                 return Outcome::BudgetExhausted {
                     partial: assignment,
                 };
@@ -170,10 +172,10 @@ pub fn first_fit_ordered<A: AdmissionTest, S: MetricsSink>(
         }
         if S::ENABLED {
             checks += task_checks;
-            sink.observe(metrics::FF_CHECKS_PER_TASK, task_checks);
+            checks_per_task.record(task_checks);
         }
         if !placed {
-            flush(checks, placed_count);
+            flush(checks, placed_count, &checks_per_task);
             return Outcome::Infeasible(FailureWitness {
                 failing_task: ti,
                 failing_utilization: task.utilization(),
@@ -182,7 +184,7 @@ pub fn first_fit_ordered<A: AdmissionTest, S: MetricsSink>(
         }
         placed_count += 1;
     }
-    flush(checks, placed_count);
+    flush(checks, placed_count, &checks_per_task);
     Outcome::Feasible(assignment)
 }
 
@@ -303,13 +305,15 @@ pub(crate) fn bisection<S: MetricsSink>(
     Ok(Some(hi))
 }
 
-/// Exact work counters of one scan, read back from its `ff.*` counters.
+/// Exact work counters of one scan, read back from its `ff.*` counters
+/// and its `ff.checks_per_task` buckets.
 #[cfg(test)]
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct ScanStats {
     pub admission_checks: u64,
     pub placed: u64,
     pub machines_visited: u64,
+    pub checks_per_task: Option<HistogramSnapshot>,
 }
 
 #[cfg(test)]
@@ -323,6 +327,7 @@ impl ScanStats {
             admission_checks: sink.counter(metrics::FF_ADMISSION_CHECKS),
             placed: sink.counter(metrics::FF_PLACED),
             machines_visited: sink.counter(metrics::FF_MACHINES_VISITED),
+            checks_per_task: sink.histogram(metrics::FF_CHECKS_PER_TASK),
         }
     }
 }

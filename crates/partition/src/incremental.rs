@@ -40,7 +40,9 @@
 //!   [`crate::FirstFitEngine`]) over the survivors. After a repack the
 //!   assignment is **byte-identical** to [`crate::first_fit_ordered`] on
 //!   the survivor set — `tests/prop_incremental.rs` asserts this — so the
-//!   paper's guarantee is restored with bounded staleness.
+//!   paper's guarantee is restored with bounded staleness. The FFD order
+//!   itself is carried from one repack to the next, so a repack sorts
+//!   only the tasks admitted since (see [`IncrementalEngine::repack`]).
 //!
 //! A repack can come back infeasible even though the live assignment is
 //! valid (first-fit is order-sensitive and non-optimal). The engine then
@@ -50,10 +52,11 @@
 use crate::assignment::{Assignment, Outcome};
 use crate::engine::{probe_gas, FirstFitEngine, IndexableAdmission, MaxTree};
 use crate::metrics;
-use hetfeas_model::{Augmentation, Platform, Ratio, Task, TaskSet};
+use hetfeas_model::{utilization_key, Augmentation, Platform, Ratio, Task, TaskSet};
 use hetfeas_obs::MetricsSink;
 use hetfeas_robust::{Exhaustion, Gas};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Opaque handle to a live task inside an [`IncrementalEngine`]. Ids are
 /// allocated sequentially per engine and never reused — except across a
@@ -153,6 +156,37 @@ struct Entry {
     slot: usize,
 }
 
+/// The live-id index's hasher: one folded 64×64→128-bit multiply per id.
+/// Ids are allocated by the engine (sequentially) or come back from its
+/// own exported state, so a client can look ids up but never chooses the
+/// keys inserted, and SipHash's resistance to chosen collisions buys
+/// nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let m = u128::from(self.0 ^ id) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Raw id → where the task sits.
+type IdIndex = HashMap<u64, Entry, BuildHasherDefault<IdHasher>>;
+
+/// A dropped task's mark in the repack's position map.
+const GONE: u32 = u32::MAX;
+
 /// The cloneable part of the engine — everything [`IncrementalEngine::
 /// snapshot`] must capture to make rollback exact.
 struct Core<A: IndexableAdmission> {
@@ -160,7 +194,7 @@ struct Core<A: IndexableAdmission> {
     /// entry. Order = canonical tie-breaking order for the batch sort.
     live: Vec<Option<(TaskId, Task)>>,
     /// id → position in `live` + machine slot.
-    index: HashMap<u64, Entry>,
+    index: IdIndex,
     /// Ids resident on each machine slot, in admission order.
     on_slot: Vec<Vec<u64>>,
     /// Per-slot admission states.
@@ -313,8 +347,16 @@ pub struct IncrementalEngine<A: IndexableAdmission> {
     /// Batch engine reused for repacks (owns the admission test).
     ff: FirstFitEngine<A>,
     core: Core<A>,
-    /// Scratch for tree rebuilds.
-    hints: Vec<f64>,
+    /// The last repack's FFD order, as positions in the insertion log. It
+    /// covers the first `ordered` log entries; every later entry was
+    /// appended since. Whatever replaces or compacts the log forgets it
+    /// ([`Self::forget_order`]), so the next repack sorts in full.
+    order: Vec<usize>,
+    ordered: usize,
+    /// Repack scratch: the survivors in log order (the batch run's input),
+    /// and each ordered log position's index among them.
+    survivors: TaskSet,
+    dense: Vec<u32>,
 }
 
 impl<A: IndexableAdmission> IncrementalEngine<A> {
@@ -359,7 +401,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
             ff: FirstFitEngine::new(admission),
             core: Core {
                 live: Vec::new(),
-                index: HashMap::new(),
+                index: IdIndex::default(),
                 on_slot: vec![Vec::new(); m],
                 states,
                 tree,
@@ -369,7 +411,10 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
                 canonical: true,
                 frontier: None,
             },
-            hints,
+            order: Vec::new(),
+            ordered: 0,
+            survivors: TaskSet::empty(),
+            dense: Vec::new(),
         }
     }
 
@@ -637,82 +682,115 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
     /// engine) regardless of the divergence counter. Gas is charged
     /// `n + m + 1` up front (a repack is `O((n+m)·log m)` work); on `Err`
     /// the engine state is unchanged.
+    ///
+    /// The FFD order is not sorted from scratch: the engine keeps the last
+    /// repack's order, drops the tasks that left since, sorts only the `k`
+    /// tasks admitted since (`incr.repack_sorted` counts them) and merges
+    /// them in — `O(n + k·log n)`. A feasible run's final machine states
+    /// and max-tree are taken over as they are, since the same admits in
+    /// the same order built them; only the resident lists and the index
+    /// are rewritten.
     pub fn repack<S: MetricsSink>(
         &mut self,
         gas: &mut Gas,
         sink: &S,
     ) -> Result<RepackOutcome, Exhaustion> {
         gas.tick_n(probe_gas(self.core.live_count, self.platform.len()))?;
-        let survivors = self.live_tasks();
-        let ids = self.live_ids();
-        let unmetered = &mut Gas::unlimited();
-        let outcome = self
-            .ff
-            .run(&survivors, &self.platform, self.alpha, unmetered, sink);
-        let asg = match outcome {
-            Outcome::Feasible(asg) => asg,
-            _ => {
-                if S::ENABLED {
-                    sink.counter_add(metrics::INCR_REPACK_INFEASIBLE, 1);
-                }
-                // Keep the valid current assignment; restart the
-                // divergence clock so the next trigger waits a full window
-                // instead of re-attempting on every op.
-                self.core.divergence = 0;
-                return Ok(RepackOutcome::Infeasible);
+        let sorted = self.order_survivors();
+        if S::ENABLED {
+            sink.counter_add(metrics::INCR_REPACK_SORTED, sorted as u64);
+        }
+        let outcome = self.ff.run_ordered(
+            &self.survivors,
+            &self.order,
+            &self.platform,
+            self.alpha,
+            sink,
+        );
+        let Core {
+            live,
+            index,
+            on_slot,
+            states,
+            tree,
+            ..
+        } = &mut self.core;
+        let Outcome::Feasible(asg) = outcome else {
+            // Keep the valid current assignment, re-pointing the index at
+            // the compacted log; restart the divergence clock so the next
+            // trigger waits a full window instead of re-attempting on every
+            // op.
+            for (live_idx, (id, _)) in live.iter().flatten().enumerate() {
+                index.get_mut(&id.0).expect("live ids are indexed").live_idx = live_idx;
             }
+            if S::ENABLED {
+                sink.counter_add(metrics::INCR_REPACK_INFEASIBLE, 1);
+            }
+            self.core.divergence = 0;
+            return Ok(RepackOutcome::Infeasible);
         };
-        // Commit: rebuild the whole core from the canonical assignment,
-        // replaying placements in the order the batch run sorted.
-        let order = self.ff.task_order();
-        let admission = self.ff.admission();
-        for slot in 0..self.platform.len() {
-            self.core.states[slot] = admission.empty_state();
-            self.core.on_slot[slot].clear();
+        self.ff.swap_final_state(states, tree);
+        for (slot, residents) in on_slot.iter_mut().enumerate() {
+            residents.clear();
+            // A machine's tasks, in the order the run admitted them.
+            for &ti in asg.tasks_on(self.machine_order[slot]) {
+                let (id, _) = live[ti].expect("the repack compacted the log");
+                residents.push(id.0);
+                *index.get_mut(&id.0).expect("live ids are indexed") = Entry { live_idx: ti, slot };
+            }
         }
-        for &ti in order {
-            let mi = asg.machine_of(ti).expect("feasible assignment is complete");
-            let slot = self.slot_of_machine[mi];
-            let next = admission
-                .admit(&self.core.states[slot], &survivors[ti], self.speeds[slot])
-                .expect("replaying the engine's own placement cannot be rejected");
-            self.core.states[slot] = next;
-            self.core.on_slot[slot].push(ids[ti].0);
-        }
-        self.core.frontier = order.last().map(|&ti| survivors[ti].utilization_ratio());
-        self.hints.clear();
-        self.hints.extend(
-            self.core
-                .states
-                .iter()
-                .zip(&self.speeds)
-                .map(|(st, &sp)| admission.residual_hint(st, sp)),
-        );
-        self.core.tree.rebuild(&self.hints);
-        self.core.live.clear();
-        self.core.live.extend(
-            ids.iter()
-                .zip(survivors.iter())
-                .map(|(&id, &t)| Some((id, t))),
-        );
-        self.core.index.clear();
-        for (live_idx, &id) in ids.iter().enumerate() {
-            // Dense survivor index == live index after compaction.
-            self.core.index.insert(
-                id.0,
-                Entry {
-                    live_idx,
-                    slot: self.slot_of_machine
-                        [asg.machine_of(live_idx).expect("complete assignment")],
-                },
-            );
-        }
+        self.core.frontier = self
+            .order
+            .last()
+            .map(|&ti| self.survivors[ti].utilization_ratio());
         self.core.canonical = true;
         self.core.divergence = 0;
         if S::ENABLED {
             sink.counter_add(metrics::INCR_REPACKS, 1);
         }
         Ok(RepackOutcome::Repacked)
+    }
+
+    /// Compact the insertion log, copy its tasks into `survivors` and turn
+    /// `order` into their FFD order, as survivor indices (which the
+    /// compacted log's positions now equal). Returns how many tasks it
+    /// sorted: the kept order loses its departed tasks through `dense` in
+    /// one pass, and only the tasks appended since are sorted and merged in.
+    fn order_survivors(&mut self) -> usize {
+        let live = &mut self.core.live;
+        self.survivors.clear();
+        self.dense.clear();
+        let mut kept = 0usize;
+        for pos in 0..live.len() {
+            let entry = live[pos];
+            if pos < self.ordered {
+                let to = u32::try_from(kept).expect("fewer than 2^32 live tasks");
+                self.dense.push(if entry.is_some() { to } else { GONE });
+            }
+            if let Some((_, task)) = entry {
+                self.survivors.push(task);
+                live[kept] = entry;
+                kept += 1;
+            }
+        }
+        live.truncate(kept);
+        let dense = &self.dense;
+        self.order.retain_mut(|pos| {
+            *pos = dense[*pos] as usize;
+            *pos != GONE as usize
+        });
+        let mut fresh = Vec::new();
+        self.survivors
+            .extend_by_decreasing_utilization(self.order.len(), &mut fresh);
+        merge_ordered(&self.survivors, &mut self.order, &fresh);
+        self.ordered = kept;
+        fresh.len()
+    }
+
+    /// Drop the carried FFD order: the next repack sorts every survivor.
+    fn forget_order(&mut self) {
+        self.order.clear();
+        self.ordered = 0;
     }
 
     /// Capture the engine's observable state for speculative admission.
@@ -751,6 +829,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
             sink.counter_add(metrics::INCR_ROLLBACKS, 1);
         }
         self.core = snap.core.clone();
+        self.forget_order();
         Ok(())
     }
 
@@ -774,7 +853,9 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
     /// paths, so the result is bit-identical to the exporting engine.
     /// On `Err` the engine is unchanged.
     pub fn import_state(&mut self, state: &EngineState) -> Result<(), String> {
-        self.core_from_state(state).map(|core| self.core = core)
+        self.core = self.core_from_state(state)?;
+        self.forget_order();
+        Ok(())
     }
 
     /// Build a rollback target directly from an imported state (the
@@ -805,7 +886,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
             ));
         }
         let mut live = Vec::with_capacity(state.entries.len());
-        let mut index = HashMap::with_capacity(state.entries.len());
+        let mut index = IdIndex::with_capacity_and_hasher(state.entries.len(), Default::default());
         for (live_idx, &(id, task)) in state.entries.iter().enumerate() {
             if id >= state.next_id {
                 return Err(format!("task id {id} not below next id {}", state.next_id));
@@ -881,8 +962,10 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
     }
 
     /// Drop tombstoned entries from the insertion log, re-indexing
-    /// survivors. Purely internal — observable state is unchanged.
+    /// survivors. Purely internal — observable state is unchanged — but it
+    /// moves the positions the carried FFD order names.
     fn compact(&mut self) {
+        self.forget_order();
         let mut new_live = Vec::with_capacity(self.core.live_count);
         for (id, t) in self.core.live.drain(..).flatten() {
             self.core
@@ -905,5 +988,30 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
             // the meter latched; the next operation surfaces the error.
             let _ = self.repack(gas, sink);
         }
+    }
+}
+
+/// Merge the FFD-ordered task indices `fresh` into the FFD-ordered `order`
+/// over `tasks`, in place. Each fresh task, last first, binary-searches its
+/// place among the kept tasks not yet passed, and the kept tasks after it
+/// shift right past it: `O(k·log n)` comparisons and `O(n)` moves for `k`
+/// fresh tasks.
+fn merge_ordered(tasks: &TaskSet, order: &mut Vec<usize>, fresh: &[usize]) {
+    if order.is_empty() {
+        order.extend_from_slice(fresh);
+        return;
+    }
+    let keyed = |ti: usize| (utilization_key(&tasks[ti]), ti);
+    let mut end = order.len();
+    order.resize(end + fresh.len(), 0);
+    let mut w = order.len();
+    for &ti in fresh.iter().rev() {
+        let new = keyed(ti);
+        let at = order[..end]
+            .partition_point(|&oi| tasks.cmp_by_decreasing_utilization(keyed(oi), new).is_lt());
+        order.copy_within(at..end, w - (end - at));
+        w -= end - at + 1;
+        order[w] = ti;
+        end = at;
     }
 }

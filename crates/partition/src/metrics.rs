@@ -79,6 +79,12 @@ pub const INCR_REPACKS: &str = "incr.repacks";
 /// Repacks whose from-scratch FFD came back infeasible, keeping the
 /// current (still valid) assignment instead (counter).
 pub const INCR_REPACK_INFEASIBLE: &str = "incr.repack_infeasible";
+/// Tasks repacks ordered by comparison sort (counter): a repack keeps the
+/// previous repack's FFD order and sorts only the survivors admitted
+/// since, or every survivor when it holds no order — the engine's first
+/// repack, and the first after a rollback, an imported state or a
+/// compaction of the insertion log.
+pub const INCR_REPACK_SORTED: &str = "incr.repack_sorted";
 /// Snapshots taken for speculative admission (counter).
 pub const INCR_SNAPSHOTS: &str = "incr.snapshots";
 /// Rollbacks to a snapshot (counter).

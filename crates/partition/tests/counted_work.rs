@@ -8,13 +8,18 @@
 //! 2. Churn: an incremental remove/re-add costs at least 100× less work
 //!    than one from-scratch batch run (n = 4096, m = 1024, load 0.6),
 //!    its automatic repacks included.
+//! 3. Repack sorting: a repack comparison-sorts only the tasks admitted
+//!    since the previous repack (`incr.repack_sorted`), whatever left in
+//!    between, and every survivor only when it holds no order (n = 4096,
+//!    m = 256).
 
 use hetfeas_model::rng::Rng;
 use hetfeas_model::{Augmentation, Platform, Task, TaskSet};
 use hetfeas_obs::MemorySink;
 use hetfeas_partition::metrics as pm;
 use hetfeas_partition::{
-    first_fit_ordered, EdfAdmission, FirstFitEngine, IncrementalEngine, ScanWorkspace, TaskId,
+    first_fit_ordered, EdfAdmission, FirstFitEngine, IncrementalEngine, RepackOutcome,
+    RepairPolicy, ScanWorkspace, TaskId,
 };
 use hetfeas_robust::Gas;
 use hetfeas_workload::{discretize_all, uunifast, PeriodMenu, PlatformSpec};
@@ -175,4 +180,67 @@ fn incremental_churn_costs_a_hundredth_of_a_from_scratch_run() {
          from-scratch run's {from_scratch:.0}",
         from_scratch / incremental
     );
+}
+
+#[test]
+fn a_repack_sorts_only_the_tasks_admitted_since_the_last_one() {
+    let (tasks, platform) = system(4096 + 512, 256, 0.5, 11);
+    let (first, spare) = tasks.as_slice().split_at(4096);
+    let mut eng = IncrementalEngine::with_policy(
+        EdfAdmission,
+        &platform,
+        Augmentation::NONE,
+        RepairPolicy::never(),
+    );
+    let (sink, gas) = (MemorySink::new(), &mut Gas::unlimited());
+    let mut old: Vec<TaskId> = first
+        .iter()
+        .map(|&t| eng.add(t, gas, &()).expect("gas").id().expect("admitted"))
+        .collect();
+    let repack_sorts = |eng: &mut IncrementalEngine<EdfAdmission>| {
+        let before = sink.counter(pm::INCR_REPACK_SORTED);
+        let out = eng.repack(&mut Gas::unlimited(), &sink).expect("gas");
+        assert_eq!(out, RepackOutcome::Repacked);
+        sink.counter(pm::INCR_REPACK_SORTED) - before
+    };
+    assert_eq!(
+        repack_sorts(&mut eng),
+        4096,
+        "the first repack sorts in full"
+    );
+
+    // k admissions and r removals of earlier tasks: the repack sorts k.
+    let mut rng = Rng::new(5);
+    let mut spare = spare.iter();
+    for (k, r) in [(256, 256), (1, 0), (0, 300), (97, 3), (0, 0)] {
+        for _ in 0..r {
+            let victim = old.swap_remove(rng.below(old.len() as u64) as usize);
+            eng.remove(victim, gas, &())
+                .expect("gas")
+                .expect("live id removes");
+        }
+        let admitted: Vec<TaskId> = spare
+            .by_ref()
+            .take(k)
+            .map(|&t| eng.add(t, gas, &()).expect("gas").id().expect("admitted"))
+            .collect();
+        let sorted = repack_sorts(&mut eng);
+        eprintln!(
+            "repack after {k} adds and {r} removes of {}: sorted {sorted}",
+            eng.len()
+        );
+        assert_eq!(sorted, k as u64, "{k} admissions, {r} removals");
+        old.extend(admitted);
+    }
+
+    // Rollback and an imported state drop the order: a full sort each.
+    let snap = eng.snapshot(gas, &()).expect("gas");
+    eng.add(*spare.next().expect("a spare task"), gas, &())
+        .expect("gas");
+    eng.rollback(&snap, gas, &()).expect("gas");
+    assert_eq!(repack_sorts(&mut eng), eng.len() as u64, "after a rollback");
+    eng.import_state(&eng.export_state())
+        .expect("own state imports");
+    assert_eq!(repack_sorts(&mut eng), eng.len() as u64, "after an import");
+    assert_eq!(repack_sorts(&mut eng), 0, "nothing admitted since");
 }

@@ -13,15 +13,24 @@
 //!    assignment already matches from-scratch without any repack; an
 //!    out-of-order add breaks canonicality even when the two utilizations
 //!    differ only beyond `f64` and `i128` cross-product precision.
+//! 4. **Repack chains** — a repack merges the tasks admitted since the
+//!    previous repack into the FFD order it kept. Over long chains of
+//!    adds, removes, repacks, rollbacks and state round-trips, with exact
+//!    utilization ties, every repack still equals from-scratch first-fit,
+//!    and the engine's state equals a twin's that forgets its order before
+//!    each repack and so sorts in full (EDF, RMS-LL and hyperbolic).
 //!
 //! The instances come from fixed seeds of the shared
 //! [`hetfeas_model::rng::Rng`].
 
 use hetfeas_model::rng::Rng;
 use hetfeas_model::{Augmentation, Platform, Task};
+use hetfeas_obs::MemorySink;
+use hetfeas_partition::metrics as pm;
 use hetfeas_partition::{
-    first_fit_ordered, Assignment, EdfAdmission, IncrementalEngine, IndexableAdmission, Outcome,
-    RepackOutcome, RepairPolicy, RmsLlAdmission, ScanWorkspace, TaskId,
+    first_fit_ordered, live_state_digest, Assignment, EdfAdmission, IncrementalEngine,
+    IndexableAdmission, Outcome, RepackOutcome, RepairPolicy, RmsHyperbolicAdmission,
+    RmsLlAdmission, ScanWorkspace, TaskId,
 };
 use hetfeas_robust::Gas;
 
@@ -280,4 +289,161 @@ fn heavier_append_near_u64_max_is_not_canonical() {
     assert_eq!(eng.divergence(), 1);
     assert_eq!(eng.repack(gas, &()), Ok(RepackOutcome::Repacked));
     assert_eq!(placements(&eng.assignment(), 2), placements(&expect, 2));
+}
+
+/// A task from one of a few equal-utilization families — 1/10 = 2/20 =
+/// 3/30 = 5/50, and likewise for 1/4, 3/10, 2/5 and 7/10 — so that exact
+/// ties meet in a repack's merge; one in four is an ordinary random task.
+fn tied_task(rng: &mut Rng) -> Task {
+    const FAMILIES: [(u64, u64); 5] = [(1, 10), (1, 4), (3, 10), (2, 5), (7, 10)];
+    const SCALES: [u64; 5] = [1, 2, 3, 5, 10];
+    if rng.below(4) == 0 {
+        return random_task(rng);
+    }
+    let (c, p) = FAMILIES[rng.below(FAMILIES.len() as u64) as usize];
+    let k = SCALES[rng.below(SCALES.len() as u64) as usize];
+    Task::implicit(c * k, p * k).expect("valid task")
+}
+
+/// Repacks a sink has counted: `(repacked, came back infeasible)`.
+fn repacks(sink: &MemorySink) -> (u64, u64) {
+    (
+        sink.counter(pm::INCR_REPACKS),
+        sink.counter(pm::INCR_REPACK_INFEASIBLE),
+    )
+}
+
+/// Property 4: `eng` repacks every `repack_after` divergent ops and also
+/// on request, keeping its FFD order from one repack to the next; `twin`
+/// sees the same ops but never repacks on its own: whenever `eng` repacks,
+/// `twin` round-trips its state through `import_state` (which forgets the
+/// order) and repacks with a full sort. After every op the two digests
+/// agree; after every repack `eng`'s placement is from-scratch first-fit
+/// over its live tasks, and its machine states are the ones its resident
+/// lists fold to.
+fn check_repack_chain<A: IndexableAdmission + Copy>(admission: A, repack_after: u32, seed: u64) {
+    let mut rng = Rng::new(seed);
+    let platform = random_platform(&mut rng, 6);
+    let alpha = Augmentation::NONE;
+    let policy = RepairPolicy { repack_after };
+    let mut eng = IncrementalEngine::with_policy(admission, &platform, alpha, policy);
+    let mut twin =
+        IncrementalEngine::with_policy(admission, &platform, alpha, RepairPolicy::never());
+    let (sink, gas) = (MemorySink::new(), &mut Gas::unlimited());
+    let mut live: Vec<TaskId> = Vec::new();
+    let mut held = None;
+    for step in 0..300 {
+        let before = repacks(&sink);
+        match rng.below(100) {
+            0..=44 => {
+                let task = tied_task(&mut rng);
+                let got = eng.add(task, gas, &sink).expect(GAS);
+                assert_eq!(twin.add(task, gas, &()).expect(GAS).id(), got.id());
+                live.extend(got.id());
+            }
+            45..=74 if !live.is_empty() => {
+                let id = live.swap_remove(rng.below(live.len() as u64) as usize);
+                let gone = eng.remove(id, gas, &sink).expect(GAS);
+                assert!(gone.is_some(), "live id removes (seed {seed}, step {step})");
+                assert_eq!(twin.remove(id, gas, &()).expect(GAS), gone);
+            }
+            75..=81 => {
+                eng.repack(gas, &sink).expect(GAS);
+            }
+            82..=87 => {
+                held = Some((
+                    eng.snapshot(gas, &()).expect(GAS),
+                    twin.snapshot(gas, &()).expect(GAS),
+                    live.clone(),
+                ));
+            }
+            88..=92 => {
+                if let Some((snap, twin_snap, ids)) = &held {
+                    eng.rollback(snap, gas, &()).expect(GAS);
+                    twin.rollback(twin_snap, gas, &()).expect(GAS);
+                    live = ids.clone();
+                }
+            }
+            _ => {
+                eng.import_state(&eng.export_state())
+                    .expect("own state imports");
+                twin.import_state(&twin.export_state())
+                    .expect("own state imports");
+            }
+        }
+        let what = format!("repack_after {repack_after}, seed {seed}, step {step}");
+        let after = repacks(&sink);
+        let repacked = after.0 > before.0;
+        if after != before {
+            twin.import_state(&twin.export_state())
+                .expect("own state imports");
+            twin.repack(gas, &()).expect(GAS);
+        }
+        assert_eq!(
+            live_state_digest(&eng, None),
+            live_state_digest(&twin, None),
+            "engine and full-sort twin diverge ({what})"
+        );
+        if after == before {
+            continue;
+        }
+        let survivors = eng.live_tasks();
+        let batch = first_fit_ordered(
+            &survivors,
+            &platform,
+            alpha,
+            eng.admission(),
+            &survivors.order_by_decreasing_utilization(),
+            &platform.order_by_increasing_speed(),
+            &mut ScanWorkspace::new(),
+            &mut Gas::unlimited(),
+            &(),
+        );
+        match batch {
+            Outcome::Feasible(expect) if repacked => {
+                let n = survivors.len();
+                assert_eq!(
+                    placements(&eng.assignment(), n),
+                    placements(&expect, n),
+                    "repack diverges from first_fit_ordered ({what})"
+                );
+            }
+            batch => assert!(
+                !batch.is_feasible() && !repacked,
+                "repack outcome disagrees with first_fit_ordered ({what})"
+            ),
+        }
+        let mut folded = IncrementalEngine::new(admission, &platform, alpha);
+        folded
+            .import_state(&eng.export_state())
+            .expect("own state imports");
+        assert_eq!(
+            observe(&folded).1,
+            observe(&eng).1,
+            "repacked machine states differ from their residents' fold ({what})"
+        );
+    }
+}
+
+fn check_repack_chains<A: IndexableAdmission + Copy>(admission: A, seeds: std::ops::Range<u64>) {
+    for seed in seeds {
+        for repack_after in [1, 3, 8] {
+            check_repack_chain(admission, repack_after, seed);
+        }
+    }
+}
+
+#[test]
+fn repack_chains_match_a_full_sort_edf() {
+    check_repack_chains(EdfAdmission, 500..512);
+}
+
+#[test]
+fn repack_chains_match_a_full_sort_rms_ll() {
+    check_repack_chains(RmsLlAdmission, 600..612);
+}
+
+#[test]
+fn repack_chains_match_a_full_sort_hyperbolic() {
+    check_repack_chains(RmsHyperbolicAdmission, 700..712);
 }

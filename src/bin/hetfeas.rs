@@ -1236,7 +1236,10 @@ fn cmd_ops(c: &Common) -> Result<ExitCode, String> {
         let combined = combine_digests(digests);
         if binary {
             println!("{n} instances streamed, {counts}");
-            println!("combined digest {combined:08x}");
+            // An exhausted instance reached no state to digest.
+            if exhausted == 0 {
+                println!("combined digest {combined:08x}");
+            }
         } else {
             println!("{counts}");
         }

@@ -147,6 +147,8 @@ fn ops_tiny_budget_is_undecided_exit_three() {
         let summary = "\nUNDECIDED — 2 of 2 instances exhausted the budget\n";
         assert!(stdout.contains(summary), "{path}: {stdout}");
         assert_eq!(stdout.matches("UNDECIDED").count(), 3, "{path}: {stdout}");
+        // No instance reached a state, so neither format prints a digest.
+        assert!(!stdout.contains("combined digest"), "{path}: {stdout}");
     }
 }
 
@@ -628,6 +630,7 @@ counters.incr.adds=4
 counters.incr.exact_checks=4
 counters.incr.local_repairs=1
 counters.incr.removes=1
+counters.incr.repack_sorted=1
 counters.incr.repacks=1
 counters.incr.repair_refolds=1
 counters.incr.reverify_misses=0
@@ -713,6 +716,7 @@ counters.incr.adds=4
 counters.incr.exact_checks=4
 counters.incr.local_repairs=1
 counters.incr.removes=1
+counters.incr.repack_sorted=1
 counters.incr.repacks=1
 counters.incr.repair_refolds=1
 counters.incr.reverify_misses=0
@@ -923,6 +927,7 @@ counters.incr.adds=3
 counters.incr.exact_checks=3
 counters.incr.local_repairs=1
 counters.incr.removes=1
+counters.incr.repack_sorted=1
 counters.incr.repacks=1
 counters.incr.repair_refolds=1
 counters.incr.reverify_misses=0
@@ -978,6 +983,7 @@ counters.incr.adds=3
 counters.incr.exact_checks=3
 counters.incr.local_repairs=1
 counters.incr.removes=1
+counters.incr.repack_sorted=1
 counters.incr.repacks=1
 counters.incr.repair_refolds=1
 counters.incr.reverify_misses=0
