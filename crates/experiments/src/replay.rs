@@ -5,8 +5,8 @@
 //! operations run through one protocol, [`InstanceReplayer::apply`], over
 //! any [`OpEngine`]:
 //!
-//! * [`Incremental`] — the [`IncrementalEngine`] (`O(log m)` adds, local
-//!   repairs) with the trace's single snapshot slot;
+//! * [`IncrementalEngine`] itself (`O(log m)` adds, local repairs, and
+//!   the engine's own snapshot slot);
 //! * [`DurableEngine`] — the same engine behind a write-ahead journal,
 //!   with the journal's barrier run after every op;
 //! * [`FromScratch`] — the honest baseline: a full batch first-fit re-run
@@ -38,8 +38,8 @@ use hetfeas_model::{
 use hetfeas_obs::MetricsSink;
 use hetfeas_par::{par_map_with, Progress};
 use hetfeas_partition::{
-    live_state_digest, AddOutcome, DurableEngine, DurableError, FirstFitEngine, IncrSnapshot,
-    IncrementalEngine, IndexableAdmission, Outcome, RepackOutcome, TaskId,
+    live_state_digest, AddOutcome, DurableEngine, DurableError, FirstFitEngine, IncrementalEngine,
+    IndexableAdmission, Outcome, RepackOutcome, TaskId,
 };
 use hetfeas_robust::journal::crc32;
 use hetfeas_robust::{Budget, Exhaustion, Gas};
@@ -206,27 +206,9 @@ pub trait OpEngine {
     fn digest(&self) -> u32;
 }
 
-/// The [`IncrementalEngine`] with the trace protocol's snapshot slot.
-pub struct Incremental<A: IndexableAdmission> {
-    eng: IncrementalEngine<A>,
-    snap: Option<IncrSnapshot<A>>,
-}
-
-impl<A: IndexableAdmission> Incremental<A> {
-    /// A fresh engine over `platform`.
-    pub fn new(admission: A, platform: &Platform, alpha: Augmentation) -> Self {
-        Incremental {
-            eng: IncrementalEngine::new(admission, platform, alpha),
-            snap: None,
-        }
-    }
-}
-
-impl<A: IndexableAdmission> OpEngine for Incremental<A> {
+impl<A: IndexableAdmission> OpEngine for IncrementalEngine<A> {
     fn add<S: MetricsSink>(&mut self, task: Task, gas: &mut Gas, sink: &S) -> OpResult<AddOutcome> {
-        self.eng
-            .add(task, gas, sink)
-            .map_err(DurableError::Exhausted)
+        IncrementalEngine::add(self, task, gas, sink).map_err(DurableError::Exhausted)
     }
 
     fn remove<S: MetricsSink>(
@@ -235,42 +217,33 @@ impl<A: IndexableAdmission> OpEngine for Incremental<A> {
         gas: &mut Gas,
         sink: &S,
     ) -> OpResult<Option<Task>> {
-        self.eng
-            .remove(id, gas, sink)
-            .map_err(DurableError::Exhausted)
+        IncrementalEngine::remove(self, id, gas, sink).map_err(DurableError::Exhausted)
     }
 
     fn machine_of(&self, id: TaskId) -> Option<usize> {
-        self.eng.machine_of(id)
+        IncrementalEngine::machine_of(self, id)
     }
 
     fn len(&self) -> usize {
-        self.eng.len()
+        IncrementalEngine::len(self)
     }
 
     fn snapshot<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<()> {
-        let snap = self.eng.snapshot(gas, sink);
-        self.snap = Some(snap.map_err(DurableError::Exhausted)?);
-        Ok(())
+        IncrementalEngine::snapshot(self, gas, sink).map_err(DurableError::Exhausted)
     }
 
     fn rollback<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<bool> {
-        let Some(snap) = &self.snap else {
-            return Ok(false);
-        };
-        let restored = self.eng.rollback(snap, gas, sink);
-        restored.map_err(DurableError::Exhausted)?;
-        Ok(true)
+        IncrementalEngine::rollback(self, gas, sink).map_err(DurableError::Exhausted)
     }
 
     fn repack<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> OpResult<RepackOutcome> {
-        self.eng.repack(gas, sink).map_err(DurableError::Exhausted)
+        IncrementalEngine::repack(self, gas, sink).map_err(DurableError::Exhausted)
     }
 
     /// The bytes [`DurableEngine::state_digest`] hashes, so a journal-free
     /// replay compares against a durable run.
     fn digest(&self) -> u32 {
-        live_state_digest(&self.eng, self.snap.as_ref())
+        live_state_digest(self)
     }
 }
 
@@ -477,10 +450,10 @@ pub struct InstanceReplayer<E> {
     op_index: usize,
 }
 
-impl<A: IndexableAdmission> InstanceReplayer<Incremental<A>> {
-    /// Fresh replayer over an [`Incremental`] engine on `platform`.
+impl<A: IndexableAdmission> InstanceReplayer<IncrementalEngine<A>> {
+    /// Fresh replayer over an [`IncrementalEngine`] on `platform`.
     pub fn new(admission: A, platform: &Platform, alpha: Augmentation) -> Self {
-        InstanceReplayer::over(Incremental::new(admission, platform, alpha))
+        InstanceReplayer::over(IncrementalEngine::new(admission, platform, alpha))
     }
 }
 
@@ -617,9 +590,12 @@ where
     S: MetricsSink,
 {
     match mode {
-        ReplayMode::Incremental => {
-            replay_ops(Incremental::new(admission, platform, alpha), ops, gas, sink)
-        }
+        ReplayMode::Incremental => replay_ops(
+            IncrementalEngine::new(admission, platform, alpha),
+            ops,
+            gas,
+            sink,
+        ),
         ReplayMode::FromScratch => {
             replay_ops(FromScratch::new(admission, platform, alpha), ops, gas, sink)
         }
@@ -749,7 +725,7 @@ where
     R: std::io::Read,
 {
     let done = replay_stream_with(stream, None, |platform, ops, _| {
-        let eng = Incremental::new(admission.clone(), platform, alpha);
+        let eng = IncrementalEngine::new(admission.clone(), platform, alpha);
         replay_ops(eng, ops, gas, sink)
     })?;
     let summary = |(name, replayed): InstanceOutcome| {

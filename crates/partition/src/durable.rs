@@ -19,6 +19,9 @@
 //! [`RepairPolicy::never`], and the divergence-triggered canonical repack
 //! is journaled as an explicit `p` record by this layer, so the journal
 //! is a complete, gas-independent description of the engine's history.
+//! The one snapshot slot is the inner engine's own
+//! ([`IncrementalEngine::snapshot`]); this layer journals its use and
+//! reads it back through [`IncrementalEngine::snapshot_view`].
 //! [`recover`] replays it back to the **bit-identical** in-memory engine
 //! (same per-machine `f64` loads, same assignment, same id allocator) —
 //! the crash-matrix suite in `crates/partition/tests/prop_durable.rs`
@@ -51,7 +54,9 @@
 //! each [`DurableEngine::compaction_slice`] copies at most
 //! [`DurableOptions::slice_bytes`] of it into the stage, so live ops keep
 //! landing (in the live journal *and* mirrored into the staged tail)
-//! between slices — compaction never stops the world. The commit fsyncs
+//! between slices — compaction never stops the world. The budget is not
+//! journaled: [`recover`] starts at the default, and a caller with its
+//! own sets it with [`DurableEngine::set_slice_bytes`]. The commit fsyncs
 //! the staged file before the rename, so it is a barrier for the tail it
 //! carries. `after_op` and the
 //! public [`DurableEngine::compaction_tick`] hook each advance one slice;
@@ -88,8 +93,7 @@
 use crate::assignment::Assignment;
 use crate::engine::IndexableAdmission;
 use crate::incremental::{
-    AddOutcome, EngineState, IncrSnapshot, IncrementalEngine, RepackOutcome, RepairPolicy,
-    StateView, TaskId,
+    AddOutcome, EngineState, IncrementalEngine, RepackOutcome, RepairPolicy, StateView, TaskId,
 };
 use hetfeas_model::crc::Crc32;
 use hetfeas_model::{Augmentation, Machine, Platform, Ratio, Task};
@@ -707,13 +711,11 @@ struct CompactionState {
 /// op, one caller-run durability barrier ([`DurableEngine::sync`]),
 /// periodic atomic compaction, gas-budgeted IO retries.
 ///
-/// The public op surface mirrors the inner engine's `_within_with`
-/// methods; the single journaled snapshot slot mirrors the op-trace
-/// protocol (`snapshot` overwrites, `rollback` restores without
-/// consuming).
+/// The public op surface mirrors the inner engine's; `snapshot` and
+/// `rollback` journal the inner engine's own snapshot slot (`snapshot`
+/// overwrites, `rollback` restores without consuming).
 pub struct DurableEngine<A: IndexableAdmission> {
     inner: IncrementalEngine<A>,
-    snap: Option<IncrSnapshot<A>>,
     journal: Journal,
     config: JournalConfig,
     ops_since_compact: u64,
@@ -756,7 +758,6 @@ impl<A: IndexableAdmission> DurableEngine<A> {
                 alpha,
                 RepairPolicy::never(),
             ),
-            snap: None,
             journal,
             config,
             ops_since_compact: 0,
@@ -781,7 +782,7 @@ impl<A: IndexableAdmission> DurableEngine<A> {
 
     /// True when a journaled snapshot is held.
     pub fn has_snapshot(&self) -> bool {
-        self.snap.is_some()
+        self.inner.snapshot_view().is_some()
     }
 
     /// CRC32 digest of the full observable state (live set, per-machine
@@ -790,7 +791,7 @@ impl<A: IndexableAdmission> DurableEngine<A> {
     /// bit-exact — the crash matrix and `scripts/crash_smoke.sh` compare
     /// it across processes.
     pub fn state_digest(&self) -> u32 {
-        live_state_digest(&self.inner, self.snap.as_ref())
+        live_state_digest(&self.inner)
     }
 
     /// Drain the record of which machines' resident lists changed since
@@ -948,8 +949,9 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         gas.tick_n(self.inner.len() as u64 + 1)
             .map_err(DurableError::Exhausted)?;
         self.log_write(&tagged(b"s".to_vec(), rid), gas, sink)?;
-        let snap = self.inner.snapshot(&mut Gas::unlimited(), sink);
-        self.snap = Some(snap.expect("unlimited gas cannot exhaust"));
+        self.inner
+            .snapshot(&mut Gas::unlimited(), sink)
+            .expect("unlimited gas cannot exhaust");
         self.remember(rid, Applied::Done);
         self.after_op(gas, sink)
     }
@@ -962,15 +964,14 @@ impl<A: IndexableAdmission> DurableEngine<A> {
         sink: &S,
     ) -> Result<bool, DurableError> {
         let rid = self.rid.take();
-        if self.snap.is_none() {
+        if !self.has_snapshot() {
             return Ok(false);
         }
         gas.tick_n(self.inner.len() as u64 + 1)
             .map_err(DurableError::Exhausted)?;
         self.log_write(&tagged(b"b".to_vec(), rid), gas, sink)?;
-        let snap = self.snap.as_ref().expect("checked above");
-        let restored = self.inner.rollback(snap, &mut Gas::unlimited(), sink);
-        restored.expect("unlimited gas cannot exhaust");
+        let restored = self.inner.rollback(&mut Gas::unlimited(), sink);
+        debug_assert_eq!(restored, Ok(true));
         self.changed.mark_all();
         self.remember(rid, Applied::Done);
         self.after_op(gas, sink)?;
@@ -1029,8 +1030,8 @@ impl<A: IndexableAdmission> DurableEngine<A> {
             encode_config(&self.config),
             encode_state("state", &self.inner.view()),
         ];
-        if let Some(snap) = &self.snap {
-            records.push(encode_state("snapstate", &self.inner.snapshot_view(snap)));
+        if let Some(snap) = self.inner.snapshot_view() {
+            records.push(encode_state("snapstate", &snap));
         }
         if !self.rids.entries.is_empty() {
             records.push(encode_window(&self.rids));
@@ -1229,19 +1230,18 @@ impl<A: IndexableAdmission> DurableEngine<A> {
                 Applied::Removed
             }
             Some("s") => {
-                let snap = self.inner.snapshot(gas, sink);
-                self.snap = Some(snap.map_err(RecoverError::Exhausted)?);
+                self.inner
+                    .snapshot(gas, sink)
+                    .map_err(RecoverError::Exhausted)?;
                 Applied::Done
             }
             Some("b") => {
                 gas.tick_n(self.inner.len() as u64 + 1)
                     .map_err(RecoverError::Exhausted)?;
-                let snap = self
-                    .snap
-                    .as_ref()
-                    .ok_or_else(|| corrupt("rollback with no snapshot on record".into()))?;
-                let restored = self.inner.rollback(snap, &mut Gas::unlimited(), sink);
-                restored.expect("unlimited gas cannot exhaust");
+                let restored = self.inner.rollback(&mut Gas::unlimited(), sink);
+                if !restored.expect("unlimited gas cannot exhaust") {
+                    return Err(corrupt("rollback with no snapshot on record".into()));
+                }
                 Applied::Done
             }
             Some("p") => {
@@ -1276,7 +1276,7 @@ impl<A: IndexableAdmission> DurableEngine<A> {
                 gas.tick_n(self.inner.len() as u64 + 1)
                     .map_err(RecoverError::Exhausted)?;
                 let st = parse_state(text, m).map_err(corrupt)?;
-                self.snap = Some(self.inner.snapshot_from_state(&st).map_err(corrupt)?);
+                self.inner.import_snapshot(&st).map_err(corrupt)?;
                 return Ok(());
             }
             Some(other) => return Err(corrupt(format!("unknown record tag '{other}'"))),
@@ -1292,17 +1292,14 @@ impl<A: IndexableAdmission> DurableEngine<A> {
 /// Bytes a streamed digest buffers before folding them into the CRC.
 const DIGEST_SPILL: usize = 8 << 10;
 
-/// CRC32 digest of an in-memory engine plus an optional held snapshot:
+/// CRC32 digest of an in-memory engine and its held snapshot, if any:
 /// the CRC-32 of its `state` record, then (with a snapshot) a zero byte
 /// and the `snapstate` record — the exact bytes compaction journals,
 /// streamed into the checksum a few KiB at a time instead of built
 /// whole. [`DurableEngine::state_digest`] is this; journal-free replay
 /// paths (e.g. streaming trace replay) use it to prove they reached the
 /// same state as a durable run, byte for byte.
-pub fn live_state_digest<A: IndexableAdmission>(
-    engine: &IncrementalEngine<A>,
-    snap: Option<&IncrSnapshot<A>>,
-) -> u32 {
+pub fn live_state_digest<A: IndexableAdmission>(engine: &IncrementalEngine<A>) -> u32 {
     let mut crc = Crc32::new();
     let mut buf = Vec::with_capacity(2 * DIGEST_SPILL);
     let mut spill = |b: &mut Vec<u8>| {
@@ -1312,14 +1309,9 @@ pub fn live_state_digest<A: IndexableAdmission>(
         }
     };
     write_state("state", &engine.view(), &mut buf, &mut spill);
-    if let Some(snap) = snap {
+    if let Some(snap) = engine.snapshot_view() {
         buf.push(0);
-        write_state(
-            "snapstate",
-            &engine.snapshot_view(snap),
-            &mut buf,
-            &mut spill,
-        );
+        write_state("snapstate", &snap, &mut buf, &mut spill);
     }
     crc.update(&buf);
     crc.finish()
@@ -1345,7 +1337,9 @@ pub fn peek_config(store: &mut dyn Storage) -> Result<JournalConfig, RecoverErro
 /// to the engine that wrote the journal, up to the last whole record. The
 /// request-id log holds every tagged outcome the replay passed (the
 /// `window` record's, then the tagged op records'), unbounded until the
-/// caller calls [`DurableEngine::set_rid_window`].
+/// caller calls [`DurableEngine::set_rid_window`]. The compaction slice
+/// budget, which the journal does not record, is the default until the
+/// caller calls [`DurableEngine::set_slice_bytes`].
 ///
 /// A journal written under a policy other than `A`'s
 /// ([`IndexableAdmission::POLICY`]) is [`RecoverError::Corrupt`]; callers
@@ -1376,7 +1370,6 @@ where
     let alpha = config.alpha().map_err(RecoverError::Corrupt)?;
     let mut eng = DurableEngine {
         inner: IncrementalEngine::with_policy(admission, &platform, alpha, RepairPolicy::never()),
-        snap: None,
         journal,
         config,
         ops_since_compact: 0,
@@ -1614,13 +1607,13 @@ mod tests {
             eng.add(Task::implicit(w, p).expect("valid"), &mut gas, &())
                 .expect("add");
         }
-        assert_eq!(live_state_digest(eng.engine(), None), eng.state_digest());
+        let before = live_state_digest(eng.engine());
+        assert_eq!(before, eng.state_digest());
         eng.snapshot(&mut gas, &()).expect("snapshot");
-        eng.add(Task::implicit(1, 7).expect("valid"), &mut gas, &())
-            .expect("add");
+        assert_eq!(live_state_digest(eng.engine()), eng.state_digest());
         assert_ne!(
-            live_state_digest(eng.engine(), None),
             eng.state_digest(),
+            before,
             "digest must cover the held snapshot"
         );
     }
@@ -1661,13 +1654,10 @@ mod tests {
         eng.snapshot(&mut gas, &()).expect("snapshot");
         eng.add(Task::implicit(1, 7).expect("valid"), &mut gas, &())
             .expect("add");
-        let snap = eng.snap.as_ref().expect("held");
+        let snap = eng.engine().snapshot_view().expect("held");
         let mut bytes = encode_state("state", &eng.engine().view());
         bytes.push(0);
-        bytes.extend_from_slice(&encode_state(
-            "snapstate",
-            &eng.engine().snapshot_view(snap),
-        ));
+        bytes.extend_from_slice(&encode_state("snapstate", &snap));
         assert_eq!(eng.state_digest(), crc32(&bytes));
         assert_eq!(eng.state_digest(), 0x08a6_c17f);
 

@@ -30,10 +30,20 @@
 //! (exact RTA, Kuo–Mok — they re-inspect the whole accumulated set) cannot
 //! be indexed this way and stay on the linear reference path.
 //!
-//! The engine owns its workspaces (sort permutations, admission states,
-//! the tree), so repeated calls — e.g. the probes of
+//! ## One placement kernel
+//!
+//! The descend, re-check and resume-right loop is written once, in the
+//! crate-private `Kernel`: per-slot admission states at α-augmented
+//! speeds plus the max-tree of their residual hints. [`FirstFitEngine`]
+//! runs every probe as one kernel FFD run, and
+//! [`crate::IncrementalEngine`] keeps its live partition in a kernel and
+//! repacks in a second one, so the two engines cannot drift apart.
+//!
+//! The engine owns its workspaces (sort permutations, the kernel, the
+//! placed slots), so repeated calls — e.g. the probes of
 //! [`FirstFitEngine::min_feasible_alpha`] — amortize all allocation, and
-//! that search sorts once for all its probes.
+//! that search sorts once for all its probes. Only [`FirstFitEngine::run`]
+//! builds an [`Assignment`], from the slots its run recorded.
 
 use crate::admission::{
     admit_rhs, AdmissionTest, EdfAdmission, HyperbolicState, RmsHyperbolicAdmission,
@@ -54,10 +64,10 @@ use hetfeas_robust::{Exhaustion, Gas};
 /// rounding error of the few flops involved and ≤ 10⁻³× [`hetfeas_model::EPS`], so false
 /// positives (cost: one wasted exact re-check) are vanishingly rare and
 /// false negatives are impossible.
-pub(crate) const HINT_SLACK: f64 = 1e-12;
+const HINT_SLACK: f64 = 1e-12;
 
 #[inline]
-pub(crate) fn relaxed_residual(capacity_rhs: f64, load: f64) -> f64 {
+fn relaxed_residual(capacity_rhs: f64, load: f64) -> f64 {
     (capacity_rhs - load) + HINT_SLACK * capacity_rhs.abs().max(load.abs()).max(1.0)
 }
 
@@ -162,7 +172,7 @@ impl IndexableAdmission for RmsHyperbolicAdmission {
 /// `LEAF_SPAN` contiguous values, not single values, so the final step of
 /// every query is a branch-predictable linear scan over contiguous memory
 /// (and the heap is `LEAF_SPAN`× smaller — three levels shorter to climb).
-pub(crate) const LEAF_SPAN: usize = 8;
+const LEAF_SPAN: usize = 8;
 
 /// Max-segment-tree over `f64` values supporting point updates and
 /// "leftmost value ≥ threshold at or after position `from`" in `O(log m)`.
@@ -172,7 +182,7 @@ pub(crate) const LEAF_SPAN: usize = 8;
 /// over block maxima and resolve the final position with an in-block scan,
 /// which auto-vectorizes and costs no pointer chasing.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct MaxTree {
+struct MaxTree {
     /// Power-of-two number of block leaves (0 until first rebuild).
     block_leaves: usize,
     /// Raw values, padded with `-∞` to `block_leaves · LEAF_SPAN` so
@@ -197,12 +207,13 @@ fn block_max(vals: &[f64]) -> f64 {
 
 impl MaxTree {
     /// Reset the tree to `values`, reusing the backing allocations.
-    pub(crate) fn rebuild(&mut self, values: &[f64]) {
+    fn rebuild(&mut self, values: impl ExactSizeIterator<Item = f64>) {
         let blocks = values.len().div_ceil(LEAF_SPAN).max(1).next_power_of_two();
         self.block_leaves = blocks;
         self.values.clear();
+        self.values.reserve(blocks * LEAF_SPAN);
+        self.values.extend(values);
         self.values.resize(blocks * LEAF_SPAN, f64::NEG_INFINITY);
-        self.values[..values.len()].copy_from_slice(values);
         self.node.clear();
         self.node.resize(2 * blocks, f64::NEG_INFINITY);
         for b in 0..blocks {
@@ -214,7 +225,7 @@ impl MaxTree {
     }
 
     /// Set value `i` to `v` and repair the block max plus its ancestors.
-    pub(crate) fn update(&mut self, i: usize, v: f64) {
+    fn update(&mut self, i: usize, v: f64) {
         self.values[i] = v;
         let b = i / LEAF_SPAN;
         let mut i = self.block_leaves + b;
@@ -229,7 +240,7 @@ impl MaxTree {
     /// `≥ threshold`. Adds the heap nodes (block maxima) the climb and
     /// descent read to `nodes`, at most `2·log2` of the block count per
     /// query; under a sink with `ENABLED = false` the count compiles away.
-    pub(crate) fn first_at_least<S: MetricsSink>(
+    fn first_at_least<S: MetricsSink>(
         &self,
         from: usize,
         threshold: f64,
@@ -282,6 +293,175 @@ impl MaxTree {
     }
 }
 
+/// Work placements did, in the indexed engines' own units: tree descents,
+/// the heap nodes they read (counted only under an enabled sink), exact
+/// re-checks and re-verification misses.
+#[derive(Default)]
+pub(crate) struct Work {
+    pub(crate) descents: u64,
+    pub(crate) tree_nodes: u64,
+    pub(crate) exact: u64,
+    pub(crate) misses: u64,
+}
+
+/// The one placement kernel of the indexed engines: per-slot admission
+/// states at α-augmented speeds (slots in machine-scan order) and the
+/// [`MaxTree`] of their residual hints. It is the only code that places
+/// a task or reads the tree.
+#[derive(Debug, Clone)]
+pub(crate) struct Kernel<St> {
+    speeds: Vec<f64>,
+    states: Vec<St>,
+    tree: MaxTree,
+}
+
+impl<St> Kernel<St> {
+    /// A kernel with no slots; [`Self::reset`] sizes it.
+    pub(crate) fn new() -> Self {
+        Kernel {
+            speeds: Vec::new(),
+            states: Vec::new(),
+            tree: MaxTree::default(),
+        }
+    }
+
+    /// The α-augmented speed of every slot, in scan order.
+    pub(crate) fn speeds(&self) -> &[f64] {
+        &self.speeds
+    }
+
+    /// The admission state of `slot`.
+    pub(crate) fn state(&self, slot: usize) -> &St {
+        &self.states[slot]
+    }
+
+    /// Empty every slot at the α-augmented `speeds`, reusing the buffers.
+    /// Counts each buffer that had to grow under `ff.workspace_allocs`.
+    pub(crate) fn reset<A, S>(&mut self, adm: &A, speeds: impl Iterator<Item = f64>, sink: &S)
+    where
+        A: IndexableAdmission<State = St>,
+        S: MetricsSink,
+    {
+        let caps = |k: &Self| {
+            [
+                k.speeds.capacity(),
+                k.states.capacity(),
+                k.tree.values.capacity(),
+            ]
+        };
+        let before = caps(self);
+        self.speeds.clear();
+        self.speeds.extend(speeds);
+        self.states.clear();
+        self.states
+            .extend(self.speeds.iter().map(|_| adm.empty_state()));
+        let (states, speeds) = (&self.states, &self.speeds);
+        self.tree.rebuild(
+            states
+                .iter()
+                .zip(speeds)
+                .map(|(st, &sp)| adm.residual_hint(st, sp)),
+        );
+        if S::ENABLED {
+            let after = caps(self);
+            let grown = (0..3).filter(|&i| before[i] != after[i]).count() as u64;
+            if grown > 0 {
+                sink.counter_add(metrics::FF_WORKSPACE_ALLOCS, grown);
+            }
+        }
+    }
+
+    /// Give `slot` the admission state `state` (e.g. re-folded from its
+    /// residents after a removal) and the matching residual hint.
+    pub(crate) fn set<A: IndexableAdmission<State = St>>(
+        &mut self,
+        adm: &A,
+        slot: usize,
+        state: St,
+    ) {
+        let hint = adm.residual_hint(&state, self.speeds[slot]);
+        self.states[slot] = state;
+        self.tree.update(slot, hint);
+    }
+
+    /// Place `task` on the first slot that admits it: descend to the
+    /// leftmost slot whose hint fits the task's utilization, re-check it
+    /// with the exact [`AdmissionTest::admit`], and resume right of a
+    /// miss. `None` (nothing changed) when no slot admits it.
+    pub(crate) fn place<A, S>(&mut self, adm: &A, task: &Task, work: &mut Work) -> Option<usize>
+    where
+        A: IndexableAdmission<State = St>,
+        S: MetricsSink,
+    {
+        let u = task.utilization();
+        let mut from = 0usize;
+        loop {
+            work.descents += 1;
+            let slot = self
+                .tree
+                .first_at_least::<S>(from, u, &mut work.tree_nodes)?;
+            work.exact += 1;
+            if let Some(next) = adm.admit(&self.states[slot], task, self.speeds[slot]) {
+                self.set(adm, slot, next);
+                return Some(slot);
+            }
+            work.misses += 1;
+            from = slot + 1;
+        }
+    }
+
+    /// One first-fit run: place `tasks` in `order` (indices into `tasks`)
+    /// from the current slot states, recording each placed task's slot in
+    /// `slots` (cleared first), up to the first task no slot admits.
+    /// Returns true when every task was placed. Flushes once into `sink`:
+    ///
+    /// * `ff.*` in *reference-scan units*, derived from the byte-identical
+    ///   placement sequence (a task placed at scan slot `s` would have cost
+    ///   the reference `s + 1` checks; a failing task costs `m`) — so the
+    ///   engines and [`crate::first_fit_ordered`] report identical `ff.*`
+    ///   numbers for the same instance;
+    /// * `engine.*` for the work actually done (see [`Work`]).
+    pub(crate) fn place_all<A, S>(
+        &mut self,
+        adm: &A,
+        tasks: &TaskSet,
+        order: &[usize],
+        slots: &mut Vec<usize>,
+        sink: &S,
+    ) -> bool
+    where
+        A: IndexableAdmission<State = St>,
+        S: MetricsSink,
+    {
+        let m = self.states.len() as u64;
+        let mut work = Work::default();
+        let mut scan_checks = 0u64;
+        let mut checks_per_task = HistogramSnapshot::EMPTY;
+        slots.clear();
+        let feasible = order.iter().all(|&ti| {
+            let placed = self.place::<A, S>(adm, &tasks[ti], &mut work);
+            if S::ENABLED {
+                // The reference scan visits slots 0..=slot, or all m and fails.
+                let checks = placed.map_or(m, |slot| slot as u64 + 1);
+                scan_checks += checks;
+                checks_per_task.record(checks);
+            }
+            placed.map(|slot| slots.push(slot)).is_some()
+        });
+        if S::ENABLED {
+            checks_per_task.flush(sink, metrics::FF_CHECKS_PER_TASK);
+            sink.counter_add(metrics::FF_ADMISSION_CHECKS, scan_checks);
+            sink.counter_add(metrics::FF_MACHINES_VISITED, scan_checks);
+            sink.counter_add(metrics::FF_PLACED, slots.len() as u64);
+            sink.counter_add(metrics::ENGINE_TREE_DESCENTS, work.descents);
+            sink.counter_add(metrics::ENGINE_TREE_NODES, work.tree_nodes);
+            sink.counter_add(metrics::ENGINE_EXACT_CHECKS, work.exact);
+            sink.counter_add(metrics::ENGINE_REVERIFY_MISSES, work.misses);
+        }
+        feasible
+    }
+}
+
 /// Reusable indexed first-fit: same outcomes as [`crate::first_fit()`],
 /// `O((n+m)·log m)` placements, zero per-call allocation after warm-up.
 ///
@@ -305,11 +485,10 @@ pub struct FirstFitEngine<A: IndexableAdmission> {
     /// Un-augmented speeds in machine-scan order (filled by
     /// `prepare_machines`).
     base_speeds: Vec<f64>,
-    /// α-augmented speeds in machine-scan order (filled per probe).
-    speeds: Vec<f64>,
-    states: Vec<A::State>,
-    residuals: Vec<f64>,
-    tree: MaxTree,
+    kernel: Kernel<A::State>,
+    /// The scan slot of each task the last probe placed, in placement
+    /// order.
+    slots: Vec<usize>,
 }
 
 impl<A: IndexableAdmission> FirstFitEngine<A> {
@@ -321,10 +500,8 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
             task_order: Vec::new(),
             machine_order: Vec::new(),
             base_speeds: Vec::new(),
-            speeds: Vec::new(),
-            states: Vec::new(),
-            residuals: Vec::new(),
-            tree: MaxTree::default(),
+            kernel: Kernel::new(),
+            slots: Vec::new(),
         }
     }
 
@@ -342,160 +519,23 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
             .extend(self.machine_order.iter().map(|&m| platform.speed_f64(m)));
     }
 
-    /// One first-fit run at augmentation `alpha`, placing `tasks` in
-    /// `order` (a permutation of their indices) over the machine order
-    /// the last [`Self::prepare_machines`] cached for this same platform.
-    /// Emits two families into `sink` (see [`crate::metrics`]):
-    ///
-    /// * `ff.*` in *reference-scan units*, derived from the byte-identical
-    ///   placement sequence (a task placed at scan slot `s` would have cost
-    ///   the reference `s + 1` checks; a failing task costs `m`) — so the
-    ///   engine and [`crate::first_fit_ordered`] report identical `ff.*`
-    ///   numbers for the same instance;
-    /// * `engine.*` for the work actually done: tree descents, exact
-    ///   re-checks, and re-verification misses.
-    ///
-    /// Counts, and the `ff.checks_per_task` buckets, accumulate in locals
-    /// and flush once per probe.
+    /// One kernel run at augmentation `alpha`, placing `tasks` in `order`
+    /// (a permutation of their indices) over the machine order the last
+    /// [`Self::prepare_machines`] cached, from empty machines. True when
+    /// every task was placed; `self.slots` holds the placed tasks' slots.
     fn probe<S: MetricsSink>(
         &mut self,
         tasks: &TaskSet,
         order: &[usize],
-        platform: &Platform,
         alpha: Augmentation,
         sink: &S,
-    ) -> Outcome {
+    ) -> bool {
         debug_assert_eq!(order.len(), tasks.len());
         let alpha = alpha.factor();
-        let caps = (
-            self.speeds.capacity(),
-            self.states.capacity(),
-            self.residuals.capacity(),
-        );
-        self.speeds.clear();
-        self.speeds
-            .extend(self.base_speeds.iter().map(|&s| alpha * s));
-
-        self.states.clear();
-        self.states
-            .extend((0..platform.len()).map(|_| self.admission.empty_state()));
-        self.residuals.clear();
-        self.residuals.extend(
-            self.states
-                .iter()
-                .zip(&self.speeds)
-                .map(|(st, &sp)| self.admission.residual_hint(st, sp)),
-        );
-        self.tree.rebuild(&self.residuals);
-        if S::ENABLED {
-            let grown = u64::from(self.speeds.capacity() != caps.0)
-                + u64::from(self.states.capacity() != caps.1)
-                + u64::from(self.residuals.capacity() != caps.2);
-            if grown > 0 {
-                sink.counter_add(metrics::FF_WORKSPACE_ALLOCS, grown);
-            }
-        }
-
-        let mut scan_checks = 0u64;
-        let mut placed_count = 0u64;
-        let mut descents = 0u64;
-        let mut tree_nodes = 0u64;
-        let mut exact_checks = 0u64;
-        let mut misses = 0u64;
-        let mut checks_per_task = HistogramSnapshot::EMPTY;
-        let flush = |scan_checks: u64,
-                     placed: u64,
-                     descents: u64,
-                     tree_nodes: u64,
-                     exact: u64,
-                     misses: u64,
-                     checks_per_task: &HistogramSnapshot| {
-            if S::ENABLED {
-                checks_per_task.flush(sink, metrics::FF_CHECKS_PER_TASK);
-                sink.counter_add(metrics::FF_ADMISSION_CHECKS, scan_checks);
-                sink.counter_add(metrics::FF_MACHINES_VISITED, scan_checks);
-                sink.counter_add(metrics::FF_PLACED, placed);
-                sink.counter_add(metrics::ENGINE_TREE_DESCENTS, descents);
-                sink.counter_add(metrics::ENGINE_TREE_NODES, tree_nodes);
-                sink.counter_add(metrics::ENGINE_EXACT_CHECKS, exact);
-                sink.counter_add(metrics::ENGINE_REVERIFY_MISSES, misses);
-            }
-        };
-
-        let mut assignment = Assignment::new(tasks.len(), platform.len());
-        for &ti in order {
-            let task = &tasks[ti];
-            let u = task.utilization();
-            let mut from = 0usize;
-            let placed = loop {
-                if S::ENABLED {
-                    descents += 1;
-                }
-                let Some(slot) = self.tree.first_at_least::<S>(from, u, &mut tree_nodes) else {
-                    break None;
-                };
-                // Exact re-check: the hint over-approximates, the reference
-                // predicate decides.
-                if S::ENABLED {
-                    exact_checks += 1;
-                }
-                if let Some(next) =
-                    self.admission
-                        .admit(&self.states[slot], task, self.speeds[slot])
-                {
-                    let hint = self.admission.residual_hint(&next, self.speeds[slot]);
-                    self.states[slot] = next;
-                    self.tree.update(slot, hint);
-                    break Some(slot);
-                }
-                if S::ENABLED {
-                    misses += 1;
-                }
-                from = slot + 1;
-            };
-            match placed {
-                Some(slot) => {
-                    if S::ENABLED {
-                        // The reference scan visits slots 0..=slot.
-                        scan_checks += slot as u64 + 1;
-                        checks_per_task.record(slot as u64 + 1);
-                        placed_count += 1;
-                    }
-                    assignment.assign(ti, self.machine_order[slot]);
-                }
-                None => {
-                    if S::ENABLED {
-                        // The reference scan visits every machine and fails.
-                        scan_checks += platform.len() as u64;
-                        checks_per_task.record(platform.len() as u64);
-                    }
-                    flush(
-                        scan_checks,
-                        placed_count,
-                        descents,
-                        tree_nodes,
-                        exact_checks,
-                        misses,
-                        &checks_per_task,
-                    );
-                    return Outcome::Infeasible(FailureWitness {
-                        failing_task: ti,
-                        failing_utilization: u,
-                        partial: assignment,
-                    });
-                }
-            }
-        }
-        flush(
-            scan_checks,
-            placed_count,
-            descents,
-            tree_nodes,
-            exact_checks,
-            misses,
-            &checks_per_task,
-        );
-        Outcome::Feasible(assignment)
+        let speeds = self.base_speeds.iter().map(|&s| alpha * s);
+        self.kernel.reset(&self.admission, speeds, sink);
+        self.kernel
+            .place_all(&self.admission, tasks, order, &mut self.slots, sink)
     }
 
     /// Indexed first-fit: a drop-in replacement for [`crate::first_fit()`]
@@ -514,41 +554,29 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
         gas: &mut Gas,
         sink: &S,
     ) -> Outcome {
+        let mut assignment = Assignment::new(tasks.len(), platform.len());
         if gas.tick_n(probe_gas(tasks.len(), platform.len())).is_err() {
             return Outcome::BudgetExhausted {
-                partial: Assignment::new(tasks.len(), platform.len()),
+                partial: assignment,
             };
         }
         tasks.order_by_decreasing_utilization_into(&mut self.task_order);
-        let order = std::mem::take(&mut self.task_order);
-        let out = self.run_ordered(tasks, &order, platform, alpha, sink);
-        self.task_order = order;
-        out
-    }
-
-    /// [`Self::run`] without the task sort and without gas: the caller
-    /// supplies the decreasing-utilization `order` (a permutation of
-    /// `tasks`' indices) and has already charged the run. The incremental
-    /// engine's repack keeps its order across repacks and runs it here.
-    pub(crate) fn run_ordered<S: MetricsSink>(
-        &mut self,
-        tasks: &TaskSet,
-        order: &[usize],
-        platform: &Platform,
-        alpha: Augmentation,
-        sink: &S,
-    ) -> Outcome {
         self.prepare_machines(platform);
-        self.probe(tasks, order, platform, alpha, sink)
-    }
-
-    /// Trade the last run's per-slot admission states and max-tree for
-    /// `states` and `tree`, whose buffers the next run reuses. After a
-    /// feasible run they are exactly what replaying its placements in
-    /// order onto empty machines would build.
-    pub(crate) fn swap_final_state(&mut self, states: &mut Vec<A::State>, tree: &mut MaxTree) {
-        std::mem::swap(&mut self.states, states);
-        std::mem::swap(&mut self.tree, tree);
+        let order = std::mem::take(&mut self.task_order);
+        let feasible = self.probe(tasks, &order, alpha, sink);
+        for (&ti, &slot) in order.iter().zip(&self.slots) {
+            assignment.assign(ti, self.machine_order[slot]);
+        }
+        let failing = (!feasible).then(|| order[self.slots.len()]);
+        self.task_order = order;
+        match failing {
+            None => Outcome::Feasible(assignment),
+            Some(ti) => Outcome::Infeasible(FailureWitness {
+                failing_task: ti,
+                failing_utilization: tasks[ti].utilization(),
+                partial: assignment,
+            }),
+        }
     }
 
     /// Sort-once α-search: smallest augmentation (within `tol`) in
@@ -557,11 +585,12 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
     /// [`crate::bisect_alpha`].
     ///
     /// The sorts run once (not once per probe) and every probe reuses the
-    /// engine's workspaces. The search probes exactly the reference
-    /// bisection's sequence — `1`, `hi`, then midpoints — and each probe's
-    /// verdict is byte-identical to the scan's, so the answer equals
-    /// [`crate::min_feasible_alpha`] on every input, including the rare
-    /// ones where first-fit's acceptance is not monotone in α.
+    /// engine's workspaces and builds no assignment. The search probes
+    /// exactly the reference bisection's sequence — `1`, `hi`, then
+    /// midpoints — and each probe's verdict is byte-identical to the
+    /// scan's, so the answer equals [`crate::min_feasible_alpha`] on every
+    /// input, including the rare ones where first-fit's acceptance is not
+    /// monotone in α.
     ///
     /// Each probe is charged `n + m + 1` ticks of `gas`, so a wall-clock or
     /// ops limit stops the search with `Err(Exhaustion)` (distinct from the
@@ -588,9 +617,7 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
         let cost = probe_gas(tasks.len(), platform.len());
         let found = bisection(hi, tol, sink, |alpha| {
             gas.tick_n(cost)?;
-            Ok(self
-                .probe(tasks, &order, platform, alpha, sink)
-                .is_feasible())
+            Ok(self.probe(tasks, &order, alpha, sink))
         });
         self.task_order = order;
         found
@@ -640,7 +667,7 @@ mod tests {
     #[test]
     fn maxtree_basic_queries() {
         let mut t = MaxTree::default();
-        t.rebuild(&[0.5, 0.2, 0.9, 0.4, 0.9]);
+        t.rebuild([0.5, 0.2, 0.9, 0.4, 0.9].into_iter());
         assert_eq!(t.first_at_least::<()>(0, 0.1, &mut 0), Some(0));
         assert_eq!(t.first_at_least::<()>(0, 0.6, &mut 0), Some(2));
         assert_eq!(t.first_at_least::<()>(3, 0.6, &mut 0), Some(4));
@@ -656,7 +683,7 @@ mod tests {
     #[test]
     fn maxtree_single_leaf() {
         let mut t = MaxTree::default();
-        t.rebuild(&[0.3]);
+        t.rebuild([0.3].into_iter());
         assert_eq!(t.first_at_least::<()>(0, 0.3, &mut 0), Some(0));
         assert_eq!(t.first_at_least::<()>(0, 0.31, &mut 0), None);
         assert_eq!(t.first_at_least::<()>(1, 0.0, &mut 0), None);
@@ -665,9 +692,9 @@ mod tests {
     #[test]
     fn maxtree_rebuild_shrinks_and_grows() {
         let mut t = MaxTree::default();
-        t.rebuild(&[1.0; 9]);
+        t.rebuild([1.0; 9].into_iter());
         assert_eq!(t.first_at_least::<()>(8, 1.0, &mut 0), Some(8));
-        t.rebuild(&[0.5, 0.7]);
+        t.rebuild([0.5, 0.7].into_iter());
         assert_eq!(t.first_at_least::<()>(0, 0.6, &mut 0), Some(1));
         assert_eq!(t.first_at_least::<()>(2, 0.0, &mut 0), None);
     }
@@ -946,11 +973,11 @@ mod tests {
         let order = tasks.order_by_decreasing_utilization();
         e.prepare_machines(&p);
         let warmup = MemorySink::new();
-        e.probe(&tasks, &order, &p, Augmentation::NONE, &warmup);
+        e.probe(&tasks, &order, Augmentation::NONE, &warmup);
         assert!(warmup.counter(metrics::FF_WORKSPACE_ALLOCS) > 0);
         let steady = MemorySink::new();
         for a in [1.0, 1.5, 1.6, 2.0, 3.0] {
-            e.probe(&tasks, &order, &p, Augmentation::new(a).unwrap(), &steady);
+            e.probe(&tasks, &order, Augmentation::new(a).unwrap(), &steady);
         }
         assert_eq!(steady.counter(metrics::FF_WORKSPACE_ALLOCS), 0);
     }
@@ -977,15 +1004,9 @@ mod tests {
         let mut e = FirstFitEngine::new(EdfAdmission);
         let order = tasks.order_by_decreasing_utilization();
         e.prepare_machines(&p);
-        assert!(!e
-            .probe(&tasks, &order, &p, Augmentation::NONE, &())
-            .is_feasible());
-        assert!(e
-            .probe(&tasks, &order, &p, Augmentation::new(1.6).unwrap(), &())
-            .is_feasible());
-        assert!(!e
-            .probe(&tasks, &order, &p, Augmentation::new(1.59).unwrap(), &())
-            .is_feasible());
+        assert!(!e.probe(&tasks, &order, Augmentation::NONE, &()));
+        assert!(e.probe(&tasks, &order, Augmentation::new(1.6).unwrap(), &()));
+        assert!(!e.probe(&tasks, &order, Augmentation::new(1.59).unwrap(), &()));
     }
 
     #[test]

@@ -7,15 +7,19 @@
 //! `O(n log n + (n+m) log m)` each; [`IncrementalEngine`] maintains the
 //! live partition across the stream so that
 //!
-//! * [`IncrementalEngine::add`] is one descend-left query on the same
-//!   max-segment-tree the batch engine uses — `O(log m)` amortized;
+//! * [`IncrementalEngine::add`] is one placement by the placement kernel
+//!   the batch engine runs (see [`crate::engine`]) — one descend-left
+//!   query on its max-segment-tree, `O(log m)` amortized;
 //! * [`IncrementalEngine::remove`] credits capacity back with a *local
 //!   repair*: the leaver's machine state is re-folded from its remaining
 //!   residents (`O(k)` for a machine holding `k` tasks) rather than
 //!   subtracted, so float drift can never corrupt a residual;
 //! * [`IncrementalEngine::snapshot`] / [`IncrementalEngine::rollback`]
 //!   support speculative admission ("would this batch fit?") with exact
-//!   state restoration, including id allocation;
+//!   state restoration, including id allocation. The engine holds one
+//!   snapshot slot: `snapshot` overwrites it, `rollback` restores it
+//!   without consuming it, and [`IncrementalEngine::snapshot_view`] reads
+//!   it in place;
 //! * every path threads a [`hetfeas_obs::MetricsSink`] (`incr.*` family,
 //!   see [`crate::metrics`]) and a [`hetfeas_robust::Gas`] meter.
 //!
@@ -36,8 +40,9 @@
 //!   current machine states, so the assignment stays canonical for free;
 //! * any other add, and every remove, bumps the counter;
 //! * when the counter exceeds [`RepairPolicy::repack_after`], the engine
-//!   falls back to a counted full repack: from-scratch FFD (via the batch
-//!   [`crate::FirstFitEngine`]) over the survivors. After a repack the
+//!   falls back to a counted full repack: from-scratch FFD over the
+//!   survivors, one run of the placement kernel on empty machines, the
+//!   run [`crate::FirstFitEngine`] makes. After a repack the
 //!   assignment is **byte-identical** to [`crate::first_fit_ordered`] on
 //!   the survivor set — `tests/prop_incremental.rs` asserts this — so the
 //!   paper's guarantee is restored with bounded staleness. The FFD order
@@ -49,8 +54,8 @@
 //! keeps the current assignment, counts `incr.repack_infeasible`, and
 //! resets the divergence clock.
 
-use crate::assignment::{Assignment, Outcome};
-use crate::engine::{probe_gas, FirstFitEngine, IndexableAdmission, MaxTree};
+use crate::assignment::Assignment;
+use crate::engine::{probe_gas, IndexableAdmission, Kernel, Work};
 use crate::metrics;
 use hetfeas_model::{utilization_key, Augmentation, Platform, Ratio, Task, TaskSet};
 use hetfeas_obs::MetricsSink;
@@ -188,8 +193,10 @@ type IdIndex = HashMap<u64, Entry, BuildHasherDefault<IdHasher>>;
 const GONE: u32 = u32::MAX;
 
 /// The cloneable part of the engine — everything [`IncrementalEngine::
-/// snapshot`] must capture to make rollback exact.
-struct Core<A: IndexableAdmission> {
+/// snapshot`] must capture to make rollback exact — over admission
+/// states `St`.
+#[derive(Clone)]
+struct Core<St> {
     /// Insertion log of live tasks; `None` marks a removed (tombstoned)
     /// entry. Order = canonical tie-breaking order for the batch sort.
     live: Vec<Option<(TaskId, Task)>>,
@@ -197,10 +204,8 @@ struct Core<A: IndexableAdmission> {
     index: IdIndex,
     /// Ids resident on each machine slot, in admission order.
     on_slot: Vec<Vec<u64>>,
-    /// Per-slot admission states.
-    states: Vec<A::State>,
-    /// Max-tree over per-slot residual hints.
-    tree: MaxTree,
+    /// Per-slot admission states and their residual max-tree.
+    kernel: Kernel<St>,
     live_count: usize,
     next_id: u64,
     /// Canonical-breaking ops since the last repack (attempt).
@@ -210,31 +215,6 @@ struct Core<A: IndexableAdmission> {
     /// Utilization (exact rational) of the canonical order's last task —
     /// the append threshold. `None` when the live set is empty.
     frontier: Option<Ratio>,
-}
-
-impl<A: IndexableAdmission> Clone for Core<A> {
-    fn clone(&self) -> Self {
-        Core {
-            live: self.live.clone(),
-            index: self.index.clone(),
-            on_slot: self.on_slot.clone(),
-            states: self.states.clone(),
-            tree: self.tree.clone(),
-            live_count: self.live_count,
-            next_id: self.next_id,
-            divergence: self.divergence,
-            canonical: self.canonical,
-            frontier: self.frontier,
-        }
-    }
-}
-
-/// A point-in-time capture of an engine's observable state. Only valid
-/// for the engine that produced it (same platform, α, admission test);
-/// rolling back a snapshot from a different engine is a logic error
-/// (caught in debug builds by shape assertions).
-pub struct IncrSnapshot<A: IndexableAdmission> {
-    core: Core<A>,
 }
 
 /// Portable image of an engine's observable state, sufficient to rebuild
@@ -265,7 +245,7 @@ pub struct EngineState {
     pub frontier: Option<Ratio>,
 }
 
-/// A borrowed view of an engine's (or a held snapshot's) observable state:
+/// A borrowed view of an engine's (or its held snapshot's) observable state:
 /// the fields of [`EngineState`], read in place instead of copied.
 /// Produced by [`IncrementalEngine::view`] and
 /// [`IncrementalEngine::snapshot_view`]; the durability layer encodes
@@ -341,22 +321,25 @@ pub struct IncrementalEngine<A: IndexableAdmission> {
     machine_order: Vec<usize>,
     /// Inverse of `machine_order`: original machine index → scan slot.
     slot_of_machine: Vec<usize>,
-    /// α-augmented speeds in scan order.
-    speeds: Vec<f64>,
     policy: RepairPolicy,
-    /// Batch engine reused for repacks (owns the admission test).
-    ff: FirstFitEngine<A>,
-    core: Core<A>,
+    admission: A,
+    core: Core<A::State>,
+    /// The snapshot slot ([`Self::snapshot`] / [`Self::rollback`]).
+    snap: Option<Core<A::State>>,
     /// The last repack's FFD order, as positions in the insertion log. It
     /// covers the first `ordered` log entries; every later entry was
     /// appended since. Whatever replaces or compacts the log forgets it
     /// ([`Self::forget_order`]), so the next repack sorts in full.
     order: Vec<usize>,
     ordered: usize,
-    /// Repack scratch: the survivors in log order (the batch run's input),
-    /// and each ordered log position's index among them.
+    /// Repack scratch: the survivors in log order (the run's input), each
+    /// ordered log position's index among them, the kernel the run packs
+    /// (swapped with the live one when it succeeds) and the slot it put
+    /// each survivor on, in FFD order.
     survivors: TaskSet,
     dense: Vec<u32>,
+    scratch: Kernel<A::State>,
+    slots: Vec<usize>,
 }
 
 impl<A: IndexableAdmission> IncrementalEngine<A> {
@@ -379,48 +362,42 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
         for (slot, &mi) in machine_order.iter().enumerate() {
             slot_of_machine[mi] = slot;
         }
-        let speeds: Vec<f64> = machine_order
+        let mut kernel = Kernel::new();
+        let speeds = machine_order
             .iter()
-            .map(|&mi| alpha.factor() * platform.speed_f64(mi))
-            .collect();
-        let states: Vec<A::State> = (0..m).map(|_| admission.empty_state()).collect();
-        let hints: Vec<f64> = states
-            .iter()
-            .zip(&speeds)
-            .map(|(st, &sp)| admission.residual_hint(st, sp))
-            .collect();
-        let mut tree = MaxTree::default();
-        tree.rebuild(&hints);
+            .map(|&mi| alpha.factor() * platform.speed_f64(mi));
+        kernel.reset(&admission, speeds, &());
         IncrementalEngine {
             platform: platform.clone(),
             alpha,
             machine_order,
             slot_of_machine,
-            speeds,
             policy,
-            ff: FirstFitEngine::new(admission),
+            admission,
             core: Core {
                 live: Vec::new(),
                 index: IdIndex::default(),
                 on_slot: vec![Vec::new(); m],
-                states,
-                tree,
+                kernel,
                 live_count: 0,
                 next_id: 0,
                 divergence: 0,
                 canonical: true,
                 frontier: None,
             },
+            snap: None,
             order: Vec::new(),
             ordered: 0,
             survivors: TaskSet::empty(),
             dense: Vec::new(),
+            scratch: Kernel::new(),
+            slots: Vec::new(),
         }
     }
 
     /// The admission test in use.
     pub fn admission(&self) -> &A {
-        self.ff.admission()
+        &self.admission
     }
 
     /// The platform the engine packs onto.
@@ -506,7 +483,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
     /// Utilization load currently on original machine index `machine`.
     pub fn load_on(&self, machine: usize) -> f64 {
         let slot = self.slot_of_machine[machine];
-        self.admission().load(&self.core.states[slot])
+        self.admission.load(self.core.kernel.state(slot))
     }
 
     /// Number of tasks resident on original machine index `machine` —
@@ -531,7 +508,8 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
     }
 
     /// Admit `task` onto the first (slowest) machine that accepts it —
-    /// one tree descent plus exact re-checks, `O(log m)` amortized.
+    /// one kernel placement (a tree descent plus exact re-checks),
+    /// `O(log m)` amortized.
     ///
     /// Charges one tick of `gas`; on `Err` the operation was **not**
     /// applied. An automatic repack triggered by this add is best-effort:
@@ -545,34 +523,15 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
         sink: &S,
     ) -> Result<AddOutcome, Exhaustion> {
         gas.tick()?;
-        let u = task.utilization();
-        let mut descents = 0u64;
-        let mut exact = 0u64;
-        let mut misses = 0u64;
-        let mut from = 0usize;
-        let placed = loop {
-            descents += 1;
-            let Some(slot) = self.core.tree.first_at_least::<()>(from, u, &mut 0) else {
-                break None;
-            };
-            exact += 1;
-            if let Some(next) =
-                self.ff
-                    .admission()
-                    .admit(&self.core.states[slot], &task, self.speeds[slot])
-            {
-                let hint = self.ff.admission().residual_hint(&next, self.speeds[slot]);
-                self.core.states[slot] = next;
-                self.core.tree.update(slot, hint);
-                break Some(slot);
-            }
-            misses += 1;
-            from = slot + 1;
-        };
+        let mut work = Work::default();
+        let placed = self
+            .core
+            .kernel
+            .place::<A, S>(&self.admission, &task, &mut work);
         if S::ENABLED {
-            sink.counter_add(metrics::INCR_TREE_DESCENTS, descents);
-            sink.counter_add(metrics::INCR_EXACT_CHECKS, exact);
-            sink.counter_add(metrics::INCR_REVERIFY_MISSES, misses);
+            sink.counter_add(metrics::INCR_TREE_DESCENTS, work.descents);
+            sink.counter_add(metrics::INCR_EXACT_CHECKS, work.exact);
+            sink.counter_add(metrics::INCR_REVERIFY_MISSES, work.misses);
         }
         let Some(slot) = placed else {
             if S::ENABLED {
@@ -641,29 +600,20 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
         // Local repair: re-fold the machine's state from its remaining
         // residents instead of subtracting the leaver — exact by
         // construction, no acceptance decision involved.
-        let refolds = self.core.on_slot[slot].len() as u64;
-        let Core {
-            live,
-            index,
-            on_slot,
-            states,
-            tree,
-            ..
-        } = &mut self.core;
-        let st = self.ff.admission().fold_state(
-            on_slot[slot].iter().map(|x| {
-                &live[index[x].live_idx]
-                    .as_ref()
-                    .expect("resident ids are live")
-                    .1
-            }),
-            self.speeds[slot],
-        );
-        let hint = self.ff.admission().residual_hint(&st, self.speeds[slot]);
-        states[slot] = st;
-        tree.update(slot, hint);
-        self.core.canonical = false;
-        self.core.divergence += 1;
+        let core = &mut self.core;
+        let refolds = core.on_slot[slot].len() as u64;
+        let residents = core.on_slot[slot].iter().map(|x| {
+            &core.live[core.index[x].live_idx]
+                .as_ref()
+                .expect("resident ids are live")
+                .1
+        });
+        let st = self
+            .admission
+            .fold_state(residents, core.kernel.speeds()[slot]);
+        core.kernel.set(&self.admission, slot, st);
+        core.canonical = false;
+        core.divergence += 1;
         if S::ENABLED {
             sink.counter_add(metrics::INCR_REMOVES, 1);
             sink.counter_add(metrics::INCR_LOCAL_REPAIRS, 1);
@@ -678,18 +628,20 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
         Ok(Some(task))
     }
 
-    /// Re-pack the survivors canonically (from-scratch FFD via the batch
-    /// engine) regardless of the divergence counter. Gas is charged
-    /// `n + m + 1` up front (a repack is `O((n+m)·log m)` work); on `Err`
-    /// the engine state is unchanged.
+    /// Re-pack the survivors canonically (from-scratch FFD: one kernel run
+    /// on empty machines, as [`crate::FirstFitEngine::run`] makes it)
+    /// regardless of the divergence counter. Gas is charged `n + m + 1` up
+    /// front (a repack is `O((n+m)·log m)` work); on `Err` the engine state
+    /// is unchanged. The run reports `ff.*` and `engine.*` counts like a
+    /// batch run.
     ///
     /// The FFD order is not sorted from scratch: the engine keeps the last
     /// repack's order, drops the tasks that left since, sorts only the `k`
     /// tasks admitted since (`incr.repack_sorted` counts them) and merges
-    /// them in — `O(n + k·log n)`. A feasible run's final machine states
-    /// and max-tree are taken over as they are, since the same admits in
-    /// the same order built them; only the resident lists and the index
-    /// are rewritten.
+    /// them in — `O(n + k·log n)`. The run packs a scratch kernel; when it
+    /// places every survivor, that kernel becomes the live one as it is,
+    /// and the resident lists and the index are rebuilt from the slots the
+    /// run recorded.
     pub fn repack<S: MetricsSink>(
         &mut self,
         gas: &mut Gas,
@@ -700,22 +652,23 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
         if S::ENABLED {
             sink.counter_add(metrics::INCR_REPACK_SORTED, sorted as u64);
         }
-        let outcome = self.ff.run_ordered(
+        let speeds = self.core.kernel.speeds().iter().copied();
+        self.scratch.reset(&self.admission, speeds, sink);
+        let feasible = self.scratch.place_all(
+            &self.admission,
             &self.survivors,
             &self.order,
-            &self.platform,
-            self.alpha,
+            &mut self.slots,
             sink,
         );
         let Core {
             live,
             index,
             on_slot,
-            states,
-            tree,
+            kernel,
             ..
         } = &mut self.core;
-        let Outcome::Feasible(asg) = outcome else {
+        if !feasible {
             // Keep the valid current assignment, re-pointing the index at
             // the compacted log; restart the divergence clock so the next
             // trigger waits a full window instead of re-attempting on every
@@ -728,16 +681,14 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
             }
             self.core.divergence = 0;
             return Ok(RepackOutcome::Infeasible);
-        };
-        self.ff.swap_final_state(states, tree);
-        for (slot, residents) in on_slot.iter_mut().enumerate() {
-            residents.clear();
-            // A machine's tasks, in the order the run admitted them.
-            for &ti in asg.tasks_on(self.machine_order[slot]) {
-                let (id, _) = live[ti].expect("the repack compacted the log");
-                residents.push(id.0);
-                *index.get_mut(&id.0).expect("live ids are indexed") = Entry { live_idx: ti, slot };
-            }
+        }
+        std::mem::swap(kernel, &mut self.scratch);
+        on_slot.iter_mut().for_each(Vec::clear);
+        // Each machine's tasks, in the order the run admitted them.
+        for (&ti, &slot) in self.order.iter().zip(&self.slots) {
+            let (id, _) = live[ti].expect("the repack compacted the log");
+            on_slot[slot].push(id.0);
+            *index.get_mut(&id.0).expect("live ids are indexed") = Entry { live_idx: ti, slot };
         }
         self.core.frontier = self
             .order
@@ -793,44 +744,38 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
         self.ordered = 0;
     }
 
-    /// Capture the engine's observable state for speculative admission.
-    /// Charges `n + 1` ticks of `gas` for the copy.
-    pub fn snapshot<S: MetricsSink>(
-        &self,
-        gas: &mut Gas,
-        sink: &S,
-    ) -> Result<IncrSnapshot<A>, Exhaustion> {
+    /// Capture the engine's observable state into its snapshot slot for
+    /// speculative admission, overwriting any held snapshot. Charges
+    /// `n + 1` ticks of `gas` for the copy; on `Err` nothing changed.
+    pub fn snapshot<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> Result<(), Exhaustion> {
         gas.tick_n(self.len() as u64 + 1)?;
         if S::ENABLED {
             sink.counter_add(metrics::INCR_SNAPSHOTS, 1);
         }
-        Ok(IncrSnapshot {
-            core: self.core.clone(),
-        })
+        self.snap = Some(self.core.clone());
+        Ok(())
     }
 
-    /// Restore the state captured by [`Self::snapshot`] — every observable
+    /// Restore the held snapshot, keeping it held — every observable
     /// (live set, assignment, divergence, id allocation) returns to its
-    /// captured value. Charges `n + 1` ticks of `gas`, `n` being the live
-    /// count before the restore; on `Err` the engine is unchanged.
+    /// captured value. Returns `false`, charging nothing, when no snapshot
+    /// is held. Otherwise charges `n + 1` ticks of `gas`, `n` being the
+    /// live count before the restore; on `Err` the engine is unchanged.
     pub fn rollback<S: MetricsSink>(
         &mut self,
-        snap: &IncrSnapshot<A>,
         gas: &mut Gas,
         sink: &S,
-    ) -> Result<(), Exhaustion> {
-        gas.tick_n(self.len() as u64 + 1)?;
-        debug_assert_eq!(
-            snap.core.states.len(),
-            self.platform.len(),
-            "rollback() with a snapshot from a different engine"
-        );
+    ) -> Result<bool, Exhaustion> {
+        let Some(snap) = &self.snap else {
+            return Ok(false);
+        };
+        gas.tick_n(self.core.live_count as u64 + 1)?;
         if S::ENABLED {
             sink.counter_add(metrics::INCR_ROLLBACKS, 1);
         }
-        self.core = snap.core.clone();
+        self.core = snap.clone();
         self.forget_order();
-        Ok(())
+        Ok(true)
     }
 
     /// Export the observable state as a portable [`EngineState`].
@@ -843,29 +788,32 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
         self.view_of_core(&self.core)
     }
 
-    /// [`Self::view`] for a snapshot taken from this engine.
-    pub fn snapshot_view<'a>(&'a self, snap: &'a IncrSnapshot<A>) -> StateView<'a> {
-        self.view_of_core(&snap.core)
+    /// [`Self::view`] of the held snapshot, if any.
+    pub fn snapshot_view(&self) -> Option<StateView<'_>> {
+        self.snap.as_ref().map(|core| self.view_of_core(core))
     }
 
     /// Replace the engine's state with an imported [`EngineState`] —
     /// validated, then rebuilt with the exact arithmetic of the live
     /// paths, so the result is bit-identical to the exporting engine.
-    /// On `Err` the engine is unchanged.
+    /// The snapshot slot is left as it is. On `Err` the engine is
+    /// unchanged.
     pub fn import_state(&mut self, state: &EngineState) -> Result<(), String> {
         self.core = self.core_from_state(state)?;
         self.forget_order();
         Ok(())
     }
 
-    /// Build a rollback target directly from an imported state (the
-    /// durability layer restores journaled snapshots this way).
-    pub fn snapshot_from_state(&self, state: &EngineState) -> Result<IncrSnapshot<A>, String> {
-        self.core_from_state(state)
-            .map(|core| IncrSnapshot { core })
+    /// Fill the snapshot slot from an imported [`EngineState`], as
+    /// [`Self::import_state`] rebuilds the live state (the durability
+    /// layer restores journaled snapshots this way). On `Err` the slot is
+    /// unchanged.
+    pub fn import_snapshot(&mut self, state: &EngineState) -> Result<(), String> {
+        self.snap = Some(self.core_from_state(state)?);
+        Ok(())
     }
 
-    fn view_of_core<'a>(&'a self, core: &'a Core<A>) -> StateView<'a> {
+    fn view_of_core<'a>(&'a self, core: &'a Core<A::State>) -> StateView<'a> {
         StateView {
             live: &core.live,
             on_slot: &core.on_slot,
@@ -877,7 +825,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
         }
     }
 
-    fn core_from_state(&self, state: &EngineState) -> Result<Core<A>, String> {
+    fn core_from_state(&self, state: &EngineState) -> Result<Core<A::State>, String> {
         let m = self.platform.len();
         if state.on_machine.len() != m {
             return Err(format!(
@@ -924,36 +872,25 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
                 }
             }
         }
-        let admission = self.ff.admission();
-        let states: Vec<A::State> = on_slot
-            .iter()
-            .zip(&self.speeds)
-            .map(|(residents, &sp)| {
-                admission.fold_state(
-                    residents.iter().map(|id| {
-                        &live[index[id].live_idx]
-                            .as_ref()
-                            .expect("imported entries are live")
-                            .1
-                    }),
-                    sp,
-                )
-            })
-            .collect();
-        let hints: Vec<f64> = states
-            .iter()
-            .zip(&self.speeds)
-            .map(|(st, &sp)| admission.residual_hint(st, sp))
-            .collect();
-        let mut tree = MaxTree::default();
-        tree.rebuild(&hints);
+        let mut kernel = Kernel::new();
+        let speeds = self.core.kernel.speeds();
+        kernel.reset(&self.admission, speeds.iter().copied(), &());
+        for (slot, residents) in on_slot.iter().enumerate() {
+            let tasks = residents.iter().map(|id| {
+                &live[index[id].live_idx]
+                    .as_ref()
+                    .expect("imported entries are live")
+                    .1
+            });
+            let st = self.admission.fold_state(tasks, speeds[slot]);
+            kernel.set(&self.admission, slot, st);
+        }
         Ok(Core {
             live_count: state.entries.len(),
             live,
             index,
             on_slot,
-            states,
-            tree,
+            kernel,
             next_id: state.next_id,
             divergence: state.divergence,
             canonical: state.canonical,

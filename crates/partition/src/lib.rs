@@ -32,10 +32,13 @@
 //!   once, then probes the reference bisection's α sequence:
 //!   the one first-fit and α-search behind `hetfeas check`/`alpha` and
 //!   experiments E1–E4 for the indexable admissions (EDF, RMS-LL,
-//!   hyperbolic). Outcomes stay byte-identical to [`first_fit()`].
+//!   hyperbolic). Outcomes stay byte-identical to [`first_fit()`]. Its
+//!   crate-private placement kernel is the only code that places a task
+//!   for either indexed engine.
 //! * [`incremental`] — [`IncrementalEngine`], the online form of the same
-//!   test: `O(log m)` adds, local-repair removes, snapshot/rollback for
-//!   speculative admission, and a divergence-counted canonical repack.
+//!   test on the same kernel: `O(log m)` adds, local-repair removes, one
+//!   snapshot slot for speculative admission (snapshot/rollback), and a
+//!   divergence-counted canonical repack.
 //! * [`durable`] — [`DurableEngine`], a crash-safe wrapper around the
 //!   incremental engine: every op is appended to a CRC32-framed
 //!   write-ahead journal before it is applied, compaction rewrites the
@@ -103,8 +106,7 @@ pub use first_fit::{
     bisect_alpha, first_fit, first_fit_ordered, min_feasible_alpha, ScanWorkspace,
 };
 pub use incremental::{
-    AddOutcome, EngineState, IncrSnapshot, IncrementalEngine, RepackOutcome, RepairPolicy,
-    StateView, TaskId,
+    AddOutcome, EngineState, IncrementalEngine, RepackOutcome, RepairPolicy, StateView, TaskId,
 };
 pub use lp_rounding::lp_rounding_partition;
 pub use policy::{AnyDurable, PolicyKind};

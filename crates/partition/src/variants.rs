@@ -4,7 +4,9 @@
 
 use crate::admission::AdmissionTest;
 use crate::assignment::{Assignment, FailureWitness, Outcome};
+use crate::first_fit::{first_fit_ordered, ScanWorkspace};
 use hetfeas_model::{Augmentation, Platform, TaskSet};
+use hetfeas_robust::Gas;
 
 /// Order in which tasks are offered to the packer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,7 +132,10 @@ impl HeuristicConfig {
     }
 }
 
-/// Run the partitioning heuristic described by `config`.
+/// Run the partitioning heuristic described by `config`. First-fit is the
+/// reference scan ([`first_fit_ordered`]) over the configured orders;
+/// best- and worst-fit visit every admitting machine and keep the
+/// earliest of equally good ones.
 pub fn partition_with<A: AdmissionTest>(
     tasks: &TaskSet,
     platform: &Platform,
@@ -140,6 +145,20 @@ pub fn partition_with<A: AdmissionTest>(
 ) -> Outcome {
     let task_order = config.task_order.order(tasks);
     let machine_order = config.machine_order.order(platform);
+    if config.fit == FitStrategy::FirstFit {
+        return first_fit_ordered(
+            tasks,
+            platform,
+            alpha,
+            admission,
+            &task_order,
+            &machine_order,
+            &mut ScanWorkspace::new(),
+            &mut Gas::unlimited(),
+            &(),
+        );
+    }
+    let best = config.fit == FitStrategy::BestFit;
     let alpha = alpha.factor();
 
     let speeds: Vec<f64> = machine_order
@@ -153,36 +172,26 @@ pub fn partition_with<A: AdmissionTest>(
 
     for &ti in &task_order {
         let task = &tasks[ti];
-        // Collect the admitting machines (first-fit short-circuits).
-        let mut chosen: Option<(usize, A::State)> = None;
-        let mut chosen_residual = 0.0f64;
-        for (slot, &mi) in machine_order.iter().enumerate() {
-            if let Some(next) = admission.admit(&states[slot], task, speeds[slot]) {
-                match config.fit {
-                    FitStrategy::FirstFit => {
-                        chosen = Some((slot, next));
-                        let _ = mi;
-                        break;
-                    }
-                    FitStrategy::BestFit => {
-                        let residual = speeds[slot] - admission.load(&next);
-                        if chosen.is_none() || residual < chosen_residual {
-                            chosen_residual = residual;
-                            chosen = Some((slot, next));
-                        }
-                    }
-                    FitStrategy::WorstFit => {
-                        let residual = speeds[slot] - admission.load(&next);
-                        if chosen.is_none() || residual > chosen_residual {
-                            chosen_residual = residual;
-                            chosen = Some((slot, next));
-                        }
-                    }
-                }
+        // The admitting machine with the least (best-fit) or greatest
+        // (worst-fit) residual `α·s − load`; strict comparisons keep the
+        // earlier machine on a tie.
+        let mut chosen: Option<(f64, usize, A::State)> = None;
+        for slot in 0..machine_order.len() {
+            let Some(next) = admission.admit(&states[slot], task, speeds[slot]) else {
+                continue;
+            };
+            let residual = speeds[slot] - admission.load(&next);
+            let better = match chosen {
+                None => true,
+                Some((r, ..)) if best => residual < r,
+                Some((r, ..)) => residual > r,
+            };
+            if better {
+                chosen = Some((residual, slot, next));
             }
         }
         match chosen {
-            Some((slot, next)) => {
+            Some((_, slot, next)) => {
                 states[slot] = next;
                 assignment.assign(ti, machine_order[slot]);
             }

@@ -110,13 +110,12 @@ fn write_durable<A: IndexableAdmission, S: MetricsSink>(
 }
 
 /// Apply one scripted op to a plain in-memory engine (the durable layer's
-/// reference semantics), tracking the held snapshot exactly as the
-/// durable engine does (rollback does not consume it).
+/// reference semantics); its snapshot slot behaves as the durable
+/// engine's does (rollback does not consume it).
 fn apply_plain<A: IndexableAdmission>(
     eng: &mut IncrementalEngine<A>,
     op: Op,
     ids: &mut Vec<TaskId>,
-    snap: &mut Option<hetfeas_partition::IncrSnapshot<A>>,
 ) {
     let gas = &mut Gas::unlimited();
     match op {
@@ -132,10 +131,10 @@ fn apply_plain<A: IndexableAdmission>(
                 .expect("unlimited gas")
                 .is_some());
         }
-        Op::Snapshot => *snap = Some(eng.snapshot(gas, &()).expect("unlimited gas")),
+        Op::Snapshot => eng.snapshot(gas, &()).expect("unlimited gas"),
         Op::Rollback => {
-            let held = snap.as_ref().expect("script snapshots first");
-            eng.rollback(held, gas, &()).expect("unlimited gas");
+            let held = eng.rollback(gas, &()).expect("unlimited gas");
+            assert!(held, "script snapshots first");
         }
         Op::Repack => {
             eng.repack(gas, &()).expect("unlimited gas");
@@ -411,10 +410,9 @@ where
         RepairPolicy::never(),
     );
     let (mut dur_ids, mut plain_ids) = (Vec::new(), Vec::new());
-    let mut plain_snap = None;
     for (i, op) in script().into_iter().enumerate() {
         apply_durable(&mut durable, op, &mut dur_ids, &());
-        apply_plain(&mut plain, op, &mut plain_ids, &mut plain_snap);
+        apply_plain(&mut plain, op, &mut plain_ids);
         assert_eq!(dur_ids, plain_ids, "{policy} op {i}");
         assert_eq!(
             loads_bits(durable.engine()),

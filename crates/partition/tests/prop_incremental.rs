@@ -156,7 +156,7 @@ fn check_rollback_restores<A: IndexableAdmission>(admission: A, seed: u64) {
     let mut eng = IncrementalEngine::new(admission, &platform, Augmentation::NONE);
     churn(&mut rng, &mut eng, 30);
     let gas = &mut Gas::unlimited();
-    let snap = eng.snapshot(gas, &()).expect(GAS);
+    eng.snapshot(gas, &()).expect(GAS);
     let saved = observe(&eng);
 
     // Speculative phase: more churn, maybe a repack.
@@ -165,10 +165,10 @@ fn check_rollback_restores<A: IndexableAdmission>(admission: A, seed: u64) {
         let _ = eng.repack(gas, &());
     }
 
-    eng.rollback(&snap, gas, &()).expect(GAS);
+    assert!(eng.rollback(gas, &()).expect(GAS));
     assert_eq!(observe(&eng), saved, "rollback drifted (seed {seed})");
     // Idempotent: rolling back again changes nothing.
-    eng.rollback(&snap, gas, &()).expect(GAS);
+    assert!(eng.rollback(gas, &()).expect(GAS));
     assert_eq!(
         observe(&eng),
         saved,
@@ -351,16 +351,14 @@ fn check_repack_chain<A: IndexableAdmission + Copy>(admission: A, repack_after: 
                 eng.repack(gas, &sink).expect(GAS);
             }
             82..=87 => {
-                held = Some((
-                    eng.snapshot(gas, &()).expect(GAS),
-                    twin.snapshot(gas, &()).expect(GAS),
-                    live.clone(),
-                ));
+                eng.snapshot(gas, &()).expect(GAS);
+                twin.snapshot(gas, &()).expect(GAS);
+                held = Some(live.clone());
             }
             88..=92 => {
-                if let Some((snap, twin_snap, ids)) = &held {
-                    eng.rollback(snap, gas, &()).expect(GAS);
-                    twin.rollback(twin_snap, gas, &()).expect(GAS);
+                if let Some(ids) = &held {
+                    assert!(eng.rollback(gas, &()).expect(GAS));
+                    assert!(twin.rollback(gas, &()).expect(GAS));
                     live = ids.clone();
                 }
             }
@@ -380,8 +378,8 @@ fn check_repack_chain<A: IndexableAdmission + Copy>(admission: A, repack_after: 
             twin.repack(gas, &()).expect(GAS);
         }
         assert_eq!(
-            live_state_digest(&eng, None),
-            live_state_digest(&twin, None),
+            live_state_digest(&eng),
+            live_state_digest(&twin),
             "engine and full-sort twin diverge ({what})"
         );
         if after == before {

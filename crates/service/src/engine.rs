@@ -73,6 +73,12 @@ impl TenantEngine {
         })
     }
 
+    /// Copy future compactions in slices of at most `bytes` (see
+    /// [`DurableEngine::set_slice_bytes`]).
+    pub fn set_slice_bytes(&mut self, bytes: u64) {
+        with_admission!(engine in &mut self.0, e => e.set_slice_bytes(bytes))
+    }
+
     /// Tag the next op with request id `rid` (see
     /// [`DurableEngine::set_rid`]).
     pub fn set_rid(&mut self, rid: u64) {

@@ -530,8 +530,13 @@ fn boot(ctx: &WorkerCtx, incarnation: u32) -> Result<TenantEngine, BootError> {
                 }
             })
         } else {
+            // The journal's config record decides the compaction cadence;
+            // how a compaction paces its IO is this service's setting.
             TenantEngine::recover(ctx.spec.policy, store, &mut gas, sink)
-                .map(|(engine, _report)| engine)
+                .map(|(mut engine, _report)| {
+                    engine.set_slice_bytes(ctx.cfg.opts.slice_bytes);
+                    engine
+                })
                 .map_err(|e| match e {
                     RecoverError::Corrupt(m) => {
                         BootError::Quarantine(format!("corrupt journal: {m}"))

@@ -730,6 +730,58 @@ mod tests {
     }
 
     #[test]
+    fn a_recovered_tenant_keeps_the_configured_slice_budget() {
+        // A journal from an earlier process: 40 adds under a config record
+        // that compacts every 8 ops.
+        let store = MemStorage::new();
+        let platform = Platform::from_int_speeds([1, 2]).expect("platform");
+        let opts = DurableOptions {
+            compact_every: 8,
+            slice_bytes: 64,
+            ..DurableOptions::default()
+        };
+        let mut gas = Gas::unlimited();
+        let mut eng = TenantEngine::create(
+            PolicyKind::Edf,
+            &platform,
+            Augmentation::NONE,
+            opts,
+            Box::new(store.clone()),
+            &mut gas,
+            &(),
+        )
+        .expect("create");
+        let task = Task::implicit(1, 100).expect("task");
+        for _ in 0..40 {
+            eng.add(task, &mut gas, &()).expect("add");
+        }
+        eng.sync(&mut gas, &()).expect("barrier");
+        drop(eng);
+
+        // The shard recovers that journal; its compactions copy the image
+        // in the service's 64-byte slices, not in one.
+        let mut svc = Service::new(ServiceConfig {
+            opts,
+            ..ServiceConfig::default()
+        });
+        svc.open_tenant(spec("t", &store)).expect("open");
+        let (tx, rx) = mpsc::channel();
+        for seq in 1..=24 {
+            svc.submit(seq, "t", Request::Op(Op::Add(task)), &tx);
+            let resp = await_seq(&rx, seq);
+            assert!(matches!(resp, Response::Admitted { .. }), "{resp:?}");
+        }
+        let compactions = svc.sink().counter(jm::JOURNAL_COMPACTIONS);
+        let slices = svc.sink().counter(jm::JOURNAL_COMPACT_SLICES);
+        assert!(compactions >= 1, "the journal's cadence compacts");
+        assert!(
+            slices > compactions,
+            "{compactions} compactions took {slices} slices"
+        );
+        svc.shutdown();
+    }
+
+    #[test]
     fn a_retry_answered_from_an_unsynced_record_waits_for_the_open_fsync() {
         // A process killed between a batch's writes and its barrier: the
         // rid-tagged record sits in the store, never fsynced, never acked.

@@ -51,15 +51,14 @@ fn quote_alpha(
             return false;
         }
         let gas = &mut Gas::unlimited();
-        let snap = eng
-            .snapshot(gas, &())
+        eng.snapshot(gas, &())
             .expect("unlimited gas cannot exhaust");
         let admitted = matches!(
             eng.add(task, gas, &())
                 .expect("unlimited gas cannot exhaust"),
             AddOutcome::Admitted { .. }
         );
-        eng.rollback(&snap, gas, &())
+        eng.rollback(gas, &())
             .expect("unlimited gas cannot exhaust");
         admitted
     }

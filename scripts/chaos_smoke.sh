@@ -34,7 +34,11 @@
 #      same data dir, and the same line sent again must get the same
 #      reply (bar the seq prefix) without the live count growing — the
 #      rid is in the journal record, so exactly-once survives the
-#      process.
+#      process;
+#   7. a restart keeps the compaction slice budget: a text-mode tenant is
+#      served with `--slice-bytes 64 --compact-every 8`, then served again
+#      from the same data dir with the same flags, and the second run's
+#      compactions must still be copied in several slices each.
 set -euo pipefail
 
 hetfeas="${HETFEAS_BIN:?set HETFEAS_BIN to the hetfeas binary}"
@@ -418,5 +422,34 @@ text_session quit >/dev/null
 while pgrep -f "serve --tcp 127.0.0.1:$ridport" >/dev/null 2>&1; do
     sleep 0.05
 done
+
+echo "== a restarted tenant keeps the compaction slice budget" >&2
+slicedata="$work/slice_data"
+# One text-mode session of 24 adds to tenant s, with periods $1+1 to
+# $1+24; further arguments go to `serve`.
+slice_session() {
+    {
+        printf 'open s edf 1.0 1,2\n'
+        for i in $(seq 1 24); do
+            printf 'add s 1 %d\n' "$(($1 + i))"
+        done
+        printf 'quit\n'
+    } | timeout "$cap" "$hetfeas" serve --text --data-dir "$slicedata" \
+        --slice-bytes 64 --compact-every 8 "${@:2}" \
+        >>"$work/slice.out" 2>>"$work/slice.err" || {
+        echo "chaos_smoke: FAIL — slice-budget session exited nonzero" >&2
+        cat "$work/slice.out" "$work/slice.err" >&2
+        exit 1
+    }
+}
+slice_session 40
+slice_session 80 --report "$work/slice_report.json"
+slices="$(sed -n 's/.*"journal_compact_slices": \([0-9]*\).*/\1/p' "$work/slice_report.json")"
+compactions="$(sed -n 's/.*"journal.compactions": \([0-9]*\).*/\1/p' "$work/slice_report.json")"
+[[ "${compactions:-0}" -ge 1 && "${slices:-0}" -gt "${compactions:-0}" ]] || {
+    echo "chaos_smoke: FAIL — after a restart $compactions compactions took $slices slices of 64 bytes" >&2
+    cat "$work/slice_report.json" >&2
+    exit 1
+}
 
 echo "chaos_smoke: all stages passed" >&2
