@@ -289,23 +289,28 @@ impl Ord for Ratio {
     /// (denominators positive), taken in `i128` when the products fit and
     /// otherwise as signs first, then 256-bit magnitudes.
     fn cmp(&self, other: &Self) -> Ordering {
-        let (a, b, c, d) = (self.num, self.den, other.num, other.den);
-        if let (Some(l), Some(r)) = (a.checked_mul(d), c.checked_mul(b)) {
-            return l.cmp(&r);
-        }
-        // An overflowing product has a non-zero numerator, so the signs
-        // either decide or are equal and non-zero.
-        match a.signum().cmp(&c.signum()) {
-            Ordering::Equal => {}
-            ord => return ord,
-        }
-        let l = mul_wide(a.unsigned_abs(), d as u128);
-        let r = mul_wide(c.unsigned_abs(), b as u128);
-        if a < 0 {
-            r.cmp(&l)
-        } else {
-            l.cmp(&r)
-        }
+        cmp_fractions(self.num, self.den, other.num, other.den)
+    }
+}
+
+/// [`Ratio::cmp`] on `a/b` and `c/d` given as parts, for positive
+/// denominators; the fractions need not be reduced.
+pub(crate) fn cmp_fractions(a: i128, b: i128, c: i128, d: i128) -> Ordering {
+    if let (Some(l), Some(r)) = (a.checked_mul(d), c.checked_mul(b)) {
+        return l.cmp(&r);
+    }
+    // An overflowing product has a non-zero numerator, so the signs
+    // either decide or are equal and non-zero.
+    match a.signum().cmp(&c.signum()) {
+        Ordering::Equal => {}
+        ord => return ord,
+    }
+    let l = mul_wide(a.unsigned_abs(), d as u128);
+    let r = mul_wide(c.unsigned_abs(), b as u128);
+    if a < 0 {
+        r.cmp(&l)
+    } else {
+        l.cmp(&r)
     }
 }
 

@@ -13,8 +13,9 @@
 //! and exactly rational otherwise.
 
 use crate::error::ModelError;
-use crate::ratio::Ratio;
+use crate::ratio::{cmp_fractions, Ratio};
 use crate::time::Tick;
+use core::cmp::Ordering;
 use core::fmt;
 
 /// A sporadic task: worst-case execution time (work units), minimum
@@ -93,6 +94,14 @@ impl Task {
     #[inline]
     pub fn utilization_ratio(&self) -> Ratio {
         Ratio::new(self.wcet as i128, self.period as i128)
+    }
+
+    /// This task's utilization against `r`, exactly as
+    /// `self.utilization_ratio().cmp(r)` but without reducing `c/p` (no
+    /// gcd): `c·den` vs `num·p`, overflow-safe for every `r`.
+    #[inline]
+    pub fn cmp_utilization(&self, r: &Ratio) -> Ordering {
+        cmp_fractions(self.wcet as i128, self.period as i128, r.numer(), r.denom())
     }
 
     /// Density `c_i / min(d_i, p_i)` — used by constrained-deadline

@@ -77,9 +77,10 @@ impl TaskSet {
         &self.tasks
     }
 
-    /// Total utilization `Σ c_i / p_i` as `f64`.
+    /// Total utilization `Σ c_i / p_i` as `f64`, folded from `+0.0` (the
+    /// std `Sum` starts from `-0.0`, so an empty set would print `-0.000`).
     pub fn total_utilization(&self) -> f64 {
-        self.tasks.iter().map(Task::utilization).sum()
+        self.tasks.iter().fold(0.0, |sum, t| sum + t.utilization())
     }
 
     /// Total utilization as an exact rational.
@@ -159,13 +160,20 @@ impl TaskSet {
         (kb, b): (u128, usize),
     ) -> Ordering {
         kb.cmp(&ka)
-            .then_with(|| {
-                let (ta, tb) = (&self.tasks[a], &self.tasks[b]);
-                let lhs = u128::from(tb.wcet()) * u128::from(ta.period());
-                let rhs = u128::from(ta.wcet()) * u128::from(tb.period());
-                lhs.cmp(&rhs)
-            })
-            .then(a.cmp(&b))
+            .then_with(|| self.cmp_indices_by_decreasing_utilization(a, b))
+    }
+
+    /// [`TaskSet::cmp_by_decreasing_utilization`] between tasks `a` and `b`
+    /// without their keys: the exact cross-multiplication, then the lower
+    /// index. The order is the same, since the key is monotone in `c/p`
+    /// and equal keys fall back to this comparison; it suits a caller that
+    /// would otherwise compute a key (a `u128` division) per comparison.
+    #[inline]
+    pub fn cmp_indices_by_decreasing_utilization(&self, a: usize, b: usize) -> Ordering {
+        let (ta, tb) = (&self.tasks[a], &self.tasks[b]);
+        let lhs = u128::from(tb.wcet()) * u128::from(ta.period());
+        let rhs = u128::from(ta.wcet()) * u128::from(tb.period());
+        lhs.cmp(&rhs).then(a.cmp(&b))
     }
 
     /// Remove every task, keeping the allocation.
@@ -346,6 +354,54 @@ mod tests {
         // Exact ties (1/3 == 2/6 == 4/12) keep original index order.
         let ts = TaskSet::from_pairs([(2, 6), (1, 3), (4, 12), (1, 2)]).unwrap();
         assert_eq!(ts.order_by_decreasing_utilization(), vec![3, 0, 1, 2]);
+    }
+
+    /// The key-less comparisons decide as the keyed order and as the
+    /// reduced rationals: every pair of tasks across magnitudes, exact
+    /// ties included, and fractions whose cross-products overflow `i128`.
+    #[test]
+    fn keyless_comparisons_match_the_keyed_and_rational_ones() {
+        let mut s = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let wide = [
+            Ratio::new((1 << 100) + 1, 1 << 101),
+            Ratio::new(1, (1 << 120) + 3),
+            Ratio::new(i128::MAX, i128::MAX - 1),
+        ];
+        for round in 0..20 {
+            let cap = [10u64, 1_000, 1 << 40, u64::MAX][round % 4];
+            let mut pairs: Vec<(u64, u64)> = (0..24)
+                .map(|_| {
+                    let p = 1 + next() % cap;
+                    (1 + next() % p, p)
+                })
+                .collect();
+            pairs.push((2 * pairs[0].0.min(1 << 62), 2 * pairs[0].1.min(1 << 62)));
+            let ts = TaskSet::from_pairs(pairs).unwrap();
+            let keyed = |i: usize| (utilization_key(&ts[i]), i);
+            for a in 0..ts.len() {
+                for b in 0..ts.len() {
+                    assert_eq!(
+                        ts.cmp_indices_by_decreasing_utilization(a, b),
+                        ts.cmp_by_decreasing_utilization(keyed(a), keyed(b)),
+                        "round {round}: tasks {a} and {b}"
+                    );
+                }
+                let ratios = ts.iter().map(Task::utilization_ratio).chain(wide);
+                for r in ratios {
+                    assert_eq!(
+                        ts[a].cmp_utilization(&r),
+                        ts[a].utilization_ratio().cmp(&r),
+                        "round {round}: task {a} against {r}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

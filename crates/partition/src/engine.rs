@@ -3,7 +3,7 @@
 //! The reference [`crate::first_fit()`] scans machines linearly per task —
 //! `O(n·m)` admission checks in the worst case. Every higher layer (the
 //! α-bisection, the E1–E17 sweeps, the benches) calls it thousands of
-//! times, so [`FirstFitEngine`] replaces the scan with a max-segment-tree
+//! times, so [`FirstFitEngine`] replaces the scan with a fan-out-8 max-tree
 //! over per-machine *residual capacities*:
 //!
 //! * EDF: the residual of machine `j` is `α·s_j − load_j`;
@@ -14,7 +14,10 @@
 //! point update keeps the tree valid, and "first (slowest) machine that
 //! admits τ" becomes a descend-left query: `O(log m)` per placement instead
 //! of `O(m)`. Total: `O(n log n + m log m)` for the sorts plus
-//! `O((n+m)·log m)` for the placements.
+//! `O((n+m)·log m)` for the placements. A tree node's children are one
+//! contiguous group of 8 values, resolved by one branch-free compare and
+//! a trailing-zero count, so a query from the first slot reads one group
+//! per level: three at m = 512.
 //!
 //! ## Exact equivalence with the reference scan
 //!
@@ -44,6 +47,16 @@
 //! [`FirstFitEngine::min_feasible_alpha`] — amortize all allocation, and
 //! that search sorts once for all its probes. Only [`FirstFitEngine::run`]
 //! builds an [`Assignment`], from the slots its run recorded.
+//!
+//! ## Probes without a run
+//!
+//! Most α-search probes lie far from α\*, where the argument behind the
+//! paper's theorems proves their verdict: one pass over the task order
+//! gives a load `G` below which first-fit cannot fail and the total
+//! utilization `U` above which it cannot succeed. The search answers
+//! those probes from the two bounds (each the probe's own first-fit
+//! verdict, proven with f64 rounding accounted for) and runs the kernel
+//! on the rest; see [`FirstFitEngine::min_feasible_alpha`].
 
 use crate::admission::{
     admit_rhs, AdmissionTest, EdfAdmission, HyperbolicState, RmsHyperbolicAdmission,
@@ -54,7 +67,7 @@ use crate::first_fit::bisection;
 use crate::metrics;
 use crate::policy::PolicyKind;
 use hetfeas_analysis::liu_layland_bound;
-use hetfeas_model::{Augmentation, Platform, Task, TaskSet};
+use hetfeas_model::{Augmentation, Platform, Task, TaskSet, EPS};
 use hetfeas_obs::{HistogramSnapshot, MetricsSink};
 use hetfeas_robust::{Exhaustion, Gas};
 
@@ -84,6 +97,30 @@ pub trait IndexableAdmission: AdmissionTest {
     /// The policy this test implements; journals record its key.
     const POLICY: PolicyKind;
 
+    /// φ, the share of its augmented speed that a machine surely fills
+    /// before this test rejects a task: the utilization floor of Chen's
+    /// analysis (arXiv 1505.04693) behind Theorems I.1–I.4, which
+    /// [`FirstFitEngine::min_feasible_alpha`] uses to settle probes
+    /// without a run.
+    ///
+    /// # Contract
+    /// On a machine of augmented speed `σ` holding `c` tasks of exact
+    /// total utilization `L`, with `c + 1 ≤ 2^20` and `γ_t = t·2^-53 /
+    /// (1 − t·2^-53)` the usual rounding-error factor:
+    ///
+    /// * a rejection of a task of utilization `w` implies
+    ///   `L + w > φ·σ·(1 − γ_{c+1})`;
+    /// * an accepting machine holds at most
+    ///   `L ≤ (σ·(1 + 2·EPS) + EPS)·(1 + γ_{6c+4})`, with
+    ///   [`hetfeas_model::EPS`] the admission padding.
+    ///
+    /// EDF's φ is 1. The Liu–Layland bound `k(2^{1/k} − 1)` falls towards
+    /// `ln 2`, so RMS-LL and the hyperbolic test (`Π(1 + w_i/σ) > 2`
+    /// forces `Σ w_i/σ > ln 2`) take `ln 2·(1 − 10^-9)`, which stays below
+    /// the f64 [`liu_layland_bound`] of every `k ≤ 2^20` (a unit test
+    /// checks each) and below `ln 2` by more than the product's rounding.
+    const UTILIZATION_FLOOR: f64;
+
     /// Upper bound on the utilization of any task [`AdmissionTest::admit`]
     /// accepts in `state` at augmented speed `speed`.
     fn residual_hint(&self, state: &Self::State, speed: f64) -> f64;
@@ -100,8 +137,13 @@ pub trait IndexableAdmission: AdmissionTest {
         I: IntoIterator<Item = &'a Task>;
 }
 
+/// `ln 2·(1 − 10^-9)`: the utilization floor of the two RMS tests (see
+/// [`IndexableAdmission::UTILIZATION_FLOOR`]).
+const LN_2_FLOOR: f64 = std::f64::consts::LN_2 * (1.0 - 1e-9);
+
 impl IndexableAdmission for EdfAdmission {
     const POLICY: PolicyKind = PolicyKind::Edf;
+    const UTILIZATION_FLOOR: f64 = 1.0;
 
     fn residual_hint(&self, state: &f64, speed: f64) -> f64 {
         // admit: approx_le(load + u, speed), i.e. load + u ≤ admit_rhs(speed).
@@ -120,6 +162,7 @@ impl IndexableAdmission for EdfAdmission {
 
 impl IndexableAdmission for RmsLlAdmission {
     const POLICY: PolicyKind = PolicyKind::RmsLl;
+    const UTILIZATION_FLOOR: f64 = LN_2_FLOOR;
 
     fn residual_hint(&self, state: &RmsLlState, speed: f64) -> f64 {
         // admit: approx_le(load + u, bound(count + 1) · speed).
@@ -142,6 +185,7 @@ impl IndexableAdmission for RmsLlAdmission {
 
 impl IndexableAdmission for RmsHyperbolicAdmission {
     const POLICY: PolicyKind = PolicyKind::RmsHyp;
+    const UTILIZATION_FLOOR: f64 = LN_2_FLOOR;
 
     fn residual_hint(&self, state: &HyperbolicState, speed: f64) -> f64 {
         // admit: approx_le(product · (u/speed + 1), 2), so
@@ -168,36 +212,48 @@ impl IndexableAdmission for RmsHyperbolicAdmission {
     }
 }
 
-/// Leaf values per tree leaf: the tree's leaves are *blocks* of
-/// `LEAF_SPAN` contiguous values, not single values, so the final step of
-/// every query is a branch-predictable linear scan over contiguous memory
-/// (and the heap is `LEAF_SPAN`× smaller — three levels shorter to climb).
-const LEAF_SPAN: usize = 8;
+/// Values per tree group: a node's children are one contiguous group of
+/// `FANOUT` values, which one branch-free comparison resolves.
+const FANOUT: usize = 8;
 
-/// Max-segment-tree over `f64` values supporting point updates and
-/// "leftmost value ≥ threshold at or after position `from`" in `O(log m)`.
+/// Most levels a tree can have: `FANOUT^22 > 2^64 > usize::MAX`.
+const MAX_LEVELS: usize = 22;
+
+/// Fan-out-8 max-tree over `f64` values supporting point updates and
+/// "leftmost value ≥ threshold at or after position `from`".
 ///
-/// Values live in one contiguous array grouped into [`LEAF_SPAN`]-sized
-/// blocks; the heap indexes the per-block maxima. Queries climb/descend
-/// over block maxima and resolve the final position with an in-block scan,
-/// which auto-vectorizes and costs no pointer chasing.
+/// Level 0 holds the values; each value of level `l + 1` is the max of one
+/// group of [`FANOUT`] consecutive values of level `l`; the top level is a
+/// single group. Every level lives in one buffer, each padded with `-∞`
+/// to whole groups, so padding never matches a (finite-threshold) query.
+/// At m = 512 the levels hold 512, 64 and 8 values: a query from slot 0
+/// reads three groups.
 #[derive(Debug, Clone, Default)]
 struct MaxTree {
-    /// Power-of-two number of block leaves (0 until first rebuild).
-    block_leaves: usize,
-    /// Raw values, padded with `-∞` to `block_leaves · LEAF_SPAN` so
-    /// padding never matches a (finite-threshold) query.
-    values: Vec<f64>,
-    /// 1-based heap over block maxima: `node[1]` root, block `b`'s max at
-    /// `node[block_leaves + b]`.
-    node: Vec<f64>,
+    /// Every level, leaves first, each a whole number of groups.
+    buf: Vec<f64>,
+    /// Offset of each level in `buf`; `starts[levels]` is `buf.len()`.
+    starts: [usize; MAX_LEVELS + 1],
+    /// Number of levels (0 until the first rebuild).
+    levels: usize,
 }
 
-/// Max of one `LEAF_SPAN` block via an unrolled 4-lane reduction (the
-/// shape LLVM turns into vector `max` + a horizontal reduce).
+/// Bit `k` set iff `group[k] ≥ threshold`: one compare per lane and no
+/// branch, the shape LLVM turns into vector compares and a mask move.
 #[inline]
-fn block_max(vals: &[f64]) -> f64 {
-    debug_assert_eq!(vals.len(), LEAF_SPAN);
+fn mask_at_least(group: &[f64], threshold: f64) -> u32 {
+    let group: &[f64; FANOUT] = group.try_into().expect("one whole group");
+    group
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (k, &v)| mask | (u32::from(v >= threshold) << k))
+}
+
+/// Max of one group via an unrolled 4-lane reduction (the shape LLVM
+/// turns into vector `max` + a horizontal reduce).
+#[inline]
+fn group_max(vals: &[f64]) -> f64 {
+    debug_assert_eq!(vals.len(), FANOUT);
     let m0 = vals[0].max(vals[4]);
     let m1 = vals[1].max(vals[5]);
     let m2 = vals[2].max(vals[6]);
@@ -206,95 +262,109 @@ fn block_max(vals: &[f64]) -> f64 {
 }
 
 impl MaxTree {
-    /// Reset the tree to `values`, reusing the backing allocations.
+    /// Reset the tree to `values`, reusing the backing allocation.
     fn rebuild(&mut self, values: impl ExactSizeIterator<Item = f64>) {
-        let blocks = values.len().div_ceil(LEAF_SPAN).max(1).next_power_of_two();
-        self.block_leaves = blocks;
-        self.values.clear();
-        self.values.reserve(blocks * LEAF_SPAN);
-        self.values.extend(values);
-        self.values.resize(blocks * LEAF_SPAN, f64::NEG_INFINITY);
-        self.node.clear();
-        self.node.resize(2 * blocks, f64::NEG_INFINITY);
-        for b in 0..blocks {
-            self.node[blocks + b] = block_max(&self.values[b * LEAF_SPAN..(b + 1) * LEAF_SPAN]);
+        let mut len = values.len().max(1);
+        let mut total = 0;
+        self.levels = 0;
+        loop {
+            self.starts[self.levels] = total;
+            self.levels += 1;
+            total += len.next_multiple_of(FANOUT);
+            if len <= FANOUT {
+                break;
+            }
+            len = len.div_ceil(FANOUT);
         }
-        for i in (1..blocks).rev() {
-            self.node[i] = self.node[2 * i].max(self.node[2 * i + 1]);
+        self.starts[self.levels] = total;
+        self.buf.clear();
+        self.buf.reserve(total);
+        self.buf.extend(values);
+        for l in 0..self.levels {
+            self.buf.resize(self.starts[l + 1], f64::NEG_INFINITY);
+            if l + 1 < self.levels {
+                for g in (self.starts[l]..self.starts[l + 1]).step_by(FANOUT) {
+                    let max = group_max(&self.buf[g..g + FANOUT]);
+                    self.buf.push(max);
+                }
+            }
         }
     }
 
-    /// Set value `i` to `v` and repair the block max plus its ancestors.
-    fn update(&mut self, i: usize, v: f64) {
-        self.values[i] = v;
-        let b = i / LEAF_SPAN;
-        let mut i = self.block_leaves + b;
-        self.node[i] = block_max(&self.values[b * LEAF_SPAN..(b + 1) * LEAF_SPAN]);
-        while i > 1 {
-            i /= 2;
-            self.node[i] = self.node[2 * i].max(self.node[2 * i + 1]);
+    /// The group of level `l` that holds its position `i`.
+    #[inline]
+    fn group(&self, l: usize, i: usize) -> &[f64] {
+        let at = self.starts[l] + i / FANOUT * FANOUT;
+        &self.buf[at..at + FANOUT]
+    }
+
+    /// Set value `i` to `v` and repair its ancestors, up to the first
+    /// whose max did not change.
+    fn update(&mut self, mut i: usize, v: f64) {
+        self.buf[i] = v;
+        for l in 0..self.levels - 1 {
+            let max = group_max(self.group(l, i));
+            i /= FANOUT;
+            let parent = &mut self.buf[self.starts[l + 1] + i];
+            if *parent == max {
+                return;
+            }
+            *parent = max;
         }
     }
 
     /// Index of the leftmost value at position `≥ from` that is
-    /// `≥ threshold`. Adds the heap nodes (block maxima) the climb and
-    /// descent read to `nodes`, at most `2·log2` of the block count per
-    /// query; under a sink with `ENABLED = false` the count compiles away.
+    /// `≥ threshold`. A query from 0 descends from the top group; a
+    /// resumed one climbs from `from`'s group until a group right of the
+    /// path holds a match, then descends. Adds the groups it reads to
+    /// `nodes`: one per level from 0, at most two per level resumed; under
+    /// a sink with `ENABLED = false` the count compiles away.
     fn first_at_least<S: MetricsSink>(
         &self,
         from: usize,
         threshold: f64,
         nodes: &mut u64,
     ) -> Option<usize> {
-        if from >= self.values.len() {
+        if from >= self.starts[1] {
             return None;
         }
-        // Finish `from`'s own block with a contiguous scan.
-        let b0 = from / LEAF_SPAN;
-        for (off, &v) in self.values[from..(b0 + 1) * LEAF_SPAN].iter().enumerate() {
-            if v >= threshold {
-                return Some(from + off);
-            }
-        }
-        // Climb over block maxima until a right-sibling subtree can
-        // contain a match.
-        let mut i = self.block_leaves + b0;
-        loop {
-            if i == 1 {
-                return None;
-            }
-            if i & 1 == 0 {
-                if S::ENABLED {
-                    *nodes += 1;
-                }
-                if self.node[i + 1] >= threshold {
-                    i += 1;
-                    break;
-                }
-                i += 1; // sibling exhausted too — climb from it
-            }
-            i /= 2;
-        }
-        // Descend to the leftmost qualifying block, then scan it.
-        while i < self.block_leaves {
-            i *= 2;
+        let mut read = |l: usize, i: usize, skip: usize| {
             if S::ENABLED {
                 *nodes += 1;
             }
-            if self.node[i] < threshold {
-                i += 1;
+            let mask = mask_at_least(self.group(l, i), threshold) >> skip << skip;
+            (mask != 0).then(|| i / FANOUT * FANOUT + mask.trailing_zeros() as usize)
+        };
+        // Find the level `l` and position `i` of the leftmost match's
+        // ancestor on the first level that shows one.
+        let (mut l, mut i) = if from == 0 {
+            let top = self.levels - 1;
+            (top, read(top, 0, 0)?)
+        } else {
+            let (mut l, mut i) = (0, from);
+            loop {
+                if let Some(hit) = read(l, i, i % FANOUT) {
+                    break (l, hit);
+                }
+                // Nothing at or right of `i` in its group: go on with the
+                // parent's right neighbour.
+                l += 1;
+                i = i / FANOUT + 1;
+                if l == self.levels || i >= self.starts[l + 1] - self.starts[l] {
+                    return None;
+                }
             }
+        };
+        while l > 0 {
+            l -= 1;
+            i = read(l, i * FANOUT, 0).expect("a group holds its parent's max");
         }
-        let base = (i - self.block_leaves) * LEAF_SPAN;
-        self.values[base..base + LEAF_SPAN]
-            .iter()
-            .position(|&v| v >= threshold)
-            .map(|off| base + off)
+        Some(i)
     }
 }
 
 /// Work placements did, in the indexed engines' own units: tree descents,
-/// the heap nodes they read (counted only under an enabled sink), exact
+/// the tree groups they read (counted only under an enabled sink), exact
 /// re-checks and re-verification misses.
 #[derive(Default)]
 pub(crate) struct Work {
@@ -346,7 +416,7 @@ impl<St> Kernel<St> {
             [
                 k.speeds.capacity(),
                 k.states.capacity(),
-                k.tree.values.capacity(),
+                k.tree.buf.capacity(),
             ]
         };
         let before = caps(self);
@@ -592,13 +662,25 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
     /// input, including the rare ones where first-fit's acceptance is not
     /// monotone in α.
     ///
-    /// Each probe is charged `n + m + 1` ticks of `gas`, so a wall-clock or
-    /// ops limit stops the search with `Err(Exhaustion)` (distinct from the
-    /// in-band `Ok(None)` "even `hi` fails"). Every probe adds one to
-    /// `alpha.probes` in `sink` plus its own `ff.*`/`engine.*` counts, and
-    /// each bisection halving adds one to `alpha.bisect_iters` — the
-    /// reference bisection's counts. Invalid searches (`hi` below 1 or
-    /// non-finite, `tol` non-positive or non-finite) return `Ok(None)`.
+    /// Far from α\* a probe's verdict is provable without a run: one pass
+    /// over the task order yields the total utilization `U` and
+    /// `G = max_k (w_1 + … + w_{k−1} + m·w_k)`, and first-fit at α places
+    /// every task when `G ≤ φ·α·S·(1 − δ)` and fails when
+    /// `U > (α·S·(1 + 2·EPS) + m·EPS)·(1 + δ)` (`S` the total speed, φ the
+    /// admission's [`IndexableAdmission::UTILIZATION_FLOOR`], δ a rounding
+    /// margin; the proofs are on the private `ProbeBounds`). A bound
+    /// answers a probe only with that probe's own first-fit verdict, so
+    /// the sequence, the verdicts and the answer stay the reference's.
+    ///
+    /// Each kernel run is charged `n + m + 1` ticks of `gas` and each
+    /// bounded probe one, so a wall-clock or ops limit stops the search
+    /// with `Err(Exhaustion)` (distinct from the in-band `Ok(None)` "even
+    /// `hi` fails"). Every probe adds one to `alpha.probes` in `sink`, a
+    /// kernel run its own `ff.*`/`engine.*` counts, and each bisection
+    /// halving adds one to `alpha.bisect_iters` — the reference
+    /// bisection's counts; `alpha.probes_bounded` counts the probes the
+    /// bounds answered. Invalid searches (`hi` below 1 or non-finite,
+    /// `tol` non-positive or non-finite) return `Ok(None)`.
     pub fn min_feasible_alpha<S: MetricsSink>(
         &mut self,
         tasks: &TaskSet,
@@ -615,12 +697,119 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
         self.prepare_machines(platform);
         let order = std::mem::take(&mut self.task_order);
         let cost = probe_gas(tasks.len(), platform.len());
+        let bounds = ProbeBounds::new(A::UTILIZATION_FLOOR, tasks, &order, &self.base_speeds);
+        let mut bounded = 0u64;
         let found = bisection(hi, tol, sink, |alpha| {
+            if let Some(verdict) = bounds.and_then(|b| b.verdict(alpha.factor())) {
+                gas.tick()?;
+                bounded += 1;
+                return Ok(verdict);
+            }
             gas.tick_n(cost)?;
             Ok(self.probe(tasks, &order, alpha, sink))
         });
+        if S::ENABLED {
+            sink.counter_add(metrics::ALPHA_PROBES_BOUNDED, bounded);
+        }
         self.task_order = order;
         found
+    }
+}
+
+/// Largest `n + m` that [`ProbeBounds`] answers for: the floors φ hold
+/// for machines of up to `2^20` tasks, and the margin δ stays far below 1.
+const BOUNDED_SIZE: usize = 1 << 20;
+
+/// The first-fit verdicts an α-search settles without a kernel run,
+/// from one pass over the task order (the argument behind Theorems
+/// I.1–I.4, made exact for f64).
+///
+/// Notation: tasks in first-fit order with f64 utilizations
+/// `w_1 ≥ … ≥ w_n`, machines with f64 base speeds `s_j` (exact sum `S`,
+/// f64 fold `S_f`) and augmented speeds `σ_j = fl(α·s_j)`, within
+/// `1 ± u` of `α·s_j` for `u = 2^-53`; `γ_t = t·u/(1 − t·u)`, `W_k` the
+/// exact sum `w_1 + … + w_k`, and `δ = 8·(n + m)·f64::EPSILON =
+/// 16·(n + m)·u`. A fold of `t` non-negative f64 terms is within a
+/// factor `1 ± γ_{t−1}` of their exact sum. Both bounds need
+/// `n + m ≤ 2^20`.
+///
+/// **Feasible** when `G ≤ α·fl(φ·S_f·(1 − δ))`, `G` the f64 max over `k`
+/// of `P_{k−1} + m·w_k` (`P` the running f64 prefix sum). Suppose
+/// first-fit failed on task `k`. The tasks before it are placed, so the
+/// exact loads `L_j` sum to `W_{k−1}`, and every machine rejected `w_k`; by
+/// the contract of [`IndexableAdmission::UTILIZATION_FLOOR`]
+/// `L_j + w_k > φ·σ_j·(1 − γ_{n+1}) ≥ φ·α·s_j·(1 − γ_{n+2})`. Summing,
+/// `W_{k−1} + m·w_k > φ·α·S·(1 − γ_{n+2})`, while the pass computed
+/// `G ≥ (W_{k−1} + m·w_k)·(1 − γ_{n+1})` and the test's right side is
+/// at most `φ·α·S·(1 − δ)·(1 + γ_{m+4})`. Together they need
+/// `(1 − δ)(1 + γ_{m+4}) > (1 − γ_{n+1})(1 − γ_{n+2})`, i.e.
+/// `16·(n + m) < 2n + m + 7` up to second-order terms: impossible.
+///
+/// **Infeasible** when `U > fl((α·fl(S_f·(1 + 2·EPS)) + m·EPS)·(1 + δ))`,
+/// `U = P_n`. Suppose every task was placed. Each machine accepted its
+/// last resident, so by the contract `L_j ≤ (σ_j·(1 + 2·EPS) + EPS)·(1 +
+/// γ_{6n+4})`; summing, `W_n ≤ (α·S·(1 + 2·EPS) + m·EPS)·(1 + γ_{6n+5})`,
+/// and `U ≤ W_n·(1 + γ_n)`, while the threshold is at least
+/// `(α·S·(1 + 2·EPS) + m·EPS)·(1 + δ)·(1 − γ_{m+6})`. Together they need
+/// `16·(n + m) < 7n + m + 11` up to second-order terms: impossible.
+///
+/// Either bound is a proof of the probe's own verdict, so the bisection
+/// sees the verdicts a run would give, also where acceptance is not
+/// monotone in α.
+#[derive(Debug, Clone, Copy)]
+struct ProbeBounds {
+    /// `G = max_k (w_1 + … + w_{k−1} + m·w_k)`.
+    g: f64,
+    /// `U = w_1 + … + w_n`.
+    u: f64,
+    /// `φ·S·(1 − δ)`: every task fits at α when `G ≤ α·fits`.
+    fits: f64,
+    /// `S·(1 + 2·EPS)`, `m·EPS` and `1 + δ`: some task fails at α when
+    /// `U > (α·overload_speed + overload_pad)·overload_margin`.
+    overload_speed: f64,
+    overload_pad: f64,
+    overload_margin: f64,
+}
+
+impl ProbeBounds {
+    /// One pass over the tasks in first-fit `order` on machines of base
+    /// `speeds`, for an admission of utilization floor `floor`; `None`
+    /// when `n + m` exceeds [`BOUNDED_SIZE`].
+    fn new(floor: f64, tasks: &TaskSet, order: &[usize], speeds: &[f64]) -> Option<Self> {
+        let (n, m) = (order.len(), speeds.len());
+        if n + m > BOUNDED_SIZE {
+            return None;
+        }
+        let machines = m as f64;
+        let (mut g, mut u) = (0.0f64, 0.0f64);
+        for &ti in order {
+            let w = tasks[ti].utilization();
+            g = g.max(u + machines * w);
+            u += w;
+        }
+        let total_speed = speeds.iter().fold(0.0, |s, &x| s + x);
+        let delta = 8.0 * (n + m) as f64 * f64::EPSILON;
+        Some(ProbeBounds {
+            g,
+            u,
+            fits: floor * total_speed * (1.0 - delta),
+            overload_speed: total_speed * (1.0 + 2.0 * EPS),
+            overload_pad: machines * EPS,
+            overload_margin: 1.0 + delta,
+        })
+    }
+
+    /// First-fit's verdict at augmentation `alpha` when a bound proves
+    /// it: `Some(true)` every task fits, `Some(false)` one fails.
+    fn verdict(&self, alpha: f64) -> Option<bool> {
+        if self.g <= alpha * self.fits {
+            Some(true)
+        } else if self.u > (alpha * self.overload_speed + self.overload_pad) * self.overload_margin
+        {
+            Some(false)
+        } else {
+            None
+        }
     }
 }
 
@@ -634,7 +823,7 @@ pub(crate) fn probe_gas(n: usize, m: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::first_fit::{first_fit, min_feasible_alpha};
-    use hetfeas_model::rng::Rng;
+    use hetfeas_model::rng::{Gen, Rng};
     use hetfeas_model::Task;
 
     fn platform(speeds: &[u64]) -> Platform {
@@ -678,6 +867,32 @@ mod tests {
         t.update(0, 1.5);
         assert_eq!(t.first_at_least::<()>(0, 1.0, &mut 0), Some(0));
         assert_eq!(t.first_at_least::<()>(1, 1.0, &mut 0), None);
+    }
+
+    /// Random values, point updates (some leaving a group's max as it
+    /// was, so the repair stops early) and queries from every position,
+    /// against a linear scan, at sizes from one group to four levels.
+    #[test]
+    fn maxtree_matches_a_linear_scan() {
+        let mut rng = Rng::new(0x7EE5_0F08_0000_0001);
+        let mut t = MaxTree::default();
+        for m in [1usize, 7, 8, 9, 63, 64, 65, 511, 512, 513, 700] {
+            let draw = |rng: &mut Rng| rng.below(16) as f64 / 4.0;
+            let mut vals: Vec<f64> = (0..m).map(|_| draw(&mut rng)).collect();
+            t.rebuild(vals.iter().copied());
+            for _ in 0..200 {
+                let i = rng.below(m as u64) as usize;
+                vals[i] = draw(&mut rng);
+                t.update(i, vals[i]);
+                let threshold = draw(&mut rng) + 0.125;
+                let from = rng.below(m as u64 + 2) as usize;
+                let scan = (from..m).find(|&j| vals[j] >= threshold);
+                let mut nodes = 0;
+                let got = t.first_at_least::<hetfeas_obs::MemorySink>(from, threshold, &mut nodes);
+                assert_eq!(got, scan, "m = {m}, from {from}, threshold {threshold}");
+                assert!(nodes <= 2 * t.levels as u64, "m = {m}: {nodes} groups read");
+            }
+        }
     }
 
     #[test]
@@ -794,9 +1009,9 @@ mod tests {
         }
     }
 
-    /// Platforms wide enough for several tree levels and ragged leaf
-    /// blocks (m up to 150, against `LEAF_SPAN` = 8): block boundaries,
-    /// `-∞` padding and the climb/descend paths all get exercised.
+    /// Platforms wide enough for three tree levels and ragged last groups
+    /// (m up to 150, against `FANOUT` = 8): group boundaries, `-∞` padding
+    /// and the climb/descend paths all get exercised.
     #[test]
     fn engine_equals_reference_on_wide_platforms() {
         let mut rng = Rng::new(0xBADC_0FFE_E0DD_F00D);
@@ -1089,5 +1304,127 @@ mod tests {
             eng.min_feasible_alpha(&tasks, &p, 4.0, 1e-6, &mut gas, &()),
             Err(Exhaustion::Ops)
         );
+    }
+
+    /// The RMS floor φ is at most the f64 Liu–Layland bound of every task
+    /// count the probe bounds cover (and that bound at most 1, which the
+    /// infeasibility bound needs), and `ln 2 − φ` covers the rounding of a
+    /// hyperbolic product of that many factors.
+    #[test]
+    fn the_rms_floor_lower_bounds_every_liu_layland_bound() {
+        let floor = RmsLlAdmission::UTILIZATION_FLOOR;
+        assert_eq!(floor, RmsHyperbolicAdmission::UTILIZATION_FLOOR);
+        for k in 1..=BOUNDED_SIZE {
+            let bound = liu_layland_bound(k);
+            assert!(floor <= bound && bound <= 1.0, "k = {k}: bound {bound}");
+        }
+        let t = (3 * BOUNDED_SIZE + 2) as f64 * 2f64.powi(-53);
+        let gamma = t / (1.0 - t);
+        assert!(std::f64::consts::LN_2 - floor > gamma / (1.0 - gamma));
+    }
+
+    /// Up to 24 tasks on up to 6 machines of speed 1..=6, where about half
+    /// the machines' speeds are split exactly into tasks of one period (so
+    /// first-fit can fill machines exactly), plus up to 8 free tasks.
+    fn full_machine_system(g: &mut Gen) -> (TaskSet, Platform) {
+        let speeds = g.vec(1..7, |g| g.range(1u64..=6));
+        let mut tasks = Vec::new();
+        for &s in &speeds {
+            if g.rng().chance(0.5) {
+                let p = g.pick(&[2u64, 3, 4, 10, 25]);
+                let mut left = s * p;
+                while left > 0 && tasks.len() < 16 {
+                    let c = g.range(1..=left.min(p));
+                    tasks.push(Task::implicit(c, p).unwrap());
+                    left -= c;
+                }
+            }
+        }
+        let periods = [10u64, 20, 25, 40, 50, 100];
+        tasks.extend(g.vec(0..9, |g| {
+            Task::implicit(g.range(1u64..=60), g.pick(&periods)).unwrap()
+        }));
+        (
+            TaskSet::new(tasks),
+            Platform::from_int_speeds(speeds).unwrap(),
+        )
+    }
+
+    /// Whenever a bound answers a probe, a first-fit run at that α gives
+    /// the same verdict: α on a grid over [1, 4], at each bound's
+    /// threshold (`G/(φS)` and `U/S`) and within ±1e-12 relative of it.
+    /// Just above `G/(φS)` the feasible bound must answer, and just below
+    /// `U/S` (when above 1) the infeasible one, so neither is vacuous.
+    fn bounds_agree_with_runs<A: IndexableAdmission>(adm: A, g: &mut Gen) {
+        let name = adm.name();
+        let (tasks, platform) = full_machine_system(g);
+        let mut engine = FirstFitEngine::new(adm);
+        let order = tasks.order_by_decreasing_utilization();
+        engine.prepare_machines(&platform);
+        let bounds = ProbeBounds::new(A::UTILIZATION_FLOOR, &tasks, &order, &engine.base_speeds)
+            .expect("a small system is bounded");
+        let total_speed = platform.total_speed();
+        let fits = bounds.g / (A::UTILIZATION_FLOOR * total_speed);
+        let overloads = bounds.u / total_speed;
+        let near = [fits, overloads]
+            .into_iter()
+            .flat_map(|t| [-1e-12, -1e-15, 0.0, 1e-15, 1e-12].map(|r| t * (1.0 + r)));
+        let grid = (10..=40).map(|k| k as f64 / 10.0);
+        for alpha in grid.chain(near).filter(|&a| a >= 1.0) {
+            if let Some(verdict) = bounds.verdict(alpha) {
+                let at = Augmentation::new(alpha).unwrap();
+                let feasible = run(&mut engine, &tasks, &platform, at).is_feasible();
+                assert_eq!(
+                    verdict, feasible,
+                    "{name} at α = {alpha}: the bound says {verdict}, a run {feasible} \
+                     on {tasks} / {platform}"
+                );
+            }
+        }
+        let above = fits.max(1.0) * (1.0 + 1e-6);
+        assert_eq!(bounds.verdict(above), Some(true), "{name} at α = {above}");
+        let below = overloads * (1.0 - 1e-6);
+        if below >= 1.0 {
+            assert_eq!(bounds.verdict(below), Some(false), "{name} at α = {below}");
+        }
+    }
+
+    hetfeas_model::properties! {
+        fn edf_bounds_agree_with_runs(g) {
+            bounds_agree_with_runs(EdfAdmission, g);
+        }
+
+        fn rms_ll_bounds_agree_with_runs(g) {
+            bounds_agree_with_runs(RmsLlAdmission, g);
+        }
+
+        fn hyperbolic_bounds_agree_with_runs(g) {
+            bounds_agree_with_runs(RmsHyperbolicAdmission, g);
+        }
+    }
+
+    /// The bounds answer only probes and never change an answer: the
+    /// probe count is the reference bisection's, some probes are bounded,
+    /// and α* equals the reference's bit for bit.
+    #[test]
+    fn bounded_probes_keep_the_reference_answer() {
+        use hetfeas_obs::MemorySink;
+        let tasks = TaskSet::from_pairs([(8, 10), (8, 10), (8, 10)]).unwrap();
+        let p = platform(&[1, 1]);
+        let sink = MemorySink::new();
+        let warm = FirstFitEngine::new(EdfAdmission)
+            .min_feasible_alpha(&tasks, &p, 4.0, 1e-6, &mut Gas::unlimited(), &sink)
+            .unwrap();
+        let cold = MemorySink::new();
+        let gas = &mut Gas::unlimited();
+        let reference =
+            crate::first_fit::bisect_alpha(&tasks, &p, &EdfAdmission, 4.0, 1e-6, gas, &cold)
+                .unwrap();
+        assert_eq!(warm, reference);
+        let probes = sink.counter(metrics::ALPHA_PROBES);
+        assert_eq!(probes, cold.counter(metrics::ALPHA_PROBES));
+        let bounded = sink.counter(metrics::ALPHA_PROBES_BOUNDED);
+        assert!(bounded > 0 && bounded < probes, "{bounded} of {probes}");
+        assert_eq!(cold.counter(metrics::ALPHA_PROBES_BOUNDED), 0);
     }
 }

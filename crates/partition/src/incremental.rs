@@ -57,7 +57,7 @@
 use crate::assignment::Assignment;
 use crate::engine::{probe_gas, IndexableAdmission, Kernel, Work};
 use crate::metrics;
-use hetfeas_model::{utilization_key, Augmentation, Platform, Ratio, Task, TaskSet};
+use hetfeas_model::{Augmentation, Platform, Ratio, Task, TaskSet};
 use hetfeas_obs::MetricsSink;
 use hetfeas_robust::{Exhaustion, Gas};
 use std::collections::HashMap;
@@ -549,10 +549,15 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
         // Canonical accounting: a task no heavier (exact rational, the
         // batch sort's comparison) than every live task appends to the FFD
         // order — the batch test would place it last, seeing exactly the
-        // machine states it was just admitted against.
-        let ur = task.utilization_ratio();
-        if self.core.canonical && self.core.frontier.is_none_or(|f| ur <= f) {
-            self.core.frontier = Some(ur);
+        // machine states it was just admitted against. The comparison takes
+        // c/p unreduced; only a frontier that moves is reduced.
+        if self.core.canonical
+            && self
+                .core
+                .frontier
+                .is_none_or(|f| task.cmp_utilization(&f).is_le())
+        {
+            self.core.frontier = Some(task.utilization_ratio());
         } else {
             self.core.canonical = false;
             self.core.divergence += 1;
@@ -932,20 +937,20 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
 /// over `tasks`, in place. Each fresh task, last first, binary-searches its
 /// place among the kept tasks not yet passed, and the kept tasks after it
 /// shift right past it: `O(k·log n)` comparisons and `O(n)` moves for `k`
-/// fresh tasks.
+/// fresh tasks. The comparisons take no sort keys
+/// ([`TaskSet::cmp_indices_by_decreasing_utilization`]), so the kept
+/// tasks cost no division each.
 fn merge_ordered(tasks: &TaskSet, order: &mut Vec<usize>, fresh: &[usize]) {
     if order.is_empty() {
         order.extend_from_slice(fresh);
         return;
     }
-    let keyed = |ti: usize| (utilization_key(&tasks[ti]), ti);
     let mut end = order.len();
     order.resize(end + fresh.len(), 0);
     let mut w = order.len();
     for &ti in fresh.iter().rev() {
-        let new = keyed(ti);
         let at = order[..end]
-            .partition_point(|&oi| tasks.cmp_by_decreasing_utilization(keyed(oi), new).is_lt());
+            .partition_point(|&oi| tasks.cmp_indices_by_decreasing_utilization(oi, ti).is_lt());
         order.copy_within(at..end, w - (end - at));
         w -= end - at + 1;
         order[w] = ti;

@@ -20,7 +20,8 @@
 //!   and worker count.
 //! * `alpha.*` — α-search probe counts for the reference bisection
 //!   ([`crate::min_feasible_alpha`]) and the engine's sort-once search,
-//!   which probes the same sequence and so reports the same counts.
+//!   which probes the same sequence and so reports the same counts; the
+//!   engine also counts the probes its bounds answered without a run.
 //!
 //! All counters are cheap to emit: the hot loops accumulate into locals
 //! and flush once per run, guarded on [`MetricsSink::ENABLED`] so the
@@ -92,6 +93,10 @@ pub const INCR_ROLLBACKS: &str = "incr.rollbacks";
 
 /// First-fit probes issued by an α-search, all phases (counter).
 pub const ALPHA_PROBES: &str = "alpha.probes";
+/// Probes of [`crate::FirstFitEngine::min_feasible_alpha`] that a bound
+/// answered without a kernel run (counter; part of [`ALPHA_PROBES`]).
+/// The reference bisection runs every probe and does not emit it.
+pub const ALPHA_PROBES_BOUNDED: &str = "alpha.probes_bounded";
 /// Bisection iterations after the `1` and `hi` probes (counter).
 pub const ALPHA_BISECT_ITERS: &str = "alpha.bisect_iters";
 

@@ -12,14 +12,18 @@
 //!    since the previous repack (`incr.repack_sorted`), whatever left in
 //!    between, and every survivor only when it holds no order (n = 4096,
 //!    m = 256).
+//! 4. α-search: on a system just over full (n = 4096, m = 512), the
+//!    bounds answer at least 12 EDF and 8 RMS-LL bisection probes
+//!    without a first-fit run (`alpha.probes_bounded`), and α* stays the
+//!    reference bisection's.
 
 use hetfeas_model::rng::Rng;
 use hetfeas_model::{Augmentation, Platform, Task, TaskSet};
 use hetfeas_obs::MemorySink;
 use hetfeas_partition::metrics as pm;
 use hetfeas_partition::{
-    first_fit_ordered, EdfAdmission, FirstFitEngine, IncrementalEngine, RepackOutcome,
-    RepairPolicy, ScanWorkspace, TaskId,
+    first_fit_ordered, min_feasible_alpha, EdfAdmission, FirstFitEngine, IncrementalEngine,
+    IndexableAdmission, RepackOutcome, RepairPolicy, RmsLlAdmission, ScanWorkspace, TaskId,
 };
 use hetfeas_robust::Gas;
 use hetfeas_workload::{discretize_all, uunifast, PeriodMenu, PlatformSpec};
@@ -243,4 +247,88 @@ fn a_repack_sorts_only_the_tasks_admitted_since_the_last_one() {
         .expect("own state imports");
     assert_eq!(repack_sorts(&mut eng), eng.len() as u64, "after an import");
     assert_eq!(repack_sorts(&mut eng), 0, "nothing admitted since");
+}
+
+/// n = 4096 tasks on m = 512 machines, 64 of each speed 1..=8, at a
+/// normalized load just over 1: one utilization per n-quantile
+/// (`x² + 0.05`), shuffled, scaled to 1.002 times the total speed, with
+/// periods from a menu; wcets are then nudged up until the load is
+/// strictly above 1.
+fn just_over_full(seed: u64) -> (TaskSet, Platform) {
+    let (n, m) = (4096usize, 512usize);
+    let mut rng = Rng::new(seed);
+    let speeds: Vec<u64> = (0..m).map(|i| 1 + (i * 8 / m) as u64).collect();
+    let total_speed: u64 = speeds.iter().sum();
+    let mut weights: Vec<f64> = (0..n)
+        .map(|i| {
+            let x = (i as f64 + rng.f64()) / n as f64;
+            x * x + 0.05
+        })
+        .collect();
+    rng.shuffle(&mut weights);
+    let scale = 1.002 * total_speed as f64 / weights.iter().sum::<f64>();
+    let periods = [1_000u64, 2_000, 2_500, 4_000, 5_000, 10_000, 20_000];
+    let mut pairs: Vec<(u64, u64)> = weights
+        .iter()
+        .map(|w| {
+            let p = *rng.pick(&periods);
+            (((w * scale * p as f64).round() as u64).max(1), p)
+        })
+        .collect();
+    let load = |pairs: &[(u64, u64)]| pairs.iter().map(|&(c, p)| c as f64 / p as f64).sum::<f64>();
+    let mut i = 0;
+    while load(&pairs) <= total_speed as f64 {
+        pairs[i % n].0 += 1;
+        i += 1;
+    }
+    (
+        TaskSet::from_pairs(pairs).expect("positive wcets and periods"),
+        Platform::from_int_speeds(speeds).expect("positive speeds"),
+    )
+}
+
+/// `hetfeas alpha`'s search (`hi` 64, `tol` 1e-6) on `tasks`: the probes
+/// the bounds answered, of all probes, and α*, which must equal the
+/// reference bisection's.
+fn bounded_probes<A: IndexableAdmission + Copy>(
+    admission: A,
+    tasks: &TaskSet,
+    platform: &Platform,
+) -> (u64, u64) {
+    let sink = MemorySink::new();
+    let found = FirstFitEngine::new(admission)
+        .min_feasible_alpha(tasks, platform, 64.0, 1e-6, &mut Gas::unlimited(), &sink)
+        .expect("unlimited gas cannot exhaust");
+    let reference = min_feasible_alpha(tasks, platform, &admission, 64.0, 1e-6);
+    assert_eq!(
+        found,
+        reference,
+        "{}: α* differs from the reference",
+        admission.name()
+    );
+    (
+        sink.counter(pm::ALPHA_PROBES_BOUNDED),
+        sink.counter(pm::ALPHA_PROBES),
+    )
+}
+
+#[test]
+fn alpha_search_answers_the_far_probes_by_the_bounds() {
+    let (tasks, platform) = just_over_full(2026);
+    let load = tasks.total_utilization() / platform.total_speed();
+    assert!(load > 1.0 && load < 1.01, "normalized load {load}");
+    for (name, (bounded, probes), least) in [
+        ("EDF", bounded_probes(EdfAdmission, &tasks, &platform), 12),
+        (
+            "RMS-LL",
+            bounded_probes(RmsLlAdmission, &tasks, &platform),
+            8,
+        ),
+    ] {
+        eprintln!("{name}: the bounds answered {bounded} of {probes} probes");
+        assert!(
+            bounded >= least,
+            "{name}: the bounds answered only {bounded} of {probes} probes, want ≥ {least}"
+        );
+    }
 }

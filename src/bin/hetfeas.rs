@@ -625,7 +625,10 @@ fn cmd_alpha(c: &Common) -> Result<ExitCode, String> {
     let code = match star {
         Some(a) => {
             println!("first-fit {} needs α* = {a:.4}", c.policy.name());
-            println!("overhead vs LP bound: {:.3}×", a / beta.max(1e-12));
+            // β = 0 only without tasks: there is no ratio to print.
+            if beta > 0.0 {
+                println!("overhead vs LP bound: {:.3}×", a / beta);
+            }
             ExitCode::SUCCESS
         }
         None => {

@@ -252,14 +252,21 @@ fn report_flag_works_for_alpha_and_simulate() {
     let star = v.get("alpha_star").unwrap().as_f64().unwrap();
     assert!((star - 1.6).abs() < 1e-3, "alpha_star = {star}");
     assert!(v.get("lp_beta").unwrap().as_f64().is_some());
-    assert!(
+    let counter = |name: &str| {
         v.get("counters")
             .unwrap()
-            .get("alpha.probes")
-            .unwrap()
+            .get(name)
+            .unwrap_or_else(|| panic!("no counter {name}"))
             .as_u64()
             .unwrap()
-            >= 1
+    };
+    // Three 0.8 tasks on two unit machines: α = 1 fails on the total
+    // load and α = 64 fits by the first-fit bound, so both are bounded.
+    let (probes, bounded) = (counter("alpha.probes"), counter("alpha.probes_bounded"));
+    assert!(probes >= 1);
+    assert!(
+        (2..probes).contains(&bounded),
+        "{bounded} of {probes} probes bounded"
     );
 
     let sys = write_system(FEASIBLE);
@@ -274,6 +281,33 @@ fn report_flag_works_for_alpha_and_simulate() {
     let timers = v.get("timers").unwrap();
     assert!(timers.get("phase.partition").is_some());
     assert!(timers.get("phase.simulate").is_some());
+}
+
+/// A system with no tasks: `check` prints `ΣU = 0.000`, not `-0.000`,
+/// both commands report a `total_utilization` of +0, and `alpha` prints
+/// no overhead ratio against an LP bound β of 0.
+#[test]
+fn a_system_without_tasks_has_a_positive_zero_load_and_no_overhead_ratio() {
+    let sys = write_system("machine 1\n");
+    for cmd in ["check", "alpha"] {
+        let report = temp_path("json");
+        let out = hetfeas(&[cmd, sys.to_str(), "--report", report.to_str()]);
+        assert!(out.status.success(), "{cmd}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(!stdout.contains("-0.000"), "{cmd}: {stdout}");
+        if cmd == "check" {
+            assert!(stdout.contains("(ΣU = 0.000)"), "{stdout}");
+        } else {
+            assert!(stdout.contains("α* = 1.0000"), "{stdout}");
+            assert!(!stdout.contains("overhead"), "{stdout}");
+        }
+        let v = json::parse(&std::fs::read_to_string(&report.0).unwrap()).unwrap();
+        let total = v.get("total_utilization").unwrap().as_f64().unwrap();
+        assert!(
+            total == 0.0 && total.is_sign_positive(),
+            "{cmd}: total_utilization {total}"
+        );
+    }
 }
 
 #[test]

@@ -621,7 +621,7 @@ verdict="replayed"
 counters.engine.exact_checks=1
 counters.engine.reverify_misses=0
 counters.engine.tree_descents=1
-counters.engine.tree_nodes=0
+counters.engine.tree_nodes=1
 counters.ff.admission_checks=1
 counters.ff.machines_visited=1
 counters.ff.placed=1
@@ -707,7 +707,7 @@ verdict="replayed"
 counters.engine.exact_checks=1
 counters.engine.reverify_misses=0
 counters.engine.tree_descents=1
-counters.engine.tree_nodes=0
+counters.engine.tree_nodes=1
 counters.ff.admission_checks=1
 counters.ff.machines_visited=1
 counters.ff.placed=1
@@ -918,7 +918,7 @@ verdict="replayed"
 counters.engine.exact_checks=1
 counters.engine.reverify_misses=0
 counters.engine.tree_descents=1
-counters.engine.tree_nodes=0
+counters.engine.tree_nodes=1
 counters.ff.admission_checks=1
 counters.ff.machines_visited=1
 counters.ff.placed=1
@@ -974,7 +974,7 @@ verdict="replayed"
 counters.engine.exact_checks=1
 counters.engine.reverify_misses=0
 counters.engine.tree_descents=1
-counters.engine.tree_nodes=0
+counters.engine.tree_nodes=1
 counters.ff.admission_checks=1
 counters.ff.machines_visited=1
 counters.ff.placed=1
@@ -1031,7 +1031,7 @@ verdict="replayed"
 counters.engine.exact_checks=9
 counters.engine.reverify_misses=0
 counters.engine.tree_descents=9
-counters.engine.tree_nodes=0
+counters.engine.tree_nodes=9
 counters.ff.admission_checks=11
 counters.ff.machines_visited=11
 counters.ff.placed=9
