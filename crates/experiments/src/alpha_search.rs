@@ -29,8 +29,8 @@ pub fn empirical_alpha<A: AdmissionTest>(
 }
 
 /// [`empirical_alpha`] on the indexed engine's α-search: the sorts run once
-/// per instance and each bisection probe is an `O((n+m)·log m)` indexed
-/// first-fit instead of an `O(n·m)` scan — the
+/// per instance and each bisection probe is an `O((n+m)·log n)`
+/// machine-major first-fit instead of an `O(n·m)` scan — the
 /// E1–E4 sweeps measure thousands of instances, so this is their hot path.
 /// Returns exactly what [`empirical_alpha`] returns. Only for indexable
 /// admissions (EDF, RMS-LL, hyperbolic); RTA/Kuo–Mok sweeps keep using

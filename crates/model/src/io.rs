@@ -80,9 +80,11 @@ fn syntax(line: usize, col: usize, message: impl Into<String>) -> ParseError {
 
 /// Split the comment-stripped part of a line into whitespace-separated
 /// tokens paired with their 1-based byte column in the original line, so
-/// diagnostics can point at the offending token.
-fn tokens_with_cols(content: &str) -> Vec<(usize, &str)> {
-    let mut out = Vec::new();
+/// diagnostics can point at the offending token. `out` is cleared first;
+/// a parser keeps one buffer for all its lines, so a line allocates
+/// nothing once the buffer holds its longest line.
+fn tokens_with_cols<'a>(content: &'a str, out: &mut Vec<(usize, &'a str)>) {
+    out.clear();
     let mut start: Option<usize> = None;
     for (i, ch) in content.char_indices() {
         if ch.is_whitespace() {
@@ -96,7 +98,6 @@ fn tokens_with_cols(content: &str) -> Vec<(usize, &str)> {
     if let Some(s) = start {
         out.push((s + 1, &content[s..]));
     }
-    out
 }
 
 fn parse_speed(token: &str, line: usize, col: usize) -> Result<Ratio, ParseError> {
@@ -129,11 +130,12 @@ fn parse_speed(token: &str, line: usize, col: usize) -> Result<Ratio, ParseError
 pub fn parse_system(input: &str) -> Result<System, ParseError> {
     let mut tasks = TaskSet::empty();
     let mut machines: Vec<Machine> = Vec::new();
+    let mut toks = Vec::new();
 
     for (idx, raw) in input.lines().enumerate() {
         let line_no = idx + 1;
         let content = raw.split('#').next().unwrap_or("");
-        let toks = tokens_with_cols(content);
+        tokens_with_cols(content, &mut toks);
         let Some(&(kind_col, kind)) = toks.first() else {
             continue; // blank or comment-only line
         };
@@ -279,12 +281,13 @@ pub fn parse_op_trace(input: &str) -> Result<OpTrace, ParseError> {
     let mut instances = Vec::new();
     let mut open: Option<Open> = None;
     let mut last_line = 0usize;
+    let mut toks = Vec::new();
 
     for (idx, raw) in input.lines().enumerate() {
         let line_no = idx + 1;
         last_line = line_no;
         let content = raw.split('#').next().unwrap_or("");
-        let toks = tokens_with_cols(content);
+        tokens_with_cols(content, &mut toks);
         let Some(&(kind_col, kind)) = toks.first() else {
             continue;
         };
@@ -569,6 +572,42 @@ machine 5/2
         // Extra machine field flagged at its own column.
         match parse_system("machine 1 9").unwrap_err() {
             ParseError::Syntax { col, .. } => assert_eq!(col, 11),
+            other => panic!("expected syntax error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn a_fifth_token_is_an_arity_error() {
+        let err = |input: &str| match parse_system(input).unwrap_err() {
+            ParseError::Syntax { line, col, message } => (line, col, message),
+            other => panic!("expected syntax error, got {other}"),
+        };
+        let usage = "task expects: task <wcet> <period> [deadline]".to_string();
+        assert_eq!(err("machine 1\ntask 1 2 3 4"), (2, 1, usage.clone()));
+        assert_eq!(err("machine 1\ntask 1 2 3 4 5 6 7 8"), (2, 1, usage));
+        let extra = "machine takes exactly one field".to_string();
+        assert_eq!(err("machine 1 2 3 4"), (1, 11, extra.clone()));
+        assert_eq!(err("  machine 1 2 3 4 5 6"), (1, 13, extra));
+        // An op trace's longest line has five tokens; a sixth is its error.
+        match parse_op_trace("begin a\nmachine 1\nadd 1 2 10 9 7\nend").unwrap_err() {
+            ParseError::Syntax { line, col, message } => {
+                assert_eq!((line, col), (3, 1));
+                assert!(message.contains("add expects"), "{message}");
+            }
+            other => panic!("expected syntax error, got {other}"),
+        }
+        let trace = parse_op_trace("begin a\nmachine 1\nadd 1 2 10 9\nend").unwrap();
+        assert_eq!(trace.instances[0].ops.len(), 1);
+    }
+
+    #[test]
+    fn non_ascii_whitespace_separates_tokens() {
+        // U+3000 and U+00A0 separate like a space; columns count bytes.
+        let sys = parse_system("task\u{3000}3\u{a0}10\nmachine\u{2003}2").unwrap();
+        assert_eq!(sys.tasks[0], Task::implicit(3, 10).unwrap());
+        assert_eq!(sys.platform.len(), 1);
+        match parse_system("task\u{2003}x 10\nmachine 1").unwrap_err() {
+            ParseError::Syntax { line, col, .. } => assert_eq!((line, col), (1, 8)),
             other => panic!("expected syntax error, got {other}"),
         }
     }

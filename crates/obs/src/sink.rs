@@ -12,7 +12,7 @@ use std::sync::RwLock;
 /// entirely, so hot paths pay nothing when observability is off.
 ///
 /// Metric names are `&'static str` in a dotted namespace
-/// (`"ff.admission_checks"`, `"engine.tree_descents"`, …); the constants
+/// (`"ff.admission_checks"`, `"engine.admission_evals"`, …); the constants
 /// live next to the code that emits them (e.g. `hetfeas_partition::metrics`).
 pub trait MetricsSink {
     /// `false` for sinks that discard everything. Call sites guard

@@ -12,16 +12,18 @@
 //! extra tests beyond the paper — the hyperbolic bound and exact RTA — back
 //! the E8/E9 ablations.
 
-use hetfeas_analysis::{liu_layland_bound, rms_schedulable_kuo_mok, rta_schedulable_f64};
+use crate::engine::IndexableAdmission;
+use hetfeas_analysis::{rms_schedulable_kuo_mok, rta_schedulable_f64};
 use hetfeas_model::{Task, TaskSet, EPS};
 
 /// The ε-padded right-hand side of [`hetfeas_model::approx_le`]:
 /// `approx_le(x, cap) ⟺ x <= admit_rhs(cap)`, by definition of
 /// `approx_le`. Hoisting the padding onto the capacity side turns every
 /// additive admission predicate into the single comparison
-/// `load + u <= rhs`; the [`AdmissionTest::admit`] impls below and the
-/// engine's residual hints ([`crate::IndexableAdmission`]) use the *same*
-/// expression, so they decide identically bit for bit.
+/// `load + u <= rhs`, evaluated once per machine state by the indexable
+/// tests' rooms ([`crate::IndexableAdmission::room`]); their
+/// [`AdmissionTest::admit`] impls below and the engine's residual hints
+/// use the *same* expression, so they decide identically bit for bit.
 #[inline(always)]
 pub fn admit_rhs(cap: f64) -> f64 {
     cap + EPS * cap.abs().max(1.0)
@@ -61,10 +63,9 @@ impl AdmissionTest for EdfAdmission {
         0.0
     }
 
+    #[inline]
     fn admit(&self, state: &f64, task: &Task, speed: f64) -> Option<f64> {
-        // approx_le(next, speed), via the shared padded right-hand side.
-        let next = state + task.utilization();
-        (next <= admit_rhs(speed)).then_some(next)
+        self.admit_utilization(state, task.utilization(), speed)
     }
 
     fn load(&self, state: &f64) -> f64 {
@@ -97,14 +98,9 @@ impl AdmissionTest for RmsLlAdmission {
         RmsLlState::default()
     }
 
+    #[inline]
     fn admit(&self, state: &RmsLlState, task: &Task, speed: f64) -> Option<RmsLlState> {
-        // approx_le(next_load, bound·speed), via the shared padded bound.
-        let next_load = state.load + task.utilization();
-        let next_count = state.count + 1;
-        (next_load <= admit_rhs(liu_layland_bound(next_count) * speed)).then_some(RmsLlState {
-            load: next_load,
-            count: next_count,
-        })
+        self.admit_utilization(state, task.utilization(), speed)
     }
 
     fn load(&self, state: &RmsLlState) -> f64 {
@@ -141,13 +137,9 @@ impl AdmissionTest for RmsHyperbolicAdmission {
         }
     }
 
+    #[inline]
     fn admit(&self, state: &HyperbolicState, task: &Task, speed: f64) -> Option<HyperbolicState> {
-        // rms_hyperbolic_product_ok(next) ⟺ approx_le(next, 2).
-        let next = state.product * (task.utilization() / speed + 1.0);
-        (next <= admit_rhs(2.0)).then_some(HyperbolicState {
-            product: next,
-            load: state.load + task.utilization(),
-        })
+        self.admit_utilization(state, task.utilization(), speed)
     }
 
     fn load(&self, state: &HyperbolicState) -> f64 {

@@ -1,10 +1,30 @@
-//! Indexed first-fit engine: the §III test in `O((n+m)·log m)`.
+//! Indexed first-fit engine: the §III test in `O((n+m)·log n)` per run.
 //!
 //! The reference [`crate::first_fit()`] scans machines linearly per task —
 //! `O(n·m)` admission checks in the worst case. Every higher layer (the
 //! α-bisection, the E1–E17 sweeps, the benches) calls it thousands of
-//! times, so [`FirstFitEngine`] replaces the scan with a fan-out-8 max-tree
-//! over per-machine *residual capacities*:
+//! times, so [`FirstFitEngine`] fills the machines one at a time instead.
+//!
+//! ## Machine-major runs
+//!
+//! An indexable admission ([`IndexableAdmission`]) accepts a task when
+//! its utilization is at most a threshold that depends on the machine's
+//! own state alone. So first-fit-decreasing gives the same packing when
+//! machines are filled in scan order, each taking the first remaining
+//! task it admits, then the first after that one, until none fits: by
+//! induction over the machines, each receives exactly the tasks, in the
+//! order, that the task-major scan gives it. The tasks' f64 utilizations
+//! in FFD order are kept with their running minimum, which is
+//! non-increasing, so the first task a machine may admit is one gallop
+//! away: `O(log n)` evaluations of the machine's exact test per
+//! placement, one failed search per machine, `O((n+m)·log n)` per run
+//! after the `O(n log n + m log m)` sorts.
+//!
+//! ## The online index
+//!
+//! An online add ([`crate::IncrementalEngine::add`]) places one task on
+//! machines that are already loaded, so it cannot fill them in order; it
+//! queries a fan-out-8 max-tree over per-machine *residual capacities*:
 //!
 //! * EDF: the residual of machine `j` is `α·s_j − load_j`;
 //! * RMS-LL: it is `bound(k_j + 1)·α·s_j − load_j` where `k_j` is the
@@ -12,41 +32,46 @@
 //!
 //! Both residuals change only on the machine that admits the task, so a
 //! point update keeps the tree valid, and "first (slowest) machine that
-//! admits τ" becomes a descend-left query: `O(log m)` per placement instead
-//! of `O(m)`. Total: `O(n log n + m log m)` for the sorts plus
-//! `O((n+m)·log m)` for the placements. A tree node's children are one
-//! contiguous group of 8 values, resolved by one branch-free compare and
-//! a trailing-zero count, so a query from the first slot reads one group
-//! per level: three at m = 512.
+//! admits τ" becomes a descend-left query: `O(log m)` per add instead of
+//! `O(m)`. A tree node's children are one contiguous group of 8 values,
+//! resolved by one branch-free compare and a trailing-zero count, so a
+//! query from the first slot reads one group per level: three at m = 512.
+//! Tree values are *hints*: each [`IndexableAdmission::residual_hint`]
+//! over-approximates (by a ~1e-12 relative slack, far below
+//! [`hetfeas_model::EPS`]) the largest utilization the exact
+//! [`AdmissionTest::admit`] predicate would accept, and every candidate
+//! leaf is re-checked with that exact predicate before placing; a
+//! rejected candidate resumes the query to its right.
 //!
 //! ## Exact equivalence with the reference scan
 //!
-//! Tree thresholds are *hints*: each [`IndexableAdmission::residual_hint`]
-//! over-approximates (by a ~1e-12 relative slack, far below [`hetfeas_model::EPS`]) the
-//! largest utilization the exact [`AdmissionTest::admit`] predicate would
-//! accept, and every candidate leaf is re-checked with that exact
-//! predicate before placing. A rejected candidate resumes the query to its
-//! right. Hence the engine admits each task on *exactly* the machine the
-//! reference scan picks — outcomes (assignments, witnesses, tie-breaking)
-//! are byte-identical, which `tests/prop_engine.rs` asserts. Admissions
-//! whose acceptance is not a threshold on the candidate's utilization
-//! (exact RTA, Kuo–Mok — they re-inspect the whole accumulated set) cannot
-//! be indexed this way and stay on the linear reference path.
+//! Both paths decide with the exact predicate the reference scan uses
+//! ([`IndexableAdmission::admit_utilization`]), so the engine admits each
+//! task on *exactly* the machine the reference scan picks — outcomes
+//! (assignments, witnesses, tie-breaking) are byte-identical, which
+//! `tests/prop_engine.rs` asserts. Admissions whose acceptance is not a
+//! threshold on the candidate's utilization (exact RTA, Kuo–Mok — they
+//! re-inspect the whole accumulated set) cannot be indexed this way and
+//! stay on the linear reference path.
 //!
-//! ## One placement kernel
+//! ## One batch kernel, one online kernel
 //!
-//! The descend, re-check and resume-right loop is written once, in the
-//! crate-private `Kernel`: per-slot admission states at α-augmented
-//! speeds plus the max-tree of their residual hints. [`FirstFitEngine`]
-//! runs every probe as one kernel FFD run, and
-//! [`crate::IncrementalEngine`] keeps its live partition in a kernel and
-//! repacks in a second one, so the two engines cannot drift apart.
+//! The batch run and the online placement are each written once. The
+//! crate-private `Kernel` holds per-slot admission states at α-augmented
+//! speeds and runs the machine-major fill; `IndexedKernel` wraps one with
+//! the max-tree of its residual hints and places single tasks, keeping
+//! the tree current on every change. [`FirstFitEngine`] runs every probe
+//! on a `Kernel`; [`crate::IncrementalEngine`] keeps its live partition
+//! in an `IndexedKernel`, repacks in a plain `Kernel` and adopts that
+//! kernel's states when the run places every task, so the two engines
+//! cannot drift apart.
 //!
-//! The engine owns its workspaces (sort permutations, the kernel, the
-//! placed slots), so repeated calls — e.g. the probes of
-//! [`FirstFitEngine::min_feasible_alpha`] — amortize all allocation, and
-//! that search sorts once for all its probes. Only [`FirstFitEngine::run`]
-//! builds an [`Assignment`], from the slots its run recorded.
+//! The engine owns its workspaces (sort permutations, the sorted
+//! utilizations, the kernel, the placed slots), so repeated calls — e.g.
+//! the probes of [`FirstFitEngine::min_feasible_alpha`] — amortize all
+//! allocation, and that search sorts once for all its probes. Only
+//! [`FirstFitEngine::run`] builds an [`Assignment`], from the slots its
+//! run recorded.
 //!
 //! ## Probes without a run
 //!
@@ -85,14 +110,17 @@ fn relaxed_residual(capacity_rhs: f64, load: f64) -> f64 {
 }
 
 /// An [`AdmissionTest`] whose acceptance of a candidate task is a threshold
-/// on the candidate's utilization — the property that lets a residual
-/// max-tree index it.
+/// on the candidate's utilization — the property that lets the batch run
+/// fill one machine at a time by searching a sorted utilization array, and
+/// a residual max-tree index the online placements.
 ///
 /// # Contract
-/// `residual_hint(state, speed)` must be ≥ the utilization of **every**
-/// task that `admit(state, task, speed)` would accept (over-approximation
-/// is fine: the engine re-checks candidates with the exact `admit`;
-/// under-approximation would silently skip machines and is a bug).
+/// * [`Self::fits`] is monotone in `u`: a room that admits `u` admits
+///   every `u' ≤ u`.
+/// * `residual_hint(state, speed)` must be ≥ the utilization of **every**
+///   task that `admit(state, task, speed)` would accept (over-approximation
+///   is fine: the engine re-checks candidates with the exact `admit`;
+///   under-approximation would silently skip machines and is a bug).
 pub trait IndexableAdmission: AdmissionTest {
     /// The policy this test implements; journals record its key.
     const POLICY: PolicyKind;
@@ -121,20 +149,52 @@ pub trait IndexableAdmission: AdmissionTest {
     /// checks each) and below `ln 2` by more than the product's rounding.
     const UTILIZATION_FLOOR: f64;
 
+    /// The part of the test that depends on the machine alone — its state
+    /// and augmented speed — evaluated once per state, so that each
+    /// candidate then costs one [`Self::fits`].
+    type Room: Copy;
+
+    /// The room of a machine in `state` at augmented speed `speed`.
+    fn room(&self, state: &Self::State, speed: f64) -> Self::Room;
+
+    /// Whether a machine with `room` admits a task of utilization `u`.
+    fn fits(&self, room: Self::Room, u: f64) -> bool;
+
+    /// The state of a machine in `state` at augmented speed `speed` once
+    /// it holds one more task, of utilization `u`, with no check.
+    fn grow(&self, state: &Self::State, u: f64, speed: f64) -> Self::State;
+
+    /// Admission by utilization: the successor state when a machine in
+    /// `state` at augmented speed `speed` admits a task of utilization
+    /// `u`. Each indexable test's [`AdmissionTest::admit`] is this at the
+    /// task's f64 utilization, so the engines and the reference scan
+    /// decide with the same arithmetic bit for bit.
+    #[inline]
+    fn admit_utilization(&self, state: &Self::State, u: f64, speed: f64) -> Option<Self::State> {
+        self.fits(self.room(state, speed), u)
+            .then(|| self.grow(state, u, speed))
+    }
+
     /// Upper bound on the utilization of any task [`AdmissionTest::admit`]
     /// accepts in `state` at augmented speed `speed`.
     fn residual_hint(&self, state: &Self::State, speed: f64) -> f64;
 
-    /// State of a machine holding exactly `tasks` (folded left-to-right
-    /// with the same arithmetic as repeated [`AdmissionTest::admit`] calls)
-    /// **without** acceptance checks. The incremental engine's local repair
-    /// uses this after a removal, where every remaining task was already
-    /// admitted — the aggregate is a plain recomputation, not a decision,
-    /// so the boundary-case float drift of "subtract the leaver" can never
-    /// spuriously reject a machine's own residents.
+    /// State of a machine holding exactly `tasks`, folded left-to-right
+    /// with [`Self::grow`] — the arithmetic of repeated
+    /// [`AdmissionTest::admit`] calls — **without** acceptance checks. The
+    /// incremental engine's local repair uses this after a removal, where
+    /// every remaining task was already admitted — the aggregate is a
+    /// plain recomputation, not a decision, so the boundary-case float
+    /// drift of "subtract the leaver" can never spuriously reject a
+    /// machine's own residents.
     fn fold_state<'a, I>(&self, tasks: I, speed: f64) -> Self::State
     where
-        I: IntoIterator<Item = &'a Task>;
+        I: IntoIterator<Item = &'a Task>,
+    {
+        tasks.into_iter().fold(self.empty_state(), |st, t| {
+            self.grow(&st, t.utilization(), speed)
+        })
+    }
 }
 
 /// `ln 2·(1 − 10^-9)`: the utilization floor of the two RMS tests (see
@@ -144,71 +204,84 @@ const LN_2_FLOOR: f64 = std::f64::consts::LN_2 * (1.0 - 1e-9);
 impl IndexableAdmission for EdfAdmission {
     const POLICY: PolicyKind = PolicyKind::Edf;
     const UTILIZATION_FLOOR: f64 = 1.0;
+    /// The load and the padded capacity.
+    type Room = (f64, f64);
 
-    fn residual_hint(&self, state: &f64, speed: f64) -> f64 {
-        // admit: approx_le(load + u, speed), i.e. load + u ≤ admit_rhs(speed).
-        relaxed_residual(admit_rhs(speed), *state)
+    fn room(&self, load: &f64, speed: f64) -> (f64, f64) {
+        // approx_le(load + u, speed), i.e. load + u ≤ admit_rhs(speed).
+        (*load, admit_rhs(speed))
     }
 
-    fn fold_state<'a, I>(&self, tasks: I, _speed: f64) -> f64
-    where
-        I: IntoIterator<Item = &'a Task>,
-    {
-        tasks
-            .into_iter()
-            .fold(0.0, |load, t| load + t.utilization())
+    fn fits(&self, (load, rhs): (f64, f64), u: f64) -> bool {
+        load + u <= rhs
+    }
+
+    fn grow(&self, load: &f64, u: f64, _speed: f64) -> f64 {
+        load + u
+    }
+
+    fn residual_hint(&self, state: &f64, speed: f64) -> f64 {
+        relaxed_residual(admit_rhs(speed), *state)
     }
 }
 
 impl IndexableAdmission for RmsLlAdmission {
     const POLICY: PolicyKind = PolicyKind::RmsLl;
     const UTILIZATION_FLOOR: f64 = LN_2_FLOOR;
+    /// The load and the padded Liu–Layland capacity the next task faces.
+    type Room = (f64, f64);
 
-    fn residual_hint(&self, state: &RmsLlState, speed: f64) -> f64 {
-        // admit: approx_le(load + u, bound(count + 1) · speed).
+    fn room(&self, state: &RmsLlState, speed: f64) -> (f64, f64) {
+        // approx_le(load + u, bound(count + 1) · speed).
         let rhs = admit_rhs(liu_layland_bound(state.count + 1) * speed);
-        relaxed_residual(rhs, state.load)
+        (state.load, rhs)
     }
 
-    fn fold_state<'a, I>(&self, tasks: I, _speed: f64) -> RmsLlState
-    where
-        I: IntoIterator<Item = &'a Task>,
-    {
-        tasks
-            .into_iter()
-            .fold(RmsLlState::default(), |st, t| RmsLlState {
-                load: st.load + t.utilization(),
-                count: st.count + 1,
-            })
+    fn fits(&self, (load, rhs): (f64, f64), u: f64) -> bool {
+        load + u <= rhs
+    }
+
+    fn grow(&self, state: &RmsLlState, u: f64, _speed: f64) -> RmsLlState {
+        RmsLlState {
+            load: state.load + u,
+            count: state.count + 1,
+        }
+    }
+
+    fn residual_hint(&self, state: &RmsLlState, speed: f64) -> f64 {
+        let (load, rhs) = self.room(state, speed);
+        relaxed_residual(rhs, load)
     }
 }
 
 impl IndexableAdmission for RmsHyperbolicAdmission {
     const POLICY: PolicyKind = PolicyKind::RmsHyp;
     const UTILIZATION_FLOOR: f64 = LN_2_FLOOR;
+    /// The product `Π (w_i/speed + 1)` and the speed.
+    type Room = (f64, f64);
+
+    fn room(&self, state: &HyperbolicState, speed: f64) -> (f64, f64) {
+        (state.product, speed)
+    }
+
+    fn fits(&self, (product, speed): (f64, f64), u: f64) -> bool {
+        // rms_hyperbolic_product_ok(next) ⟺ approx_le(next, 2).
+        product * (u / speed + 1.0) <= admit_rhs(2.0)
+    }
+
+    fn grow(&self, state: &HyperbolicState, u: f64, speed: f64) -> HyperbolicState {
+        HyperbolicState {
+            product: state.product * (u / speed + 1.0),
+            load: state.load + u,
+        }
+    }
 
     fn residual_hint(&self, state: &HyperbolicState, speed: f64) -> f64 {
-        // admit: approx_le(product · (u/speed + 1), 2), so
+        // fits: product · (u/speed + 1) ≤ rhs, so
         // u ≤ speed · (rhs/product − 1) with rhs the ε-padded 2.
         let rhs = admit_rhs(2.0);
         let bound = speed * (rhs / state.product - 1.0);
         bound + HINT_SLACK * bound.abs().max(speed.abs()).max(1.0)
-    }
-
-    fn fold_state<'a, I>(&self, tasks: I, speed: f64) -> HyperbolicState
-    where
-        I: IntoIterator<Item = &'a Task>,
-    {
-        tasks.into_iter().fold(
-            HyperbolicState {
-                product: 1.0,
-                load: 0.0,
-            },
-            |st, t| HyperbolicState {
-                product: st.product * (t.utilization() / speed + 1.0),
-                load: st.load + t.utilization(),
-            },
-        )
     }
 }
 
@@ -314,24 +387,27 @@ impl MaxTree {
     }
 
     /// Index of the leftmost value at position `≥ from` that is
-    /// `≥ threshold`. A query from 0 descends from the top group; a
-    /// resumed one climbs from `from`'s group until a group right of the
-    /// path holds a match, then descends. Adds the groups it reads to
-    /// `nodes`: one per level from 0, at most two per level resumed; under
-    /// a sink with `ENABLED = false` the count compiles away.
-    fn first_at_least<S: MetricsSink>(
+    /// `≥ threshold`.
+    fn first_at_least(&self, from: usize, threshold: f64) -> Option<usize> {
+        self.first_at_least_counting(from, threshold, &mut 0)
+    }
+
+    /// [`Self::first_at_least`], adding the groups it reads to `groups`
+    /// (the unit tests check the count). A query from 0 descends from the
+    /// top group, reading one group per level; a resumed one climbs from
+    /// `from`'s group until a group right of the path holds a match, then
+    /// descends, reading at most two groups per level.
+    fn first_at_least_counting(
         &self,
         from: usize,
         threshold: f64,
-        nodes: &mut u64,
+        groups: &mut u64,
     ) -> Option<usize> {
         if from >= self.starts[1] {
             return None;
         }
         let mut read = |l: usize, i: usize, skip: usize| {
-            if S::ENABLED {
-                *nodes += 1;
-            }
+            *groups += 1;
             let mask = mask_at_least(self.group(l, i), threshold) >> skip << skip;
             (mask != 0).then(|| i / FANOUT * FANOUT + mask.trailing_zeros() as usize)
         };
@@ -363,26 +439,113 @@ impl MaxTree {
     }
 }
 
-/// Work placements did, in the indexed engines' own units: tree descents,
-/// the tree groups they read (counted only under an enabled sink), exact
-/// re-checks and re-verification misses.
+/// Work an online placement did: tree descents, exact re-checks and
+/// re-verification misses.
 #[derive(Default)]
 pub(crate) struct Work {
     pub(crate) descents: u64,
-    pub(crate) tree_nodes: u64,
     pub(crate) exact: u64,
     pub(crate) misses: u64,
 }
 
-/// The one placement kernel of the indexed engines: per-slot admission
-/// states at α-augmented speeds (slots in machine-scan order) and the
-/// [`MaxTree`] of their residual hints. It is the only code that places
-/// a task or reads the tree.
+/// Marks a task the machine-major run has not placed in its slot list.
+const UNPLACED: usize = usize::MAX;
+
+/// One FFD task order in the form the machine-major run reads, with that
+/// run's scratch: [`Self::load`] fills it once per order, and every
+/// [`Kernel::place_all`] over that order reuses it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Ffd {
+    /// The f64 utilization of each task, in FFD order.
+    utils: Vec<f64>,
+    /// `floor[i] = min(utils[..=i])`, the search key. It is non-increasing
+    /// even where f64 rounding inverts the exact order (wcets or periods
+    /// above 2^53), so the positions whose floor a machine admits form a
+    /// suffix, and no task before that suffix fits.
+    floor: Vec<f64>,
+    /// The run's "next unplaced" links, path-halved: `next[i] == i` while
+    /// position `i` is unplaced; otherwise it names a later position with
+    /// no unplaced one in between. `next[n] = n` ends every chain.
+    next: Vec<u32>,
+}
+
+impl Ffd {
+    /// Take the tasks of `tasks` in FFD `order` (a permutation of their
+    /// indices). Counts each buffer that had to grow under
+    /// `ff.workspace_allocs`.
+    pub(crate) fn load<S: MetricsSink>(&mut self, tasks: &TaskSet, order: &[usize], sink: &S) {
+        let n = u32::try_from(order.len()).expect("fewer than 2^32 tasks") as usize;
+        let caps = |f: &Self| [f.utils.capacity(), f.floor.capacity(), f.next.capacity()];
+        let before = caps(self);
+        self.utils.clear();
+        self.utils
+            .extend(order.iter().map(|&ti| tasks[ti].utilization()));
+        let mut min = f64::INFINITY;
+        self.floor.clear();
+        self.floor.extend(self.utils.iter().map(|&u| {
+            min = min.min(u);
+            min
+        }));
+        self.next.resize(n + 1, 0);
+        count_grown(sink, &before, &caps(self));
+    }
+
+    /// The f64 utilization of each task, in FFD order.
+    pub(crate) fn utils(&self) -> &[f64] {
+        &self.utils
+    }
+}
+
+/// Add the buffers whose capacity changed between `before` and `after` to
+/// `ff.workspace_allocs`.
+fn count_grown<S: MetricsSink>(sink: &S, before: &[usize], after: &[usize]) {
+    if S::ENABLED {
+        let grown = before.iter().zip(after).filter(|(b, a)| b != a).count() as u64;
+        if grown > 0 {
+            sink.counter_add(metrics::FF_WORKSPACE_ALLOCS, grown);
+        }
+    }
+}
+
+/// The first unplaced position at or after `i`, halving the path there.
+#[inline]
+fn unplaced_from(next: &mut [u32], mut i: usize) -> usize {
+    while next[i] as usize != i {
+        let up = next[next[i] as usize];
+        next[i] = up;
+        i = up as usize;
+    }
+    i
+}
+
+/// The first position in `from..=last` whose key `fits` accepts, given
+/// that it accepts `keys[last]` and, the keys being non-increasing, a
+/// suffix of them: probes `from`, `from + 1`, `from + 3`, … until one
+/// fits, then binary-searches the last step, so an answer `d` positions
+/// on costs about `2·log2 d` probes.
+fn gallop(keys: &[f64], from: usize, last: usize, mut fits: impl FnMut(f64) -> bool) -> usize {
+    let (mut lo, mut hi, mut step) = (from, last, 1);
+    while lo + step <= last {
+        let probe = lo + step - 1;
+        if fits(keys[probe]) {
+            hi = probe;
+            break;
+        }
+        lo = probe + 1;
+        step *= 2;
+    }
+    lo + keys[lo..hi].partition_point(|&k| !fits(k))
+}
+
+/// The batch kernel of the indexed engines: per-slot admission states at
+/// α-augmented speeds, slots in machine-scan order, which one
+/// machine-major run ([`Self::place_all`]) fills. It is the only code that
+/// runs first-fit over a whole task order; [`IndexedKernel`] places
+/// single tasks.
 #[derive(Debug, Clone)]
 pub(crate) struct Kernel<St> {
     speeds: Vec<f64>,
     states: Vec<St>,
-    tree: MaxTree,
 }
 
 impl<St> Kernel<St> {
@@ -391,7 +554,6 @@ impl<St> Kernel<St> {
         Kernel {
             speeds: Vec::new(),
             states: Vec::new(),
-            tree: MaxTree::default(),
         }
     }
 
@@ -412,33 +574,179 @@ impl<St> Kernel<St> {
         A: IndexableAdmission<State = St>,
         S: MetricsSink,
     {
-        let caps = |k: &Self| {
-            [
-                k.speeds.capacity(),
-                k.states.capacity(),
-                k.tree.buf.capacity(),
-            ]
-        };
+        let caps = |k: &Self| [k.speeds.capacity(), k.states.capacity()];
         let before = caps(self);
         self.speeds.clear();
         self.speeds.extend(speeds);
         self.states.clear();
         self.states
             .extend(self.speeds.iter().map(|_| adm.empty_state()));
-        let (states, speeds) = (&self.states, &self.speeds);
+        count_grown(sink, &before, &caps(self));
+    }
+
+    /// One first-fit run, machine-major: place the tasks `ffd` holds from
+    /// the current slot states, recording the slot of each placed task of
+    /// the FFD prefix before the first one no slot admits in `slots`
+    /// (cleared first). Returns true when every task was placed.
+    ///
+    /// Slots are filled one at a time, in scan order: each takes the first
+    /// unplaced task it admits, then the first after that one, until none
+    /// fits. A slot's admissions depend only on its own state, so by
+    /// induction over the slots each one receives exactly the tasks, in
+    /// the order, that the task-major scan gives it; the unplaced tasks
+    /// are the ones no slot admits, and the first of them is the scan's
+    /// failing task. A failed run still places every later task some slot
+    /// admits, so after it the slot states hold more than the scan's
+    /// prefix; callers discard them.
+    ///
+    /// The search key is the running minimum of the utilizations (see
+    /// [`Ffd`]): a slot whose room takes a position's floor but not the
+    /// task's own utilization (only where rounding inverted the order)
+    /// confirms the task against that utilization and moves on. Each
+    /// placement costs one gallop, `O(log n)` [`IndexableAdmission::fits`]
+    /// evaluations, and each slot one more failed one, so a run is
+    /// `O((n + m)·log n)`. Flushes once into `sink`:
+    ///
+    /// * `ff.*` in *reference-scan units*, derived from the byte-identical
+    ///   placement sequence (a task placed at scan slot `s` would have cost
+    ///   the reference `s + 1` checks; a failing task costs `m`) — so the
+    ///   engines and [`crate::first_fit_ordered`] report identical `ff.*`
+    ///   numbers for the same instance;
+    /// * `engine.admission_evals`, the evaluations actually made.
+    pub(crate) fn place_all<A, S>(
+        &mut self,
+        adm: &A,
+        ffd: &mut Ffd,
+        slots: &mut Vec<usize>,
+        sink: &S,
+    ) -> bool
+    where
+        A: IndexableAdmission<State = St>,
+        S: MetricsSink,
+    {
+        let n = ffd.utils.len();
+        let (utils, floor, next) = (&ffd.utils[..], &ffd.floor[..], &mut ffd.next[..]);
+        for (i, link) in next.iter_mut().enumerate() {
+            *link = i as u32;
+        }
+        slots.clear();
+        slots.resize(n, UNPLACED);
+        let mut evals = 0u64;
+        // Every unplaced position lies in `first..end`.
+        let (mut first, mut end) = (0, n);
+        for (slot, (&speed, state)) in self.speeds.iter().zip(&mut self.states).enumerate() {
+            first = unplaced_from(next, first);
+            if first >= end {
+                break;
+            }
+            let mut from = first;
+            loop {
+                from = unplaced_from(next, from);
+                if from >= end {
+                    break;
+                }
+                let room = adm.room(state, speed);
+                let mut fits = |u: f64| {
+                    evals += 1;
+                    adm.fits(room, u)
+                };
+                // The first unplaced task whose floor fits: `from` itself,
+                // or a later one when the last unplaced floor fits.
+                let at = if fits(floor[from]) {
+                    from
+                } else if from + 1 == end || !fits(floor[end - 1]) {
+                    break;
+                } else {
+                    unplaced_from(next, gallop(floor, from + 1, end - 1, &mut fits))
+                };
+                let u = utils[at];
+                if u == floor[at] || fits(u) {
+                    *state = adm.grow(state, u, speed);
+                    slots[at] = slot;
+                    next[at] = at as u32 + 1;
+                    if at + 1 == end {
+                        end = at;
+                        while end > first && next[end - 1] as usize != end - 1 {
+                            end -= 1;
+                        }
+                    }
+                }
+                from = at + 1;
+            }
+        }
+        let placed = slots.iter().position(|&s| s == UNPLACED).unwrap_or(n);
+        slots.truncate(placed);
+        if S::ENABLED {
+            // The reference scan visits slots 0..=slot, or all m and fails.
+            let m = self.states.len() as u64;
+            let mut checks_per_task = HistogramSnapshot::EMPTY;
+            let failed = (placed < n).then_some(m);
+            let scan_checks: u64 = (slots.iter().map(|&s| s as u64 + 1).chain(failed))
+                .inspect(|&c| checks_per_task.record(c))
+                .sum();
+            checks_per_task.flush(sink, metrics::FF_CHECKS_PER_TASK);
+            sink.counter_add(metrics::FF_ADMISSION_CHECKS, scan_checks);
+            sink.counter_add(metrics::FF_MACHINES_VISITED, scan_checks);
+            sink.counter_add(metrics::FF_PLACED, placed as u64);
+            sink.counter_add(metrics::ENGINE_ADMISSION_EVALS, evals);
+        }
+        placed == n
+    }
+}
+
+/// A [`Kernel`] with the [`MaxTree`] of its slots' residual hints: the
+/// live partition of [`crate::IncrementalEngine`], which places one task
+/// at a time. Every way to build one or change a state keeps the tree
+/// current. It is the only code that places a single task or reads the
+/// tree.
+#[derive(Debug, Clone)]
+pub(crate) struct IndexedKernel<St> {
+    kernel: Kernel<St>,
+    tree: MaxTree,
+}
+
+impl<St> IndexedKernel<St> {
+    /// Index `kernel`: build the tree from its states.
+    pub(crate) fn new<A: IndexableAdmission<State = St>>(adm: &A, kernel: Kernel<St>) -> Self {
+        let mut indexed = IndexedKernel {
+            kernel,
+            tree: MaxTree::default(),
+        };
+        indexed.reindex(adm);
+        indexed
+    }
+
+    /// The α-augmented speed of every slot, in scan order.
+    pub(crate) fn speeds(&self) -> &[f64] {
+        self.kernel.speeds()
+    }
+
+    /// The admission state of `slot`.
+    pub(crate) fn state(&self, slot: usize) -> &St {
+        self.kernel.state(slot)
+    }
+
+    /// Take the states of `run`, a kernel a batch run has just filled, as
+    /// the live ones, and rebuild the tree once from them. `run` receives
+    /// the replaced kernel, whose buffers the next run reuses.
+    pub(crate) fn adopt<A: IndexableAdmission<State = St>>(
+        &mut self,
+        adm: &A,
+        run: &mut Kernel<St>,
+    ) {
+        std::mem::swap(&mut self.kernel, run);
+        self.reindex(adm);
+    }
+
+    /// Rebuild the tree from the slot states.
+    fn reindex<A: IndexableAdmission<State = St>>(&mut self, adm: &A) {
+        let Kernel { speeds, states } = &self.kernel;
         self.tree.rebuild(
             states
                 .iter()
                 .zip(speeds)
                 .map(|(st, &sp)| adm.residual_hint(st, sp)),
         );
-        if S::ENABLED {
-            let after = caps(self);
-            let grown = (0..3).filter(|&i| before[i] != after[i]).count() as u64;
-            if grown > 0 {
-                sink.counter_add(metrics::FF_WORKSPACE_ALLOCS, grown);
-            }
-        }
     }
 
     /// Give `slot` the admission state `state` (e.g. re-folded from its
@@ -449,8 +757,8 @@ impl<St> Kernel<St> {
         slot: usize,
         state: St,
     ) {
-        let hint = adm.residual_hint(&state, self.speeds[slot]);
-        self.states[slot] = state;
+        let hint = adm.residual_hint(&state, self.kernel.speeds[slot]);
+        self.kernel.states[slot] = state;
         self.tree.update(slot, hint);
     }
 
@@ -458,20 +766,18 @@ impl<St> Kernel<St> {
     /// leftmost slot whose hint fits the task's utilization, re-check it
     /// with the exact [`AdmissionTest::admit`], and resume right of a
     /// miss. `None` (nothing changed) when no slot admits it.
-    pub(crate) fn place<A, S>(&mut self, adm: &A, task: &Task, work: &mut Work) -> Option<usize>
+    pub(crate) fn place<A>(&mut self, adm: &A, task: &Task, work: &mut Work) -> Option<usize>
     where
         A: IndexableAdmission<State = St>,
-        S: MetricsSink,
     {
         let u = task.utilization();
         let mut from = 0usize;
         loop {
             work.descents += 1;
-            let slot = self
-                .tree
-                .first_at_least::<S>(from, u, &mut work.tree_nodes)?;
+            let slot = self.tree.first_at_least(from, u)?;
             work.exact += 1;
-            if let Some(next) = adm.admit(&self.states[slot], task, self.speeds[slot]) {
+            let (state, speed) = (self.state(slot), self.speeds()[slot]);
+            if let Some(next) = adm.admit(state, task, speed) {
                 self.set(adm, slot, next);
                 return Some(slot);
             }
@@ -479,61 +785,10 @@ impl<St> Kernel<St> {
             from = slot + 1;
         }
     }
-
-    /// One first-fit run: place `tasks` in `order` (indices into `tasks`)
-    /// from the current slot states, recording each placed task's slot in
-    /// `slots` (cleared first), up to the first task no slot admits.
-    /// Returns true when every task was placed. Flushes once into `sink`:
-    ///
-    /// * `ff.*` in *reference-scan units*, derived from the byte-identical
-    ///   placement sequence (a task placed at scan slot `s` would have cost
-    ///   the reference `s + 1` checks; a failing task costs `m`) — so the
-    ///   engines and [`crate::first_fit_ordered`] report identical `ff.*`
-    ///   numbers for the same instance;
-    /// * `engine.*` for the work actually done (see [`Work`]).
-    pub(crate) fn place_all<A, S>(
-        &mut self,
-        adm: &A,
-        tasks: &TaskSet,
-        order: &[usize],
-        slots: &mut Vec<usize>,
-        sink: &S,
-    ) -> bool
-    where
-        A: IndexableAdmission<State = St>,
-        S: MetricsSink,
-    {
-        let m = self.states.len() as u64;
-        let mut work = Work::default();
-        let mut scan_checks = 0u64;
-        let mut checks_per_task = HistogramSnapshot::EMPTY;
-        slots.clear();
-        let feasible = order.iter().all(|&ti| {
-            let placed = self.place::<A, S>(adm, &tasks[ti], &mut work);
-            if S::ENABLED {
-                // The reference scan visits slots 0..=slot, or all m and fails.
-                let checks = placed.map_or(m, |slot| slot as u64 + 1);
-                scan_checks += checks;
-                checks_per_task.record(checks);
-            }
-            placed.map(|slot| slots.push(slot)).is_some()
-        });
-        if S::ENABLED {
-            checks_per_task.flush(sink, metrics::FF_CHECKS_PER_TASK);
-            sink.counter_add(metrics::FF_ADMISSION_CHECKS, scan_checks);
-            sink.counter_add(metrics::FF_MACHINES_VISITED, scan_checks);
-            sink.counter_add(metrics::FF_PLACED, slots.len() as u64);
-            sink.counter_add(metrics::ENGINE_TREE_DESCENTS, work.descents);
-            sink.counter_add(metrics::ENGINE_TREE_NODES, work.tree_nodes);
-            sink.counter_add(metrics::ENGINE_EXACT_CHECKS, work.exact);
-            sink.counter_add(metrics::ENGINE_REVERIFY_MISSES, work.misses);
-        }
-        feasible
-    }
 }
 
 /// Reusable indexed first-fit: same outcomes as [`crate::first_fit()`],
-/// `O((n+m)·log m)` placements, zero per-call allocation after warm-up.
+/// `O((n+m)·log n)` per run, zero per-call allocation after warm-up.
 ///
 /// ```
 /// use hetfeas_model::{Augmentation, Platform, TaskSet};
@@ -555,9 +810,10 @@ pub struct FirstFitEngine<A: IndexableAdmission> {
     /// Un-augmented speeds in machine-scan order (filled by
     /// `prepare_machines`).
     base_speeds: Vec<f64>,
+    /// The sorted tasks as the run reads them (filled by `prepare_tasks`).
+    ffd: Ffd,
     kernel: Kernel<A::State>,
-    /// The scan slot of each task the last probe placed, in placement
-    /// order.
+    /// The scan slot of each task of the FFD prefix the last probe placed.
     slots: Vec<usize>,
 }
 
@@ -570,6 +826,7 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
             task_order: Vec::new(),
             machine_order: Vec::new(),
             base_speeds: Vec::new(),
+            ffd: Ffd::default(),
             kernel: Kernel::new(),
             slots: Vec::new(),
         }
@@ -578,6 +835,14 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
     /// The admission test this engine indexes.
     pub fn admission(&self) -> &A {
         &self.admission
+    }
+
+    /// Sort the tasks by decreasing utilization and cache them in the form
+    /// the run reads: the per-task-set work that [`Self::probe`] reuses
+    /// for every α.
+    fn prepare_tasks<S: MetricsSink>(&mut self, tasks: &TaskSet, sink: &S) {
+        tasks.order_by_decreasing_utilization_into(&mut self.task_order);
+        self.ffd.load(tasks, &self.task_order, sink);
     }
 
     /// Sort machines by increasing speed and cache the scan-order speeds:
@@ -589,33 +854,27 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
             .extend(self.machine_order.iter().map(|&m| platform.speed_f64(m)));
     }
 
-    /// One kernel run at augmentation `alpha`, placing `tasks` in `order`
-    /// (a permutation of their indices) over the machine order the last
-    /// [`Self::prepare_machines`] cached, from empty machines. True when
-    /// every task was placed; `self.slots` holds the placed tasks' slots.
-    fn probe<S: MetricsSink>(
-        &mut self,
-        tasks: &TaskSet,
-        order: &[usize],
-        alpha: Augmentation,
-        sink: &S,
-    ) -> bool {
-        debug_assert_eq!(order.len(), tasks.len());
+    /// One kernel run at augmentation `alpha` over the tasks and machines
+    /// the last [`Self::prepare_tasks`] and [`Self::prepare_machines`]
+    /// cached, from empty machines. True when every task was placed;
+    /// `self.slots` holds the placed prefix's slots.
+    fn probe<S: MetricsSink>(&mut self, alpha: Augmentation, sink: &S) -> bool {
         let alpha = alpha.factor();
         let speeds = self.base_speeds.iter().map(|&s| alpha * s);
         self.kernel.reset(&self.admission, speeds, sink);
         self.kernel
-            .place_all(&self.admission, tasks, order, &mut self.slots, sink)
+            .place_all(&self.admission, &mut self.ffd, &mut self.slots, sink)
     }
 
     /// Indexed first-fit: a drop-in replacement for [`crate::first_fit()`]
     /// with an indexable admission — identical outcomes,
-    /// `O((n+m)·log m)` placements. The run is charged `n + m + 1` ticks of
+    /// `O((n+m)·log n)` per run. The run is charged `n + m + 1` ticks of
     /// `gas` up front, and a refused charge returns
     /// [`Outcome::BudgetExhausted`] with nothing placed. `sink` receives
     /// `ff.*` counts in reference-scan units (equal to
-    /// [`crate::first_fit_ordered`]'s for the same instance) and `engine.*`
-    /// counts of the work actually done (see [`crate::metrics`]).
+    /// [`crate::first_fit_ordered`]'s for the same instance) and
+    /// `engine.admission_evals`, the work actually done (see
+    /// [`crate::metrics`]).
     pub fn run<S: MetricsSink>(
         &mut self,
         tasks: &TaskSet,
@@ -630,16 +889,13 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
                 partial: assignment,
             };
         }
-        tasks.order_by_decreasing_utilization_into(&mut self.task_order);
+        self.prepare_tasks(tasks, sink);
         self.prepare_machines(platform);
-        let order = std::mem::take(&mut self.task_order);
-        let feasible = self.probe(tasks, &order, alpha, sink);
-        for (&ti, &slot) in order.iter().zip(&self.slots) {
+        let feasible = self.probe(alpha, sink);
+        for (&ti, &slot) in self.task_order.iter().zip(&self.slots) {
             assignment.assign(ti, self.machine_order[slot]);
         }
-        let failing = (!feasible).then(|| order[self.slots.len()]);
-        self.task_order = order;
-        match failing {
+        match (!feasible).then(|| self.task_order[self.slots.len()]) {
             None => Outcome::Feasible(assignment),
             Some(ti) => Outcome::Infeasible(FailureWitness {
                 failing_task: ti,
@@ -693,11 +949,10 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
         if !hi.is_finite() || hi < 1.0 || !tol.is_finite() || tol <= 0.0 {
             return Ok(None);
         }
-        tasks.order_by_decreasing_utilization_into(&mut self.task_order);
+        self.prepare_tasks(tasks, sink);
         self.prepare_machines(platform);
-        let order = std::mem::take(&mut self.task_order);
         let cost = probe_gas(tasks.len(), platform.len());
-        let bounds = ProbeBounds::new(A::UTILIZATION_FLOOR, tasks, &order, &self.base_speeds);
+        let bounds = ProbeBounds::new(A::UTILIZATION_FLOOR, self.ffd.utils(), &self.base_speeds);
         let mut bounded = 0u64;
         let found = bisection(hi, tol, sink, |alpha| {
             if let Some(verdict) = bounds.and_then(|b| b.verdict(alpha.factor())) {
@@ -706,12 +961,11 @@ impl<A: IndexableAdmission> FirstFitEngine<A> {
                 return Ok(verdict);
             }
             gas.tick_n(cost)?;
-            Ok(self.probe(tasks, &order, alpha, sink))
+            Ok(self.probe(alpha, sink))
         });
         if S::ENABLED {
             sink.counter_add(metrics::ALPHA_PROBES_BOUNDED, bounded);
         }
-        self.task_order = order;
         found
     }
 }
@@ -772,18 +1026,18 @@ struct ProbeBounds {
 }
 
 impl ProbeBounds {
-    /// One pass over the tasks in first-fit `order` on machines of base
-    /// `speeds`, for an admission of utilization floor `floor`; `None`
-    /// when `n + m` exceeds [`BOUNDED_SIZE`].
-    fn new(floor: f64, tasks: &TaskSet, order: &[usize], speeds: &[f64]) -> Option<Self> {
-        let (n, m) = (order.len(), speeds.len());
+    /// One pass over the f64 task utilizations `utils`, in first-fit
+    /// order, on machines of base `speeds`, for an admission of
+    /// utilization floor `floor`; `None` when `n + m` exceeds
+    /// [`BOUNDED_SIZE`].
+    fn new(floor: f64, utils: &[f64], speeds: &[f64]) -> Option<Self> {
+        let (n, m) = (utils.len(), speeds.len());
         if n + m > BOUNDED_SIZE {
             return None;
         }
         let machines = m as f64;
         let (mut g, mut u) = (0.0f64, 0.0f64);
-        for &ti in order {
-            let w = tasks[ti].utilization();
+        for &w in utils {
             g = g.max(u + machines * w);
             u += w;
         }
@@ -814,7 +1068,7 @@ impl ProbeBounds {
 }
 
 /// Gas charged per first-fit run under a budget: a run is
-/// `O((n+m)·log m)` work, so it ticks `n + m + 1`.
+/// `O((n+m)·log n)` work, so it ticks `n + m + 1`.
 pub(crate) fn probe_gas(n: usize, m: usize) -> u64 {
     (n + m) as u64 + 1
 }
@@ -857,16 +1111,16 @@ mod tests {
     fn maxtree_basic_queries() {
         let mut t = MaxTree::default();
         t.rebuild([0.5, 0.2, 0.9, 0.4, 0.9].into_iter());
-        assert_eq!(t.first_at_least::<()>(0, 0.1, &mut 0), Some(0));
-        assert_eq!(t.first_at_least::<()>(0, 0.6, &mut 0), Some(2));
-        assert_eq!(t.first_at_least::<()>(3, 0.6, &mut 0), Some(4));
-        assert_eq!(t.first_at_least::<()>(0, 0.95, &mut 0), None);
-        assert_eq!(t.first_at_least::<()>(5, 0.0, &mut 0), None);
+        assert_eq!(t.first_at_least(0, 0.1), Some(0));
+        assert_eq!(t.first_at_least(0, 0.6), Some(2));
+        assert_eq!(t.first_at_least(3, 0.6), Some(4));
+        assert_eq!(t.first_at_least(0, 0.95), None);
+        assert_eq!(t.first_at_least(5, 0.0), None);
         t.update(2, 0.0);
-        assert_eq!(t.first_at_least::<()>(0, 0.6, &mut 0), Some(4));
+        assert_eq!(t.first_at_least(0, 0.6), Some(4));
         t.update(0, 1.5);
-        assert_eq!(t.first_at_least::<()>(0, 1.0, &mut 0), Some(0));
-        assert_eq!(t.first_at_least::<()>(1, 1.0, &mut 0), None);
+        assert_eq!(t.first_at_least(0, 1.0), Some(0));
+        assert_eq!(t.first_at_least(1, 1.0), None);
     }
 
     /// Random values, point updates (some leaving a group's max as it
@@ -887,10 +1141,14 @@ mod tests {
                 let threshold = draw(&mut rng) + 0.125;
                 let from = rng.below(m as u64 + 2) as usize;
                 let scan = (from..m).find(|&j| vals[j] >= threshold);
-                let mut nodes = 0;
-                let got = t.first_at_least::<hetfeas_obs::MemorySink>(from, threshold, &mut nodes);
+                let mut groups = 0;
+                let got = t.first_at_least_counting(from, threshold, &mut groups);
                 assert_eq!(got, scan, "m = {m}, from {from}, threshold {threshold}");
-                assert!(nodes <= 2 * t.levels as u64, "m = {m}: {nodes} groups read");
+                let levels = t.levels as u64;
+                assert!(groups <= 2 * levels, "m = {m}: {groups} groups read");
+                if from == 0 && got.is_some() {
+                    assert_eq!(groups, levels, "m = {m}: a query from slot 0");
+                }
             }
         }
     }
@@ -899,19 +1157,19 @@ mod tests {
     fn maxtree_single_leaf() {
         let mut t = MaxTree::default();
         t.rebuild([0.3].into_iter());
-        assert_eq!(t.first_at_least::<()>(0, 0.3, &mut 0), Some(0));
-        assert_eq!(t.first_at_least::<()>(0, 0.31, &mut 0), None);
-        assert_eq!(t.first_at_least::<()>(1, 0.0, &mut 0), None);
+        assert_eq!(t.first_at_least(0, 0.3), Some(0));
+        assert_eq!(t.first_at_least(0, 0.31), None);
+        assert_eq!(t.first_at_least(1, 0.0), None);
     }
 
     #[test]
     fn maxtree_rebuild_shrinks_and_grows() {
         let mut t = MaxTree::default();
         t.rebuild([1.0; 9].into_iter());
-        assert_eq!(t.first_at_least::<()>(8, 1.0, &mut 0), Some(8));
+        assert_eq!(t.first_at_least(8, 1.0), Some(8));
         t.rebuild([0.5, 0.7].into_iter());
-        assert_eq!(t.first_at_least::<()>(0, 0.6, &mut 0), Some(1));
-        assert_eq!(t.first_at_least::<()>(2, 0.0, &mut 0), None);
+        assert_eq!(t.first_at_least(0, 0.6), Some(1));
+        assert_eq!(t.first_at_least(2, 0.0), None);
     }
 
     #[test]
@@ -933,6 +1191,53 @@ mod tests {
         assert_eq!(
             run(&mut e, &heavy, &p2, Augmentation::EDF_VS_PARTITIONED),
             first_fit(&heavy, &p2, Augmentation::EDF_VS_PARTITIONED, &EdfAdmission)
+        );
+    }
+
+    /// Wcets and periods above 2^53 round on their way to f64, so the f64
+    /// utilizations can invert the exact FFD order: `a = (2^53+1)/(2^53+2)`
+    /// sorts before `b = (2^53−1)/2^53` but rounds to the f64 just below
+    /// `b`'s. At the α found below, the slow machine's padded capacity is
+    /// exactly `fl(a)`, so it takes `a` but not `b`, and rejects the heavier
+    /// third task `d`. A search over the raw utilizations would see `b`
+    /// last, find that the slow machine rejects it and stop, skipping
+    /// `a`; the running minimum keeps the search on `a`.
+    #[test]
+    fn utilizations_that_round_out_of_order_keep_the_reference_packing() {
+        use hetfeas_model::{Machine, Ratio};
+        let big = 1u64 << 53;
+        let d = Task::implicit(1, 1).unwrap();
+        let a = Task::implicit(big + 1, big + 2).unwrap();
+        let b = Task::implicit(big - 1, big).unwrap();
+        assert!(a.cmp_utilization(&b.utilization_ratio()).is_gt());
+        assert!(a.utilization() < b.utilization());
+        let tasks = TaskSet::new(vec![b, d, a]);
+        let speeds = [Ratio::new(1, 2), Ratio::from_integer(2)];
+        let p = Platform::new(speeds.map(|s| Machine::new(s).unwrap()).to_vec()).unwrap();
+        // The α at which the slow machine, empty, takes `a` and not `b`.
+        let alone = |alpha: f64, t: &Task| EdfAdmission.admit(&0.0, t, alpha * 0.5).is_some();
+        let mut alpha = 2.0 * (a.utilization() - EPS);
+        for _ in 0..64 {
+            let step = if alone(alpha, &a) { -1 } else { 1 };
+            if alone(alpha, &a) && !alone(alpha, &b) {
+                break;
+            }
+            alpha = f64::from_bits(alpha.to_bits().wrapping_add_signed(step));
+        }
+        assert!(alone(alpha, &a) && !alone(alpha, &b) && !alone(alpha, &d));
+        let aug = Augmentation::new(alpha).unwrap();
+        let reference = first_fit(&tasks, &p, aug, &EdfAdmission);
+        assert_eq!(
+            reference.assignment().unwrap().machine_of(2),
+            Some(0),
+            "the scan puts `a` on the slow machine"
+        );
+        let mut edf = FirstFitEngine::new(EdfAdmission);
+        assert_eq!(run(&mut edf, &tasks, &p, aug), reference);
+        let mut rms = FirstFitEngine::new(RmsLlAdmission);
+        assert_eq!(
+            run(&mut rms, &tasks, &p, aug),
+            first_fit(&tasks, &p, aug, &RmsLlAdmission)
         );
     }
 
@@ -1137,11 +1442,16 @@ mod tests {
                         stats,
                         "counter mismatch (case {case}, α={a}): {ts} on {p}"
                     );
-                    // Engine work: every exact check corresponds to a slot
-                    // the reference scan also visited.
+                    // Engine work: each task placed (a failed run goes on
+                    // placing the tasks after its failing one) costs at
+                    // most one gallop plus its first and last probes, and
+                    // each slot two evaluations to find it full.
+                    let (n, m) = (ts.len() as u64, p.len() as u64);
+                    let bits = u64::from(u64::BITS - n.leading_zeros());
+                    let evals = sink.counter(metrics::ENGINE_ADMISSION_EVALS);
                     assert!(
-                        sink.counter(metrics::ENGINE_EXACT_CHECKS) <= stats.admission_checks,
-                        "engine re-checked more slots than the scan visited"
+                        evals <= n * (2 * bits + 2) + 2 * m,
+                        "{evals} evaluations for {n} tasks on {m} machines (case {case}, α={a})"
                     );
                     // One histogram sample per task considered.
                     let considered = stats.placed + u64::from(!out.is_feasible());
@@ -1185,14 +1495,14 @@ mod tests {
         let tasks = TaskSet::from_pairs([(8, 10), (8, 10), (8, 10)]).unwrap();
         let p = platform(&[1, 1]);
         let mut e = FirstFitEngine::new(EdfAdmission);
-        let order = tasks.order_by_decreasing_utilization();
-        e.prepare_machines(&p);
         let warmup = MemorySink::new();
-        e.probe(&tasks, &order, Augmentation::NONE, &warmup);
+        e.prepare_tasks(&tasks, &warmup);
+        e.prepare_machines(&p);
+        e.probe(Augmentation::NONE, &warmup);
         assert!(warmup.counter(metrics::FF_WORKSPACE_ALLOCS) > 0);
         let steady = MemorySink::new();
         for a in [1.0, 1.5, 1.6, 2.0, 3.0] {
-            e.probe(&tasks, &order, Augmentation::new(a).unwrap(), &steady);
+            e.probe(Augmentation::new(a).unwrap(), &steady);
         }
         assert_eq!(steady.counter(metrics::FF_WORKSPACE_ALLOCS), 0);
     }
@@ -1217,11 +1527,11 @@ mod tests {
         let tasks = TaskSet::from_pairs([(8, 10), (8, 10), (8, 10)]).unwrap();
         let p = platform(&[1, 1]);
         let mut e = FirstFitEngine::new(EdfAdmission);
-        let order = tasks.order_by_decreasing_utilization();
+        e.prepare_tasks(&tasks, &());
         e.prepare_machines(&p);
-        assert!(!e.probe(&tasks, &order, Augmentation::NONE, &()));
-        assert!(e.probe(&tasks, &order, Augmentation::new(1.6).unwrap(), &()));
-        assert!(!e.probe(&tasks, &order, Augmentation::new(1.59).unwrap(), &()));
+        assert!(!e.probe(Augmentation::NONE, &()));
+        assert!(e.probe(Augmentation::new(1.6).unwrap(), &()));
+        assert!(!e.probe(Augmentation::new(1.59).unwrap(), &()));
     }
 
     #[test]
@@ -1359,10 +1669,14 @@ mod tests {
         let name = adm.name();
         let (tasks, platform) = full_machine_system(g);
         let mut engine = FirstFitEngine::new(adm);
-        let order = tasks.order_by_decreasing_utilization();
+        engine.prepare_tasks(&tasks, &());
         engine.prepare_machines(&platform);
-        let bounds = ProbeBounds::new(A::UTILIZATION_FLOOR, &tasks, &order, &engine.base_speeds)
-            .expect("a small system is bounded");
+        let bounds = ProbeBounds::new(
+            A::UTILIZATION_FLOOR,
+            engine.ffd.utils(),
+            &engine.base_speeds,
+        )
+        .expect("a small system is bounded");
         let total_speed = platform.total_speed();
         let fits = bounds.g / (A::UTILIZATION_FLOOR * total_speed);
         let overloads = bounds.u / total_speed;

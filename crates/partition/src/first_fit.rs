@@ -11,9 +11,9 @@
 //! EDF and RMS-LL admission tests). This module is the *reference*
 //! implementation — the oracle the property tests compare against, and the
 //! only path supporting non-indexable admissions (exact RTA, Kuo–Mok). For
-//! the indexable tests (EDF, RMS-LL, hyperbolic) the segment-tree engine in
-//! [`crate::engine`] produces byte-identical outcomes in `O((n+m)·log m)`
-//! placements with reusable workspaces, and its α-search returns exactly
+//! the indexable tests (EDF, RMS-LL, hyperbolic) the machine-major engine in
+//! [`crate::engine`] produces byte-identical outcomes in `O((n+m)·log n)`
+//! per run with reusable workspaces, and its α-search returns exactly
 //! [`min_feasible_alpha`]'s answer; `hetfeas check`/`alpha`/`simulate`,
 //! the online engines and experiments E1–E4 run on it. Both paths share
 //! the exact sorts of `hetfeas_model`.

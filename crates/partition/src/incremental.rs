@@ -4,12 +4,12 @@
 //! [`crate::FirstFitEngine`] answers one-shot questions; a deployed
 //! admission controller instead sees a *stream* — tasks arrive, run for a
 //! while and leave. Re-packing from scratch per request costs
-//! `O(n log n + (n+m) log m)` each; [`IncrementalEngine`] maintains the
+//! `O(n log n + (n+m) log n)` each; [`IncrementalEngine`] maintains the
 //! live partition across the stream so that
 //!
-//! * [`IncrementalEngine::add`] is one placement by the placement kernel
-//!   the batch engine runs (see [`crate::engine`]) — one descend-left
-//!   query on its max-segment-tree, `O(log m)` amortized;
+//! * [`IncrementalEngine::add`] is one online placement on the live
+//!   partition's indexed kernel (see [`crate::engine`]) — one
+//!   descend-left query on its fan-out-8 max-tree, `O(log m)` amortized;
 //! * [`IncrementalEngine::remove`] credits capacity back with a *local
 //!   repair*: the leaver's machine state is re-folded from its remaining
 //!   residents (`O(k)` for a machine holding `k` tasks) rather than
@@ -41,8 +41,10 @@
 //! * any other add, and every remove, bumps the counter;
 //! * when the counter exceeds [`RepairPolicy::repack_after`], the engine
 //!   falls back to a counted full repack: from-scratch FFD over the
-//!   survivors, one run of the placement kernel on empty machines, the
-//!   run [`crate::FirstFitEngine`] makes. After a repack the
+//!   survivors, one machine-major run of the batch kernel on empty
+//!   machines, the run [`crate::FirstFitEngine`] makes, whose final
+//!   states the live partition adopts with one rebuild of its max-tree.
+//!   After a repack the
 //!   assignment is **byte-identical** to [`crate::first_fit_ordered`] on
 //!   the survivor set — `tests/prop_incremental.rs` asserts this — so the
 //!   paper's guarantee is restored with bounded staleness. The FFD order
@@ -55,7 +57,7 @@
 //! resets the divergence clock.
 
 use crate::assignment::Assignment;
-use crate::engine::{probe_gas, IndexableAdmission, Kernel, Work};
+use crate::engine::{probe_gas, Ffd, IndexableAdmission, IndexedKernel, Kernel, Work};
 use crate::metrics;
 use hetfeas_model::{Augmentation, Platform, Ratio, Task, TaskSet};
 use hetfeas_obs::MetricsSink;
@@ -205,7 +207,7 @@ struct Core<St> {
     /// Ids resident on each machine slot, in admission order.
     on_slot: Vec<Vec<u64>>,
     /// Per-slot admission states and their residual max-tree.
-    kernel: Kernel<St>,
+    kernel: IndexedKernel<St>,
     live_count: usize,
     next_id: u64,
     /// Canonical-breaking ops since the last repack (attempt).
@@ -332,12 +334,14 @@ pub struct IncrementalEngine<A: IndexableAdmission> {
     /// ([`Self::forget_order`]), so the next repack sorts in full.
     order: Vec<usize>,
     ordered: usize,
-    /// Repack scratch: the survivors in log order (the run's input), each
-    /// ordered log position's index among them, the kernel the run packs
-    /// (swapped with the live one when it succeeds) and the slot it put
+    /// Repack scratch: the survivors in log order, each ordered log
+    /// position's index among them, the survivors in FFD order as the run
+    /// reads them, the kernel the run packs (adopted by the live one when
+    /// it succeeds, which hands back its old kernel) and the slot it put
     /// each survivor on, in FFD order.
     survivors: TaskSet,
     dense: Vec<u32>,
+    ffd: Ffd,
     scratch: Kernel<A::State>,
     slots: Vec<usize>,
 }
@@ -367,6 +371,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
             .iter()
             .map(|&mi| alpha.factor() * platform.speed_f64(mi));
         kernel.reset(&admission, speeds, &());
+        let kernel = IndexedKernel::new(&admission, kernel);
         IncrementalEngine {
             platform: platform.clone(),
             alpha,
@@ -390,6 +395,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
             ordered: 0,
             survivors: TaskSet::empty(),
             dense: Vec::new(),
+            ffd: Ffd::default(),
             scratch: Kernel::new(),
             slots: Vec::new(),
         }
@@ -508,7 +514,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
     }
 
     /// Admit `task` onto the first (slowest) machine that accepts it —
-    /// one kernel placement (a tree descent plus exact re-checks),
+    /// one online placement (a tree descent plus exact re-checks),
     /// `O(log m)` amortized.
     ///
     /// Charges one tick of `gas`; on `Err` the operation was **not**
@@ -524,10 +530,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
     ) -> Result<AddOutcome, Exhaustion> {
         gas.tick()?;
         let mut work = Work::default();
-        let placed = self
-            .core
-            .kernel
-            .place::<A, S>(&self.admission, &task, &mut work);
+        let placed = self.core.kernel.place(&self.admission, &task, &mut work);
         if S::ENABLED {
             sink.counter_add(metrics::INCR_TREE_DESCENTS, work.descents);
             sink.counter_add(metrics::INCR_EXACT_CHECKS, work.exact);
@@ -636,7 +639,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
     /// Re-pack the survivors canonically (from-scratch FFD: one kernel run
     /// on empty machines, as [`crate::FirstFitEngine::run`] makes it)
     /// regardless of the divergence counter. Gas is charged `n + m + 1` up
-    /// front (a repack is `O((n+m)·log m)` work); on `Err` the engine state
+    /// front (a repack is `O((n+m)·log n)` work); on `Err` the engine state
     /// is unchanged. The run reports `ff.*` and `engine.*` counts like a
     /// batch run.
     ///
@@ -644,9 +647,10 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
     /// repack's order, drops the tasks that left since, sorts only the `k`
     /// tasks admitted since (`incr.repack_sorted` counts them) and merges
     /// them in — `O(n + k·log n)`. The run packs a scratch kernel; when it
-    /// places every survivor, that kernel becomes the live one as it is,
-    /// and the resident lists and the index are rebuilt from the slots the
-    /// run recorded.
+    /// places every survivor, the live partition adopts that kernel's
+    /// final states as they are and rebuilds its max-tree once from them
+    /// for the online adds, and the resident lists and the index are
+    /// rebuilt from the slots the run recorded.
     pub fn repack<S: MetricsSink>(
         &mut self,
         gas: &mut Gas,
@@ -657,15 +661,12 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
         if S::ENABLED {
             sink.counter_add(metrics::INCR_REPACK_SORTED, sorted as u64);
         }
+        self.ffd.load(&self.survivors, &self.order, sink);
         let speeds = self.core.kernel.speeds().iter().copied();
         self.scratch.reset(&self.admission, speeds, sink);
-        let feasible = self.scratch.place_all(
-            &self.admission,
-            &self.survivors,
-            &self.order,
-            &mut self.slots,
-            sink,
-        );
+        let feasible =
+            self.scratch
+                .place_all(&self.admission, &mut self.ffd, &mut self.slots, sink);
         let Core {
             live,
             index,
@@ -687,7 +688,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
             self.core.divergence = 0;
             return Ok(RepackOutcome::Infeasible);
         }
-        std::mem::swap(kernel, &mut self.scratch);
+        kernel.adopt(&self.admission, &mut self.scratch);
         on_slot.iter_mut().for_each(Vec::clear);
         // Each machine's tasks, in the order the run admitted them.
         for (&ti, &slot) in self.order.iter().zip(&self.slots) {
@@ -880,6 +881,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
         let mut kernel = Kernel::new();
         let speeds = self.core.kernel.speeds();
         kernel.reset(&self.admission, speeds.iter().copied(), &());
+        let mut kernel = IndexedKernel::new(&self.admission, kernel);
         for (slot, residents) in on_slot.iter().enumerate() {
             let tasks = residents.iter().map(|id| {
                 &live[index[id].live_idx]

@@ -27,16 +27,16 @@
 //! * [`min_feasible_alpha`] / [`bisect_alpha`] — the reference bisection
 //!   for the empirical augmentation factor α*, the oracle the engine's
 //!   search is tested against.
-//! * [`engine`] — [`FirstFitEngine`], the indexed `O((n+m)·log m)` version
-//!   of the §III scan with reusable workspaces and an α-search that sorts
-//!   once, then probes the reference bisection's α sequence:
+//! * [`engine`] — [`FirstFitEngine`], the machine-major `O((n+m)·log n)`
+//!   version of the §III scan with reusable workspaces and an α-search that
+//!   sorts once, then probes the reference bisection's α sequence:
 //!   the one first-fit and α-search behind `hetfeas check`/`alpha` and
 //!   experiments E1–E4 for the indexable admissions (EDF, RMS-LL,
 //!   hyperbolic). Outcomes stay byte-identical to [`first_fit()`]. Its
-//!   crate-private placement kernel is the only code that places a task
-//!   for either indexed engine.
+//!   crate-private batch and online kernels are the only code that places
+//!   a task for either indexed engine.
 //! * [`incremental`] — [`IncrementalEngine`], the online form of the same
-//!   test on the same kernel: `O(log m)` adds, local-repair removes, one
+//!   test on the online kernel: `O(log m)` adds, local-repair removes, one
 //!   snapshot slot for speculative admission (snapshot/rollback), and a
 //!   divergence-counted canonical repack.
 //! * [`durable`] — [`DurableEngine`], a crash-safe wrapper around the

@@ -9,11 +9,9 @@
 //!   reference checks, a failing task costs `m`), so reports are
 //!   comparable across the two paths and the differential tests in
 //!   `tests/prop_engine.rs` can assert exact equality.
-//! * `engine.*` — the indexed engine's *actual* work: segment-tree
-//!   descents, the heap nodes they read, exact admission re-checks, and
-//!   re-verification misses
-//!   (candidates the relaxed hint admitted but the exact predicate
-//!   rejected).
+//! * `engine.*` — the batch engine's *actual* work: the exact admission
+//!   evaluations its machine-major runs make. Online placements count
+//!   their tree work under `incr.*`.
 //! * `bnb.*` — the branch-and-bound exact solver: nodes expanded, prunes
 //!   by LP bound / dominance / visited-state, bloom front effectiveness
 //!   (hits and false positives), incumbent short-circuits, frontier size
@@ -44,17 +42,14 @@ pub const FF_CHECKS_PER_TASK: &str = "ff.checks_per_task";
 /// `first_fit::tests` asserts.
 pub const FF_WORKSPACE_ALLOCS: &str = "ff.workspace_allocs";
 
-/// Segment-tree descend-left queries issued by the engine (counter).
-pub const ENGINE_TREE_DESCENTS: &str = "engine.tree_descents";
-/// Max-tree heap nodes (block maxima) the engine's descents read — the
-/// tree work behind [`ENGINE_TREE_DESCENTS`], at most `2·log2` of the
-/// block count per descent (counter).
-pub const ENGINE_TREE_NODES: &str = "engine.tree_nodes";
-/// Exact admission re-checks of tree candidates (counter).
-pub const ENGINE_EXACT_CHECKS: &str = "engine.exact_checks";
-/// Candidates the relaxed hint offered but the exact predicate rejected
-/// (counter; should stay near zero — each miss is one wasted re-check).
-pub const ENGINE_REVERIFY_MISSES: &str = "engine.reverify_misses";
+/// Exact admission evaluations ([`crate::IndexableAdmission::fits`])
+/// made by machine-major batch runs — [`crate::FirstFitEngine`]'s runs and
+/// probes and every [`crate::IncrementalEngine::repack`]: the gallop and
+/// binary-search steps over the utilization floor, each machine's check
+/// of its last candidate, and the confirmations of tasks whose
+/// utilization is above their floor. About `2·log2` of the search
+/// distance per placement, plus two per machine (counter).
+pub const ENGINE_ADMISSION_EVALS: &str = "engine.admission_evals";
 
 /// Tasks admitted by the incremental engine (counter).
 pub const INCR_ADDS: &str = "incr.adds";
@@ -64,7 +59,7 @@ pub const INCR_ADD_REJECTS: &str = "incr.add_rejects";
 pub const INCR_REMOVES: &str = "incr.removes";
 /// Remove operations naming an unknown/already-removed id (counter).
 pub const INCR_REMOVE_MISSES: &str = "incr.remove_misses";
-/// Segment-tree descend-left queries issued by incremental adds (counter).
+/// Max-tree descend-left queries issued by incremental adds (counter).
 pub const INCR_TREE_DESCENTS: &str = "incr.tree_descents";
 /// Exact admission re-checks of incremental tree candidates (counter).
 pub const INCR_EXACT_CHECKS: &str = "incr.exact_checks";

@@ -8,7 +8,7 @@ use hetfeas_model::{Augmentation, Platform, Task, TaskSet};
 use hetfeas_obs::MemorySink;
 use hetfeas_partition::{
     first_fit, first_fit_ordered, metrics, min_feasible_alpha, EdfAdmission, FirstFitEngine,
-    Outcome, RmsHyperbolicAdmission, RmsLlAdmission, ScanWorkspace,
+    IndexableAdmission, Outcome, RmsHyperbolicAdmission, RmsLlAdmission, ScanWorkspace,
 };
 use hetfeas_robust::Gas;
 
@@ -49,7 +49,68 @@ fn ff_counts(sink: &MemorySink) -> [u64; 3] {
     .map(|name| sink.counter(name))
 }
 
+/// A system built to stress the machine-major run: most utilizations come
+/// from a short menu of ratios, each drawn under several `(c, p)` scalings
+/// (1/4 = 2/8 = 3/12), so ties are common and go by index; about one
+/// task in twenty is heavier than any machine even at α = 4, so some runs
+/// fail at the first task; and loads range from a sliver of the platform
+/// to several times it, so other runs fail late or not at all.
+fn stress_system(g: &mut Gen) -> (TaskSet, Platform) {
+    let speeds = g.vec(1..7, |g| g.range(1u64..=6));
+    let tasks = g.vec(0..41, |g| {
+        let k = g.range(1u64..=3);
+        let (c, p) = if g.rng().chance(0.05) {
+            (25, 1)
+        } else {
+            g.pick(&[(1, 8), (1, 4), (3, 8), (1, 2), (3, 4), (1, 1)])
+        };
+        Task::implicit(c * k, p * k).unwrap()
+    });
+    (
+        TaskSet::new(tasks),
+        Platform::from_int_speeds(speeds).unwrap(),
+    )
+}
+
+/// `FirstFitEngine::run` at a fractional α (steps of 1/97 in [1, 4]) and
+/// `FirstFitEngine::min_feasible_alpha` against the reference scan and
+/// bisection on a [`stress_system`]: the same outcome, and α* bit for bit.
+fn machine_major_matches_the_scan<A: IndexableAdmission + Copy>(adm: A, g: &mut Gen) {
+    let (ts, p) = stress_system(g);
+    let a = Augmentation::new(1.0 + g.range(0u32..=291) as f64 / 97.0).unwrap();
+    let name = adm.name();
+    let mut engine = FirstFitEngine::new(adm);
+    assert_eq!(
+        engine.run(&ts, &p, a, &mut Gas::unlimited(), &()),
+        first_fit(&ts, &p, a, &adm),
+        "{name} run diverges on {ts} / {p} at {a}"
+    );
+    let warm = engine
+        .min_feasible_alpha(&ts, &p, 8.0, 1e-6, &mut Gas::unlimited(), &())
+        .expect("unlimited gas cannot exhaust");
+    let cold = min_feasible_alpha(&ts, &p, &adm, 8.0, 1e-6);
+    assert_eq!(
+        warm.map(f64::to_bits),
+        cold.map(f64::to_bits),
+        "{name} α*: {warm:?} vs {cold:?} on {ts} / {p}"
+    );
+}
+
 properties! {
+    // Machine-major runs and α-searches on tie-heavy, overloaded and
+    // impossible systems, for each indexable admission.
+    fn machine_major_matches_the_scan_edf(g) {
+        machine_major_matches_the_scan(EdfAdmission, g);
+    }
+
+    fn machine_major_matches_the_scan_rms_ll(g) {
+        machine_major_matches_the_scan(RmsLlAdmission, g);
+    }
+
+    fn machine_major_matches_the_scan_hyperbolic(g) {
+        machine_major_matches_the_scan(RmsHyperbolicAdmission, g);
+    }
+
     // The engine is a drop-in replacement: identical Outcome — same
     // Assignment on success, same FailureWitness (failing task, its
     // utilization, the partial assignment) on failure — for EDF.
@@ -119,11 +180,16 @@ properties! {
         assert_eq!(&engine_out, &ref_out);
         assert_eq!(ff_counts(&engine_sink), ref_stats);
 
-        // The engine's own work counters stay within the scan's budget:
-        // every exact check corresponds to at most one reference check.
+        // The engine's own work stays logarithmic: each task it places
+        // (a failed run goes on placing the tasks after its failing one)
+        // costs at most one gallop plus its first and last probes, and
+        // each machine two evaluations to find it full.
+        let (n, m) = (ts.len() as u64, p.len() as u64);
+        let bits = u64::from(u64::BITS - n.leading_zeros());
+        let evals = engine_sink.counter(metrics::ENGINE_ADMISSION_EVALS);
         assert!(
-            engine_sink.counter(metrics::ENGINE_EXACT_CHECKS) <= ref_stats[0],
-            "engine did more exact checks than the scan on {} / {} at {}", ts, p, a
+            evals <= n * (2 * bits + 2) + 2 * m,
+            "{evals} evaluations for {n} tasks on {m} machines: {} / {} at {}", ts, p, a
         );
     }
 

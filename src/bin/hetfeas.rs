@@ -190,7 +190,7 @@ impl Policy {
 }
 
 /// First-fit under the chosen admission test, metered by `sink` and bounded
-/// by `gas`. The indexable admissions run on the segment-tree engine,
+/// by `gas`. The indexable admissions run on the indexed engine,
 /// exact RTA on the reference scan. Returns [`Outcome::BudgetExhausted`]
 /// instead of running long.
 fn run_ff_within<S: MetricsSink>(

@@ -618,14 +618,11 @@ repacks=1
 repacks_infeasible=0
 final_live=2
 verdict="replayed"
-counters.engine.exact_checks=1
-counters.engine.reverify_misses=0
-counters.engine.tree_descents=1
-counters.engine.tree_nodes=1
+counters.engine.admission_evals=1
 counters.ff.admission_checks=1
 counters.ff.machines_visited=1
 counters.ff.placed=1
-counters.ff.workspace_allocs=3
+counters.ff.workspace_allocs=5
 counters.incr.adds=4
 counters.incr.exact_checks=4
 counters.incr.local_repairs=1
@@ -704,14 +701,11 @@ repacks_infeasible=0
 final_live=2
 combined_digest="ce8b40c7"
 verdict="replayed"
-counters.engine.exact_checks=1
-counters.engine.reverify_misses=0
-counters.engine.tree_descents=1
-counters.engine.tree_nodes=1
+counters.engine.admission_evals=1
 counters.ff.admission_checks=1
 counters.ff.machines_visited=1
 counters.ff.placed=1
-counters.ff.workspace_allocs=3
+counters.ff.workspace_allocs=5
 counters.incr.adds=4
 counters.incr.exact_checks=4
 counters.incr.local_repairs=1
@@ -915,14 +909,11 @@ digest="7a0aa21a"
 journal_compact_slices=0
 journal_bytes_reclaimed=0
 verdict="replayed"
-counters.engine.exact_checks=1
-counters.engine.reverify_misses=0
-counters.engine.tree_descents=1
-counters.engine.tree_nodes=1
+counters.engine.admission_evals=1
 counters.ff.admission_checks=1
 counters.ff.machines_visited=1
 counters.ff.placed=1
-counters.ff.workspace_allocs=3
+counters.ff.workspace_allocs=5
 counters.incr.adds=3
 counters.incr.exact_checks=3
 counters.incr.local_repairs=1
@@ -971,14 +962,11 @@ digest="7a0aa21a"
 journal_compact_slices=0
 journal_bytes_reclaimed=0
 verdict="replayed"
-counters.engine.exact_checks=1
-counters.engine.reverify_misses=0
-counters.engine.tree_descents=1
-counters.engine.tree_nodes=1
+counters.engine.admission_evals=1
 counters.ff.admission_checks=1
 counters.ff.machines_visited=1
 counters.ff.placed=1
-counters.ff.workspace_allocs=3
+counters.ff.workspace_allocs=5
 counters.incr.adds=3
 counters.incr.exact_checks=3
 counters.incr.local_repairs=1
@@ -1028,14 +1016,11 @@ repacks=1
 repacks_infeasible=0
 final_live=2
 verdict="replayed"
-counters.engine.exact_checks=9
-counters.engine.reverify_misses=0
-counters.engine.tree_descents=9
-counters.engine.tree_nodes=9
+counters.engine.admission_evals=11
 counters.ff.admission_checks=11
 counters.ff.machines_visited=11
 counters.ff.placed=9
-counters.ff.workspace_allocs=6
+counters.ff.workspace_allocs=10
 histograms.ff.checks_per_task.count=9
 histograms.ff.checks_per_task.buckets=[[1,7],[3,2]]
 "#,
